@@ -20,14 +20,12 @@ from .linalg import (
     complete_orthonormal,
     inner,
     is_isometry,
-    tensor_op,
     tensor_state,
 )
 from .quaternion import (
     ComplexPair,
     ImaginaryVector,
     Quaternion,
-    UnitQuaternion,
     decompose_matrix,
     compose_matrix,
     embed_qubit,

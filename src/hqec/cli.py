@@ -2,8 +2,9 @@
 narrative demonstrations.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 on usage
-errors.  The default seed can be set through the environment variable
-``HQEC_SEED``; an explicit ``--seed`` flag wins.
+errors or when the report cannot be written.  The default seed can be set
+through the environment variable ``HQEC_SEED``; an explicit ``--seed`` flag
+wins.
 """
 
 from __future__ import annotations
@@ -14,12 +15,9 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import codes, quaternion as quat
-from .linalg import is_isometry
 from .report import CheckRecord, RunConfig, SuiteReport, render, write_output
-from .sampling import random_coefficients, rng_for
+from .sampling import rng_for
 from .verify import SUITE_RUNNERS
 
 SEED_ENV_VAR = "HQEC_SEED"
@@ -73,28 +71,16 @@ def cmd_simulate(code_id: str, cfg: RunConfig) -> SuiteReport:
     records.append(CheckRecord(
         "kl", f"correctability of {family_name}", kl.passed and dev <= 1e-12, dev))
 
-    if cmap.operator is not None:
-        synth_dev = is_isometry(cmap.operator).max_deviation
-    else:
-        synth_dev = 0.0
-        for vecs in (cmap.domain, cmap.image):
-            mat = np.column_stack([v.amplitudes for v in vecs])
-            synth_dev = max(synth_dev, float(
-                np.abs(mat.conj().T @ mat - np.eye(len(vecs))).max()))
+    synth_dev = cmap.isometry_deviation()
     records.append(CheckRecord(
         "synthesis_isometric", "the correction operator preserves lengths",
         synth_dev <= 1e-10, synth_dev))
 
-    rng = rng_for(cfg.seed, 501)
-    min_fidelity = np.inf
-    max_residual = 0.0
-    for _ in range(cfg.trials):
-        logical = random_coefficients(code.field, len(code.codewords), rng)
-        err = codes.CombinedError(
-            basis, random_coefficients(code.field, len(basis), rng))
-        res = codes.roundtrip(code, cmap, logical, err, tol=None)
-        min_fidelity = min(min_fidelity, res.fidelity)
-        max_residual = max(max_residual, res.residual)
+    fidelities, residuals = codes.simulate(
+        cmap, codes.combined_draw(basis, code.field), rng_for(cfg.seed, 501),
+        cfg.trials)
+    min_fidelity = float(fidelities.min())
+    max_residual = float(residuals.max())
     records.append(CheckRecord(
         "roundtrip_min_fidelity", "recovered logical state matches the input",
         abs(min_fidelity - 1.0) <= fidelity_tol, abs(min_fidelity - 1.0),
@@ -246,7 +232,11 @@ def main(argv: list[str] | None = None) -> int:
         report = cmd_simulate(args.code, cfg)
     else:
         report = cmd_demo(args.name, cfg)
-    write_output(render(report, cfg.fmt), cfg.out)
+    try:
+        write_output(render(report, cfg.fmt), cfg.out)
+    except OSError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return 2
     return 0 if report.passed else 1
 
 

@@ -33,9 +33,11 @@ from .linalg import (
     basis_state,
     complete_orthonormal,
     inner,
+    is_isometry,
     tensor_state,
 )
 from .quaternion import Quaternion
+from .sampling import random_coefficients
 
 KL_TOL = 1e-12
 SYNTH_TOL = 1e-10
@@ -151,15 +153,6 @@ def build_shor9_code() -> Code:
     w0 = tensor_state([sv(plus)] * 3)
     w1 = tensor_state([sv(minus)] * 3)
     return Code("shor9", ScalarField.COMPLEX, 9, (w0, w1))
-
-
-BUILDERS = {
-    "r3": build_r3_code,
-    "complex3": build_complex3_code,
-    "h3": build_h3_code,
-    "b3": build_b3_code,
-    "shor9": build_shor9_code,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +436,15 @@ class CorrectionMap:
             object.__setattr__(self, "_pair_cache", cached)
         return cached
 
+    def isometry_deviation(self) -> float:
+        """Largest deviation from length preservation: of the completed
+        operator when there is one, else of the orthonormal domain and image
+        lists that define the partial isometry."""
+        if self.operator is not None:
+            return is_isometry(self.operator).max_deviation
+        return max(float(np.abs(m.conj().T @ m - np.eye(m.shape[1])).max())
+                   for m in self._pair_matrices())
+
     def apply(self, state: StateVector) -> StateVector:
         """Apply the correction operator.  Without a completion this acts as
         the partial isometry and annihilates anything outside its domain
@@ -623,6 +625,32 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
             "the map is broken or the error lies outside the corrected family",
             result)
     return result
+
+
+def combined_draw(errors: ErrorSet, field: ScalarField):
+    """An error draw for :func:`simulate`: a random linear combination of the
+    set, with coefficients from :func:`random_coefficients`."""
+    return lambda rng: CombinedError(
+        errors, random_coefficients(field, len(errors), rng))
+
+
+def simulate(cmap: CorrectionMap, draw_error, rng: np.random.Generator,
+             trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded roundtrips through a correction map.
+
+    Each trial draws the logical coefficients, then the error as
+    ``draw_error(rng)``, and makes one :func:`roundtrip` call without a
+    residual gate.  Returns the per-trial fidelities and residuals; the draw
+    order fixes every seeded report.
+    """
+    code = cmap.code
+    fidelities = np.empty(trials)
+    residuals = np.empty(trials)
+    for t in range(trials):
+        logical = random_coefficients(code.field, len(code.codewords), rng)
+        res = roundtrip(code, cmap, logical, draw_error(rng), tol=None)
+        fidelities[t], residuals[t] = res.fidelity, res.residual
+    return fidelities, residuals
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ leftmost ket symbol is the most significant index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -100,7 +100,6 @@ def basis_state(field: ScalarField, n_sites: int, index: int) -> StateVector:
 class LinearMap:
     field: ScalarField
     matrix: np.ndarray
-    _isometry_ok: bool | None = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         mat = _coerce(self.field, self.matrix)
@@ -109,17 +108,8 @@ class LinearMap:
         object.__setattr__(self, "matrix", mat)
 
     @property
-    def dim_out(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def dim_in(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def isometry_checked(self) -> bool:
-        """True only after :func:`is_isometry` has passed on this map."""
-        return bool(self._isometry_ok)
 
     def apply(self, state: StateVector) -> StateVector:
         if state.field is not self.field:
@@ -159,19 +149,6 @@ def tensor_state(factors: list[StateVector] | tuple[StateVector, ...]) -> StateV
     for f in factors[1:]:
         amps = np.kron(amps, f.amplitudes)
     return StateVector(field, sum(f.n_sites for f in factors), amps)
-
-
-def tensor_op(factors: list[LinearMap] | tuple[LinearMap, ...]) -> LinearMap:
-    """Kronecker product of maps; same ordering convention as tensor_state."""
-    if not factors:
-        raise ValueError("need at least one factor")
-    field = factors[0].field
-    if any(f.field is not field for f in factors):
-        raise FieldMismatchError("all tensor factors must share a scalar field")
-    mat = factors[0].matrix
-    for f in factors[1:]:
-        mat = np.kron(mat, f.matrix)
-    return LinearMap(field, mat)
 
 
 def inner(u: StateVector, v: StateVector) -> complex | float:
@@ -280,7 +257,4 @@ def is_isometry(m: LinearMap | np.ndarray, tol: float = TOL_ISO) -> IsometryResu
         raise ValueError("isometry check expects a square matrix")
     gram = mat.conj().T @ mat
     dev = float(np.abs(gram - np.eye(mat.shape[0])).max())
-    ok = dev <= tol
-    if isinstance(m, LinearMap) and ok:
-        object.__setattr__(m, "_isometry_ok", True)
-    return IsometryResult(ok, dev)
+    return IsometryResult(dev <= tol, dev)

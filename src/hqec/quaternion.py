@@ -110,19 +110,6 @@ UNITS = {"1": ONE, "i": I, "j": J, "k": K}
 
 
 @dataclass(frozen=True)
-class UnitQuaternion(Quaternion):
-    """A quaternion constrained to unit norm at construction time."""
-
-    def __post_init__(self) -> None:
-        if not self.is_unit():
-            raise ValueError(f"not a unit quaternion: |q| = {self.norm()!r}")
-
-    @classmethod
-    def of(cls, q: Quaternion) -> "UnitQuaternion":
-        return cls(q.w, q.x, q.y, q.z)
-
-
-@dataclass(frozen=True)
 class ImaginaryVector:
     """A pure-imaginary quaternion x*i + y*j + z*k; the scalar part is zero
     by construction."""

@@ -8,6 +8,7 @@ and round-trip byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,8 +25,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if self.tol is not None and (not math.isfinite(self.tol) or self.tol <= 0):
+            raise ValueError("tolerance must be positive and finite")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
 

@@ -28,7 +28,6 @@ from .linalg import (
 from .quaternion import ComplexPair, ImaginaryVector, Quaternion
 from .report import CheckRecord
 from .sampling import (
-    random_coefficients,
     random_orthogonal,
     random_quaternion,
     random_state,
@@ -277,11 +276,6 @@ def linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
 # codes suite
 
 
-def _random_combined(errors: codes.ErrorSet, field: ScalarField, rng) -> codes.CombinedError:
-    coeffs = random_coefficients(field, len(errors), rng)
-    return codes.CombinedError(errors, coeffs)
-
-
 def codes_suite(seed: int, trials: int) -> list[CheckRecord]:
     records = []
 
@@ -333,64 +327,40 @@ def codes_suite(seed: int, trials: int) -> list[CheckRecord]:
         "kl_shor9_pauli", "correctability of all single-site Paulis on the "
         "nine-qubit code", rep.passed and dev <= 1e-12, dev))
 
-    dev = 0.0
-    for cmap in (r3_map, h3_map):
-        dev = max(dev, is_isometry(cmap.operator).max_deviation)
-    for vecs in (shor9_map.domain, shor9_map.image):
-        mat = np.column_stack([v.amplitudes for v in vecs])
-        dev = max(dev, float(np.abs(mat.conj().T @ mat - np.eye(len(vecs))).max()))
+    dev = max(cmap.isometry_deviation() for cmap in (r3_map, h3_map, shor9_map))
     records.append(CheckRecord(
         "correction_maps_isometric",
         "synthesized correction operators are orthogonal/unitary",
         dev <= 1e-10, dev))
 
-    rng = rng_for(seed, 301)
-    dev = 0.0
-    for cmap, basis in ((r3_map, so2_basis), (h3_map, su2_basis)):
-        code = cmap.code
-        for _ in range(trials):
-            logical = random_coefficients(code.field, len(code.codewords), rng)
-            err = _random_combined(basis, code.field, rng)
-            res = codes.roundtrip(code, cmap, logical, err, tol=None)
-            dev = max(dev, res.residual, abs(res.fidelity - 1.0))
+    def roundtrip_dev(cmap, draw_error, rng) -> float:
+        fidelities, residuals = codes.simulate(cmap, draw_error, rng, trials)
+        return float(max(residuals.max(), np.abs(fidelities - 1.0).max()))
+
+    rng = rng_for(seed, 301)     # one stream for both maps, r3 first
+    dev = max(roundtrip_dev(cmap, codes.combined_draw(basis, cmap.code.field), rng)
+              for cmap, basis in ((r3_map, so2_basis), (h3_map, su2_basis)))
     records.append(CheckRecord(
         "combined_error_linearity",
         "correction of arbitrary linear combinations of basis errors",
         dev <= 1e-10, dev))
 
-    rng = rng_for(seed, 302)
-    dev = 0.0
-    for _ in range(trials):
-        logical = random_coefficients(r3.field, 2, rng)
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        site = int(rng.integers(r3.n_sites))
-        res = codes.roundtrip(r3, r3_map, logical,
-                              codes.so2_error(theta, site), tol=None)
-        dev = max(dev, abs(res.fidelity - 1.0), res.residual)
+    dev = roundtrip_dev(r3_map, lambda rng: codes.so2_error(
+        rng.uniform(0.0, 2.0 * np.pi), int(rng.integers(r3.n_sites))),
+        rng_for(seed, 302))
     records.append(CheckRecord(
         "roundtrip_fidelity_r3", "plane-rotation roundtrips recover the "
         "logical state", dev <= 1e-10, dev))
 
-    rng = rng_for(seed, 303)
-    dev = 0.0
-    for _ in range(trials):
-        logical = random_coefficients(h3.field, 2, rng)
-        u = random_unit_quaternion(rng)
-        site = int(rng.integers(h3.n_sites))
-        res = codes.roundtrip(h3, h3_map, logical,
-                              codes.su2_error(u, site), tol=None)
-        dev = max(dev, abs(res.fidelity - 1.0), res.residual)
+    dev = roundtrip_dev(h3_map, lambda rng: codes.su2_error(
+        random_unit_quaternion(rng), int(rng.integers(h3.n_sites))),
+        rng_for(seed, 303))
     records.append(CheckRecord(
         "roundtrip_fidelity_h3", "unit right-multiplication roundtrips "
         "recover the logical state", dev <= 1e-10, dev))
 
-    rng = rng_for(seed, 304)
-    dev = 0.0
-    for _ in range(trials):
-        logical = random_coefficients(shor9.field, 2, rng)
-        err = _random_combined(pauli_basis, shor9.field, rng)
-        res = codes.roundtrip(shor9, shor9_map, logical, err, tol=None)
-        dev = max(dev, abs(res.fidelity - 1.0), res.residual)
+    dev = roundtrip_dev(shor9_map, codes.combined_draw(pauli_basis, shor9.field),
+                        rng_for(seed, 304))
     records.append(CheckRecord(
         "roundtrip_fidelity_shor9", "single-site Pauli combinations on the "
         "nine-qubit code", dev <= 1e-10, dev))
@@ -407,14 +377,10 @@ def codes_suite(seed: int, trials: int) -> list[CheckRecord]:
         f"count = {count} (the three phase errors share one action)"))
 
     def _fingerprint() -> str:
-        rng2 = rng_for(seed, 305)
-        out = []
-        for _ in range(16):
-            logical = random_coefficients(r3.field, 2, rng2)
-            err = _random_combined(so2_basis, r3.field, rng2)
-            res = codes.roundtrip(r3, r3_map, logical, err, tol=None)
-            out.append(f"{res.fidelity!r}:{res.residual!r}")
-        return "|".join(out)
+        fidelities, residuals = codes.simulate(
+            r3_map, codes.combined_draw(so2_basis, r3.field), rng_for(seed, 305), 16)
+        return "|".join(f"{f!r}:{r!r}" for f, r in
+                        zip(fidelities.tolist(), residuals.tolist()))
 
     first, second = _fingerprint(), _fingerprint()
     records.append(CheckRecord(

@@ -25,8 +25,9 @@ def test_runconfig_validation():
     RunConfig("verify", seed=0, trials=1)
     with pytest.raises(ValueError):
         RunConfig("verify", trials=0)
-    with pytest.raises(ValueError):
-        RunConfig("verify", tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            RunConfig("verify", tol=tol)
     with pytest.raises(ValueError):
         RunConfig("verify", seed=-1)
     with pytest.raises(ValueError):
@@ -127,6 +128,15 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["suite"] == "simulate-r3"
+
+
+def test_unwritable_out_file_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, "verify", "quaternion", "--trials", "5",
+                             "--out", str(target))
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1
+    assert not target.exists()
 
 
 # --- seeding ------------------------------------------------------------------

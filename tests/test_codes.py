@@ -16,6 +16,7 @@ from hqec.codes import (
     build_h3_code,
     build_r3_code,
     build_shor9_code,
+    combined_draw,
     count_effective_errors,
     effective_error_basis,
     effective_representatives,
@@ -26,6 +27,7 @@ from hqec.codes import (
     phase_error_pi,
     phase_failure_demo,
     roundtrip,
+    simulate,
     so2_error,
     su2_error,
     synthesize_correction,
@@ -444,7 +446,12 @@ def test_seeded_roundtrips_are_bit_identical(r3_correction):
             logical = random_coefficients(code.field, 2, rng)
             err = CombinedError(basis, random_coefficients(code.field, 4, rng))
             res = roundtrip(code, r3_correction, logical, err)
-            out.append((repr(res.fidelity), repr(res.residual)))
+            out.append((res.fidelity, res.residual))
         return out
 
-    assert run() == run()
+    reference = run()
+    assert run() == reference
+    # the shared loop keeps the draw order: logical state first, then error
+    fidelities, residuals = simulate(
+        r3_correction, combined_draw(basis, code.field), rng_for(42, 9), 20)
+    assert list(zip(fidelities.tolist(), residuals.tolist())) == reference

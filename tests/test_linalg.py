@@ -16,7 +16,6 @@ from hqec.linalg import (
     inner,
     is_isometry,
     site_operator_matrix,
-    tensor_op,
     tensor_state,
 )
 
@@ -59,17 +58,6 @@ def test_tensor_order_big_endian():
 def test_tensor_rejects_mixed_fields():
     with pytest.raises(FieldMismatchError):
         tensor_state([basis_state(R, 1, 0), basis_state(C, 1, 0)])
-    with pytest.raises(FieldMismatchError):
-        tensor_op([LinearMap(R, np.eye(2)), LinearMap(C, np.eye(2))])
-
-
-def test_tensor_op_matches_kron():
-    rng = np.random.default_rng(2)
-    a, b = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
-    prod = tensor_op([LinearMap(R, a), LinearMap(R, b)])
-    assert np.array_equal(prod.matrix, np.kron(a, b))
-    eye3 = tensor_op([LinearMap(H, np.eye(4))] * 3)
-    assert np.array_equal(eye3.matrix, np.eye(64))
 
 
 def test_inner_examples():
@@ -204,13 +192,6 @@ def test_is_isometry():
     assert not bad.passed
     with pytest.raises(ValueError):
         is_isometry(np.ones((2, 3)))
-
-
-def test_isometry_flag_set_after_check():
-    lm = LinearMap(R, np.eye(3))
-    assert not lm.isometry_checked
-    assert is_isometry(lm).passed
-    assert lm.isometry_checked
 
 
 def test_isometries_preserve_inner_products():

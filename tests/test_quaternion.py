@@ -14,7 +14,6 @@ from hqec.quaternion import (
     ComplexPair,
     ImaginaryVector,
     Quaternion,
-    UnitQuaternion,
 )
 
 finite = st.floats(min_value=-10, max_value=10,
@@ -87,12 +86,6 @@ def test_inverse_of_zero_rejected():
         Quaternion(0, 0, 0, 0).inverse()
     with pytest.raises(ValueError):
         Quaternion(1e-14, 0, 0, 0).inverse()
-
-
-def test_unit_quaternion_validation():
-    UnitQuaternion(1.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        UnitQuaternion(1.0, 1.0, 0.0, 0.0)
 
 
 # --- rotations ----------------------------------------------------------
