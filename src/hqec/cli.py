@@ -16,7 +16,8 @@ import time
 from pathlib import Path
 
 from . import codes, quaternion as quat
-from .report import CheckRecord, RunConfig, SuiteReport, render, write_output
+from .report import (MAX_TRIALS, CheckRecord, RunConfig, SuiteReport, render,
+                     write_output)
 from .sampling import rng_for
 from .verify import SUITE_RUNNERS
 
@@ -182,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help=f"PRNG seed (default: ${SEED_ENV_VAR} or 0)")
     common.add_argument("--trials", type=int, default=1000,
-                        help="randomized trials per check (default 1000)")
+                        help="randomized trials per check (default 1000, "
+                             f"at most {MAX_TRIALS})")
     common.add_argument("--tol", type=float, default=None,
                         help="override the headline tolerance where applicable")
     common.add_argument("--format", choices=("text", "structured", "json"),

@@ -29,6 +29,7 @@ from .linalg import (
     ScalarField,
     SiteOperator,
     StateVector,
+    _site_amplitudes,
     apply_site,
     basis_state,
     complete_orthonormal,
@@ -202,18 +203,26 @@ class CombinedError:
         object.__setattr__(self, "coefficients", coeffs)
 
     def apply(self, state: StateVector) -> StateVector:
+        """Each term is checked against ``state`` as it is applied; only the
+        sum is validated as a state."""
         amps = np.zeros_like(state.amplitudes,
                              dtype=complex if state.field.is_complex else float)
         for c, term in zip(self.coefficients, self.errors):
             if c != 0:
-                amps = amps + c * apply_error(term.op, state).amplitudes
+                amps = amps + c * _error_amplitudes(term.op, state)
         return state.with_amplitudes(amps)
 
 
 def apply_error(op: SiteOperator | LinearMap, state: StateVector) -> StateVector:
+    return state.with_amplitudes(_error_amplitudes(op, state))
+
+
+def _error_amplitudes(op: SiteOperator | LinearMap, state: StateVector) -> np.ndarray:
+    """The amplitudes of ``op`` applied to ``state``, checked for field, site
+    and dimension but not validated as a state."""
     if isinstance(op, SiteOperator):
-        return apply_site(op, state)
-    return op.apply(state)
+        return _site_amplitudes(op, state)
+    return op._amplitudes(state)
 
 
 def identity_error(field: ScalarField) -> ErrorTerm:
@@ -429,10 +438,14 @@ class CorrectionMap:
         return basis_state(self.code.field, self.n_ancilla, 0)
 
     def _pair_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The adjoint of the stacked domain (one row per domain vector) and
+        the stacked image (one column per image vector), built once.  Only
+        the adjoint is kept: it is all that :meth:`apply` needs, and the
+        domain vectors are kept in ``domain`` anyway."""
         cached = getattr(self, "_pair_cache", None)
         if cached is None:
-            cached = (np.column_stack([v.amplitudes for v in self.domain]),
-                      np.column_stack([v.amplitudes for v in self.image]))
+            adj = np.column_stack([v.amplitudes for v in self.domain]).conj().T
+            cached = (adj, np.column_stack([v.amplitudes for v in self.image]))
             object.__setattr__(self, "_pair_cache", cached)
         return cached
 
@@ -442,8 +455,9 @@ class CorrectionMap:
         lists that define the partial isometry."""
         if self.operator is not None:
             return is_isometry(self.operator).max_deviation
-        return max(float(np.abs(m.conj().T @ m - np.eye(m.shape[1])).max())
-                   for m in self._pair_matrices())
+        adj, img = self._pair_matrices()
+        grams = (adj @ adj.conj().T, img.conj().T @ img)
+        return max(float(np.abs(g - np.eye(g.shape[0])).max()) for g in grams)
 
     def apply(self, state: StateVector) -> StateVector:
         """Apply the correction operator.  Without a completion this acts as
@@ -451,9 +465,14 @@ class CorrectionMap:
         span; downstream residual checks surface such inputs."""
         if self.operator is not None:
             return self.operator.apply(state)
-        dom, img = self._pair_matrices()
-        coeffs = dom.conj().T @ state.amplitudes
-        return state.with_amplitudes(img @ coeffs)
+        field = self.code.field
+        if state.field is not field:
+            raise FieldMismatchError(
+                f"map over {field.value} applied to {state.field.value} state")
+        adj, img = self._pair_matrices()
+        if state.dim != adj.shape[1]:
+            raise ValueError(f"dimension mismatch: {adj.shape[1]} vs {state.dim}")
+        return state.with_amplitudes(img @ (adj @ state.amplitudes))
 
 
 def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
@@ -470,6 +489,8 @@ def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
     Signs and coefficients of the resulting map are derived from the defining
     pairs, never hard-coded.
     """
+    if len(errors) == 0:
+        raise SynthesisError("the error set is empty; entry 0 must be the identity")
     report = kl_check(code, errors, kl_tol)
     if not report.passed:
         worst = report.violations[0].describe(report.labels)

@@ -112,12 +112,17 @@ class LinearMap:
         return self.matrix.shape[1]
 
     def apply(self, state: StateVector) -> StateVector:
+        return state.with_amplitudes(self._amplitudes(state))
+
+    def _amplitudes(self, state: StateVector) -> np.ndarray:
+        """The image amplitudes of ``state``, checked for field and dimension
+        but not validated as a state."""
         if state.field is not self.field:
             raise FieldMismatchError(
                 f"map over {self.field.value} applied to {state.field.value} state")
         if state.dim != self.dim_in:
             raise ValueError(f"dimension mismatch: {self.dim_in} vs {state.dim}")
-        return state.with_amplitudes(self.matrix @ state.amplitudes)
+        return self.matrix @ state.amplitudes
 
 
 @dataclass(frozen=True)
@@ -164,6 +169,12 @@ def inner(u: StateVector, v: StateVector) -> complex | float:
 
 def apply_site(op: SiteOperator, state: StateVector) -> StateVector:
     """Apply a site-local operator without forming the full Kronecker product."""
+    return state.with_amplitudes(_site_amplitudes(op, state))
+
+
+def _site_amplitudes(op: SiteOperator, state: StateVector) -> np.ndarray:
+    """The amplitudes of ``op`` applied to ``state``, checked for field and
+    site but not validated as a state: the kernel of :func:`apply_site`."""
     if op.field is not state.field:
         raise FieldMismatchError(
             f"operator over {op.field.value} applied to {state.field.value} state")
@@ -173,7 +184,7 @@ def apply_site(op: SiteOperator, state: StateVector) -> StateVector:
     lead = d ** op.site
     cube = state.amplitudes.reshape(lead, d, -1)
     out = np.einsum("ij,ajb->aib", op.matrix, cube)
-    return state.with_amplitudes(out.reshape(-1))
+    return out.reshape(-1)
 
 
 def site_operator_matrix(op: SiteOperator, n_sites: int) -> np.ndarray:
@@ -197,6 +208,15 @@ def complete_orthonormal(partial: list[StateVector],
     Stabilized Gram-Schmidt with a second re-orthogonalization pass; the
     leading len(partial) output vectors span exactly span(partial).
     Dependent input raises RankDeficiencyError with the offending index.
+
+    The fill is split by support, the union of the input vectors' nonzero
+    coordinates.  A canonical vector outside the support is exactly
+    orthogonal to the input and to every other such vector, so those follow
+    the input unchanged, in index order.  Only the canonical vectors inside
+    the support go through the Gram-Schmidt sweep (a conservative acceptance
+    threshold, then a permissive one if short), and they come last.  Signed
+    canonical input thus completes with exact 0 and +-1 entries, and input
+    dense on every coordinate gets the plain sweep over all of them.
     """
     if not partial:
         raise ValueError("need at least one vector")
@@ -206,7 +226,13 @@ def complete_orthonormal(partial: list[StateVector],
     if any(v.field is not field or v.dim != dim for v in partial):
         raise FieldMismatchError("all vectors must share field and dimension")
     hermitian = field.is_complex
-    basis = np.zeros((dim, dim), dtype=field.dtype)
+    support = np.flatnonzero(np.any(
+        np.column_stack([v.amplitudes for v in partial]) != 0, axis=1))
+    # The columns hold the orthonormalized input, then the vectors the sweep
+    # accepts.  Canonical vectors outside the support never need projecting.
+    # (More inputs than support coordinates are dependent; Gram-Schmidt below
+    # reports the first dependent one.)
+    basis = np.zeros((dim, max(len(support), len(partial))), dtype=field.dtype)
     count = 0
 
     def orthogonalized(vec: np.ndarray) -> np.ndarray:
@@ -225,11 +251,9 @@ def complete_orthonormal(partial: list[StateVector],
         basis[:, count] = u / n
         count += 1
 
-    # Fill the remaining directions from the canonical basis; a sweep with a
-    # conservative acceptance threshold, then a permissive one if short.
     for threshold in (0.5, 10 * tol_rank):
-        for i in range(dim):
-            if count == dim:
+        for i in support:
+            if count == len(support):
                 break
             e = np.zeros(dim, dtype=field.dtype)
             e[i] = 1.0
@@ -238,9 +262,18 @@ def complete_orthonormal(partial: list[StateVector],
             if n > threshold:
                 basis[:, count] = u / n
                 count += 1
-    if count != dim:
+    if count != len(support):
         raise RuntimeError("failed to complete the basis")  # unreachable in practice
-    return [StateVector(field, n_sites, basis[:, k]) for k in range(dim)]
+
+    out = [StateVector(field, n_sites, basis[:, k]) for k in range(len(partial))]
+    e = np.zeros(dim, dtype=field.dtype)
+    for i in np.setdiff1d(np.arange(dim), support):
+        e[i] = 1.0
+        out.append(StateVector(field, n_sites, e))      # validation copies e
+        e[i] = 0.0
+    out.extend(StateVector(field, n_sites, basis[:, k])
+               for k in range(len(partial), count))
+    return out
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,11 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+# Upper limit on --trials.  At the ceiling the per-trial fidelity and
+# residual arrays of a simulation take 160 MB; far above it they could not
+# be allocated at all.
+MAX_TRIALS = 10_000_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -23,8 +28,8 @@ class RunConfig:
     out: Path | None = None
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must be between 1 and {MAX_TRIALS}")
         if self.tol is not None and (not math.isfinite(self.tol) or self.tol <= 0):
             raise ValueError("tolerance must be positive and finite")
         if not 0 <= self.seed < 2 ** 64:

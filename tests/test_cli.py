@@ -4,6 +4,7 @@ import pytest
 
 from hqec import cli
 from hqec.report import (
+    MAX_TRIALS,
     CheckRecord,
     RunConfig,
     SuiteReport,
@@ -23,8 +24,10 @@ def run_cli(capsys, *argv):
 
 def test_runconfig_validation():
     RunConfig("verify", seed=0, trials=1)
-    with pytest.raises(ValueError):
-        RunConfig("verify", trials=0)
+    RunConfig("verify", trials=MAX_TRIALS)
+    for trials in (0, MAX_TRIALS + 1):
+        with pytest.raises(ValueError):
+            RunConfig("verify", trials=trials)
     for tol in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             RunConfig("verify", tol=tol)
@@ -95,6 +98,18 @@ def test_usage_error_bad_trials(capsys):
     code, _, err = run_cli(capsys, "verify", "quaternion", "--trials", "0")
     assert code == 2
     assert "trials" in err
+
+
+def test_usage_error_trials_above_ceiling(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a run started despite the trials ceiling")
+
+    monkeypatch.setattr(cli, "cmd_simulate", never)
+    code, out, err = run_cli(capsys, "simulate", "r3",
+                             "--trials", "1000000000000000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error") and str(MAX_TRIALS) in err
 
 
 def test_exit_matches_overall_verdict(capsys):

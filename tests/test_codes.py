@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from hqec.codes import (
 from hqec.linalg import (
     FieldMismatchError,
     ScalarField,
+    SiteOperator,
+    StateVector,
     apply_site,
     basis_state,
     inner,
@@ -130,6 +133,33 @@ def test_effective_basis_sizes():
         effective_error_basis(build_r3_code(), ErrorFamily.SU2)
     with pytest.raises(FieldMismatchError):
         effective_error_basis(build_h3_code(), ErrorFamily.SO2)
+
+
+def test_combined_error_is_the_sum_of_its_terms():
+    code = build_h3_code()
+    basis = effective_error_basis(code, ErrorFamily.SU2)
+    rng = rng_for(6, 1)
+    state = StateVector(code.field, 3, rng.standard_normal(code.dim))
+    coeffs = random_coefficients(code.field, len(basis), rng)
+    coeffs[3] = 0.0
+    expected = np.zeros(code.dim)
+    for c, term in zip(coeffs, basis):
+        if c != 0:
+            expected = expected + c * codes.apply_error(term.op, state).amplitudes
+    assert np.array_equal(CombinedError(basis, coeffs).apply(state).amplitudes,
+                          expected)
+
+
+def test_combined_error_checks_every_term():
+    code = build_r3_code()
+    word = code.codewords[0]
+    eye = identity_error(code.field)
+    off_site = ErrorTerm("far", SiteOperator(ScalarField.REAL, 3, np.eye(2)))
+    with pytest.raises(ValueError, match="out of range"):
+        CombinedError(ErrorSet((eye, off_site)), np.ones(2)).apply(word)
+    complex_term = ErrorTerm("Z@0", pauli_error("z", 0))
+    with pytest.raises(FieldMismatchError):
+        CombinedError(ErrorSet((eye, complex_term)), np.ones(2)).apply(word)
 
 
 def test_combined_error_requires_nonzero_coefficient():
@@ -251,6 +281,11 @@ def test_synthesis_requires_identity_first():
         synthesize_correction(code, shuffled, 2)
 
 
+def test_synthesis_rejects_empty_error_set():
+    with pytest.raises(SynthesisError, match="empty"):
+        synthesize_correction(build_r3_code(), ErrorSet(()), 2)
+
+
 def test_synthesis_validates_ancilla_assignment():
     code = build_r3_code()
     errors = effective_error_basis(code, ErrorFamily.SO2)
@@ -270,6 +305,58 @@ def test_h3_partial_isometry_vectors(h3_correction):
 
 def test_h3_completed_operator(h3_correction):
     assert is_isometry(h3_correction.operator).max_deviation <= 1e-10
+
+
+def test_h3_completed_operator_is_a_signed_permutation(h3_correction):
+    # the error images are signed canonical vectors, so completion must not
+    # leak rounding into any entry
+    assert np.isin(h3_correction.operator.matrix, (-1.0, 0.0, 1.0)).all()
+
+
+# --- the partial map --------------------------------------------------------
+
+def _shor9_input(cmap, rng):
+    dim = 2 ** cmap.total_sites
+    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return StateVector(ScalarField.COMPLEX, cmap.total_sites, amps)
+
+
+def test_partial_map_apply_is_image_times_domain_adjoint(shor9_correction):
+    cmap = shor9_correction
+    state = _shor9_input(cmap, np.random.default_rng(4))
+    dom = np.column_stack([v.amplitudes for v in cmap.domain])
+    img = np.column_stack([v.amplitudes for v in cmap.image])
+    expected = img @ (dom.conj().T @ state.amplitudes)
+    assert np.array_equal(cmap.apply(state).amplitudes, expected)
+
+
+def test_partial_map_apply_does_not_copy_the_domain(shor9_correction):
+    cmap = shor9_correction
+    state = _shor9_input(cmap, np.random.default_rng(5))
+    cmap.apply(state)
+    tracemalloc.start()
+    try:
+        cmap.apply(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    adjoint_bytes = sum(v.amplitudes.nbytes for v in cmap.domain)
+    assert peak < 2 ** 20 < adjoint_bytes
+
+
+def test_partial_map_rejects_wrong_field(shor9_correction):
+    cmap = shor9_correction
+    real = StateVector(ScalarField.REAL, cmap.total_sites,
+                       np.ones(2 ** cmap.total_sites))
+    with pytest.raises(FieldMismatchError):
+        cmap.apply(real)
+
+
+def test_partial_map_rejects_wrong_dimension(shor9_correction):
+    cmap = shor9_correction
+    word = cmap.code.codewords[0]
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        cmap.apply(word)
 
 
 # --- roundtrips ---------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqec import quaternion as quat
 from hqec.codes import phase_error_pi
@@ -212,3 +214,100 @@ def test_linear_map_apply_checks():
         lm.apply(basis_state(C, 1, 0))
     with pytest.raises(ValueError):
         lm.apply(basis_state(R, 2, 0))
+
+
+# --- completion oracle ------------------------------------------------------
+
+def _reference_completion(partial, tol_rank=1e-10):
+    """The sequential completion: Gram-Schmidt over the input, then a sweep
+    over every canonical vector in index order (threshold 0.5, then
+    10 * tol_rank), each projected twice against all accepted columns.
+    Returns the basis as the columns of a matrix."""
+    dim = partial[0].dim
+    field = partial[0].field
+    basis = np.zeros((dim, dim), dtype=field.dtype)
+    count = 0
+
+    def orthogonalized(vec):
+        head = basis[:, :count]
+        for _ in range(2):
+            if count:
+                vec = vec - head @ (head.conj().T @ vec if field.is_complex
+                                    else head.T @ vec)
+        return vec
+
+    for v in partial:
+        u = orthogonalized(v.amplitudes.copy())
+        basis[:, count] = u / np.linalg.norm(u)
+        count += 1
+    for threshold in (0.5, 10 * tol_rank):
+        for i in range(dim):
+            if count == dim:
+                break
+            e = np.zeros(dim, dtype=field.dtype)
+            e[i] = 1.0
+            u = orthogonalized(e)
+            n = np.linalg.norm(u)
+            if n > threshold:
+                basis[:, count] = u / n
+                count += 1
+    return basis
+
+
+def _stacked(states):
+    return np.column_stack([s.amplitudes for s in states])
+
+
+_fields_and_sites = st.tuples(st.sampled_from([R, C, H]), st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), shape=_fields_and_sites)
+def test_completion_of_signed_canonical_vectors_matches_reference(data, shape):
+    field, n_sites = shape
+    dim = field.site_dim ** n_sites
+    indices = data.draw(st.lists(st.integers(0, dim - 1), min_size=1,
+                                 max_size=dim, unique=True))
+    signs = data.draw(st.lists(st.sampled_from([1.0, -1.0]),
+                               min_size=len(indices), max_size=len(indices)))
+    partial = [StateVector(field, n_sites,
+                           s * basis_state(field, n_sites, i).amplitudes)
+               for i, s in zip(indices, signs)]
+    full = complete_orthonormal(partial)
+    assert len(full) == dim
+    assert np.array_equal(_stacked(full), _reference_completion(partial))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), shape=_fields_and_sites, seed=st.integers(0, 2 ** 32 - 1))
+def test_completion_of_mixed_vectors_is_orthonormal(data, shape, seed):
+    field, n_sites = shape
+    dim = field.site_dim ** n_sites
+    rng = np.random.default_rng(seed)
+    block = data.draw(st.lists(st.integers(0, dim - 1), min_size=1,
+                               max_size=dim, unique=True))
+    n_dense = data.draw(st.integers(1, len(block)))
+    outside = [i for i in range(dim) if i not in block]
+    singles = data.draw(st.lists(st.sampled_from(outside), unique=True)
+                        if outside else st.just([]))
+    partial = []
+    for _ in range(n_dense):
+        amps = np.zeros(dim, dtype=field.dtype)
+        amps[block] = rng.standard_normal(len(block))
+        if field.is_complex:
+            amps[block] += 1j * rng.standard_normal(len(block))
+        partial.append(StateVector(field, n_sites, amps))
+    for i in singles:
+        sign = rng.choice([1.0, -1.0])
+        partial.append(StateVector(field, n_sites,
+                                   sign * basis_state(field, n_sites, i).amplitudes))
+    order = rng.permutation(len(partial))
+    partial = [partial[k] for k in order]
+
+    mat = _stacked(complete_orthonormal(partial))
+    assert mat.shape == (dim, dim)
+    assert np.abs(mat.conj().T @ mat - np.eye(dim)).max() <= 1e-10
+    lead = mat[:, :len(partial)]
+    for v in partial:
+        resid = v.amplitudes - lead @ (lead.conj().T @ v.amplitudes)
+        assert np.linalg.norm(resid) <= 1e-10 * max(1.0, v.norm())
