@@ -12,6 +12,10 @@ ancilla Gram matrix).  That condition is sufficient but not necessary for
 correctability in general; degenerate sets can first be reduced to one
 representative per distinct code-space action (see
 :func:`effective_representatives`).
+
+The code-space action of an error set, the images E_p w_l, is computed once
+as one stacked array; the KL table is its Gram matrix, and the effective-error
+classes and the synthesis pairs read the same array.
 """
 
 from __future__ import annotations
@@ -329,15 +333,17 @@ class KLReport:
     table: np.ndarray          # [p1, l1, p2, l2] = <E_p1 w_l1 | E_p2 w_l2>
     violations: tuple[KLViolation, ...]
     gram: np.ndarray | None    # ancilla Gram <A_p1|A_p2> when passing
-    tol: float
     labels: tuple[str, ...]
 
-    @property
-    def max_deviation(self) -> float:
-        dev = 0.0
-        for v in self.violations:
-            dev = max(dev, v.deviation)
-        return dev
+
+def _images(code: Code, errors: ErrorSet) -> np.ndarray:
+    """The code-space action of an error set as one array: entry [p, l] holds
+    the amplitudes of E_p w_l."""
+    images = np.empty((len(errors), len(code.codewords), code.dim),
+                      dtype=code.field.dtype)
+    for p, term in enumerate(errors):
+        images[p] = [_error_amplitudes(term.op, w) for w in code.codewords]
+    return images
 
 
 def kl_check(code: Code, errors: ErrorSet, tol: float = KL_TOL) -> KLReport:
@@ -348,65 +354,68 @@ def kl_check(code: Code, errors: ErrorSet, tol: float = KL_TOL) -> KLReport:
     Failure is a verdict carried by the report, not an exception.  When both
     families hold, the common diagonal values form the ancilla Gram matrix.
     """
-    n_err, n_words = len(errors), len(code.codewords)
-    images = [[apply_error(t.op, w) for w in code.codewords] for t in errors]
-    dtype = complex if code.field.is_complex else float
-    table = np.zeros((n_err, n_words, n_err, n_words), dtype=dtype)
-    for p1 in range(n_err):
-        for l1 in range(n_words):
-            for p2 in range(n_err):
-                for l2 in range(n_words):
-                    table[p1, l1, p2, l2] = inner(images[p1][l1], images[p2][l2])
+    return _kl_report(code.field, _images(code, errors), errors.labels, tol)
 
-    violations: list[KLViolation] = []
-    for p1 in range(n_err):
-        for p2 in range(n_err):
-            for l1 in range(n_words):
-                for l2 in range(n_words):
-                    if l1 == l2:
-                        continue
-                    value = table[p1, l1, p2, l2]
-                    if abs(value) > tol:
-                        violations.append(KLViolation(
-                            "cross", p1, p2, l1, l2, (value,), abs(value)))
-            diag = table[p1, range(n_words), p2, range(n_words)]
-            spread_idx = (int(np.argmin(diag.real)), int(np.argmax(diag.real)))
-            if code.field.is_complex:
-                pair_dev = 0.0
-                pair = (0, 0)
-                for m in range(n_words):
-                    for n in range(n_words):
-                        d = abs(diag[m] - diag[n])
-                        if d > pair_dev:
-                            pair_dev, pair = d, (m, n)
-                spread_idx = pair
-            m, n = spread_idx
-            dev = abs(diag[m] - diag[n])
-            if dev > tol:
-                violations.append(KLViolation(
-                    "diagonal", p1, p2, m, n, (diag[m], diag[n]), dev))
+
+def _kl_report(field: ScalarField, images: np.ndarray,
+               labels: tuple[str, ...], tol: float) -> KLReport:
+    """:func:`kl_check` on the stacked images of :func:`_images`.
+
+    The table is the Gram matrix of the images.  Violations come per error
+    pair (p1, p2) in row-major order: its cross terms in (l1, l2) order, then
+    at most one diagonal violation for the pair of codewords whose diagonal
+    values are furthest apart (over the reals the smallest and the largest
+    value, over C the first largest pair (m, n) in row-major order).
+    """
+    n_err, n_words, dim = images.shape
+    flat = images.reshape(n_err * n_words, dim)
+    table = (flat.conj() @ flat.T).reshape(n_err, n_words, n_err, n_words)
+
+    by_pair = table.transpose(0, 2, 1, 3)                 # [p1, p2, l1, l2]
+    violations = []
+    for p1, p2, l1, l2 in np.argwhere(
+            (_modulus(by_pair) > tol) & ~np.eye(n_words, dtype=bool)).tolist():
+        value = by_pair[p1, p2, l1, l2]
+        violations.append(KLViolation(
+            "cross", p1, p2, l1, l2, (value,), abs(value)))
+
+    diag = table[:, range(n_words), :, range(n_words)]    # [l, p1, p2]
+    if field.is_complex:
+        spread = _modulus(diag[:, None] - diag[None, :])
+        m, n = np.divmod(spread.reshape(n_words * n_words, n_err, n_err)
+                         .argmax(axis=0), n_words)
+    else:
+        m, n = diag.argmin(axis=0), diag.argmax(axis=0)
+    first = np.take_along_axis(diag, m[None], axis=0)[0]
+    second = np.take_along_axis(diag, n[None], axis=0)[0]
+    dev = _modulus(first - second)
+    for p1, p2 in np.argwhere(dev > tol).tolist():
+        violations.append(KLViolation(
+            "diagonal", p1, p2, int(m[p1, p2]), int(n[p1, p2]),
+            (first[p1, p2], second[p1, p2]), dev[p1, p2]))
+    violations.sort(key=lambda v: (v.p1, v.p2, v.kind == "diagonal"))
 
     passed = not violations
-    gram = None
-    if passed:
-        gram = np.mean(table[:, range(n_words), :, range(n_words)], axis=0)
-    return KLReport(passed, table, tuple(violations), gram, tol, errors.labels)
+    gram = np.mean(diag, axis=0) if passed else None
+    return KLReport(passed, table, tuple(violations), gram, labels)
+
+
+def _modulus(values: np.ndarray) -> np.ndarray:
+    """Entrywise abs() as Python's scalar abs() computes it: np.abs of a
+    complex array may differ from that in the last bit, np.hypot does not."""
+    return np.hypot(values.real, values.imag)
 
 
 def kl_condition_deviation(report: KLReport) -> float:
     """Largest deviation from either condition family, verdict aside: the
-    biggest cross term or the biggest spread between diagonal values."""
+    biggest cross term or the biggest spread between diagonal values (0.0 for
+    an empty error set)."""
     table = report.table
     n_words = table.shape[1]
-    dev = 0.0
-    for l1 in range(n_words):
-        for l2 in range(n_words):
-            if l1 != l2:
-                dev = max(dev, float(np.abs(table[:, l1, :, l2]).max()))
+    cross = np.abs(table) * ~np.eye(n_words, dtype=bool)[:, None, :]
     diag = table[:, range(n_words), :, range(n_words)]      # (L, P, P)
     spread = np.abs(diag[:, None, :, :] - diag[None, :, :, :])
-    dev = max(dev, float(spread.max()))
-    return dev
+    return max(float(cross.max(initial=0.0)), float(spread.max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +500,8 @@ def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
     """
     if len(errors) == 0:
         raise SynthesisError("the error set is empty; entry 0 must be the identity")
-    report = kl_check(code, errors, kl_tol)
+    images = _images(code, errors)
+    report = _kl_report(code.field, images, errors.labels, kl_tol)
     if not report.passed:
         worst = report.violations[0].describe(report.labels)
         raise SynthesisError(f"error set is not correctable: {worst}")
@@ -505,8 +515,7 @@ def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
         raise SynthesisError("an error operator annihilates the code space")
 
     identity_action = np.stack([w.amplitudes for w in code.codewords])
-    if not np.allclose(_restriction(errors[0], code), identity_action,
-                       atol=kl_tol, rtol=0.0):
+    if not np.allclose(images[0], identity_action, atol=kl_tol, rtol=0.0):
         raise SynthesisError("entry 0 of the error set must act as the "
                              "identity on the code space")
 
@@ -521,32 +530,26 @@ def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
         raise SynthesisError("need one distinct ancilla state per error")
     if ancilla_states[0] != 0:
         raise SynthesisError("the identity error must map to ancilla |0_A>")
-    if max(ancilla_states) >= anc_dim:
+    if min(ancilla_states) < 0 or max(ancilla_states) >= anc_dim:
         raise SynthesisError("ancilla state index out of range")
 
-    anc0 = basis_state(code.field, n_ancilla, 0)
+    anc0 = basis_state(code.field, n_ancilla, 0).amplitudes
     total_sites = code.n_sites + n_ancilla
     domain: list[StateVector] = []
     image: list[StateVector] = []
-    for p, term in enumerate(errors):
+    for p in range(n_err):
         scale = 1.0 / math.sqrt(diag[p])
-        anc_p = basis_state(code.field, n_ancilla, ancilla_states[p])
-        for w in code.codewords:
-            corrupted = apply_error(term.op, w)
-            domain.append(StateVector(
-                code.field, total_sites,
-                scale * np.kron(corrupted.amplitudes, anc0.amplitudes)))
-            image.append(StateVector(
-                code.field, total_sites,
-                np.kron(w.amplitudes, anc_p.amplitudes)))
+        anc_p = basis_state(code.field, n_ancilla, ancilla_states[p]).amplitudes
+        for corrupted, w in zip(images[p], code.codewords):
+            domain.append(StateVector(code.field, total_sites,
+                                      scale * np.kron(corrupted, anc0)))
+            image.append(StateVector(code.field, total_sites,
+                                     np.kron(w.amplitudes, anc_p)))
 
     operator = None
     if complete:
-        dom_full = complete_orthonormal(domain)
-        img_full = complete_orthonormal(image)
-        dom_mat = np.column_stack([v.amplitudes for v in dom_full])
-        img_mat = np.column_stack([v.amplitudes for v in img_full])
-        operator = LinearMap(code.field, img_mat @ dom_mat.conj().T)
+        operator = LinearMap(code.field, complete_orthonormal(image)
+                             @ complete_orthonormal(domain).conj().T)
     return CorrectionMap(code, errors, n_ancilla, tuple(ancilla_states),
                          tuple(domain), tuple(image), operator)
 
@@ -722,10 +725,6 @@ def phase_failure_demo(a: complex = 1 / math.sqrt(2.0),
 # Effective error counting
 
 
-def _restriction(term: ErrorTerm, code: Code) -> np.ndarray:
-    return np.stack([apply_error(term.op, w).amplitudes for w in code.codewords])
-
-
 def effective_error_classes(code: Code, errors: ErrorSet,
                             atol: float = 1e-12) -> list[list[int]]:
     """Group error operators by their action on the code space.
@@ -734,33 +733,31 @@ def effective_error_classes(code: Code, errors: ErrorSet,
     codewords agree componentwise (within ``atol``, which stands in for exact
     equality over floats).
     """
+    return _action_classes(_images(code, errors), atol)
+
+
+def _action_classes(images: np.ndarray, atol: float) -> list[list[int]]:
+    """:func:`effective_error_classes` on the stacked images of
+    :func:`_images`: each error joins the first class whose first member's
+    action matches its own."""
     classes: list[list[int]] = []
-    reps: list[np.ndarray] = []
-    for idx, term in enumerate(errors):
-        r = _restriction(term, code)
-        for cls, rep in zip(classes, reps):
-            if r.shape == rep.shape and np.allclose(r, rep, atol=atol, rtol=0.0):
+    for idx, action in enumerate(images):
+        for cls in classes:
+            if np.allclose(action, images[cls[0]], atol=atol, rtol=0.0):
                 cls.append(idx)
                 break
         else:
             classes.append([idx])
-            reps.append(r)
     return classes
 
 
 def count_effective_errors(code: Code, errors: ErrorSet,
                            atol: float = 1e-12) -> int:
     """Number of distinct nontrivial code-space actions in the set."""
-    if len(errors) == 0:
-        return 0
+    images = _images(code, errors)
     identity = np.stack([w.amplitudes for w in code.codewords])
-    count = 0
-    for cls in effective_error_classes(code, errors, atol):
-        rep = _restriction(errors[cls[0]], code)
-        if not (rep.shape == identity.shape
-                and np.allclose(rep, identity, atol=atol, rtol=0.0)):
-            count += 1
-    return count
+    return sum(not np.allclose(images[cls[0]], identity, atol=atol, rtol=0.0)
+               for cls in _action_classes(images, atol))
 
 
 def effective_representatives(code: Code, errors: ErrorSet,

@@ -86,12 +86,12 @@ class StateVector:
     def with_amplitudes(self, amplitudes: np.ndarray) -> "StateVector":
         return StateVector(self.field, self.n_sites, amplitudes)
 
-    def scaled(self, s: complex | float) -> "StateVector":
-        return self.with_amplitudes(self.amplitudes * s)
-
 
 def basis_state(field: ScalarField, n_sites: int, index: int) -> StateVector:
-    amps = np.zeros(field.site_dim ** n_sites, dtype=field.dtype)
+    dim = field.site_dim ** n_sites
+    if not 0 <= index < dim:
+        raise ValueError(f"basis index {index} out of range for dimension {dim}")
+    amps = np.zeros(dim, dtype=field.dtype)
     amps[index] = 1.0
     return StateVector(field, n_sites, amps)
 
@@ -202,12 +202,13 @@ def _project_coeffs(basis: np.ndarray, v: np.ndarray, hermitian: bool) -> np.nda
 
 
 def complete_orthonormal(partial: list[StateVector],
-                         tol_rank: float = TOL_RANK) -> list[StateVector]:
-    """Extend a linearly independent list to an orthonormal basis.
+                         tol_rank: float = TOL_RANK) -> np.ndarray:
+    """Extend a linearly independent list to an orthonormal basis, returned
+    as the columns of one dim x dim matrix.
 
     Stabilized Gram-Schmidt with a second re-orthogonalization pass; the
-    leading len(partial) output vectors span exactly span(partial).
-    Dependent input raises RankDeficiencyError with the offending index.
+    leading len(partial) columns span exactly span(partial).  Dependent
+    input raises RankDeficiencyError with the offending index.
 
     The fill is split by support, the union of the input vectors' nonzero
     coordinates.  A canonical vector outside the support is exactly
@@ -221,7 +222,6 @@ def complete_orthonormal(partial: list[StateVector],
     if not partial:
         raise ValueError("need at least one vector")
     field = partial[0].field
-    n_sites = partial[0].n_sites
     dim = partial[0].dim
     if any(v.field is not field or v.dim != dim for v in partial):
         raise FieldMismatchError("all vectors must share field and dimension")
@@ -265,14 +265,12 @@ def complete_orthonormal(partial: list[StateVector],
     if count != len(support):
         raise RuntimeError("failed to complete the basis")  # unreachable in practice
 
-    out = [StateVector(field, n_sites, basis[:, k]) for k in range(len(partial))]
-    e = np.zeros(dim, dtype=field.dtype)
-    for i in np.setdiff1d(np.arange(dim), support):
-        e[i] = 1.0
-        out.append(StateVector(field, n_sites, e))      # validation copies e
-        e[i] = 0.0
-    out.extend(StateVector(field, n_sites, basis[:, k])
-               for k in range(len(partial), count))
+    k = len(partial)
+    outside = np.setdiff1d(np.arange(dim), support)
+    out = np.zeros((dim, dim), dtype=field.dtype)
+    out[:, :k] = basis[:, :k]
+    out[outside, k + np.arange(len(outside))] = 1.0
+    out[:, k + len(outside):] = basis[:, k:count]
     return out
 
 

@@ -1,8 +1,13 @@
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hqec import codes
 from hqec import quaternion as quat
@@ -35,6 +40,7 @@ from hqec.codes import (
 )
 from hqec.linalg import (
     FieldMismatchError,
+    LinearMap,
     ScalarField,
     SiteOperator,
     StateVector,
@@ -213,6 +219,12 @@ def test_kl_shor9_pauli_passes():
     assert np.abs(off).max() > 0.5
 
 
+def test_kl_condition_deviation_of_empty_set_is_zero():
+    report = kl_check(build_r3_code(), ErrorSet(()))
+    assert report.passed
+    assert kl_condition_deviation(report) == 0.0
+
+
 def test_kl_table_indexing():
     code = build_r3_code()
     errors = effective_error_basis(code, ErrorFamily.SO2)
@@ -293,6 +305,16 @@ def test_synthesis_validates_ancilla_assignment():
         synthesize_correction(code, errors, 2, ancilla_states=(1, 0, 2, 3))
     with pytest.raises(SynthesisError):
         synthesize_correction(code, errors, 2, ancilla_states=(0, 1, 1, 3))
+
+
+def test_synthesis_rejects_negative_ancilla_state():
+    # -1 would wrap onto |11>, the state already assigned to the last error
+    code = build_r3_code()
+    errors = effective_error_basis(code, ErrorFamily.SO2)
+    for complete in (False, True):
+        with pytest.raises(SynthesisError, match="out of range"):
+            synthesize_correction(code, errors, 2, ancilla_states=(0, -1, 2, 3),
+                                  complete=complete)
 
 
 def test_h3_partial_isometry_vectors(h3_correction):
@@ -511,6 +533,146 @@ def test_h3_table_readings_disagree_in_known_cells():
         ("1", "i"), ("1", "j"), ("j", "i"), ("j", "j")}
 
 
+# --- KL oracle ----------------------------------------------------------------
+
+def _reference_kl_check(code, errors, tol=codes.KL_TOL):
+    """The loop form of the check: every table entry is one inner product of
+    two error images, and the violations are collected cell by cell."""
+    n_err, n_words = len(errors), len(code.codewords)
+    images = [[codes.apply_error(t.op, w) for w in code.codewords] for t in errors]
+    dtype = complex if code.field.is_complex else float
+    table = np.zeros((n_err, n_words, n_err, n_words), dtype=dtype)
+    for p1 in range(n_err):
+        for l1 in range(n_words):
+            for p2 in range(n_err):
+                for l2 in range(n_words):
+                    table[p1, l1, p2, l2] = inner(images[p1][l1], images[p2][l2])
+
+    violations = []
+    for p1 in range(n_err):
+        for p2 in range(n_err):
+            for l1 in range(n_words):
+                for l2 in range(n_words):
+                    if l1 == l2:
+                        continue
+                    value = table[p1, l1, p2, l2]
+                    if abs(value) > tol:
+                        violations.append(codes.KLViolation(
+                            "cross", p1, p2, l1, l2, (value,), abs(value)))
+            diag = table[p1, range(n_words), p2, range(n_words)]
+            spread_idx = (int(np.argmin(diag.real)), int(np.argmax(diag.real)))
+            if code.field.is_complex:
+                pair_dev = 0.0
+                pair = (0, 0)
+                for m in range(n_words):
+                    for n in range(n_words):
+                        d = abs(diag[m] - diag[n])
+                        if d > pair_dev:
+                            pair_dev, pair = d, (m, n)
+                spread_idx = pair
+            m, n = spread_idx
+            dev = abs(diag[m] - diag[n])
+            if dev > tol:
+                violations.append(codes.KLViolation(
+                    "diagonal", p1, p2, m, n, (diag[m], diag[n]), dev))
+
+    passed = not violations
+    gram = None
+    if passed:
+        gram = np.mean(table[:, range(n_words), :, range(n_words)], axis=0)
+    return codes.KLReport(passed, table, tuple(violations), gram, errors.labels)
+
+
+def _assert_same_report(got, ref):
+    assert got.passed == ref.passed
+    assert got.table.dtype == ref.table.dtype
+    assert np.array_equal(got.table, ref.table)
+    assert (got.gram is None) == (ref.gram is None)
+    if ref.gram is not None:
+        assert np.array_equal(got.gram, ref.gram)
+    assert got.labels == ref.labels
+    assert len(got.violations) == len(ref.violations)
+    for v, w in zip(got.violations, ref.violations):
+        assert (v.kind, v.p1, v.p2, v.l1, v.l2) == (w.kind, w.p1, w.p2, w.l1, w.l2)
+        assert v.values == w.values and v.deviation == w.deviation
+
+
+_PHASES = {ScalarField.REAL: [1.0, -1.0],
+           ScalarField.COMPLEX: [1.0, -1.0, 1j, -1j],
+           ScalarField.QUATERNION_R4: [1.0, -1.0]}
+
+
+def _small_matrix(draw, field, dim):
+    """A dim x dim matrix with entries in -2..2 (Gaussian integers over C),
+    so every inner product of the images is computed exactly."""
+    entries = arrays(np.int64, (dim, dim), elements=st.integers(-2, 2))
+    mat = draw(entries).astype(field.dtype)
+    if field.is_complex:
+        mat = mat + 1j * draw(entries)
+    return mat
+
+
+@st.composite
+def _kl_cases(draw):
+    """A code of signed (phased) canonical codewords and an error set of
+    site operators, full-space maps and scaled identities; most draws fail
+    the conditions, sets of scaled identities pass them."""
+    field = draw(st.sampled_from(list(ScalarField)))
+    n_sites = draw(st.integers(1, 2))
+    dim = field.site_dim ** n_sites
+    n_words = draw(st.integers(2, min(3, dim)))
+    indices = draw(st.lists(st.integers(0, dim - 1), min_size=n_words,
+                            max_size=n_words, unique=True))
+    words = []
+    for i in indices:
+        amps = np.zeros(dim, dtype=field.dtype)
+        amps[i] = draw(st.sampled_from(_PHASES[field]))
+        words.append(StateVector(field, n_sites, amps))
+    code = codes.Code("drawn", field, n_sites, tuple(words))
+
+    terms = []
+    for p in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["site", "map", "scalar"]))
+        d = field.site_dim
+        if kind == "site":
+            op = SiteOperator(field, draw(st.integers(0, n_sites - 1)),
+                              _small_matrix(draw, field, d))
+        elif kind == "map":
+            op = LinearMap(field, _small_matrix(draw, field, dim))
+        else:
+            op = SiteOperator(field, 0, draw(st.integers(-2, 2)) * np.eye(d))
+        terms.append(ErrorTerm(f"{kind}{p}", op))
+    return code, ErrorSet(tuple(terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_kl_cases())
+def test_kl_check_matches_the_loop_reference(case):
+    code, errors = case
+    _assert_same_report(kl_check(code, errors), _reference_kl_check(code, errors))
+
+
+def test_builtin_kl_tables_match_the_loop_reference():
+    phase_set = ErrorSet((identity_error(ScalarField.COMPLEX),
+                          ErrorTerm("phase(pi)@0", phase_error_pi(0))))
+    cases = [(build_r3_code(), ErrorFamily.SO2),
+             (build_h3_code("i"), ErrorFamily.SU2),
+             (build_h3_code("j"), ErrorFamily.SU2)]
+    for code, family in cases:
+        errors = effective_error_basis(code, family)
+        got, ref = kl_check(code, errors), _reference_kl_check(code, errors)
+        assert got.table.tobytes() == ref.table.tobytes()
+        _assert_same_report(got, ref)
+    c3 = build_complex3_code()
+    _assert_same_report(kl_check(c3, phase_set), _reference_kl_check(c3, phase_set))
+
+    shor9 = build_shor9_code()
+    errors = effective_error_basis(shor9, ErrorFamily.PAULI_PER_SITE)
+    got, ref = kl_check(shor9, errors), _reference_kl_check(shor9, errors)
+    assert got.passed and ref.passed
+    assert np.abs(got.table - ref.table).max() <= 1e-15
+
+
 # --- determinism ------------------------------------------------------------
 
 def test_kl_reports_are_deterministic():
@@ -542,3 +704,11 @@ def test_seeded_roundtrips_are_bit_identical(r3_correction):
     fidelities, residuals = simulate(
         r3_correction, combined_draw(basis, code.field), rng_for(42, 9), 20)
     assert list(zip(fidelities.tolist(), residuals.tolist())) == reference
+
+
+# --- documentation ------------------------------------------------------------
+
+def test_readme_library_quickstart_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S)
+    exec(compile(block.group(1), "README.md", "exec"), {})

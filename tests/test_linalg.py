@@ -49,6 +49,13 @@ def test_tensor_basis_states():
     assert ones3.dim == 64 and ones3.amplitudes[0] == 1.0
 
 
+def test_basis_state_rejects_out_of_range_index():
+    for index in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            basis_state(R, 1, index)
+    assert basis_state(H, 1, 3).amplitudes[3] == 1.0
+
+
 def test_tensor_order_big_endian():
     a, b = 0.6, 0.8
     left = StateVector(R, 1, [a, b])
@@ -148,12 +155,12 @@ def test_apply_site_matches_full_kron(field, n_sites):
 def test_complete_orthonormal_examples():
     e0 = basis_state(R, 1, 0)
     full = complete_orthonormal([e0])
-    assert len(full) == 2
-    assert abs(abs(full[1].amplitudes[1]) - 1.0) <= 1e-12
+    assert full.shape == (2, 2) and full.flags.c_contiguous
+    assert abs(abs(full[1, 1]) - 1.0) <= 1e-12
 
     diag = StateVector(R, 1, np.array([1.0, 1.0]) / np.sqrt(2))
     full = complete_orthonormal([diag])
-    second = full[1].amplitudes
+    second = full[:, 1]
     assert abs(abs(second @ np.array([1, -1]) / np.sqrt(2)) - 1.0) <= 1e-10
 
 
@@ -178,8 +185,7 @@ def test_complete_orthonormal_random_spans(field):
             if field.is_complex:
                 amps = amps + 1j * rng.standard_normal(dim)
             vecs.append(StateVector(field, 2, amps))
-        full = complete_orthonormal(vecs)
-        mat = np.column_stack([v.amplitudes for v in full])
+        mat = complete_orthonormal(vecs)
         assert np.abs(mat.conj().T @ mat - np.eye(dim)).max() <= 1e-10
         lead = mat[:, :k]
         for v in vecs:
@@ -254,10 +260,6 @@ def _reference_completion(partial, tol_rank=1e-10):
     return basis
 
 
-def _stacked(states):
-    return np.column_stack([s.amplitudes for s in states])
-
-
 _fields_and_sites = st.tuples(st.sampled_from([R, C, H]), st.integers(1, 3))
 
 
@@ -274,8 +276,8 @@ def test_completion_of_signed_canonical_vectors_matches_reference(data, shape):
                            s * basis_state(field, n_sites, i).amplitudes)
                for i, s in zip(indices, signs)]
     full = complete_orthonormal(partial)
-    assert len(full) == dim
-    assert np.array_equal(_stacked(full), _reference_completion(partial))
+    assert full.shape == (dim, dim)
+    assert np.array_equal(full, _reference_completion(partial))
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,7 +306,7 @@ def test_completion_of_mixed_vectors_is_orthonormal(data, shape, seed):
     order = rng.permutation(len(partial))
     partial = [partial[k] for k in order]
 
-    mat = _stacked(complete_orthonormal(partial))
+    mat = complete_orthonormal(partial)
     assert mat.shape == (dim, dim)
     assert np.abs(mat.conj().T @ mat - np.eye(dim)).max() <= 1e-10
     lead = mat[:, :len(partial)]
