@@ -33,6 +33,7 @@ from .linalg import (
     ScalarField,
     SiteOperator,
     StateVector,
+    _is_index,
     _site_amplitudes,
     apply_site,
     basis_state,
@@ -73,6 +74,8 @@ class Code:
     codewords: tuple[StateVector, ...]
 
     def __post_init__(self) -> None:
+        if not self.codewords:
+            raise ValueError("a code needs at least one codeword")
         for idx, w in enumerate(self.codewords):
             if w.field is not self.field or w.n_sites != self.n_sites:
                 raise FieldMismatchError(f"codeword {idx} does not match the code")
@@ -90,6 +93,8 @@ def encode(code: Code, coeffs) -> StateVector:
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (len(code.codewords),):
         raise ValueError(f"expected {len(code.codewords)} logical coefficients")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("logical coefficients must be finite")
     amps = sum(c * w.amplitudes for c, w in zip(coeffs, code.codewords))
     return StateVector(code.field, code.n_sites, amps)
 
@@ -217,15 +222,15 @@ class CombinedError:
         return state.with_amplitudes(amps)
 
 
-def apply_error(op: SiteOperator | LinearMap, state: StateVector) -> StateVector:
-    return state.with_amplitudes(_error_amplitudes(op, state))
-
-
 def _error_amplitudes(op: SiteOperator | LinearMap, state: StateVector) -> np.ndarray:
     """The amplitudes of ``op`` applied to ``state``, checked for field, site
-    and dimension but not validated as a state."""
+    and dimension (a full-space map must map the state's space to itself) but
+    not validated as a state."""
     if isinstance(op, SiteOperator):
         return _site_amplitudes(op, state)
+    if op.matrix.shape != (state.dim, state.dim):
+        raise ValueError(f"dimension mismatch: error of shape {op.matrix.shape} "
+                         f"on a state of dimension {state.dim}")
     return op._amplitudes(state)
 
 
@@ -443,13 +448,10 @@ class CorrectionMap:
     def ancilla_dim(self) -> int:
         return self.code.field.site_dim ** self.n_ancilla
 
-    def ancilla_zero(self) -> StateVector:
-        return basis_state(self.code.field, self.n_ancilla, 0)
-
     def _pair_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """The adjoint of the stacked domain (one row per domain vector) and
         the stacked image (one column per image vector), built once.  Only
-        the adjoint is kept: it is all that :meth:`apply` needs, and the
+        the adjoint is kept: it is all that :meth:`_amplitudes` needs, and the
         domain vectors are kept in ``domain`` anyway."""
         cached = getattr(self, "_pair_cache", None)
         if cached is None:
@@ -472,16 +474,25 @@ class CorrectionMap:
         """Apply the correction operator.  Without a completion this acts as
         the partial isometry and annihilates anything outside its domain
         span; downstream residual checks surface such inputs."""
-        if self.operator is not None:
-            return self.operator.apply(state)
-        field = self.code.field
-        if state.field is not field:
+        self._check_input(state.field, state.dim)
+        return state.with_amplitudes(self._amplitudes(state.amplitudes))
+
+    def _check_input(self, field: ScalarField, dim: int) -> None:
+        """Reject input not over the code's field or not of code x ancilla size."""
+        if field is not self.code.field:
             raise FieldMismatchError(
-                f"map over {field.value} applied to {state.field.value} state")
+                f"map over {self.code.field.value} applied to {field.value} state")
+        expected = self.code.dim * self.ancilla_dim
+        if dim != expected:
+            raise ValueError(f"dimension mismatch: {expected} vs {dim}")
+
+    def _amplitudes(self, amps: np.ndarray) -> np.ndarray:
+        """The image of an amplitude array, unchecked: :meth:`apply` checks each
+        state, :func:`roundtrip` each code/map pair, before calling this."""
+        if self.operator is not None:
+            return self.operator.matrix @ amps
         adj, img = self._pair_matrices()
-        if state.dim != adj.shape[1]:
-            raise ValueError(f"dimension mismatch: {adj.shape[1]} vs {state.dim}")
-        return state.with_amplitudes(img @ (adj @ state.amplitudes))
+        return img @ (adj @ amps)
 
 
 def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
@@ -526,6 +537,8 @@ def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
             f"{n_ancilla} ancilla sites give {anc_dim} states < {n_err} errors")
     if ancilla_states is None:
         ancilla_states = tuple(range(n_err))
+    if not all(_is_index(a) for a in ancilla_states):
+        raise SynthesisError("ancilla states must be integers")
     if len(ancilla_states) != n_err or len(set(ancilla_states)) != n_err:
         raise SynthesisError("need one distinct ancilla state per error")
     if ancilla_states[0] != 0:
@@ -593,11 +606,9 @@ def build_shor9_correction() -> CorrectionMap:
 
 @dataclass(frozen=True)
 class RoundtripResult:
-    code_factor: StateVector       # recovered code-space state
     ancilla: StateVector           # extracted ancilla factor
-    recovered_coeffs: np.ndarray   # <w_l | code_factor>
     residual: float                # rank-one factorization residual
-    fidelity: float                # |<encoded | code_factor>| after normalization
+    fidelity: float                # |<encoded | code factor>| after normalization
 
 
 def roundtrip(code: Code, cmap: CorrectionMap, logical,
@@ -611,6 +622,7 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
     FactorizationError; pass ``tol=None`` to always get the result back and
     judge the residual yourself (what the reporting suites do).
     """
+    cmap._check_input(code.field, code.dim * cmap.ancilla_dim)
     encoded = encode(code, logical)
     scale = encoded.norm()
     if scale <= 0:
@@ -618,18 +630,17 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
     if isinstance(error, CombinedError):
         corrupted = error.apply(encoded)
     else:
-        corrupted = apply_error(error, encoded)
-    anc0 = cmap.ancilla_zero()
-    total = StateVector(code.field, cmap.total_sites,
-                        np.kron(corrupted.amplitudes, anc0.amplitudes))
-    out = cmap.apply(total)
-
+        corrupted = encoded.with_amplitudes(_error_amplitudes(error, encoded))
     anc_dim = cmap.ancilla_dim
-    table = out.amplitudes.reshape(code.dim, anc_dim)
+    anc0 = np.eye(1, anc_dim, dtype=code.field.dtype)[0]
+    total = np.kron(corrupted.amplitudes, anc0)
+    out = cmap._amplitudes(total)
+
+    table = out.reshape(code.dim, anc_dim)
     ref = encoded.amplitudes / scale
     anc = ref.conj() @ table
     residual_f = float(np.linalg.norm(table - np.outer(ref, anc)))
-    norm_gap = abs(total.norm() - out.norm())
+    norm_gap = abs(float(np.linalg.norm(total)) - float(np.linalg.norm(out)))
     residual = max(residual_f, norm_gap)
 
     anc_norm = float(np.linalg.norm(anc))
@@ -639,10 +650,8 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
         code_amps = np.zeros(code.dim, dtype=table.dtype)
     cf_norm = float(np.linalg.norm(code_amps))
     fidelity = float(abs(np.vdot(ref, code_amps)) / cf_norm) if cf_norm > 0 else 0.0
-    code_factor = StateVector(code.field, code.n_sites, code_amps)
-    ancilla = StateVector(code.field, cmap.n_ancilla, anc)
-    coeffs = np.array([inner(w, code_factor) for w in code.codewords])
-    result = RoundtripResult(code_factor, ancilla, coeffs, residual, fidelity)
+    result = RoundtripResult(StateVector(code.field, cmap.n_ancilla, anc),
+                             residual, fidelity)
     if tol is not None and residual > tol:
         raise FactorizationError(
             f"output does not factor (residual {residual:.3e} > {tol:.1e}); "

@@ -87,7 +87,15 @@ class StateVector:
         return StateVector(self.field, self.n_sites, amplitudes)
 
 
+def _is_index(value) -> bool:
+    """A Python or numpy integer; a bool is not one (numpy reads a boolean
+    scalar index as a mask)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def basis_state(field: ScalarField, n_sites: int, index: int) -> StateVector:
+    if not _is_index(index):
+        raise TypeError(f"basis index must be an integer, got {index!r}")
     dim = field.site_dim ** n_sites
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for dimension {dim}")

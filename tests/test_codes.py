@@ -104,6 +104,11 @@ def test_code_rejects_non_orthonormal_words():
         codes.Code("bad", ScalarField.REAL, 1, (w, w))
 
 
+def test_code_rejects_empty_codewords():
+    with pytest.raises(ValueError, match="at least one codeword"):
+        codes.Code("e", ScalarField.REAL, 1, ())
+
+
 # --- error operators --------------------------------------------------------
 
 def test_so2_action():
@@ -151,7 +156,7 @@ def test_combined_error_is_the_sum_of_its_terms():
     expected = np.zeros(code.dim)
     for c, term in zip(coeffs, basis):
         if c != 0:
-            expected = expected + c * codes.apply_error(term.op, state).amplitudes
+            expected = expected + c * codes._error_amplitudes(term.op, state)
     assert np.array_equal(CombinedError(basis, coeffs).apply(state).amplitudes,
                           expected)
 
@@ -166,6 +171,25 @@ def test_combined_error_checks_every_term():
     complex_term = ErrorTerm("Z@0", pauli_error("z", 0))
     with pytest.raises(FieldMismatchError):
         CombinedError(ErrorSet((eye, complex_term)), np.ones(2)).apply(word)
+
+
+def _non_square_error() -> ErrorTerm:
+    # maps the 8-dim r3 space to a 4-dim one
+    return ErrorTerm("squash", LinearMap(ScalarField.REAL, np.ones((4, 8))))
+
+
+def test_kl_check_rejects_non_square_error():
+    code = build_r3_code()
+    errors = ErrorSet((identity_error(code.field), _non_square_error()))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        kl_check(code, errors)
+
+
+def test_combined_error_rejects_non_square_error():
+    code = build_r3_code()
+    errors = ErrorSet((identity_error(code.field), _non_square_error()))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        CombinedError(errors, np.ones(2)).apply(code.codewords[0])
 
 
 def test_combined_error_requires_nonzero_coefficient():
@@ -317,6 +341,24 @@ def test_synthesis_rejects_negative_ancilla_state():
                                   complete=complete)
 
 
+@pytest.mark.parametrize("complete", [False, True])
+@pytest.mark.parametrize("bad", [True, 1.5, np.True_], ids=["bool", "float", "np-bool"])
+def test_synthesis_rejects_non_integer_ancilla_state(bad, complete):
+    # True == 1 passed every other check and set all ancilla amplitudes
+    code = build_r3_code()
+    errors = effective_error_basis(code, ErrorFamily.SO2)
+    with pytest.raises(SynthesisError, match="integers"):
+        synthesize_correction(code, errors, 2, ancilla_states=(0, bad, 2, 3),
+                              complete=complete)
+
+
+def test_synthesis_accepts_numpy_integer_ancilla_states(r3_correction):
+    states = tuple(np.array(codes.R3_TABLE_ANCILLA_STATES))
+    cmap = synthesize_correction(r3_correction.code, r3_correction.errors, 2,
+                                 ancilla_states=states)
+    assert np.array_equal(cmap.operator.matrix, r3_correction.operator.matrix)
+
+
 def test_h3_partial_isometry_vectors(h3_correction):
     assert len(h3_correction.domain) == 20
     assert h3_correction.domain[0].dim == 1024
@@ -366,16 +408,25 @@ def test_partial_map_apply_does_not_copy_the_domain(shor9_correction):
     assert peak < 2 ** 20 < adjoint_bytes
 
 
-def test_partial_map_rejects_wrong_field(shor9_correction):
-    cmap = shor9_correction
-    real = StateVector(ScalarField.REAL, cmap.total_sites,
-                       np.ones(2 ** cmap.total_sites))
-    with pytest.raises(FieldMismatchError):
-        cmap.apply(real)
+# a partial map (shor9) and a completed one (r3) share one input check
+_MAP_KINDS = pytest.mark.parametrize(
+    "fixture", ["shor9_correction", "r3_correction"], ids=["partial", "completed"])
 
 
-def test_partial_map_rejects_wrong_dimension(shor9_correction):
-    cmap = shor9_correction
+@_MAP_KINDS
+def test_correction_map_rejects_wrong_field(fixture, request):
+    cmap = request.getfixturevalue(fixture)
+    other = ScalarField.REAL if cmap.code.field.is_complex else ScalarField.COMPLEX
+    state = StateVector(other, cmap.total_sites, np.ones(2 ** cmap.total_sites))
+    with pytest.raises(FieldMismatchError,
+                       match=f"map over {cmap.code.field.value} applied to "
+                             f"{other.value} state"):
+        cmap.apply(state)
+
+
+@_MAP_KINDS
+def test_correction_map_rejects_wrong_dimension(fixture, request):
+    cmap = request.getfixturevalue(fixture)
     word = cmap.code.codewords[0]
     with pytest.raises(ValueError, match="dimension mismatch"):
         cmap.apply(word)
@@ -404,7 +455,6 @@ def test_roundtrip_worked_example(r3_correction):
         assert res.residual <= 1e-10
         expected_anc = np.array([math.cos(theta), 0.0, math.sin(theta), 0.0])
         assert np.abs(res.ancilla.amplitudes - expected_anc).max() <= 1e-10
-        assert np.allclose(res.recovered_coeffs, [a, b], atol=1e-10)
 
 
 def test_roundtrip_h3_random_unit_errors(h3_correction):
@@ -452,6 +502,131 @@ def test_roundtrip_linearity_r3(r3_correction):
         res = roundtrip(code, r3_correction, logical, err)
         assert res.residual <= 1e-10
         assert abs(res.fidelity - 1.0) <= 1e-10
+
+
+def _reference_roundtrip(code, cmap, logical, error):
+    """The roundtrip before it worked on amplitude arrays: every intermediate
+    is a validated state, and the map is applied through
+    ``CorrectionMap.apply``.  Returns (ancilla, residual, fidelity) without a
+    residual gate."""
+    encoded = codes.encode(code, logical)
+    scale = encoded.norm()
+    if isinstance(error, CombinedError):
+        corrupted = error.apply(encoded)
+    else:
+        corrupted = encoded.with_amplitudes(codes._error_amplitudes(error, encoded))
+    anc0 = basis_state(code.field, cmap.n_ancilla, 0)
+    total = StateVector(code.field, cmap.total_sites,
+                        np.kron(corrupted.amplitudes, anc0.amplitudes))
+    out = cmap.apply(total)
+
+    anc_dim = cmap.ancilla_dim
+    table = out.amplitudes.reshape(code.dim, anc_dim)
+    ref = encoded.amplitudes / scale
+    anc = ref.conj() @ table
+    residual_f = float(np.linalg.norm(table - np.outer(ref, anc)))
+    norm_gap = abs(total.norm() - out.norm())
+    residual = max(residual_f, norm_gap)
+
+    anc_norm = float(np.linalg.norm(anc))
+    if anc_norm > 0:
+        code_amps = table @ anc.conj() / (anc_norm ** 2)
+    else:
+        code_amps = np.zeros(code.dim, dtype=table.dtype)
+    cf_norm = float(np.linalg.norm(code_amps))
+    fidelity = float(abs(np.vdot(ref, code_amps)) / cf_norm) if cf_norm > 0 else 0.0
+    return StateVector(code.field, cmap.n_ancilla, anc), residual, fidelity
+
+
+_FAMILY = {ScalarField.REAL: ErrorFamily.SO2,
+           ScalarField.QUATERNION_R4: ErrorFamily.SU2,
+           ScalarField.COMPLEX: ErrorFamily.PAULI_PER_SITE}
+
+
+def _combined(cmap):
+    """Combinations over the whole family basis, as `hqec simulate` draws
+    them (28 terms for shor9, whose map holds 22 representatives)."""
+    code = cmap.code
+    return combined_draw(effective_error_basis(code, _FAMILY[code.field]),
+                         code.field)
+
+
+def _single_site(cmap):
+    code = cmap.code
+    if code.field is ScalarField.QUATERNION_R4:
+        return lambda rng: su2_error(random_unit_quaternion(rng),
+                                     int(rng.integers(code.n_sites)))
+    return lambda rng: so2_error(rng.uniform(0, 2 * math.pi),
+                                 int(rng.integers(code.n_sites)), code.field)
+
+
+@pytest.mark.parametrize("draw", [_combined, _single_site], ids=["combined", "site"])
+@pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction", "shor9_correction"])
+def test_roundtrip_matches_the_state_reference(fixture, draw, request):
+    cmap = request.getfixturevalue(fixture)
+    code = cmap.code
+    draw_error = draw(cmap)
+    rng = rng_for(11, 7)
+    for _ in range(20):
+        logical = random_coefficients(code.field, 2, rng)
+        error = draw_error(rng)
+        res = roundtrip(code, cmap, logical, error, tol=None)
+        ancilla, residual, fidelity = _reference_roundtrip(code, cmap, logical, error)
+        assert res.fidelity == fidelity
+        assert res.residual == residual
+        assert np.array_equal(res.ancilla.amplitudes, ancilla.amplitudes)
+
+
+@pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction", "shor9_correction"])
+def test_roundtrip_builds_three_small_states(fixture, request, monkeypatch):
+    cmap = request.getfixturevalue(fixture)
+    code = cmap.code
+    rng = rng_for(8, 1)
+    logical = random_coefficients(code.field, 2, rng)
+    error = _combined(cmap)(rng)
+    built = []
+    validate = StateVector.__post_init__
+
+    def counting(self):
+        built.append(self.n_sites)
+        validate(self)
+
+    def forbidden(self, state):
+        raise AssertionError("roundtrip must not apply a map to a state")
+
+    monkeypatch.setattr(StateVector, "__post_init__", counting)
+    monkeypatch.setattr(codes.CorrectionMap, "apply", forbidden)
+    monkeypatch.setattr(LinearMap, "apply", forbidden)
+    roundtrip(code, cmap, logical, error)
+    assert len(built) <= 3
+    assert cmap.total_sites not in built
+
+
+def test_roundtrip_rejects_a_map_over_another_field(r3_correction):
+    with pytest.raises(FieldMismatchError):
+        roundtrip(build_complex3_code(), r3_correction, (0.6, 0.8),
+                  pauli_error("x", 0))
+
+
+def test_roundtrip_rejects_a_map_of_another_dimension(r3_correction,
+                                                      shor9_correction):
+    with pytest.raises(ValueError):
+        roundtrip(build_h3_code(), r3_correction, (0.6, 0.8), su2_error(quat.I, 0))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        roundtrip(build_b3_code(), shor9_correction, (0.6, 0.8), pauli_error("x", 0))
+
+
+@pytest.mark.parametrize("logical,error,message", [
+    ((math.nan, 1.0), so2_error(0.3, 0), "finite"),
+    ((math.inf, 1.0), so2_error(0.3, 0), "finite"),
+    ((0.0, 0.0), so2_error(0.3, 0), "vanish"),
+    ((0.6, 0.8), SiteOperator(ScalarField.REAL, 1, [[math.nan, 0.0], [0.0, 1.0]]),
+     "finite"),
+    ((0.6, 0.8), _non_square_error().op, "dimension mismatch"),
+], ids=["nan-logical", "inf-logical", "zero-logical", "nan-error", "non-square-error"])
+def test_roundtrip_rejects_invalid_input(r3_correction, logical, error, message):
+    with pytest.raises(ValueError, match=message):
+        roundtrip(r3_correction.code, r3_correction, logical, error, tol=None)
 
 
 # --- phase-failure demonstration ---------------------------------------------
@@ -539,7 +714,8 @@ def _reference_kl_check(code, errors, tol=codes.KL_TOL):
     """The loop form of the check: every table entry is one inner product of
     two error images, and the violations are collected cell by cell."""
     n_err, n_words = len(errors), len(code.codewords)
-    images = [[codes.apply_error(t.op, w) for w in code.codewords] for t in errors]
+    images = [[w.with_amplitudes(codes._error_amplitudes(t.op, w))
+               for w in code.codewords] for t in errors]
     dtype = complex if code.field.is_complex else float
     table = np.zeros((n_err, n_words, n_err, n_words), dtype=dtype)
     for p1 in range(n_err):

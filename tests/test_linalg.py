@@ -56,6 +56,14 @@ def test_basis_state_rejects_out_of_range_index():
     assert basis_state(H, 1, 3).amplitudes[3] == 1.0
 
 
+def test_basis_state_rejects_non_integer_index():
+    # numpy reads a boolean scalar index as a mask: True set every amplitude
+    for index in (True, False, np.True_, 1.5, 1.0):
+        with pytest.raises(TypeError, match="integer"):
+            basis_state(R, 2, index)
+    assert basis_state(R, 2, np.int64(3)).amplitudes[3] == 1.0
+
+
 def test_tensor_order_big_endian():
     a, b = 0.6, 0.8
     left = StateVector(R, 1, [a, b])
