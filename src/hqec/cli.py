@@ -128,9 +128,8 @@ def _demo_phase_failure(cfg: RunConfig) -> list[CheckRecord]:
 
 def _demo_effective_count(cfg: RunConfig) -> list[CheckRecord]:
     b3 = codes.build_b3_code()
-    singles = codes.ErrorSet(tuple(
-        codes.ErrorTerm(f"{axis.upper()}@{site}", codes.pauli_error(axis, site))
-        for site in range(3) for axis in ("x", "y", "z")))
+    singles = codes.ErrorSet(codes.effective_error_basis(
+        b3, codes.ErrorFamily.PAULI_PER_SITE).terms[1:])
     count = codes.count_effective_errors(b3, singles)
     classes = codes.effective_error_classes(b3, singles)
     grouping = "; ".join(

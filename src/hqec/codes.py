@@ -13,9 +13,9 @@ correctability in general; degenerate sets can first be reduced to one
 representative per distinct code-space action (see
 :func:`effective_representatives`).
 
-The code-space action of an error set, the images E_p w_l, is computed once
-as one stacked array; the KL table is its Gram matrix, and the effective-error
-classes and the synthesis pairs read the same array.
+The images E_p w_l are computed once as one stacked array: the KL table is its
+Gram matrix, effective-error classes and synthesis read it, and a correction
+map holds its partial isometry once, as the stacked domain adjoint and image.
 """
 
 from __future__ import annotations
@@ -343,11 +343,13 @@ class KLReport:
 
 def _images(code: Code, errors: ErrorSet) -> np.ndarray:
     """The code-space action of an error set as one array: entry [p, l] holds
-    the amplitudes of E_p w_l."""
+    the amplitudes of E_p w_l; a non-finite image raises ValueError."""
     images = np.empty((len(errors), len(code.codewords), code.dim),
                       dtype=code.field.dtype)
     for p, term in enumerate(errors):
         images[p] = [_error_amplitudes(term.op, w) for w in code.codewords]
+    if not np.all(np.isfinite(images)):
+        raise ValueError("error images must be finite")
     return images
 
 
@@ -429,15 +431,16 @@ def kl_condition_deviation(report: KLReport) -> float:
 
 @dataclass(frozen=True)
 class CorrectionMap:
-    """The ancilla-transfer partial isometry, optionally completed to a full
-    orthogonal/unitary operator on code-space x ancilla-space."""
+    """The ancilla-transfer partial isometry, held once as the stacked domain
+    adjoint and image (``domain`` and ``image`` are built on access), and
+    optionally completed to a full orthogonal/unitary operator."""
 
     code: Code
     errors: ErrorSet
     n_ancilla: int
     ancilla_states: tuple[int, ...]
-    domain: tuple[StateVector, ...]
-    image: tuple[StateVector, ...]
+    _domain_adjoint: np.ndarray
+    _image_stack: np.ndarray
     operator: LinearMap | None
 
     @property
@@ -448,25 +451,23 @@ class CorrectionMap:
     def ancilla_dim(self) -> int:
         return self.code.field.site_dim ** self.n_ancilla
 
-    def _pair_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """The adjoint of the stacked domain (one row per domain vector) and
-        the stacked image (one column per image vector), built once.  Only
-        the adjoint is kept: it is all that :meth:`_amplitudes` needs, and the
-        domain vectors are kept in ``domain`` anyway."""
-        cached = getattr(self, "_pair_cache", None)
-        if cached is None:
-            adj = np.column_stack([v.amplitudes for v in self.domain]).conj().T
-            cached = (adj, np.column_stack([v.amplitudes for v in self.image]))
-            object.__setattr__(self, "_pair_cache", cached)
-        return cached
+    @property
+    def domain(self) -> tuple[StateVector, ...]:
+        """The states E_p w_l x |0_A> / sqrt(d_p) the map sends to ``image``."""
+        return _column_states(self.code.field, self.total_sites,
+                              self._domain_adjoint.conj().T)
+
+    @property
+    def image(self) -> tuple[StateVector, ...]:
+        return _column_states(self.code.field, self.total_sites, self._image_stack)
 
     def isometry_deviation(self) -> float:
         """Largest deviation from length preservation: of the completed
         operator when there is one, else of the orthonormal domain and image
-        lists that define the partial isometry."""
+        stacks that define the partial isometry."""
         if self.operator is not None:
             return is_isometry(self.operator).max_deviation
-        adj, img = self._pair_matrices()
+        adj, img = self._domain_adjoint, self._image_stack
         grams = (adj @ adj.conj().T, img.conj().T @ img)
         return max(float(np.abs(g - np.eye(g.shape[0])).max()) for g in grams)
 
@@ -491,8 +492,7 @@ class CorrectionMap:
         state, :func:`roundtrip` each code/map pair, before calling this."""
         if self.operator is not None:
             return self.operator.matrix @ amps
-        adj, img = self._pair_matrices()
-        return img @ (adj @ amps)
+        return self._image_stack @ (self._domain_adjoint @ amps)
 
 
 def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
@@ -546,25 +546,27 @@ def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
     if min(ancilla_states) < 0 or max(ancilla_states) >= anc_dim:
         raise SynthesisError("ancilla state index out of range")
 
-    anc0 = basis_state(code.field, n_ancilla, 0).amplitudes
-    total_sites = code.n_sites + n_ancilla
-    domain: list[StateVector] = []
-    image: list[StateVector] = []
-    for p in range(n_err):
-        scale = 1.0 / math.sqrt(diag[p])
-        anc_p = basis_state(code.field, n_ancilla, ancilla_states[p]).amplitudes
-        for corrupted, w in zip(images[p], code.codewords):
-            domain.append(StateVector(code.field, total_sites,
-                                      scale * np.kron(corrupted, anc0)))
-            image.append(StateVector(code.field, total_sites,
-                                     np.kron(w.amplitudes, anc_p)))
+    anc = np.eye(anc_dim, dtype=code.field.dtype)    # row a is |a>
+    n_words = len(code.codewords)
+    dom = np.empty((code.dim * anc_dim, n_err * n_words), dtype=code.field.dtype)
+    img = np.empty_like(dom)
+    for k, (p, l) in enumerate(np.ndindex(n_err, n_words)):
+        dom[:, k] = 1.0 / math.sqrt(diag[p]) * np.kron(images[p, l], anc[0])
+        img[:, k] = np.kron(code.codewords[l].amplitudes, anc[ancilla_states[p]])
 
     operator = None
     if complete:
-        operator = LinearMap(code.field, complete_orthonormal(image)
-                             @ complete_orthonormal(domain).conj().T)
+        states = lambda stack: _column_states(code.field, code.n_sites + n_ancilla, stack)
+        operator = LinearMap(code.field, complete_orthonormal(states(img))
+                             @ complete_orthonormal(states(dom)).conj().T)
     return CorrectionMap(code, errors, n_ancilla, tuple(ancilla_states),
-                         tuple(domain), tuple(image), operator)
+                         np.conjugate(dom, out=dom).T, img, operator)
+
+
+def _column_states(field: ScalarField, n_sites: int,
+                   stack: np.ndarray) -> tuple[StateVector, ...]:
+    """One state per column of a stacked (dim, n) array."""
+    return tuple(StateVector(field, n_sites, column) for column in stack.T)
 
 
 # Ancilla order reproducing the reference correction table for the real

@@ -365,9 +365,8 @@ def codes_suite(seed: int, trials: int) -> list[CheckRecord]:
         "nine-qubit code", dev <= 1e-10, dev))
 
     b3 = codes.build_b3_code()
-    singles = codes.ErrorSet(tuple(
-        codes.ErrorTerm(f"{axis.upper()}@{site}", codes.pauli_error(axis, site))
-        for site in range(3) for axis in ("x", "y", "z")))
+    singles = codes.ErrorSet(codes.effective_error_basis(
+        b3, codes.ErrorFamily.PAULI_PER_SITE).terms[1:])
     count = codes.count_effective_errors(b3, singles)
     records.append(CheckRecord(
         "effective_count_b3",

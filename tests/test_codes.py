@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -46,6 +47,7 @@ from hqec.linalg import (
     StateVector,
     apply_site,
     basis_state,
+    complete_orthonormal,
     inner,
     is_isometry,
 )
@@ -249,6 +251,22 @@ def test_kl_condition_deviation_of_empty_set_is_zero():
     assert kl_condition_deviation(report) == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", [
+    kl_check,
+    lambda code, errors: synthesize_correction(code, errors, 1),
+    codes.effective_error_classes,
+    count_effective_errors,
+], ids=["kl_check", "synthesize_correction", "effective_error_classes",
+        "count_effective_errors"])
+def test_non_finite_error_images_raise(entry, bad):
+    field = ScalarField.REAL
+    errors = ErrorSet((identity_error(field),
+                       ErrorTerm("bad", SiteOperator(field, 0, [[bad, 0], [0, 1]]))))
+    with pytest.raises(ValueError, match="error images must be finite"):
+        entry(build_r3_code(), errors)
+
+
 def test_kl_table_indexing():
     code = build_r3_code()
     errors = effective_error_basis(code, ErrorFamily.SO2)
@@ -430,6 +448,82 @@ def test_correction_map_rejects_wrong_dimension(fixture, request):
     word = cmap.code.codewords[0]
     with pytest.raises(ValueError, match="dimension mismatch"):
         cmap.apply(word)
+
+
+# --- storage of the partial isometry ------------------------------------------
+
+def _reference_pairs(cmap):
+    """The per-vector form of the synthesis pairs: one validated state per
+    domain and image vector, each built by its own kron."""
+    code, n_ancilla = cmap.code, cmap.n_ancilla
+    images = codes._images(code, cmap.errors)
+    diag = np.real(np.diag(kl_check(code, cmap.errors).gram))
+    anc0 = basis_state(code.field, n_ancilla, 0).amplitudes
+    domain, image = [], []
+    for p in range(len(cmap.errors)):
+        scale = 1.0 / math.sqrt(diag[p])
+        anc_p = basis_state(code.field, n_ancilla, cmap.ancilla_states[p]).amplitudes
+        for corrupted, w in zip(images[p], code.codewords):
+            domain.append(StateVector(code.field, cmap.total_sites,
+                                      scale * np.kron(corrupted, anc0)))
+            image.append(StateVector(code.field, cmap.total_sites,
+                                     np.kron(w.amplitudes, anc_p)))
+    return domain, image
+
+
+_BUILT_MAPS = {
+    "r3": codes.build_r3_correction,
+    "h3[i]": lambda: codes.build_h3_correction("i"),
+    "h3[j]": lambda: codes.build_h3_correction("j"),
+    "shor9": codes.build_shor9_correction,
+}
+
+
+@pytest.mark.parametrize("name", list(_BUILT_MAPS))
+def test_derived_pairs_match_the_reference(name):
+    cmap = _BUILT_MAPS[name]()
+    ref_domain, ref_image = _reference_pairs(cmap)
+    for got, ref in ((cmap.domain, ref_domain), (cmap.image, ref_image)):
+        assert len(got) == len(ref)
+        for v, w in zip(got, ref):
+            assert v.n_sites == w.n_sites and v.field is w.field
+            assert np.array_equal(v.amplitudes, w.amplitudes)
+
+
+@pytest.mark.parametrize("name", ["r3", "h3[i]", "h3[j]"])
+def test_completed_operator_matches_the_reference(name):
+    cmap = _BUILT_MAPS[name]()
+    ref_domain, ref_image = _reference_pairs(cmap)
+    expected = (complete_orthonormal(ref_image)
+                @ complete_orthonormal(ref_domain).conj().T)
+    assert cmap.operator.matrix.dtype == expected.dtype
+    assert cmap.operator.matrix.tobytes() == expected.tobytes()
+
+
+def _use_shor9_map():
+    cmap = codes.build_shor9_correction()
+    cmap.apply(_shor9_input(cmap, np.random.default_rng(6)))
+    cmap.isometry_deviation()
+    return cmap
+
+
+def test_correction_map_holds_only_its_fields():
+    cmap = _use_shor9_map()
+    assert set(vars(cmap)) == {f.name for f in dataclasses.fields(cmap)}
+
+
+def test_shor9_map_holds_its_partial_isometry_once():
+    # the stacked domain adjoint and image are 2 x 44 x 16384 complex
+    # amplitudes, 22 MiB; a second copy of either would exceed both bounds
+    tracemalloc.start()
+    try:
+        cmap = _use_shor9_map()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cmap.isometry_deviation() <= 1e-12
+    assert current <= 24 * 2 ** 20
+    assert peak <= 40 * 2 ** 20
 
 
 # --- roundtrips ---------------------------------------------------------------
