@@ -14,12 +14,15 @@ representative per distinct code-space action (see
 :func:`effective_representatives`).
 
 The images E_p w_l are computed once as one stacked array: the KL table is its
-Gram matrix, effective-error classes and synthesis read it, and a correction
-map holds its partial isometry once, as the stacked domain adjoint and image.
+Gram matrix, and effective-error classes and synthesis read it.  A correction
+map holds its partial isometry in factored form: the code-space block of the
+domain adjoint, built from the images, while the codewords and the ancilla
+states define the image.  It applies the map in the code x ancilla frame.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -360,6 +363,7 @@ def kl_check(code: Code, errors: ErrorSet, tol: float = KL_TOL) -> KLReport:
     Diagonal condition: the l1 = l2 values agree across codewords.
     Failure is a verdict carried by the report, not an exception.  When both
     families hold, the common diagonal values form the ancilla Gram matrix.
+    Non-finite error images, or a table that overflows, raise ValueError.
     """
     return _kl_report(code.field, _images(code, errors), errors.labels, tol)
 
@@ -376,7 +380,10 @@ def _kl_report(field: ScalarField, images: np.ndarray,
     """
     n_err, n_words, dim = images.shape
     flat = images.reshape(n_err * n_words, dim)
-    table = (flat.conj() @ flat.T).reshape(n_err, n_words, n_err, n_words)
+    with np.errstate(over="ignore", invalid="ignore"):     # raises ValueError below
+        table = (flat.conj() @ flat.T).reshape(n_err, n_words, n_err, n_words)
+    if not np.all(np.isfinite(table)):
+        raise ValueError("the KL table of the error images must be finite")
 
     by_pair = table.transpose(0, 2, 1, 3)                 # [p1, p2, l1, l2]
     violations = []
@@ -431,16 +438,21 @@ def kl_condition_deviation(report: KLReport) -> float:
 
 @dataclass(frozen=True)
 class CorrectionMap:
-    """The ancilla-transfer partial isometry, held once as the stacked domain
-    adjoint and image (``domain`` and ``image`` are built on access), and
-    optionally completed to a full orthogonal/unitary operator."""
+    """The ancilla-transfer partial isometry E_p w_l x |0_A> -> w_l x |a_p>,
+    optionally completed to a full orthogonal/unitary operator.
+
+    The partial isometry is held in factored form.  Its domain lies in the
+    ancilla-|0> block, so the map keeps only that block of its adjoint: row
+    (p, l) of ``_domain_adjoint`` is conj(E_p w_l) / sqrt(d_p), over the code
+    space.  Image vector (p, l) is w_l x |a_p>, given by the codewords and
+    ``ancilla_states``.  ``domain`` and ``image`` build the full states on
+    access."""
 
     code: Code
     errors: ErrorSet
     n_ancilla: int
     ancilla_states: tuple[int, ...]
     _domain_adjoint: np.ndarray
-    _image_stack: np.ndarray
     operator: LinearMap | None
 
     @property
@@ -454,21 +466,36 @@ class CorrectionMap:
     @property
     def domain(self) -> tuple[StateVector, ...]:
         """The states E_p w_l x |0_A> / sqrt(d_p) the map sends to ``image``."""
+        anc0 = np.eye(self.ancilla_dim, 1, dtype=self.code.field.dtype)
+        full = self._domain_adjoint.conj().T[:, None, :] * anc0[None]
         return _column_states(self.code.field, self.total_sites,
-                              self._domain_adjoint.conj().T)
+                              full.reshape(-1, full.shape[-1]))
 
     @property
     def image(self) -> tuple[StateVector, ...]:
-        return _column_states(self.code.field, self.total_sites, self._image_stack)
+        """The states w_l x |a_p>, in the order of ``domain``."""
+        words = self._codeword_matrix()
+        anc = np.eye(self.ancilla_dim, dtype=self.code.field.dtype)[
+            :, list(self.ancilla_states)]                  # column p is |a_p>
+        full = words.T[:, None, None, :] * anc[None, :, :, None]
+        return _column_states(self.code.field, self.total_sites,
+                              full.reshape(-1, anc.shape[1] * len(words)))
+
+    def _codeword_matrix(self) -> np.ndarray:
+        """The codewords as the rows of one array."""
+        return np.stack([w.amplitudes for w in self.code.codewords])
 
     def isometry_deviation(self) -> float:
         """Largest deviation from length preservation: of the completed
         operator when there is one, else of the orthonormal domain and image
-        stacks that define the partial isometry."""
+        vectors that define the partial isometry.  The image Gram entry of
+        pairs (p, l), (q, m) is [a_p = a_q] <w_l|w_m>."""
         if self.operator is not None:
             return is_isometry(self.operator).max_deviation
-        adj, img = self._domain_adjoint, self._image_stack
-        grams = (adj @ adj.conj().T, img.conj().T @ img)
+        adj, words = self._domain_adjoint, self._codeword_matrix()
+        anc = np.array(self.ancilla_states)
+        grams = (adj @ adj.conj().T,
+                 np.kron(np.equal.outer(anc, anc), words.conj() @ words.T))
         return max(float(np.abs(g - np.eye(g.shape[0])).max()) for g in grams)
 
     def apply(self, state: StateVector) -> StateVector:
@@ -489,10 +516,19 @@ class CorrectionMap:
 
     def _amplitudes(self, amps: np.ndarray) -> np.ndarray:
         """The image of an amplitude array, unchecked: :meth:`apply` checks each
-        state, :func:`roundtrip` each code/map pair, before calling this."""
+        state, :func:`roundtrip` each code/map pair, before calling this.
+
+        Without a completion it works in the code x ancilla frame: the domain
+        reads only the ancilla-|0> column, and the output fills only the
+        ``ancilla_states`` columns, with the codewords weighted per error."""
         if self.operator is not None:
             return self.operator.matrix @ amps
-        return self._image_stack @ (self._domain_adjoint @ amps)
+        words = self._codeword_matrix()
+        coeffs = self._domain_adjoint @ amps[::self.ancilla_dim]
+        table = np.zeros((self.code.dim, self.ancilla_dim), self.code.field.dtype)
+        table[:, list(self.ancilla_states)] = (
+            words.T @ coeffs.reshape(-1, len(words)).T)
+        return table.reshape(-1)
 
 
 def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
@@ -546,21 +582,14 @@ def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
     if min(ancilla_states) < 0 or max(ancilla_states) >= anc_dim:
         raise SynthesisError("ancilla state index out of range")
 
-    anc = np.eye(anc_dim, dtype=code.field.dtype)    # row a is |a>
-    n_words = len(code.codewords)
-    dom = np.empty((code.dim * anc_dim, n_err * n_words), dtype=code.field.dtype)
-    img = np.empty_like(dom)
-    for k, (p, l) in enumerate(np.ndindex(n_err, n_words)):
-        dom[:, k] = 1.0 / math.sqrt(diag[p]) * np.kron(images[p, l], anc[0])
-        img[:, k] = np.kron(code.codewords[l].amplitudes, anc[ancilla_states[p]])
-
-    operator = None
+    adjoint = images.conj() * (1.0 / np.sqrt(diag))[:, None, None]
+    cmap = CorrectionMap(code, errors, n_ancilla, tuple(ancilla_states),
+                         adjoint.reshape(-1, code.dim), None)
     if complete:
-        states = lambda stack: _column_states(code.field, code.n_sites + n_ancilla, stack)
-        operator = LinearMap(code.field, complete_orthonormal(states(img))
-                             @ complete_orthonormal(states(dom)).conj().T)
-    return CorrectionMap(code, errors, n_ancilla, tuple(ancilla_states),
-                         np.conjugate(dom, out=dom).T, img, operator)
+        operator = LinearMap(code.field, complete_orthonormal(cmap.image)
+                             @ complete_orthonormal(cmap.domain).conj().T)
+        cmap = dataclasses.replace(cmap, operator=operator)
+    return cmap
 
 
 def _column_states(field: ScalarField, n_sites: int,
@@ -634,8 +663,8 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
     else:
         corrupted = encoded.with_amplitudes(_error_amplitudes(error, encoded))
     anc_dim = cmap.ancilla_dim
-    anc0 = np.eye(1, anc_dim, dtype=code.field.dtype)[0]
-    total = np.kron(corrupted.amplitudes, anc0)
+    total = np.zeros(code.dim * anc_dim, dtype=code.field.dtype)
+    total[::anc_dim] = corrupted.amplitudes           # corrupted x |0_A>
     out = cmap._amplitudes(total)
 
     table = out.reshape(code.dim, anc_dim)

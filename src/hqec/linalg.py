@@ -191,7 +191,9 @@ def _site_amplitudes(op: SiteOperator, state: StateVector) -> np.ndarray:
     d = state.field.site_dim
     lead = d ** op.site
     cube = state.amplitudes.reshape(lead, d, -1)
-    out = np.einsum("ij,ajb->aib", op.matrix, cube)
+    # a non-finite operator is the caller's to report, without a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = np.matmul(op.matrix, cube)
     return out.reshape(-1)
 
 

@@ -3,14 +3,19 @@
 ``perfbench`` builds each workload's correction maps and reads their size
 through ``tracer.map_bytes`` and a domain state through ``cmap.domain[0]``.
 A storage change that alters either fails here before it fails the
-benchmark's set-up gate.  The benchmark modules are loaded by file path and
-never edited.
+benchmark's set-up gate.  ``perfbench`` also pins the number of
+``codes.roundtrip`` calls at one per trial and takes a median over them, so a
+simulation loop that batches its trials fails here first.  The benchmark
+modules are loaded by file path and never edited.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from hqec import codes
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -47,3 +52,21 @@ def test_map_bytes_match_the_pinned_counts(workload, request):
     for cmap in maps:
         amps = cmap.domain[0].amplitudes
         assert amps.shape == (cmap.code.dim * cmap.ancilla_dim,)
+
+
+@pytest.mark.parametrize("trials", [1, 7])
+def test_simulate_makes_one_roundtrip_call_per_trial(trials, r3_correction,
+                                                     monkeypatch):
+    calls = []
+    original = codes.roundtrip
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(codes, "roundtrip", counting)
+    code = r3_correction.code
+    draw = codes.combined_draw(r3_correction.errors, code.field)
+    fidelities, _ = codes.simulate(r3_correction, draw,
+                                   np.random.default_rng(0), trials)
+    assert len(calls) == trials == len(fidelities)

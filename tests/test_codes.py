@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -251,20 +253,58 @@ def test_kl_condition_deviation_of_empty_set_is_zero():
     assert kl_condition_deviation(report) == 0.0
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("entry", [
+_IMAGE_ENTRIES = pytest.mark.parametrize("entry", [
     kl_check,
     lambda code, errors: synthesize_correction(code, errors, 1),
     codes.effective_error_classes,
     count_effective_errors,
 ], ids=["kl_check", "synthesize_correction", "effective_error_classes",
         "count_effective_errors"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@_IMAGE_ENTRIES
 def test_non_finite_error_images_raise(entry, bad):
     field = ScalarField.REAL
     errors = ErrorSet((identity_error(field),
                        ErrorTerm("bad", SiteOperator(field, 0, [[bad, 0], [0, 1]]))))
     with pytest.raises(ValueError, match="error images must be finite"):
         entry(build_r3_code(), errors)
+
+
+_KL_ENTRIES = pytest.mark.parametrize("entry", [
+    kl_check,
+    lambda code, errors: synthesize_correction(code, errors, 1, complete=False),
+    lambda code, errors: synthesize_correction(code, errors, 1),
+], ids=["kl_check", "synthesize_partial", "synthesize_completed"])
+
+
+@_KL_ENTRIES
+def test_overflowing_kl_table_raises(entry):
+    # the images are finite, but their squared norm 1e400 overflows the table
+    field = ScalarField.REAL
+    huge = SiteOperator(field, 0, [[1e200, 0], [0, 1e200]])
+    errors = ErrorSet((identity_error(field), ErrorTerm("huge", huge)))
+    with pytest.raises(ValueError, match="KL table of the error images must be finite"):
+        entry(build_r3_code(), errors)
+
+
+def _without_runtime_warnings(check, *args):
+    """Run ``check`` with every RuntimeWarning turned into an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        check(*args)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@_IMAGE_ENTRIES
+def test_non_finite_error_images_raise_without_a_warning(entry, bad):
+    _without_runtime_warnings(test_non_finite_error_images_raise, entry, bad)
+
+
+@_KL_ENTRIES
+def test_overflowing_kl_table_raises_without_a_warning(entry):
+    _without_runtime_warnings(test_overflowing_kl_table_raises, entry)
 
 
 def test_kl_table_indexing():
@@ -403,13 +443,70 @@ def _shor9_input(cmap, rng):
     return StateVector(ScalarField.COMPLEX, cmap.total_sites, amps)
 
 
-def test_partial_map_apply_is_image_times_domain_adjoint(shor9_correction):
-    cmap = shor9_correction
-    state = _shor9_input(cmap, np.random.default_rng(4))
+@functools.cache
+def _partial_map(name):
+    """The partial isometries: r3 and h3 without their completion, and shor9."""
+    return {"r3": lambda: codes.build_r3_correction(complete=False),
+            "h3[i]": lambda: codes.build_h3_correction("i", complete=False),
+            "h3[j]": lambda: codes.build_h3_correction("j", complete=False),
+            "shor9": codes.build_shor9_correction}[name]()
+
+
+_PARTIAL_MAPS = ("r3", "h3[i]", "h3[j]", "shor9")
+
+
+def _random_input(cmap, rng, scale=1.0):
+    dim = cmap.code.dim * cmap.ancilla_dim
+    amps = rng.standard_normal(dim)
+    if cmap.code.field.is_complex:
+        amps = amps + 1j * rng.standard_normal(dim)
+    return StateVector(cmap.code.field, cmap.total_sites, scale * amps)
+
+
+def _reference_partial_apply(cmap, amps):
+    """The partial map as the dense product image @ domain^H over the full
+    code x ancilla space."""
     dom = np.column_stack([v.amplitudes for v in cmap.domain])
     img = np.column_stack([v.amplitudes for v in cmap.image])
-    expected = img @ (dom.conj().T @ state.amplitudes)
-    assert np.array_equal(cmap.apply(state).amplitudes, expected)
+    return img @ (dom.conj().T @ amps)
+
+
+def _assert_matches_dense_product(cmap, state):
+    """Bit for bit on the real maps, whose domain and image vectors each hold
+    one nonzero entry; within 1e-15 |x| on shor9, where the factored kernel
+    sums its dense code-space entries in another order."""
+    got = cmap.apply(state).amplitudes
+    expected = _reference_partial_apply(cmap, state.amplitudes)
+    if cmap.code.field.is_complex:
+        assert np.abs(got - expected).max() <= 1e-15 * state.norm()
+    else:
+        assert np.array_equal(got, expected)
+
+
+def test_partial_map_apply_is_image_times_domain_adjoint():
+    for name in _PARTIAL_MAPS:
+        cmap = _partial_map(name)
+        state = _random_input(cmap, np.random.default_rng(4))
+        _assert_matches_dense_product(cmap, state)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(_PARTIAL_MAPS), seed=st.integers(0, 2 ** 32 - 1),
+       log_scale=st.floats(-30.0, 30.0))
+def test_partial_map_apply_matches_the_dense_product(name, seed, log_scale):
+    cmap = _partial_map(name)
+    rng = np.random.default_rng(seed)
+    _assert_matches_dense_product(cmap, _random_input(cmap, rng, 10.0 ** log_scale))
+
+
+@pytest.mark.parametrize("name", _PARTIAL_MAPS)
+def test_partial_map_output_lies_in_the_assigned_ancilla_states(name):
+    cmap = _partial_map(name)
+    out = cmap.apply(_random_input(cmap, np.random.default_rng(9))).amplitudes
+    table = out.reshape(cmap.code.dim, cmap.ancilla_dim)
+    unused = np.setdiff1d(np.arange(cmap.ancilla_dim), cmap.ancilla_states)
+    assert np.all(table[:, unused] == 0)
+    assert np.all(np.any(table[:, list(cmap.ancilla_states)] != 0, axis=0))
 
 
 def test_partial_map_apply_does_not_copy_the_domain(shor9_correction):
@@ -524,6 +621,19 @@ def test_shor9_map_holds_its_partial_isometry_once():
     assert cmap.isometry_deviation() <= 1e-12
     assert current <= 24 * 2 ** 20
     assert peak <= 40 * 2 ** 20
+
+
+def test_shor9_map_holds_only_its_code_space_block():
+    # the domain adjoint is 44 x 512 complex amplitudes, 352 KiB; no
+    # 16384-dimensional stack may outlive synthesis or a use of the map
+    tracemalloc.start()
+    try:
+        cmap = _use_shor9_map()
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cmap._domain_adjoint.shape == (44, 512)
+    assert current <= 2 ** 20
 
 
 # --- roundtrips ---------------------------------------------------------------
@@ -721,6 +831,12 @@ def test_roundtrip_rejects_a_map_of_another_dimension(r3_correction,
 def test_roundtrip_rejects_invalid_input(r3_correction, logical, error, message):
     with pytest.raises(ValueError, match=message):
         roundtrip(r3_correction.code, r3_correction, logical, error, tol=None)
+
+
+def test_roundtrip_of_a_nan_error_raises_without_a_warning(r3_correction):
+    nan_error = SiteOperator(ScalarField.REAL, 1, [[math.nan, 0.0], [0.0, 1.0]])
+    _without_runtime_warnings(test_roundtrip_rejects_invalid_input, r3_correction,
+                              (0.6, 0.8), nan_error, "finite")
 
 
 # --- phase-failure demonstration ---------------------------------------------
