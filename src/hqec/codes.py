@@ -14,10 +14,14 @@ representative per distinct code-space action (see
 :func:`effective_representatives`).
 
 The images E_p w_l are computed once as one stacked array: the KL table is its
-Gram matrix, and effective-error classes and synthesis read it.  A correction
-map holds its partial isometry in factored form: the code-space block of the
-domain adjoint, built from the images, while the codewords and the ancilla
-states define the image.  It applies the map in the code x ancilla frame.
+Gram matrix, and effective-error classes and synthesis read it.  A combination
+sum_p e_p E_p corrupts an encoded state sum_l a_l w_l by linearity, as
+sum_p e_p sum_l a_l (E_p w_l), through the stacked images its error set holds
+for the code.  A correction map holds its partial isometry in factored form:
+the code-space block of the domain adjoint, built from the images, while the
+codewords and the ancilla states define the image.  It applies the map in the
+code x ancilla frame, and a roundtrip, whose input is always
+corrupted x |0_A>, corrects from the code-space amplitudes alone.
 """
 
 from __future__ import annotations
@@ -184,6 +188,9 @@ class ErrorSet:
     synthesis start with the identity (entry 0)."""
 
     terms: tuple[ErrorTerm, ...]
+    # [code, read-only images] for the last code the set corrupted a state of
+    _image_slot: list = dataclasses.field(default_factory=list, init=False,
+                                          compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -210,19 +217,31 @@ class CombinedError:
         coeffs = np.asarray(self.coefficients)
         if coeffs.shape != (len(self.errors),):
             raise ValueError("one coefficient per error term required")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("error coefficients must be finite")
         if not np.any(np.abs(coeffs) > 0):
             raise ValueError("at least one coefficient must be nonzero")
         object.__setattr__(self, "coefficients", coeffs)
 
     def apply(self, state: StateVector) -> StateVector:
-        """Each term is checked against ``state`` as it is applied; only the
-        sum is validated as a state."""
+        """Each term is checked against ``state`` as it is applied, whatever
+        its coefficient; only the sum is validated as a state."""
         amps = np.zeros_like(state.amplitudes,
                              dtype=complex if state.field.is_complex else float)
-        for c, term in zip(self.coefficients, self.errors):
-            if c != 0:
+        # a non-finite term is the state check's to report, without a warning
+        with np.errstate(invalid="ignore", over="ignore"):
+            for c, term in zip(self.coefficients, self.errors):
                 amps = amps + c * _error_amplitudes(term.op, state)
         return state.with_amplitudes(amps)
+
+    def _corrupt(self, code: Code, logical: np.ndarray) -> np.ndarray:
+        """The amplitudes of this error applied to ``encode(code, logical)``,
+        not validated as a state: sum_p e_p sum_l a_l (E_p w_l), one product
+        over the stacked images of :func:`_held_images`, which check every
+        term against the code once."""
+        images = _held_images(code, self.errors)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return self.coefficients @ (logical @ images)
 
 
 def _error_amplitudes(op: SiteOperator | LinearMap, state: StateVector) -> np.ndarray:
@@ -354,6 +373,17 @@ def _images(code: Code, errors: ErrorSet) -> np.ndarray:
     if not np.all(np.isfinite(images)):
         raise ValueError("error images must be finite")
     return images
+
+
+def _held_images(code: Code, errors: ErrorSet) -> np.ndarray:
+    """:func:`_images`, computed once per error set and code: the set holds
+    the read-only array for the last code it was asked about."""
+    slot = errors._image_slot
+    if not slot or slot[0] is not code:
+        images = _images(code, errors)
+        images.setflags(write=False)
+        slot[:] = [code, images]
+    return slot[1]
 
 
 def kl_check(code: Code, errors: ErrorSet, tol: float = KL_TOL) -> KLReport:
@@ -503,7 +533,10 @@ class CorrectionMap:
         the partial isometry and annihilates anything outside its domain
         span; downstream residual checks surface such inputs."""
         self._check_input(state.field, state.dim)
-        return state.with_amplitudes(self._amplitudes(state.amplitudes))
+        if self.operator is not None:
+            return state.with_amplitudes(self.operator.matrix @ state.amplitudes)
+        return state.with_amplitudes(
+            self._correct(state.amplitudes[::self.ancilla_dim]))
 
     def _check_input(self, field: ScalarField, dim: int) -> None:
         """Reject input not over the code's field or not of code x ancilla size."""
@@ -514,17 +547,19 @@ class CorrectionMap:
         if dim != expected:
             raise ValueError(f"dimension mismatch: {expected} vs {dim}")
 
-    def _amplitudes(self, amps: np.ndarray) -> np.ndarray:
-        """The image of an amplitude array, unchecked: :meth:`apply` checks each
-        state, :func:`roundtrip` each code/map pair, before calling this.
+    def _correct(self, corrupted: np.ndarray) -> np.ndarray:
+        """The image of corrupted x |0_A> from the code-space amplitudes
+        alone, unchecked: :meth:`apply` checks each state, :func:`roundtrip`
+        each code/map pair, before calling this.  A completed operator
+        contributes only its ancilla-|0> columns.
 
         Without a completion it works in the code x ancilla frame: the domain
         reads only the ancilla-|0> column, and the output fills only the
         ``ancilla_states`` columns, with the codewords weighted per error."""
         if self.operator is not None:
-            return self.operator.matrix @ amps
+            return self.operator.matrix[:, ::self.ancilla_dim] @ corrupted
         words = self._codeword_matrix()
-        coeffs = self._domain_adjoint @ amps[::self.ancilla_dim]
+        coeffs = self._domain_adjoint @ corrupted
         table = np.zeros((self.code.dim, self.ancilla_dim), self.code.field.dtype)
         table[:, list(self.ancilla_states)] = (
             words.T @ coeffs.reshape(-1, len(words)).T)
@@ -652,26 +687,34 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
     and an out-of-family error.  A residual above ``tol`` raises
     FactorizationError; pass ``tol=None`` to always get the result back and
     judge the residual yourself (what the reporting suites do).
+
+    A combined error corrupts through the stacked images its set holds for
+    ``code``, and the map corrects corrupted x |0_A> from the corrupted
+    amplitudes alone.  A ``tol`` that is NaN or negative raises ValueError,
+    an error of another type TypeError.
     """
+    if tol is not None and not tol >= 0:
+        raise ValueError(f"tol must be nonnegative or None, got {tol!r}")
+    if not isinstance(error, (CombinedError, SiteOperator, LinearMap)):
+        raise TypeError("error must be a CombinedError, SiteOperator or "
+                        f"LinearMap, got {type(error).__name__}")
     cmap._check_input(code.field, code.dim * cmap.ancilla_dim)
     encoded = encode(code, logical)
     scale = encoded.norm()
     if scale <= 0:
         raise ValueError("logical coefficients must not all vanish")
     if isinstance(error, CombinedError):
-        corrupted = error.apply(encoded)
+        amps = error._corrupt(code, np.asarray(logical))
     else:
-        corrupted = encoded.with_amplitudes(_error_amplitudes(error, encoded))
-    anc_dim = cmap.ancilla_dim
-    total = np.zeros(code.dim * anc_dim, dtype=code.field.dtype)
-    total[::anc_dim] = corrupted.amplitudes           # corrupted x |0_A>
-    out = cmap._amplitudes(total)
+        amps = _error_amplitudes(error, encoded)
+    corrupted = encoded.with_amplitudes(amps)
+    out = cmap._correct(corrupted.amplitudes)
 
-    table = out.reshape(code.dim, anc_dim)
+    table = out.reshape(code.dim, cmap.ancilla_dim)
     ref = encoded.amplitudes / scale
     anc = ref.conj() @ table
     residual_f = float(np.linalg.norm(table - np.outer(ref, anc)))
-    norm_gap = abs(float(np.linalg.norm(total)) - float(np.linalg.norm(out)))
+    norm_gap = abs(corrupted.norm() - float(np.linalg.norm(out)))
     residual = max(residual_f, norm_gap)
 
     anc_norm = float(np.linalg.norm(anc))
@@ -705,8 +748,13 @@ def simulate(cmap: CorrectionMap, draw_error, rng: np.random.Generator,
     Each trial draws the logical coefficients, then the error as
     ``draw_error(rng)``, and makes one :func:`roundtrip` call without a
     residual gate.  Returns the per-trial fidelities and residuals; the draw
-    order fixes every seeded report.
+    order fixes every seeded report.  ``trials`` must be a nonnegative
+    integer: TypeError otherwise, ValueError when negative.
     """
+    if not _is_index(trials):
+        raise TypeError(f"trials must be an integer, got {trials!r}")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     code = cmap.code
     fidelities = np.empty(trials)
     residuals = np.empty(trials)

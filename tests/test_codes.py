@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -175,6 +175,10 @@ def test_combined_error_checks_every_term():
     complex_term = ErrorTerm("Z@0", pauli_error("z", 0))
     with pytest.raises(FieldMismatchError):
         CombinedError(ErrorSet((eye, complex_term)), np.ones(2)).apply(word)
+    # a zero coefficient does not excuse a term over another field
+    with pytest.raises(FieldMismatchError):
+        CombinedError(ErrorSet((eye, identity_error(ScalarField.COMPLEX))),
+                      [1.0, 0.0]).apply(word)
 
 
 def _non_square_error() -> ErrorTerm:
@@ -202,6 +206,39 @@ def test_combined_error_requires_nonzero_coefficient():
         CombinedError(basis, np.zeros(4))
     with pytest.raises(ValueError):
         CombinedError(basis, np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)],
+                         ids=["nan", "inf", "complex-inf"])
+def test_combined_error_rejects_non_finite_coefficients(bad):
+    basis = effective_error_basis(build_r3_code(), ErrorFamily.SO2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="error coefficients must be finite"):
+            CombinedError(basis, [bad, 0.0, 0.0, 0.0])
+
+
+def test_combined_error_with_a_zero_weighted_nan_term_raises_without_a_warning():
+    word = build_r3_code().codewords[0]
+    nan_term = ErrorTerm("nan", SiteOperator(ScalarField.REAL, 0,
+                                             [[math.nan, 0.0], [0.0, 1.0]]))
+    error = CombinedError(ErrorSet((identity_error(ScalarField.REAL), nan_term)),
+                          [1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="finite"):
+            error.apply(word)
+
+
+def test_error_set_holds_its_images_read_only_per_code():
+    code = build_r3_code()
+    basis = effective_error_basis(code, ErrorFamily.SO2)
+    images = codes._held_images(code, basis)
+    assert np.array_equal(images, codes._images(code, basis))
+    assert not images.flags.writeable
+    assert codes._held_images(code, basis) is images
+    other = build_r3_code()                    # equal, but another object
+    assert codes._held_images(other, basis) is not images
 
 
 # --- correctability conditions ---------------------------------------------
@@ -710,9 +747,10 @@ def test_roundtrip_linearity_r3(r3_correction):
 
 def _reference_roundtrip(code, cmap, logical, error):
     """The roundtrip before it worked on amplitude arrays: every intermediate
-    is a validated state, and the map is applied through
-    ``CorrectionMap.apply``.  Returns (ancilla, residual, fidelity) without a
-    residual gate."""
+    is a validated state, a combination is applied term by term through
+    ``CombinedError.apply``, and the map is applied to the full
+    corrupted x |0_A> state through ``CorrectionMap.apply``.  Returns
+    (ancilla, residual, fidelity) without a residual gate."""
     encoded = codes.encode(code, logical)
     scale = encoded.norm()
     if isinstance(error, CombinedError):
@@ -776,9 +814,16 @@ def test_roundtrip_matches_the_state_reference(fixture, draw, request):
         error = draw_error(rng)
         res = roundtrip(code, cmap, logical, error, tol=None)
         ancilla, residual, fidelity = _reference_roundtrip(code, cmap, logical, error)
-        assert res.fidelity == fidelity
-        assert res.residual == residual
-        assert np.array_equal(res.ancilla.amplitudes, ancilla.amplitudes)
+        # the norm gap reads the corrupted state, not corrupted x |0_A>
+        assert abs(res.residual - residual) <= 1e-15
+        if draw is _combined:
+            # a combination corrupts through the stacked images, which sums
+            # the terms in another order than CombinedError.apply
+            assert abs(res.fidelity - fidelity) <= 1e-15
+            assert np.abs(res.ancilla.amplitudes - ancilla.amplitudes).max() <= 1e-15
+        else:
+            assert res.fidelity == fidelity
+            assert np.array_equal(res.ancilla.amplitudes, ancilla.amplitudes)
 
 
 @pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction", "shor9_correction"])
@@ -804,6 +849,67 @@ def test_roundtrip_builds_three_small_states(fixture, request, monkeypatch):
     roundtrip(code, cmap, logical, error)
     assert len(built) <= 3
     assert cmap.total_sites not in built
+
+
+@pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction", "shor9_correction"])
+def test_simulate_applies_each_term_to_the_codewords_once(fixture, request,
+                                                          monkeypatch):
+    # combined draws corrupt through the images their set holds, so the
+    # number of term applications does not grow with the trials
+    cmap = request.getfixturevalue(fixture)
+    code = cmap.code
+    calls = []
+    original = codes._error_amplitudes
+
+    def counting(op, state):
+        calls.append(op)
+        return original(op, state)
+
+    monkeypatch.setattr(codes, "_error_amplitudes", counting)
+    counts = {}
+    for trials in (1, 7):
+        calls.clear()
+        draw = _combined(cmap)                 # a fresh error set each time
+        simulate(cmap, draw, rng_for(8, 2), trials)
+        counts[trials] = len(calls)
+    n_terms = len(effective_error_basis(code, _FAMILY[code.field]))
+    assert counts == {1: n_terms * len(code.codewords),
+                      7: n_terms * len(code.codewords)}
+
+
+_CORRUPTION_CODES = {"r3": build_r3_code, "h3[j]": lambda: build_h3_code("j"),
+                     "shor9": build_shor9_code}
+
+
+@functools.cache
+def _code_and_basis(name):
+    code = _CORRUPTION_CODES[name]()
+    return code, effective_error_basis(code, _FAMILY[code.field])
+
+
+def _unit_coefficients(draw, field, count):
+    parts = draw(arrays(np.float64, (2 if field.is_complex else 1, count),
+                        elements=st.floats(-1.0, 1.0)))
+    coeffs = parts[0] + 1j * parts[1] if field.is_complex else parts[0]
+    norm = np.linalg.norm(coeffs)
+    assume(norm > 1e-3)
+    return coeffs / norm
+
+
+@st.composite
+def _corruption_cases(draw):
+    code, basis = _code_and_basis(draw(st.sampled_from(sorted(_CORRUPTION_CODES))))
+    logical = _unit_coefficients(draw, code.field, len(code.codewords))
+    error = CombinedError(basis, _unit_coefficients(draw, code.field, len(basis)))
+    return code, logical, error
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_corruption_cases())
+def test_table_corruption_matches_the_term_by_term_sum(case):
+    code, logical, error = case
+    expected = error.apply(codes.encode(code, logical)).amplitudes
+    assert np.abs(error._corrupt(code, logical) - expected).max() <= 1e-15
 
 
 def test_roundtrip_rejects_a_map_over_another_field(r3_correction):
@@ -837,6 +943,40 @@ def test_roundtrip_of_a_nan_error_raises_without_a_warning(r3_correction):
     nan_error = SiteOperator(ScalarField.REAL, 1, [[math.nan, 0.0], [0.0, 1.0]])
     _without_runtime_warnings(test_roundtrip_rejects_invalid_input, r3_correction,
                               (0.6, 0.8), nan_error, "finite")
+
+
+def test_roundtrip_checks_zero_weighted_terms(r3_correction):
+    errors = ErrorSet((identity_error(ScalarField.REAL),
+                       identity_error(ScalarField.COMPLEX)))
+    with pytest.raises(FieldMismatchError):
+        roundtrip(r3_correction.code, r3_correction, (0.6, 0.8),
+                  CombinedError(errors, [1.0, 0.0]))
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-12], ids=["nan", "negative"])
+def test_roundtrip_rejects_a_nan_or_negative_tol(r3_correction, tol):
+    # a NaN tol would silently turn the residual gate off
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        roundtrip(r3_correction.code, r3_correction, (0.6, 0.8),
+                  so2_error(0.3, 0), tol=tol)
+
+
+def test_roundtrip_rejects_an_error_of_another_type(r3_correction):
+    with pytest.raises(TypeError, match="CombinedError, SiteOperator or LinearMap"):
+        roundtrip(r3_correction.code, r3_correction, (0.6, 0.8), "X@0")
+
+
+def test_simulate_rejects_negative_trials(r3_correction):
+    draw = combined_draw(r3_correction.errors, r3_correction.code.field)
+    with pytest.raises(ValueError, match="trials must be nonnegative"):
+        simulate(r3_correction, draw, rng_for(0, 1), -1)
+
+
+@pytest.mark.parametrize("trials", [2.5, True], ids=["float", "bool"])
+def test_simulate_rejects_non_integer_trials(r3_correction, trials):
+    draw = combined_draw(r3_correction.errors, r3_correction.code.field)
+    with pytest.raises(TypeError, match="trials must be an integer"):
+        simulate(r3_correction, draw, rng_for(0, 1), trials)
 
 
 # --- phase-failure demonstration ---------------------------------------------
