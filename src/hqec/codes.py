@@ -13,15 +13,17 @@ correctability in general; degenerate sets can first be reduced to one
 representative per distinct code-space action (see
 :func:`effective_representatives`).
 
-The images E_p w_l are computed once as one stacked array: the KL table is its
-Gram matrix, and effective-error classes and synthesis read it.  A combination
-sum_p e_p E_p corrupts an encoded state sum_l a_l w_l by linearity, as
-sum_p e_p sum_l a_l (E_p w_l), through the stacked images its error set holds
-for the code.  A correction map holds its partial isometry in factored form:
-the code-space block of the domain adjoint, built from the images, while the
-codewords and the ancilla states define the image.  It applies the map in the
-code x ancilla frame, and a roundtrip, whose input is always
-corrupted x |0_A>, corrects from the code-space amplitudes alone.
+The images E_p w_l are one stacked, read-only array that an error set holds
+for the last code it was asked about, made and checked once per set and code:
+the KL table is its Gram matrix, effective-error classes and synthesis read it,
+and a combination sum_p e_p E_p corrupts an encoded state sum_l a_l w_l by
+linearity through it, as sum_p e_p sum_l a_l (E_p w_l).  A code holds its
+codewords once, as the rows of ``Code.words``.  A correction map holds its
+partial isometry in factored form: the code-space block of the domain adjoint,
+built from the images, while the codewords and the ancilla states define the
+image.  It applies the map in the code x ancilla frame, and a roundtrip, whose
+input is always corrupted x |0_A>, corrects from the code-space amplitudes
+alone.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .linalg import (
     apply_site,
     basis_state,
     complete_orthonormal,
-    inner,
     is_isometry,
     tensor_state,
 )
@@ -79,6 +80,8 @@ class Code:
     field: ScalarField
     n_sites: int
     codewords: tuple[StateVector, ...]
+    # the codewords as the rows of one read-only array
+    words: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.codewords:
@@ -86,10 +89,17 @@ class Code:
         for idx, w in enumerate(self.codewords):
             if w.field is not self.field or w.n_sites != self.n_sites:
                 raise FieldMismatchError(f"codeword {idx} does not match the code")
-            for jdx, v in enumerate(self.codewords[: idx + 1]):
-                expect = 1.0 if jdx == idx else 0.0
-                if abs(inner(v, w) - expect) > 1e-10:
-                    raise ValueError(f"codewords {jdx}, {idx} are not orthonormal")
+        words = np.stack([w.amplitudes for w in self.codewords])
+        words.setflags(write=False)
+        # an overflow makes a diagonal entry inf, which the check reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = words.conj() @ words.T              # [j, i] = <w_j|w_i>
+        bad = np.abs(gram - np.eye(len(words))) > 1e-10
+        pairs = np.argwhere(np.triu(bad).T)           # (i, j), j <= i, row-major
+        if len(pairs):
+            idx, jdx = pairs[0].tolist()
+            raise ValueError(f"codewords {jdx}, {idx} are not orthonormal")
+        object.__setattr__(self, "words", words)
 
     @property
     def dim(self) -> int:
@@ -102,7 +112,7 @@ def encode(code: Code, coeffs) -> StateVector:
         raise ValueError(f"expected {len(code.codewords)} logical coefficients")
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("logical coefficients must be finite")
-    amps = sum(c * w.amplitudes for c, w in zip(coeffs, code.codewords))
+    amps = sum(c * w for c, w in zip(coeffs, code.words))
     return StateVector(code.field, code.n_sites, amps)
 
 
@@ -181,6 +191,11 @@ class ErrorTerm:
     label: str
     op: SiteOperator | LinearMap
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.op, (SiteOperator, LinearMap)):
+            raise TypeError("an error term's op must be a SiteOperator or "
+                            f"LinearMap, got {type(self.op).__name__}")
+
 
 @dataclass(frozen=True)
 class ErrorSet:
@@ -188,7 +203,7 @@ class ErrorSet:
     synthesis start with the identity (entry 0)."""
 
     terms: tuple[ErrorTerm, ...]
-    # [code, read-only images] for the last code the set corrupted a state of
+    # [code, read-only images] for the last code the set was asked about
     _image_slot: list = dataclasses.field(default_factory=list, init=False,
                                           compare=False, repr=False)
 
@@ -237,9 +252,8 @@ class CombinedError:
     def _corrupt(self, code: Code, logical: np.ndarray) -> np.ndarray:
         """The amplitudes of this error applied to ``encode(code, logical)``,
         not validated as a state: sum_p e_p sum_l a_l (E_p w_l), one product
-        over the stacked images of :func:`_held_images`, which check every
-        term against the code once."""
-        images = _held_images(code, self.errors)
+        over the stacked images of :func:`_images`."""
+        images = _images(code, self.errors)
         with np.errstate(invalid="ignore", over="ignore"):
             return self.coefficients @ (logical @ images)
 
@@ -364,26 +378,22 @@ class KLReport:
 
 
 def _images(code: Code, errors: ErrorSet) -> np.ndarray:
-    """The code-space action of an error set as one array: entry [p, l] holds
-    the amplitudes of E_p w_l; a non-finite image raises ValueError."""
+    """The code-space action of an error set as one read-only array: entry
+    [p, l] holds the amplitudes of E_p w_l.  The set holds it for the last
+    code it was asked about, once every term has been checked against the
+    code and every image found finite (ValueError otherwise)."""
+    slot = errors._image_slot
+    if slot and slot[0] is code:
+        return slot[1]
     images = np.empty((len(errors), len(code.codewords), code.dim),
                       dtype=code.field.dtype)
     for p, term in enumerate(errors):
         images[p] = [_error_amplitudes(term.op, w) for w in code.codewords]
     if not np.all(np.isfinite(images)):
         raise ValueError("error images must be finite")
+    images.setflags(write=False)
+    slot[:] = [code, images]
     return images
-
-
-def _held_images(code: Code, errors: ErrorSet) -> np.ndarray:
-    """:func:`_images`, computed once per error set and code: the set holds
-    the read-only array for the last code it was asked about."""
-    slot = errors._image_slot
-    if not slot or slot[0] is not code:
-        images = _images(code, errors)
-        images.setflags(write=False)
-        slot[:] = [code, images]
-    return slot[1]
 
 
 def kl_check(code: Code, errors: ErrorSet, tol: float = KL_TOL) -> KLReport:
@@ -394,20 +404,15 @@ def kl_check(code: Code, errors: ErrorSet, tol: float = KL_TOL) -> KLReport:
     Failure is a verdict carried by the report, not an exception.  When both
     families hold, the common diagonal values form the ancilla Gram matrix.
     Non-finite error images, or a table that overflows, raise ValueError.
+
+    The table is the Gram matrix of the images of :func:`_images`.
+    Violations come per error pair (p1, p2) in row-major order: its cross
+    terms in (l1, l2) order, then at most one diagonal violation for the pair
+    of codewords whose diagonal values are furthest apart (over the reals the
+    smallest and the largest value, over C the first largest pair (m, n) in
+    row-major order).
     """
-    return _kl_report(code.field, _images(code, errors), errors.labels, tol)
-
-
-def _kl_report(field: ScalarField, images: np.ndarray,
-               labels: tuple[str, ...], tol: float) -> KLReport:
-    """:func:`kl_check` on the stacked images of :func:`_images`.
-
-    The table is the Gram matrix of the images.  Violations come per error
-    pair (p1, p2) in row-major order: its cross terms in (l1, l2) order, then
-    at most one diagonal violation for the pair of codewords whose diagonal
-    values are furthest apart (over the reals the smallest and the largest
-    value, over C the first largest pair (m, n) in row-major order).
-    """
+    images = _images(code, errors)
     n_err, n_words, dim = images.shape
     flat = images.reshape(n_err * n_words, dim)
     with np.errstate(over="ignore", invalid="ignore"):     # raises ValueError below
@@ -424,7 +429,7 @@ def _kl_report(field: ScalarField, images: np.ndarray,
             "cross", p1, p2, l1, l2, (value,), abs(value)))
 
     diag = table[:, range(n_words), :, range(n_words)]    # [l, p1, p2]
-    if field.is_complex:
+    if code.field.is_complex:
         spread = _modulus(diag[:, None] - diag[None, :])
         m, n = np.divmod(spread.reshape(n_words * n_words, n_err, n_err)
                          .argmax(axis=0), n_words)
@@ -441,7 +446,7 @@ def _kl_report(field: ScalarField, images: np.ndarray,
 
     passed = not violations
     gram = np.mean(diag, axis=0) if passed else None
-    return KLReport(passed, table, tuple(violations), gram, labels)
+    return KLReport(passed, table, tuple(violations), gram, errors.labels)
 
 
 def _modulus(values: np.ndarray) -> np.ndarray:
@@ -504,16 +509,12 @@ class CorrectionMap:
     @property
     def image(self) -> tuple[StateVector, ...]:
         """The states w_l x |a_p>, in the order of ``domain``."""
-        words = self._codeword_matrix()
+        words = self.code.words
         anc = np.eye(self.ancilla_dim, dtype=self.code.field.dtype)[
             :, list(self.ancilla_states)]                  # column p is |a_p>
         full = words.T[:, None, None, :] * anc[None, :, :, None]
         return _column_states(self.code.field, self.total_sites,
                               full.reshape(-1, anc.shape[1] * len(words)))
-
-    def _codeword_matrix(self) -> np.ndarray:
-        """The codewords as the rows of one array."""
-        return np.stack([w.amplitudes for w in self.code.codewords])
 
     def isometry_deviation(self) -> float:
         """Largest deviation from length preservation: of the completed
@@ -522,7 +523,7 @@ class CorrectionMap:
         pairs (p, l), (q, m) is [a_p = a_q] <w_l|w_m>."""
         if self.operator is not None:
             return is_isometry(self.operator).max_deviation
-        adj, words = self._domain_adjoint, self._codeword_matrix()
+        adj, words = self._domain_adjoint, self.code.words
         anc = np.array(self.ancilla_states)
         grams = (adj @ adj.conj().T,
                  np.kron(np.equal.outer(anc, anc), words.conj() @ words.T))
@@ -558,7 +559,7 @@ class CorrectionMap:
         ``ancilla_states`` columns, with the codewords weighted per error."""
         if self.operator is not None:
             return self.operator.matrix[:, ::self.ancilla_dim] @ corrupted
-        words = self._codeword_matrix()
+        words = self.code.words
         coeffs = self._domain_adjoint @ corrupted
         table = np.zeros((self.code.dim, self.ancilla_dim), self.code.field.dtype)
         table[:, list(self.ancilla_states)] = (
@@ -582,8 +583,7 @@ def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
     """
     if len(errors) == 0:
         raise SynthesisError("the error set is empty; entry 0 must be the identity")
-    images = _images(code, errors)
-    report = _kl_report(code.field, images, errors.labels, kl_tol)
+    report = kl_check(code, errors, kl_tol)
     if not report.passed:
         worst = report.violations[0].describe(report.labels)
         raise SynthesisError(f"error set is not correctable: {worst}")
@@ -596,8 +596,8 @@ def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
     if np.any(diag <= tol):
         raise SynthesisError("an error operator annihilates the code space")
 
-    identity_action = np.stack([w.amplitudes for w in code.codewords])
-    if not np.allclose(images[0], identity_action, atol=kl_tol, rtol=0.0):
+    images = _images(code, errors)                 # held by kl_check
+    if not np.allclose(images[0], code.words, atol=kl_tol, rtol=0.0):
         raise SynthesisError("entry 0 of the error set must act as the "
                              "identity on the code space")
 
@@ -661,8 +661,9 @@ def build_shor9_correction() -> CorrectionMap:
     original 28.  Completion of the 16384-dimensional operator is skipped.
     """
     code = build_shor9_code()
-    errors = effective_error_basis(code, ErrorFamily.PAULI_PER_SITE)
-    reps, _ = effective_representatives(code, errors)
+    # the full basis, and the images it holds, are dropped before synthesis
+    reps, _ = effective_representatives(
+        code, effective_error_basis(code, ErrorFamily.PAULI_PER_SITE))
     return synthesize_correction(code, reps, 5, complete=False)
 
 
@@ -819,15 +820,10 @@ def effective_error_classes(code: Code, errors: ErrorSet,
 
     Two operators are identified exactly when their restrictions to the
     codewords agree componentwise (within ``atol``, which stands in for exact
-    equality over floats).
+    equality over floats): each error joins the first class whose first
+    member's action matches its own.
     """
-    return _action_classes(_images(code, errors), atol)
-
-
-def _action_classes(images: np.ndarray, atol: float) -> list[list[int]]:
-    """:func:`effective_error_classes` on the stacked images of
-    :func:`_images`: each error joins the first class whose first member's
-    action matches its own."""
+    images = _images(code, errors)
     classes: list[list[int]] = []
     for idx, action in enumerate(images):
         for cls in classes:
@@ -843,9 +839,8 @@ def count_effective_errors(code: Code, errors: ErrorSet,
                            atol: float = 1e-12) -> int:
     """Number of distinct nontrivial code-space actions in the set."""
     images = _images(code, errors)
-    identity = np.stack([w.amplitudes for w in code.codewords])
-    return sum(not np.allclose(images[cls[0]], identity, atol=atol, rtol=0.0)
-               for cls in _action_classes(images, atol))
+    return sum(not np.allclose(images[cls[0]], code.words, atol=atol, rtol=0.0)
+               for cls in effective_error_classes(code, errors, atol))
 
 
 def effective_representatives(code: Code, errors: ErrorSet,
@@ -860,63 +855,3 @@ def effective_representatives(code: Code, errors: ErrorSet,
         for idx in cls:
             mapping[idx] = c_idx
     return reps, mapping
-
-
-# ---------------------------------------------------------------------------
-# Quaternionic repetition-code error table
-
-H3_TABLE_UNITS = ("i", "j", "k")
-
-
-def h3_error_table(second_unit: str = "j") -> dict[str, list[tuple[int, str]]]:
-    """First-site error table of the quaternionic repetition code, derived
-    from the multiplication table: entry (codeword u, column v) is the signed
-    unit of u*v (right multiplication)."""
-    rows: dict[str, list[tuple[int, str]]] = {}
-    for row_unit in ("1", second_unit):
-        cells = []
-        for col in H3_TABLE_UNITS:
-            product = quat.UNITS[row_unit] * quat.UNITS[col]
-            for name, u in quat.UNITS.items():
-                if product.isclose(u):
-                    cells.append((1, name))
-                    break
-                if product.isclose(-u):
-                    cells.append((-1, name))
-                    break
-        rows[row_unit] = cells
-    return rows
-
-
-# Two reference readings of the code's error table, bundled as constants in
-# the same spirit as the gamma-matrix reference forms.  Neither matches the
-# table derived from right multiplication in every cell; the comparison below
-# records exactly which cells differ under each reading.
-H3_REFERENCE_READINGS = {
-    # second codeword = i-repetition (row-1 cells force this identification)
-    "i-codeword": {"1": [(1, "i"), (1, "j"), (1, "k")],
-                   "i": [(-1, "1"), (-1, "k"), (1, "j")]},
-    # second codeword = j-repetition (symbols read literally)
-    "j-codeword": {"1": [(1, "j"), (1, "i"), (1, "k")],
-                   "j": [(-1, "1"), (-1, "k"), (1, "i")]},
-}
-
-
-def h3_table_comparison() -> dict[str, list[tuple[str, str, tuple, tuple]]]:
-    """Cells where the derived table differs from each reference reading.
-
-    Returns, per reading, tuples (row unit, column unit, derived cell,
-    reference cell).
-    """
-    diffs: dict[str, list[tuple[str, str, tuple, tuple]]] = {}
-    for reading, table in H3_REFERENCE_READINGS.items():
-        second = "i" if "i-" in reading else "j"
-        derived = h3_error_table(second)
-        rows = []
-        for row_unit, cells in table.items():
-            for col, reference_cell in zip(H3_TABLE_UNITS, cells):
-                derived_cell = derived[row_unit][H3_TABLE_UNITS.index(col)]
-                if derived_cell != tuple(reference_cell):
-                    rows.append((row_unit, col, derived_cell, tuple(reference_cell)))
-        diffs[reading] = rows
-    return diffs

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 # Upper limit on --trials.  At the ceiling the per-trial fidelity and
@@ -52,7 +52,6 @@ class SuiteReport:
     trials: int
     records: tuple[CheckRecord, ...]
     wall_time_s: float = 0.0
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def passed(self) -> bool:
@@ -79,7 +78,6 @@ def to_structured(report: SuiteReport) -> dict:
             }
             for r in report.records
         ],
-        "notes": list(report.notes),
         "wall_time_s": report.wall_time_s,
     }
 
@@ -97,8 +95,6 @@ def to_text(report: SuiteReport) -> str:
         if r.witness:
             for wline in r.witness.splitlines():
                 lines.append(f"          {wline}")
-    for note in report.notes:
-        lines.append(f"  note: {note}")
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}"
                  f"   wall_time_s: {report.wall_time_s:.3f}")
     return "\n".join(lines) + "\n"

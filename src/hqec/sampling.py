@@ -30,14 +30,8 @@ def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:
 
 def random_state(field: ScalarField, n_sites: int,
                  rng: np.random.Generator, normalize: bool = True) -> StateVector:
-    dim = field.site_dim ** n_sites
-    if field.is_complex:
-        amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    else:
-        amps = rng.standard_normal(dim)
-    if normalize:
-        amps = amps / np.linalg.norm(amps)
-    return StateVector(field, n_sites, amps)
+    return StateVector(field, n_sites, random_coefficients(
+        field, field.site_dim ** n_sites, rng, normalize))
 
 
 def random_coefficients(field: ScalarField, count: int,

@@ -108,9 +108,41 @@ def test_code_rejects_non_orthonormal_words():
         codes.Code("bad", ScalarField.REAL, 1, (w, w))
 
 
+@pytest.mark.parametrize("amps,pair", [
+    ([[2, 0, 0, 0]], "0, 0"),
+    ([[1, 0, 0, 0], [1, 0, 0, 0]], "0, 1"),
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 0, 0]], "1, 2"),
+    ([[1, 0, 0, 0], [0, 2, 0, 0], [1, 0, 0, 0]], "1, 1"),
+])
+def test_code_names_the_first_non_orthonormal_pair(amps, pair):
+    words = tuple(StateVector(ScalarField.REAL, 2, a) for a in amps)
+    with pytest.raises(ValueError, match=f"codewords {pair} are not orthonormal"):
+        codes.Code("bad", ScalarField.REAL, 2, words)
+
+
+@pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
+def test_code_with_an_overflowing_gram_raises_without_a_warning(field):
+    words = (StateVector(field, 1, [1.0, 0.0]), StateVector(field, 1, [0.0, 1e200]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="codewords 1, 1 are not orthonormal"):
+            codes.Code("huge", field, 1, words)
+
+
 def test_code_rejects_empty_codewords():
     with pytest.raises(ValueError, match="at least one codeword"):
         codes.Code("e", ScalarField.REAL, 1, ())
+
+
+@pytest.mark.parametrize("build", [build_r3_code, build_h3_code, build_shor9_code])
+def test_code_holds_its_codewords_as_one_read_only_array(build):
+    code = build()
+    assert np.array_equal(code.words,
+                          np.stack([w.amplitudes for w in code.codewords]))
+    assert code.words.dtype == code.field.dtype
+    assert not code.words.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        code.words[0, 0] = 2.0
 
 
 # --- error operators --------------------------------------------------------
@@ -233,12 +265,57 @@ def test_combined_error_with_a_zero_weighted_nan_term_raises_without_a_warning()
 def test_error_set_holds_its_images_read_only_per_code():
     code = build_r3_code()
     basis = effective_error_basis(code, ErrorFamily.SO2)
-    images = codes._held_images(code, basis)
-    assert np.array_equal(images, codes._images(code, basis))
+    images = codes._images(code, basis)
+    assert np.array_equal(images, [[apply_site(t.op, w).amplitudes
+                                    for w in code.codewords] for t in basis])
     assert not images.flags.writeable
-    assert codes._held_images(code, basis) is images
+    assert codes._images(code, basis) is images
     other = build_r3_code()                    # equal, but another object
-    assert codes._held_images(other, basis) is not images
+    assert codes._images(other, basis) is not images
+
+
+def _count_error_amplitudes(monkeypatch) -> list:
+    """Record every (op, state) that ``codes._error_amplitudes`` applies."""
+    calls = []
+    original = codes._error_amplitudes
+
+    def counted(op, state):
+        calls.append((id(op), id(state)))
+        return original(op, state)
+
+    monkeypatch.setattr(codes, "_error_amplitudes", counted)
+    return calls
+
+
+def _each_term_on_each_codeword_once(calls, code, errors) -> bool:
+    expected = {(id(t.op), id(w)) for t in errors for w in code.codewords}
+    return len(calls) == len(expected) and set(calls) == expected
+
+
+def test_kl_check_then_synthesis_make_the_images_once(monkeypatch):
+    code = build_r3_code()
+    basis = effective_error_basis(code, ErrorFamily.SO2)
+    calls = _count_error_amplitudes(monkeypatch)
+    kl_check(code, basis)
+    synthesize_correction(code, basis, 2, complete=False)
+    assert _each_term_on_each_codeword_once(calls, code, basis)
+
+
+def test_effective_error_functions_make_the_images_once(monkeypatch):
+    code = build_b3_code()
+    singles = _pauli_singles(3)
+    calls = _count_error_amplitudes(monkeypatch)
+    codes.effective_error_classes(code, singles)
+    count_effective_errors(code, singles)
+    effective_representatives(code, singles)
+    assert _each_term_on_each_codeword_once(calls, code, singles)
+
+
+def test_error_term_rejects_an_op_of_another_type():
+    with pytest.raises(TypeError, match="SiteOperator or LinearMap, got str"):
+        ErrorTerm("x", "oops")
+    with pytest.raises(TypeError, match="got ndarray"):
+        ErrorTerm("x", np.eye(2))
 
 
 # --- correctability conditions ---------------------------------------------
@@ -1040,16 +1117,70 @@ def test_shor9_effective_representatives(shor9_correction):
 
 # --- derived error table of the quaternionic code ---------------------------
 
+H3_TABLE_UNITS = ("i", "j", "k")
+
+
+def h3_error_table(second_unit: str = "j") -> dict[str, list[tuple[int, str]]]:
+    """First-site error table of the quaternionic repetition code, derived
+    from the multiplication table: entry (codeword u, column v) is the signed
+    unit of u*v (right multiplication)."""
+    rows: dict[str, list[tuple[int, str]]] = {}
+    for row_unit in ("1", second_unit):
+        cells = []
+        for col in H3_TABLE_UNITS:
+            product = quat.UNITS[row_unit] * quat.UNITS[col]
+            for name, u in quat.UNITS.items():
+                if product.isclose(u):
+                    cells.append((1, name))
+                    break
+                if product.isclose(-u):
+                    cells.append((-1, name))
+                    break
+        rows[row_unit] = cells
+    return rows
+
+
+# Two reference readings of the code's error table as the paper prints it.
+# Neither matches the table derived from right multiplication in every cell;
+# the comparison below records exactly which cells differ under each reading.
+H3_REFERENCE_READINGS = {
+    # second codeword = i-repetition (row-1 cells force this identification)
+    "i-codeword": {"1": [(1, "i"), (1, "j"), (1, "k")],
+                   "i": [(-1, "1"), (-1, "k"), (1, "j")]},
+    # second codeword = j-repetition (symbols read literally)
+    "j-codeword": {"1": [(1, "j"), (1, "i"), (1, "k")],
+                   "j": [(-1, "1"), (-1, "k"), (1, "i")]},
+}
+
+
+def h3_table_comparison() -> dict[str, list[tuple[str, str, tuple, tuple]]]:
+    """Cells where the derived table differs from each reference reading:
+    per reading, tuples (row unit, column unit, derived cell, reference
+    cell)."""
+    diffs: dict[str, list[tuple[str, str, tuple, tuple]]] = {}
+    for reading, table in H3_REFERENCE_READINGS.items():
+        second = "i" if "i-" in reading else "j"
+        derived = h3_error_table(second)
+        rows = []
+        for row_unit, cells in table.items():
+            for col, reference_cell in zip(H3_TABLE_UNITS, cells):
+                derived_cell = derived[row_unit][H3_TABLE_UNITS.index(col)]
+                if derived_cell != tuple(reference_cell):
+                    rows.append((row_unit, col, derived_cell, tuple(reference_cell)))
+        diffs[reading] = rows
+    return diffs
+
+
 def test_h3_error_table_derived():
-    table = codes.h3_error_table("j")
+    table = h3_error_table("j")
     assert table["1"] == [(1, "i"), (1, "j"), (1, "k")]
     assert table["j"] == [(-1, "k"), (-1, "1"), (1, "i")]
-    table_i = codes.h3_error_table("i")
+    table_i = h3_error_table("i")
     assert table_i["i"] == [(-1, "1"), (1, "k"), (-1, "j")]
 
 
 def test_h3_table_readings_disagree_in_known_cells():
-    diffs = codes.h3_table_comparison()
+    diffs = h3_table_comparison()
     # reading the second codeword as the i-repetition: two sign flips
     assert {(row, col) for row, col, *_ in diffs["i-codeword"]} == {
         ("i", "j"), ("i", "k")}
