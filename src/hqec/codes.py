@@ -23,7 +23,11 @@ partial isometry in factored form: the code-space block of the domain adjoint,
 built from the images, while the codewords and the ancilla states define the
 image.  It applies the map in the code x ancilla frame, and a roundtrip, whose
 input is always corrupted x |0_A>, corrects from the code-space amplitudes
-alone.
+alone.  A completion to the full operator is held as a signed permutation,
+two index arrays ``(perm, sign)``, whenever both completed bases are signed
+canonical (always for ``r3`` and ``h3``): it is applied by a scatter and
+checked for isometry on the arrays, and the dense ``operator`` is built only
+on access.  Any other completion is held as a dense matrix.
 """
 
 from __future__ import annotations
@@ -481,14 +485,21 @@ class CorrectionMap:
     (p, l) of ``_domain_adjoint`` is conj(E_p w_l) / sqrt(d_p), over the code
     space.  Image vector (p, l) is w_l x |a_p>, given by the codewords and
     ``ancilla_states``.  ``domain`` and ``image`` build the full states on
-    access."""
+    access.
+
+    ``_completion`` is None for a partial map.  A completion whose two bases
+    are signed canonical (one entry per column, exactly +-1, as for ``r3``
+    and ``h3``) is held as two index arrays ``(perm, sign)``: column c of the
+    operator holds ``sign[c]`` in row ``perm[c]``.  Any other completion is
+    held as a dense ``LinearMap``.  ``operator`` is the dense form either
+    way, built on access from a held ``(perm, sign)``."""
 
     code: Code
     errors: ErrorSet
     n_ancilla: int
     ancilla_states: tuple[int, ...]
     _domain_adjoint: np.ndarray
-    operator: LinearMap | None
+    _completion: LinearMap | tuple[np.ndarray, np.ndarray] | None
 
     @property
     def total_sites(self) -> int:
@@ -516,13 +527,36 @@ class CorrectionMap:
         return _column_states(self.code.field, self.total_sites,
                               full.reshape(-1, anc.shape[1] * len(words)))
 
+    @property
+    def operator(self) -> LinearMap | None:
+        """The completed operator as a dense matrix, None without a
+        completion."""
+        completion = self._completion
+        if completion is None or isinstance(completion, LinearMap):
+            return completion
+        perm, sign = completion
+        matrix = np.zeros((len(perm), len(perm)), dtype=sign.dtype)
+        matrix[perm, np.arange(len(perm))] = sign
+        return LinearMap(self.code.field, matrix)
+
     def isometry_deviation(self) -> float:
         """Largest deviation from length preservation: of the completed
         operator when there is one, else of the orthonormal domain and image
         vectors that define the partial isometry.  The image Gram entry of
-        pairs (p, l), (q, m) is [a_p = a_q] <w_l|w_m>."""
-        if self.operator is not None:
-            return is_isometry(self.operator).max_deviation
+        pairs (p, l), (q, m) is [a_p = a_q] <w_l|w_m>.
+
+        A held ``(perm, sign)`` operator is checked on its arrays.  Its Gram
+        entry (c, d) is [perm[c] = perm[d]] conj(sign[c]) sign[d]: the
+        identity plus sign[c] conj(sign[c]) - 1 on the diagonal when ``perm``
+        is a permutation, else an off-diagonal entry of modulus 1."""
+        completion = self._completion
+        if isinstance(completion, LinearMap):
+            return is_isometry(completion).max_deviation
+        if completion is not None:
+            perm, sign = completion
+            if not np.array_equal(np.sort(perm), np.arange(len(perm))):
+                return 1.0
+            return float(np.abs(sign * sign.conj() - 1.0).max())
         adj, words = self._domain_adjoint, self.code.words
         anc = np.array(self.ancilla_states)
         grams = (adj @ adj.conj().T,
@@ -534,8 +568,14 @@ class CorrectionMap:
         the partial isometry and annihilates anything outside its domain
         span; downstream residual checks surface such inputs."""
         self._check_input(state.field, state.dim)
-        if self.operator is not None:
-            return state.with_amplitudes(self.operator.matrix @ state.amplitudes)
+        completion = self._completion
+        if isinstance(completion, LinearMap):
+            return state.with_amplitudes(completion.matrix @ state.amplitudes)
+        if completion is not None:
+            perm, sign = completion
+            out = np.empty_like(state.amplitudes)
+            out[perm] = sign * state.amplitudes
+            return state.with_amplitudes(out)
         return state.with_amplitudes(
             self._correct(state.amplitudes[::self.ancilla_dim]))
 
@@ -552,13 +592,20 @@ class CorrectionMap:
         """The image of corrupted x |0_A> from the code-space amplitudes
         alone, unchecked: :meth:`apply` checks each state, :func:`roundtrip`
         each code/map pair, before calling this.  A completed operator
-        contributes only its ancilla-|0> columns.
+        contributes only its ancilla-|0> columns: a dense one as a product,
+        a held ``(perm, sign)`` one as a scatter of those columns' entries.
 
         Without a completion it works in the code x ancilla frame: the domain
         reads only the ancilla-|0> column, and the output fills only the
         ``ancilla_states`` columns, with the codewords weighted per error."""
-        if self.operator is not None:
-            return self.operator.matrix[:, ::self.ancilla_dim] @ corrupted
+        completion = self._completion
+        if isinstance(completion, LinearMap):
+            return completion.matrix[:, ::self.ancilla_dim] @ corrupted
+        if completion is not None:
+            perm, sign = completion
+            out = np.zeros(len(perm), self.code.field.dtype)
+            out[perm[::self.ancilla_dim]] = sign[::self.ancilla_dim] * corrupted
+            return out
         words = self.code.words
         coeffs = self._domain_adjoint @ corrupted
         table = np.zeros((self.code.dim, self.ancilla_dim), self.code.field.dtype)
@@ -621,10 +668,45 @@ def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
     cmap = CorrectionMap(code, errors, n_ancilla, tuple(ancilla_states),
                          adjoint.reshape(-1, code.dim), None)
     if complete:
-        operator = LinearMap(code.field, complete_orthonormal(cmap.image)
-                             @ complete_orthonormal(cmap.domain).conj().T)
-        cmap = dataclasses.replace(cmap, operator=operator)
+        cmap = dataclasses.replace(cmap, _completion=_completed_operator(
+            code.field, complete_orthonormal(cmap.image),
+            complete_orthonormal(cmap.domain)))
     return cmap
+
+
+def _completed_operator(field: ScalarField, image: np.ndarray, domain: np.ndarray
+                        ) -> LinearMap | tuple[np.ndarray, np.ndarray]:
+    """The operator image @ domain^H of two completed bases: as ``(perm,
+    sign)`` when both are signed canonical, else as a dense ``LinearMap``.
+    Column k of each basis then holds one entry, +-1, so the product sends
+    coordinate ``domain`` row k to ``image`` row k, with sign +1 exactly when
+    the two entries agree: the value the dense product computes."""
+    img, dom = _signed_columns(image), _signed_columns(domain)
+    if img is None or dom is None:
+        return LinearMap(field, image @ domain.conj().T)
+    perm = np.empty(len(image), dtype=np.intp)
+    sign = np.empty(len(image), dtype=image.dtype)
+    perm[dom[0]] = img[0]
+    sign[dom[0]] = np.where(img[1] == dom[1], 1.0, -1.0)
+    perm.setflags(write=False)
+    sign.setflags(write=False)
+    return perm, sign
+
+
+def _signed_columns(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The row and the value of each column's one nonzero entry, when every
+    column of the square ``basis`` holds exactly one and it is exactly +-1;
+    None otherwise."""
+    n = len(basis)
+    rows, cols = np.divmod(np.flatnonzero(basis != 0), n)
+    if len(cols) != n:
+        return None
+    order = np.argsort(cols)
+    rows, values = rows[order], basis[rows, cols][order]
+    if not (np.array_equal(cols[order], np.arange(n))
+            and np.all((values == 1) | (values == -1))):
+        return None
+    return rows, values
 
 
 def _column_states(field: ScalarField, n_sites: int,

@@ -276,7 +276,7 @@ def complete_orthonormal(partial: list[StateVector],
         raise RuntimeError("failed to complete the basis")  # unreachable in practice
 
     k = len(partial)
-    outside = np.setdiff1d(np.arange(dim), support)
+    outside = np.flatnonzero(np.bincount(support, minlength=dim) == 0)
     out = np.zeros((dim, dim), dtype=field.dtype)
     out[:, :k] = basis[:, :k]
     out[outside, k + np.arange(len(outside))] = 1.0
@@ -292,10 +292,12 @@ class IsometryResult:
 
 def is_isometry(m: LinearMap | np.ndarray, tol: float = TOL_ISO) -> IsometryResult:
     """Check m^H m = identity (m^T m over the real fields); reports the
-    largest absolute deviation."""
+    largest absolute deviation.  The identity is subtracted and the modulus
+    taken in place, in the Gram matrix itself."""
     mat = m.matrix if isinstance(m, LinearMap) else np.asarray(m)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("isometry check expects a square matrix")
-    gram = mat.conj().T @ mat
-    dev = float(np.abs(gram - np.eye(mat.shape[0])).max())
+    gram = (mat.conj().T @ mat).astype(np.result_type(mat, float), copy=False)
+    gram[np.diag_indices_from(gram)] -= 1.0
+    dev = float(np.abs(gram, out=gram).real.max())
     return IsometryResult(dev <= tol, dev)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hqec
 from hqec import cli
 from hqec.report import (
     MAX_TRIALS,
@@ -219,3 +224,19 @@ def test_verify_all_aggregates(capsys):
     assert any(i.startswith("linalg/") for i in ids)
     assert any(i.startswith("codes/") for i in ids)
     assert any(i.startswith("dirac/") for i in ids)
+
+
+def test_commands_do_not_import_numpy_ma():
+    # numpy.ma is imported lazily by np.unique and its set routines, about
+    # 10 ms in a fresh process
+    script = (
+        "import contextlib, io, sys\n"
+        "from hqec.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['simulate', 'h3', '--trials', '3'])\n"
+        "    main(['verify', 'all', '--trials', '3'])\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(hqec.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

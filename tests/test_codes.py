@@ -750,6 +750,132 @@ def test_shor9_map_holds_only_its_code_space_block():
     assert current <= 2 ** 20
 
 
+# --- the held (perm, sign) completion ------------------------------------------
+
+_COMPLETED_MAPS = ("r3", "h3[i]", "h3[j]")
+
+
+@functools.cache
+def _completed_map(name):
+    return _BUILT_MAPS[name]()
+
+
+@functools.cache
+def _dense_operator(name):
+    return _completed_map(name).operator.matrix
+
+
+@pytest.mark.parametrize("name", _COMPLETED_MAPS)
+def test_signed_canonical_completion_is_held_as_index_arrays(name):
+    cmap = _completed_map(name)
+    perm, sign = cmap._completion
+    dim = cmap.code.dim * cmap.ancilla_dim
+    assert perm.shape == sign.shape == (dim,)
+    assert not perm.flags.writeable and not sign.flags.writeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(_COMPLETED_MAPS), seed=st.integers(0, 2 ** 32 - 1),
+       log_scale=st.floats(-30.0, 30.0))
+def test_held_completion_apply_matches_the_dense_operator(name, seed, log_scale):
+    cmap = _completed_map(name)
+    state = _random_input(cmap, np.random.default_rng(seed), 10.0 ** log_scale)
+    assert np.array_equal(cmap.apply(state).amplitudes,
+                          _dense_operator(name) @ state.amplitudes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(_COMPLETED_MAPS), seed=st.integers(0, 2 ** 32 - 1))
+def test_held_completion_roundtrip_matches_the_dense_operator(name, seed):
+    cmap = _completed_map(name)
+    # the same map holding its operator dense, as a completion that is not
+    # signed canonical does
+    dense = dataclasses.replace(cmap, _completion=cmap.operator)
+    code = cmap.code
+    rng = np.random.default_rng(seed)
+    logical = random_coefficients(code.field, 2, rng)
+    error = _combined(cmap)(rng)
+    got = roundtrip(code, cmap, logical, error, tol=None)
+    expected = roundtrip(code, dense, logical, error, tol=None)
+    assert got.residual == expected.residual
+    assert got.fidelity == expected.fidelity
+    assert np.array_equal(got.ancilla.amplitudes, expected.ancilla.amplitudes)
+
+
+@pytest.mark.parametrize("name", _COMPLETED_MAPS)
+def test_held_isometry_check_agrees_with_the_dense_check(name):
+    cmap = _completed_map(name)
+    assert cmap.isometry_deviation() == is_isometry(cmap.operator).max_deviation == 0.0
+    perm, sign = cmap._completion
+    perm = perm.copy()
+    perm[1] = perm[0]                  # two columns sent to one row
+    broken = dataclasses.replace(cmap, _completion=(perm, sign))
+    assert broken.isometry_deviation() == is_isometry(broken.operator).max_deviation
+    assert broken.isometry_deviation() == 1.0
+
+
+@pytest.mark.parametrize("name", _COMPLETED_MAPS)
+def test_held_completion_maps_each_pair(name):
+    # the h3 images are exact signed canonical vectors; the r3 rotations by
+    # pi/2 leave cos(pi/2) = 6.1e-17 along another domain vector
+    cmap = _completed_map(name)
+    tol = 0.0 if cmap.code.field is ScalarField.QUATERNION_R4 else 1e-16
+    for dom, img in zip(cmap.domain, cmap.image, strict=True):
+        assert np.abs(cmap.apply(dom).amplitudes - img.amplitudes).max() <= tol
+
+
+def test_h3_map_holds_only_its_index_arrays():
+    # the dense 1024 x 1024 operator is 8 MiB; what synthesis adds next to
+    # the code and the image table its error set already holds is the
+    # 20 x 64 domain adjoint and the two 1024-entry index arrays, 26 KiB
+    code = build_h3_code()
+    errors = effective_error_basis(code, ErrorFamily.SU2)
+    kl_check(code, errors)
+    tracemalloc.start()
+    try:
+        cmap = synthesize_correction(code, errors, 2)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    perm, sign = cmap._completion
+    assert cmap._domain_adjoint.nbytes + perm.nbytes + sign.nbytes == 26624
+    assert current < 32 * 1024
+
+
+def test_completed_hot_paths_never_build_the_dense_operator(monkeypatch):
+    from hqec import cli, verify
+    from hqec.report import RunConfig
+
+    def forbidden(self):
+        raise AssertionError("the dense operator must not be built")
+
+    monkeypatch.setattr(codes.CorrectionMap, "operator", property(forbidden))
+    for code_id in ("r3", "h3"):
+        report = cli.cmd_simulate(code_id, RunConfig("simulate", trials=5))
+        assert all(rec.passed for rec in report.records)
+    assert all(rec.passed for rec in verify.codes_suite(0, 5))
+
+
+def test_dense_completion_fallback():
+    # b3 with {I, X@0, X@1, X@2}: its domain vectors (|x> +- |~x>)/sqrt(2)
+    # are not signed canonical, so the completion stays dense
+    code = build_b3_code()
+    errors = ErrorSet((identity_error(code.field),) + tuple(
+        ErrorTerm(f"X@{site}", pauli_error("x", site)) for site in range(3)))
+    cmap = synthesize_correction(code, errors, 2)
+    assert isinstance(cmap._completion, LinearMap)
+    assert cmap.operator is cmap._completion
+    ref_domain, ref_image = _reference_pairs(cmap)
+    expected = (complete_orthonormal(ref_image)
+                @ complete_orthonormal(ref_domain).conj().T)
+    assert cmap.operator.matrix.tobytes() == expected.tobytes()
+    assert cmap.isometry_deviation() <= 1e-10
+    fidelities, residuals = simulate(
+        cmap, combined_draw(errors, code.field), rng_for(3, 5), 50)
+    assert np.abs(fidelities - 1.0).max() <= 1e-10
+    assert residuals.max() <= 1e-10
+
+
 # --- roundtrips ---------------------------------------------------------------
 
 def test_roundtrip_identity_error(r3_correction):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,38 @@ def test_is_isometry():
     assert not bad.passed
     with pytest.raises(ValueError):
         is_isometry(np.ones((2, 3)))
+
+
+def test_is_isometry_works_in_the_gram_matrix():
+    # the 1024 x 1024 Gram matrix is 8 MiB; subtracting the identity and
+    # taking the modulus out of place used two more
+    rng = np.random.default_rng(12)
+    n = 1024
+    mat = np.zeros((n, n))
+    mat[rng.permutation(n), np.arange(n)] = rng.choice([-1.0, 1.0], n)
+    tracemalloc.start()
+    try:
+        result = is_isometry(mat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.max_deviation == 0.0
+    assert peak <= 9 * 2 ** 20
+
+
+@pytest.mark.parametrize("field", [R, C], ids=["real", "complex"])
+def test_is_isometry_deviation_is_that_of_the_gram_matrix(field):
+    rng = np.random.default_rng(13)
+    mat = rng.standard_normal((7, 7))
+    if field is C:
+        mat = mat + 1j * rng.standard_normal((7, 7))
+    expected = float(np.abs(mat.conj().T @ mat - np.eye(7)).max())
+    assert is_isometry(mat).max_deviation == expected
+
+
+def test_is_isometry_promotes_an_integer_matrix():
+    assert is_isometry(np.eye(3, dtype=int)).passed
+    assert is_isometry(np.array([[0, 2], [1, 0]])).max_deviation == 3.0
 
 
 def test_isometries_preserve_inner_products():
