@@ -75,13 +75,16 @@ class Quaternion:
         return math.sqrt(self.norm_sq())
 
     def inverse(self) -> "Quaternion":
-        """conj(q) / |q|^2.  Rejects near-zero input."""
+        """conj(q) / |q|^2.  Rejects near-zero and non-finite input."""
+        _require_finite(self, "invert")
         n2 = self.norm_sq()
         if n2 <= TOL_ZERO * TOL_ZERO:
             raise ValueError("cannot invert a (near-)zero quaternion")
         return self.conj().scaled(1.0 / n2)
 
     def normalized(self) -> "Quaternion":
+        """q / |q|.  Rejects near-zero and non-finite input."""
+        _require_finite(self, "normalize")
         n = self.norm()
         if n <= TOL_ZERO:
             raise ValueError("cannot normalize a (near-)zero quaternion")
@@ -100,6 +103,48 @@ class Quaternion:
     def from_array(cls, arr: np.ndarray) -> "Quaternion":
         w, x, y, z = (float(v) for v in arr)
         return cls(w, x, y, z)
+
+
+def _require_finite(q: Quaternion, action: str) -> None:
+    # A non-finite component would pass the <= TOL guards as NaN.
+    if not all(map(math.isfinite, (q.w, q.x, q.y, q.z))):
+        raise ValueError(f"cannot {action} a non-finite quaternion: {q!r}")
+
+
+# ---------------------------------------------------------------------------
+# Array kernel: rows of (..., 4) float arrays hold (w, x, y, z).  Every term is
+# written in the order of the scalar methods above, so a row of the result
+# equals the scalar result bit for bit.
+
+_CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _hamilton(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise (broadcast) Hamilton product, as :meth:`Quaternion.__mul__`."""
+    aw, ax, ay, az = np.moveaxis(a, -1, 0)
+    bw, bx, by, bz = np.moveaxis(b, -1, 0)
+    return np.stack([
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ], axis=-1)
+
+
+def _conj(a: np.ndarray) -> np.ndarray:
+    """Row-wise :meth:`Quaternion.conj`."""
+    return a * _CONJ_SIGNS
+
+
+def _norm_sq(a: np.ndarray) -> np.ndarray:
+    """Row-wise :meth:`Quaternion.norm_sq`."""
+    w, x, y, z = np.moveaxis(a, -1, 0)
+    return w * w + x * x + y * y + z * z
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    """Row-wise :meth:`Quaternion.norm`."""
+    return np.sqrt(_norm_sq(a))
 
 
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
@@ -173,6 +218,7 @@ def rotate_vector(q: Quaternion, v: ImaginaryVector) -> ImaginaryVector:
 
 def rotation_axis(q: Quaternion) -> ImaginaryVector:
     """Unit imaginary part of q; the axis fixed by rotate_vector(q, .)."""
+    _require_finite(q, "take the axis of")
     length = math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z)
     if length <= TOL_ZERO:
         raise ValueError("quaternion has no imaginary part")
@@ -283,6 +329,7 @@ def hopf_project(q: Quaternion) -> ImaginaryVector:
     phase factors exp(phi*i), and transforms by the rotation attached to u
     when q is replaced by q * conj(u).
     """
+    _require_finite(q, "project")
     n2 = q.norm_sq()
     if n2 <= TOL_ZERO * TOL_ZERO:
         raise ValueError("cannot project the zero quaternion")
@@ -302,26 +349,32 @@ def right_mult_matrix(q: Quaternion) -> np.ndarray:
     return np.column_stack(cols)
 
 
+# The 8x8 real matrix taking (u, w) to the embedded images of 1 and j under
+# q -> q*u + i*q*w, that is q*u + (i*q)*w: the system decompose_matrix solves.
+_DECOMPOSITION_SYSTEM = np.block([
+    [left_mult_matrix(ONE), left_mult_matrix(I)],
+    [left_mult_matrix(J), left_mult_matrix(K)]])
+_DECOMPOSITION_SYSTEM.setflags(write=False)
+
+
 def decompose_matrix(m: np.ndarray) -> tuple[Quaternion, Quaternion]:
     """Write a 2x2 complex matrix M as the pair (u, w) with
     M(q) = q*u + i*q*w under the qubit embedding.
 
     Both sides are 8-real-dimensional and the correspondence is a linear
-    bijection, so the system below is square and always solvable; a large
-    residual would mean the solver itself is broken, not the input.
+    bijection, so the 8x8 system it solves is square and always solvable; a
+    large residual would mean the solver itself is broken, not the input.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    li = left_mult_matrix(I)
-    rows = []
+    if not np.isfinite(m).all():
+        raise ValueError("cannot decompose a matrix with non-finite entries")
     rhs = []
-    for q, pair in ((ONE, ComplexPair(1, 0)), (J, ComplexPair(0, 1))):
-        lq = left_mult_matrix(q)
-        rows.append(np.hstack([lq, li @ lq]))
+    for pair in (ComplexPair(1, 0), ComplexPair(0, 1)):
         image = m @ np.array([pair.a, pair.b])
         rhs.append(embed_qubit(ComplexPair(image[0], image[1])).as_array())
-    solution = np.linalg.solve(np.vstack(rows), np.concatenate(rhs))
+    solution = np.linalg.solve(_DECOMPOSITION_SYSTEM, np.concatenate(rhs))
     return Quaternion.from_array(solution[:4]), Quaternion.from_array(solution[4:])
 
 

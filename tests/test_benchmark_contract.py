@@ -7,6 +7,11 @@ benchmark's set-up gate.  ``perfbench`` also pins the number of
 ``codes.roundtrip`` calls at one per trial and takes a median over them, so a
 simulation loop that batches its trials fails here first.  The benchmark
 modules are loaded by file path and never edited.
+
+``perfbench`` also spans every ``Quaternion.__mul__`` call.  The quaternion
+suite runs its randomized checks through the array kernel, so it makes few
+scalar products; the mutation tests below show that the kernel is still what
+the suite checks, term by term and against the scalar product.
 """
 
 import importlib.util
@@ -15,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hqec import codes
+from hqec import cli, codes, verify
+from hqec import quaternion as quat
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -70,3 +76,62 @@ def test_simulate_makes_one_roundtrip_call_per_trial(trials, r3_correction,
     fidelities, _ = codes.simulate(r3_correction, draw,
                                    np.random.default_rng(0), trials)
     assert len(calls) == trials == len(fidelities)
+
+
+def test_verify_quaternion_makes_few_scalar_products(monkeypatch, capsys):
+    calls = 0
+    original = quat.Quaternion.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return original(self, other)
+
+    monkeypatch.setattr(quat.Quaternion, "__mul__", counting)
+    assert cli.main(["verify", "quaternion", "--trials", "1000"]) == 0
+    capsys.readouterr()
+    # 55,756 when every trial made its products one Quaternion at a time
+    assert calls <= 1000
+
+
+def _verdicts(seed: int = 0, trials: int = 100) -> dict:
+    return {r.check_id: r for r in verify.quaternion_suite(seed, trials)}
+
+
+def test_a_broken_kernel_term_fails_associativity(monkeypatch):
+    def broken(a, b):
+        aw, ax, ay, az = np.moveaxis(a, -1, 0)
+        bw, bx, by, bz = np.moveaxis(b, -1, 0)
+        return np.stack([
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz + az * by,    # sign of az*by flipped
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ], axis=-1)
+
+    monkeypatch.setattr(quat, "_hamilton", broken)
+    assert not _verdicts()["mul_associative"].passed
+
+
+PRODUCT_CHECKS = ("norm_multiplicative", "mul_associative", "rotation_geometry",
+                  "su2_right_action_matrix", "hopf_phase_invariance",
+                  "hopf_equivariance")
+
+
+def test_kernel_drift_in_the_spot_rows_fails_the_checks(monkeypatch):
+    original = quat._hamilton
+
+    def drifting(a, b):
+        # one ulp off the scalar product, in the spot-checked rows only
+        out = original(a, b)
+        if out.ndim == 2:
+            out[:16] = np.nextafter(out[:16], np.inf)
+        return out
+
+    monkeypatch.setattr(quat, "_hamilton", drifting)
+    monkeypatch.setattr(verify, "_BLOCK", 10_000)    # one block per check
+    records = _verdicts()
+    for check_id in PRODUCT_CHECKS:
+        assert not records[check_id].passed, check_id
+    # far inside the tolerance: only the bit-for-bit spot check catches it
+    assert records["norm_multiplicative"].max_deviation < 1e-14

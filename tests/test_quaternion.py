@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqec import quaternion as quat
+from hqec import verify
 from hqec.quaternion import (
     I,
     J,
@@ -15,6 +17,8 @@ from hqec.quaternion import (
     ImaginaryVector,
     Quaternion,
 )
+from hqec.report import CheckRecord
+from hqec.sampling import random_quaternion, random_unit_quaternion, rng_for
 
 finite = st.floats(min_value=-10, max_value=10,
                    allow_nan=False, allow_infinity=False)
@@ -280,3 +284,201 @@ def test_decompose_compose_identity(entries):
     m = np.array(entries[:4]).reshape(2, 2) + 1j * np.array(entries[4:]).reshape(2, 2)
     u, w = quat.decompose_matrix(m)
     assert np.abs(quat.compose_matrix(u, w) - m).max() <= 1e-10
+
+
+# --- non-finite input -----------------------------------------------------
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("slot", range(4))
+@pytest.mark.parametrize("call", [
+    Quaternion.normalized, Quaternion.inverse, quat.hopf_project, quat.rotation_axis,
+], ids=["normalized", "inverse", "hopf_project", "rotation_axis"])
+def test_non_finite_quaternion_is_rejected(call, slot, bad):
+    parts = [0.5, -1.0, 2.0, 0.25]
+    parts[slot] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            call(Quaternion(*parts))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan),
+                                 complex(-math.inf, 1.0)])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0), (0, 1), (1, 1)])
+def test_decompose_rejects_non_finite_entries(entry, bad):
+    m = np.array([[1.0, 2.0j], [-0.5, 1.0 + 1.0j]])
+    m[entry] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            quat.decompose_matrix(m)
+
+
+# --- the row-wise array kernel --------------------------------------------
+
+# Components scaled by 10**e, |e| <= 100: no product or norm overflows.
+scaled_rows = st.builds(
+    lambda parts, e: [p * 10.0 ** e for p in parts],
+    st.tuples(finite, finite, finite, finite), st.integers(-100, 100))
+
+
+@given(st.lists(st.tuples(scaled_rows, scaled_rows), min_size=1, max_size=8))
+def test_array_kernel_matches_the_scalar_methods(pairs):
+    a = np.array([p for p, _ in pairs])
+    b = np.array([q for _, q in pairs])
+    product, norm, conj = quat._hamilton(a, b), quat._norm(a), quat._conj(a)
+    first = quat._hamilton(a[0], b)      # a single row broadcast over b
+    for k in range(len(pairs)):
+        qa, qb = Quaternion.from_array(a[k]), Quaternion.from_array(b[k])
+        assert np.array_equal(product[k], (qa * qb).as_array())
+        assert np.array_equal(first[k], (Quaternion.from_array(a[0]) * qb).as_array())
+        assert norm[k] == qa.norm()
+        assert np.array_equal(conj[k], qa.conj().as_array())
+
+
+# --- the verify suite against its loop reference ---------------------------
+
+
+def _reference_quaternion_suite(seed: int, trials: int) -> list[CheckRecord]:
+    """The scalar loop form of verify.quaternion_suite: one Quaternion
+    product at a time, draws in the same order."""
+    records = []
+
+    rng = rng_for(seed, 101)
+    dev = 0.0
+    for _ in range(10_000):
+        q, h = random_quaternion(rng), random_quaternion(rng)
+        d = abs(q.norm() * h.norm() - (q * h).norm()) / (1.0 + q.norm() * h.norm())
+        dev = max(dev, d)
+    records.append(CheckRecord("norm_multiplicative", "multiplicative norm",
+                               dev <= 1e-12, dev))
+
+    rng = rng_for(seed, 102)
+    dev = 0.0
+    for _ in range(trials):
+        q, u, v = (random_quaternion(rng) for _ in range(3))
+        diff = (q * u) * v - q * (u * v)
+        dev = max(dev, float(np.abs(diff.as_array()).max()))
+    records.append(CheckRecord("mul_associative", "associativity of the product",
+                               dev <= 1e-12, dev))
+
+    rng = rng_for(seed, 103)
+    dev = 0.0
+    for _ in range(trials):
+        q = random_unit_quaternion(rng)
+        while q.as_array()[1:] @ q.as_array()[1:] < 1e-4:
+            q = random_unit_quaternion(rng)
+        v = ImaginaryVector(*rng.standard_normal(3))
+        rotated = quat.rotate_vector(q, v)
+        dev = max(dev, abs(rotated.length() - v.length()) / (1.0 + v.length()))
+        axis = quat.rotation_axis(q)
+        fixed = quat.rotate_vector(q, axis)
+        dev = max(dev, float(np.abs(np.array([fixed.x - axis.x, fixed.y - axis.y,
+                                              fixed.z - axis.z])).max()))
+        q2 = random_unit_quaternion(rng)
+        twice = quat.rotate_vector(q2, rotated)
+        once = quat.rotate_vector((q2 * q).normalized(), v)
+        dev = max(dev, float(np.abs(np.array([twice.x - once.x, twice.y - once.y,
+                                              twice.z - once.z])).max()))
+    records.append(CheckRecord(
+        "rotation_geometry", "conjugation rotates the imaginary 3-space",
+        dev <= 1e-12, dev))
+
+    rng = rng_for(seed, 104)
+    dev = 0.0
+    basis = (quat.ONE, quat.I, quat.J, quat.K)
+    for trial in range(trials):
+        u = random_unit_quaternion(rng)
+        qs = basis if trial < 4 else (random_quaternion(rng),)
+        m = quat.su2_matrix(u)
+        for q in qs:
+            lhs = quat.su2_right_action(q, u)
+            pair = quat.extract_qubit(q)
+            vec = m @ np.array([pair.a, pair.b])
+            rhs = quat.embed_qubit(ComplexPair(vec[0], vec[1]))
+            dev = max(dev, float(np.abs((lhs - rhs).as_array()).max()))
+    records.append(CheckRecord(
+        "su2_right_action_matrix",
+        "right multiplication equals the 2x2 unitary on the amplitude pair",
+        dev <= 1e-12, dev))
+
+    rng = rng_for(seed, 105)
+    dev_phase = dev_equi = dev_shape = 0.0
+    for _ in range(trials):
+        q = random_quaternion(rng)
+        if q.norm() < 1e-3:
+            continue
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        u = random_unit_quaternion(rng)
+        v = quat.hopf_project(q)
+        dev_shape = max(dev_shape, abs(v.length() - 1.0))
+        v_phase = quat.hopf_project(quat.exp_phase(phi) * q)
+        dev_phase = max(dev_phase, float(np.abs(np.array(
+            [v_phase.x - v.x, v_phase.y - v.y, v_phase.z - v.z])).max()))
+        v_act = quat.hopf_project(q * u.conj())
+        rot = u * v.to_quaternion() * u.conj()
+        dev_equi = max(dev_equi, float(np.abs(
+            v_act.to_quaternion().as_array() - rot.as_array()).max()))
+    records.append(CheckRecord(
+        "hopf_phase_invariance", "projection is blind to the left phase",
+        max(dev_phase, dev_shape) <= 1e-12, max(dev_phase, dev_shape)))
+    records.append(CheckRecord(
+        "hopf_equivariance", "right action projects to a sphere rotation",
+        dev_equi <= 1e-12, dev_equi))
+
+    rng = rng_for(seed, 106)
+    dev = 0.0
+    canonical = []
+    for r in range(2):
+        for c in range(2):
+            e = np.zeros((2, 2), dtype=complex)
+            e[r, c] = 1.0
+            canonical.extend([e, 1j * e, -e, -1j * e])
+    mats = canonical + [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                        for _ in range(trials)]
+    for m in mats:
+        u, w = quat.decompose_matrix(m)
+        dev = max(dev, float(np.abs(quat.compose_matrix(u, w) - m).max()))
+        q = random_quaternion(rng)
+        pair = quat.extract_qubit(q)
+        vec = m @ np.array([pair.a, pair.b])
+        lhs = quat.embed_qubit(ComplexPair(vec[0], vec[1]))
+        rhs = q * u + quat.I * (q * w)
+        dev = max(dev, float(np.abs((lhs - rhs).as_array()).max()))
+    records.append(CheckRecord(
+        "matrix_decompose_roundtrip",
+        "2x2 complex matrices act as q -> q*u + i*q*w",
+        dev <= 1e-10, dev))
+
+    classes = [quat.classify_pauli_action(axis, seed=seed) for axis in ("x", "y", "z")]
+    repeat = [quat.classify_pauli_action(axis, seed=seed) for axis in ("x", "y", "z")]
+    stable = classes == repeat
+    dev = max(c.max_deviation for c in classes)
+    witness = "; ".join(c.describe() for c in classes)
+    records.append(CheckRecord(
+        "pauli_sandwich_classification",
+        "each sandwich action is one Pauli matrix up to a global left phase",
+        stable and dev <= 1e-12, dev, witness))
+    return records
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("trials", [0, 1, 4, 5, 1000])
+def test_quaternion_suite_matches_the_loop_reference(seed, trials):
+    # trials below 5 end inside the su2 check's basis-quaternion branch;
+    # every verdict, witness and deviation is exactly that of the loop
+    assert verify.quaternion_suite(seed, trials) \
+        == _reference_quaternion_suite(seed, trials)
+
+
+@pytest.mark.parametrize(("block", "trials"), [(3, 10), (64, 200)])
+def test_blocked_quaternion_suite_matches_the_loop_reference(block, trials,
+                                                              monkeypatch):
+    # many blocks: each draws its trials in order, the su2 basis branch and
+    # the spot rows follow the trial index across block boundaries
+    monkeypatch.setattr(verify, "_BLOCK", block)
+    assert verify.quaternion_suite(7, trials) \
+        == _reference_quaternion_suite(7, trials)
