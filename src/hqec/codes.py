@@ -59,6 +59,8 @@ from .sampling import random_coefficients
 
 KL_TOL = 1e-12
 SYNTH_TOL = 1e-10
+# two error actions on the code space agree within this, componentwise
+ACTION_TOL = 1e-12
 
 
 class SynthesisError(ValueError):
@@ -400,7 +402,7 @@ def _images(code: Code, errors: ErrorSet) -> np.ndarray:
     return images
 
 
-def kl_check(code: Code, errors: ErrorSet, tol: float = KL_TOL) -> KLReport:
+def kl_check(code: Code, errors: ErrorSet) -> KLReport:
     """Evaluate both correctability condition families for an error set.
 
     Cross condition: <w_l1| E_p1^ E_p2 |w_l2> = 0 for l1 != l2.
@@ -427,7 +429,7 @@ def kl_check(code: Code, errors: ErrorSet, tol: float = KL_TOL) -> KLReport:
     by_pair = table.transpose(0, 2, 1, 3)                 # [p1, p2, l1, l2]
     violations = []
     for p1, p2, l1, l2 in np.argwhere(
-            (_modulus(by_pair) > tol) & ~np.eye(n_words, dtype=bool)).tolist():
+            (_modulus(by_pair) > KL_TOL) & ~np.eye(n_words, dtype=bool)).tolist():
         value = by_pair[p1, p2, l1, l2]
         violations.append(KLViolation(
             "cross", p1, p2, l1, l2, (value,), abs(value)))
@@ -442,7 +444,7 @@ def kl_check(code: Code, errors: ErrorSet, tol: float = KL_TOL) -> KLReport:
     first = np.take_along_axis(diag, m[None], axis=0)[0]
     second = np.take_along_axis(diag, n[None], axis=0)[0]
     dev = _modulus(first - second)
-    for p1, p2 in np.argwhere(dev > tol).tolist():
+    for p1, p2 in np.argwhere(dev > KL_TOL).tolist():
         violations.append(KLViolation(
             "diagonal", p1, p2, int(m[p1, p2]), int(n[p1, p2]),
             (first[p1, p2], second[p1, p2]), dev[p1, p2]))
@@ -616,9 +618,7 @@ class CorrectionMap:
 
 def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
                           ancilla_states: tuple[int, ...] | None = None,
-                          complete: bool = True,
-                          tol: float = SYNTH_TOL,
-                          kl_tol: float = KL_TOL) -> CorrectionMap:
+                          complete: bool = True) -> CorrectionMap:
     """Build the unitary correction operator for an effective error set.
 
     Requires the correctability check to pass with a *diagonal* ancilla Gram
@@ -630,21 +630,21 @@ def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
     """
     if len(errors) == 0:
         raise SynthesisError("the error set is empty; entry 0 must be the identity")
-    report = kl_check(code, errors, kl_tol)
+    report = kl_check(code, errors)
     if not report.passed:
         worst = report.violations[0].describe(report.labels)
         raise SynthesisError(f"error set is not correctable: {worst}")
     gram = report.gram
     off = gram - np.diag(np.diag(gram))
-    if np.abs(off).max(initial=0.0) > tol:
+    if np.abs(off).max(initial=0.0) > SYNTH_TOL:
         raise SynthesisError("error images are not orthogonal "
                              "(ancilla Gram matrix has off-diagonal entries)")
     diag = np.real(np.diag(gram))
-    if np.any(diag <= tol):
+    if np.any(diag <= SYNTH_TOL):
         raise SynthesisError("an error operator annihilates the code space")
 
     images = _images(code, errors)                 # held by kl_check
-    if not np.allclose(images[0], code.words, atol=kl_tol, rtol=0.0):
+    if not np.allclose(images[0], code.words, atol=KL_TOL, rtol=0.0):
         raise SynthesisError("entry 0 of the error set must act as the "
                              "identity on the code space")
 
@@ -896,20 +896,19 @@ def phase_failure_demo(a: complex = 1 / math.sqrt(2.0),
 # Effective error counting
 
 
-def effective_error_classes(code: Code, errors: ErrorSet,
-                            atol: float = 1e-12) -> list[list[int]]:
+def effective_error_classes(code: Code, errors: ErrorSet) -> list[list[int]]:
     """Group error operators by their action on the code space.
 
     Two operators are identified exactly when their restrictions to the
-    codewords agree componentwise (within ``atol``, which stands in for exact
-    equality over floats): each error joins the first class whose first
-    member's action matches its own.
+    codewords agree componentwise (within ``ACTION_TOL``, which stands in
+    for exact equality over floats): each error joins the first class whose
+    first member's action matches its own.
     """
     images = _images(code, errors)
     classes: list[list[int]] = []
     for idx, action in enumerate(images):
         for cls in classes:
-            if np.allclose(action, images[cls[0]], atol=atol, rtol=0.0):
+            if np.allclose(action, images[cls[0]], atol=ACTION_TOL, rtol=0.0):
                 cls.append(idx)
                 break
         else:
@@ -917,20 +916,19 @@ def effective_error_classes(code: Code, errors: ErrorSet,
     return classes
 
 
-def count_effective_errors(code: Code, errors: ErrorSet,
-                           atol: float = 1e-12) -> int:
+def count_effective_errors(code: Code, errors: ErrorSet) -> int:
     """Number of distinct nontrivial code-space actions in the set."""
     images = _images(code, errors)
-    return sum(not np.allclose(images[cls[0]], code.words, atol=atol, rtol=0.0)
-               for cls in effective_error_classes(code, errors, atol))
+    return sum(not np.allclose(images[cls[0]], code.words, atol=ACTION_TOL, rtol=0.0)
+               for cls in effective_error_classes(code, errors))
 
 
-def effective_representatives(code: Code, errors: ErrorSet,
-                              atol: float = 1e-12) -> tuple[ErrorSet, list[int]]:
+def effective_representatives(code: Code,
+                              errors: ErrorSet) -> tuple[ErrorSet, list[int]]:
     """One representative per distinct code-space action, plus the class
     index of every original operator.  Preserves set order, so an identity
     at entry 0 stays first."""
-    classes = effective_error_classes(code, errors, atol)
+    classes = effective_error_classes(code, errors)
     reps = ErrorSet(tuple(errors[cls[0]] for cls in classes))
     mapping = [0] * len(errors)
     for c_idx, cls in enumerate(classes):

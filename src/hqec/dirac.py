@@ -30,6 +30,10 @@ _SZ = quat.PAULI_MATRICES["z"]
 _I2 = np.eye(2, dtype=complex)
 _Z2 = np.zeros((2, 2), dtype=complex)
 
+# Tolerances: the algebra is exact, these bound float64 round-off.
+TOL_IDENTITY = 1e-12   # the algebraic identities checked below
+TOL_REAL = 1e-10       # imaginary part a real generator triple may carry
+
 
 @dataclass(frozen=True)
 class GammaSet:
@@ -40,7 +44,6 @@ class GammaSet:
     g2: np.ndarray
     g3: np.ndarray
     g5: np.ndarray
-    basis: str = "standard"
 
     def all(self) -> tuple[np.ndarray, ...]:
         return self.g0, self.g1, self.g2, self.g3, self.g5
@@ -58,7 +61,7 @@ def build_gammas_standard() -> GammaSet:
     g2 = _block(_Z2, -_SY, _SY, _Z2)
     g3 = _block(_Z2, -_SZ, _SZ, _Z2)
     g5 = -1j * g0 @ g1 @ g2 @ g3
-    gs = GammaSet(g0, g1, g2, g3, g5, basis="standard")
+    gs = GammaSet(g0, g1, g2, g3, g5)
     report = clifford_check(gs)
     if not report.passed:  # construction is exact; failure means a code bug
         raise AssertionError(f"standard gamma set violates its algebra: {report}")
@@ -72,7 +75,7 @@ class CliffordReport:
     failures: tuple[str, ...]
 
 
-def clifford_check(g: GammaSet, tol: float = 1e-12) -> CliffordReport:
+def clifford_check(g: GammaSet) -> CliffordReport:
     """Verify pairwise anticommutation, the five squares, and the product
     formula for gamma5.  Basis changes leave all of these invariant."""
     mats = {"g0": g.g0, "g1": g.g1, "g2": g.g2, "g3": g.g3, "g5": g.g5}
@@ -86,29 +89,28 @@ def clifford_check(g: GammaSet, tol: float = 1e-12) -> CliffordReport:
         for nb in names[a_idx + 1:]:
             d = float(np.abs(mats[na] @ mats[nb] + mats[nb] @ mats[na]).max())
             dev = max(dev, d)
-            if d > tol:
+            if d > TOL_IDENTITY:
                 failures.append(f"{na},{nb} do not anticommute (dev {d:.3e})")
     for name, sign in squares.items():
         d = float(np.abs(mats[name] @ mats[name] - sign * eye).max())
         dev = max(dev, d)
-        if d > tol:
+        if d > TOL_IDENTITY:
             failures.append(f"{name}^2 != {sign:+.0f} (dev {d:.3e})")
     d = float(np.abs(g.g5 - (-1j) * g.g0 @ g.g1 @ g.g2 @ g.g3).max())
     dev = max(dev, d)
-    if d > tol:
+    if d > TOL_IDENTITY:
         failures.append(f"g5 != -i g0 g1 g2 g3 (dev {d:.3e})")
     return CliffordReport(not failures, dev, tuple(failures))
 
 
-def transform_basis(g: GammaSet, u: np.ndarray, basis: str = "transformed",
-                    tol: float = 1e-10) -> GammaSet:
+def transform_basis(g: GammaSet, u: np.ndarray) -> GammaSet:
     """Conjugate every matrix by a unitary: gamma' = U gamma U^H."""
     u = np.asarray(u, dtype=complex)
-    check = is_isometry(u, tol)
+    check = is_isometry(u)
     if not check.passed:
         raise ValueError(f"basis change must be unitary (deviation {check.max_deviation:.3e})")
     uh = u.conj().T
-    return GammaSet(*(u @ m @ uh for m in g.all()), basis=basis)
+    return GammaSet(*(u @ m @ uh for m in g.all()))
 
 
 def build_majorana_transform(g: GammaSet | None = None) -> np.ndarray:
@@ -156,7 +158,7 @@ class SignedMatch:
 
 
 def match_up_to_sign(computed: np.ndarray, reference: np.ndarray,
-                     name: str, tol: float = 1e-12) -> SignedMatch:
+                     name: str, tol: float = TOL_IDENTITY) -> SignedMatch:
     plus = float(np.abs(computed - reference).max())
     minus = float(np.abs(computed + reference).max())
     if plus <= tol:
@@ -172,7 +174,7 @@ def check_basis_images(g: GammaSet | None = None,
     """Compare U gamma U^H against the reference images, sign-classified."""
     g = g or build_gammas_standard()
     u = build_majorana_transform(g) if u is None else u
-    transformed = transform_basis(g, u, basis="majorana")
+    transformed = transform_basis(g, u)
     sources = {"g0": g.g0, "g1": g.g1, "g2": g.g2, "g3": g.g3, "g5": g.g5}
     images = {"g0": transformed.g0, "g1": transformed.g1, "g2": transformed.g2,
               "g3": transformed.g3, "g5": transformed.g5}
@@ -184,7 +186,7 @@ def check_basis_images(g: GammaSet | None = None,
 
 def majorana_set(g: GammaSet | None = None) -> GammaSet:
     g = g or build_gammas_standard()
-    return transform_basis(g, build_majorana_transform(g), basis="majorana")
+    return transform_basis(g, build_majorana_transform(g))
 
 
 def error_generators(g: GammaSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,14 +211,13 @@ MAJORANA_BILINEAR_REFERENCE = {
 }
 
 
-def check_majorana_bilinears(g_majorana: GammaSet | None = None,
-                             tol: float = 1e-12) -> dict[str, SignedMatch]:
+def check_majorana_bilinears(
+        g_majorana: GammaSet | None = None) -> dict[str, SignedMatch]:
     """Sign-classify the transformed bilinears against their reference forms."""
     gm = g_majorana or majorana_set()
     bilinears = {"g2g3": gm.g2 @ gm.g3, "g3g1": gm.g3 @ gm.g1, "g1g2": gm.g1 @ gm.g2}
     return {name: match_up_to_sign(bilinears[name], MAJORANA_BILINEAR_REFERENCE[name],
-                                   name, tol)
-            for name in bilinears}
+                                   name) for name in bilinears}
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +310,7 @@ class ChiReport:
 
 
 def chi_preservation(rotor: ErrorRotor, s: DiracSpinor,
-                     g: GammaSet | None = None, tol: float = 1e-12) -> ChiReport:
+                     g: GammaSet | None = None) -> ChiReport:
     """Apply e0 + e1 g2 g3 + e2 g3 g1 + e3 g1 g2 in the standard basis and
     check that chi = (xi - eta)/sqrt(2) stays zero when it started zero.
 
@@ -320,11 +321,11 @@ def chi_preservation(rotor: ErrorRotor, s: DiracSpinor,
     g = g or build_gammas_standard()
     bilinears = (g.g2 @ g.g3, g.g3 @ g.g1, g.g1 @ g.g2)
     chi_in = float(np.linalg.norm(s.chi))
-    met = chi_in <= tol
+    met = chi_in <= TOL_IDENTITY
     out = DiracSpinor(rotor.matrix(bilinears) @ s.psi)
     chi_out = float(np.linalg.norm(out.chi))
     scale = max(1.0, float(np.linalg.norm(s.psi)))
-    passed = (not met) or chi_out <= tol * scale * 10
+    passed = (not met) or chi_out <= TOL_IDENTITY * scale * 10
     return ChiReport(met, chi_in, chi_out, passed)
 
 
@@ -333,54 +334,46 @@ class CorrespondenceReport:
     """Rotor action on a real spinor versus right quaternion multiplication.
 
     ``max_deviation`` measures the reference identity
-    rotor(e) Psi_q = Psi_{q * conj(e)}; ``unit_signs`` records, for each
-    quaternion unit, the sign s with R_unit = s * generator actually realized
-    by the generator triple in use (the documented discrepancy when it is not
-    the reference value -1).
+    rotor(e) Psi_q = Psi_{q * conj(e)}.  The signs the generator triple
+    realizes instead depend on the gamma set alone; see
+    :func:`classify_unit_correspondences`.
     """
 
     lhs: np.ndarray
     rhs: np.ndarray
     max_deviation: float
     passed: bool
-    unit_signs: dict[str, int | None]
 
 
 def classify_unit_correspondences(
-        generators: tuple[np.ndarray, np.ndarray, np.ndarray],
-        tol: float = 1e-12) -> dict[str, int | None]:
+        generators: tuple[np.ndarray, np.ndarray, np.ndarray]) -> dict[str, int | None]:
     """For each quaternion unit, the sign s such that the matrix of
-    p -> p * unit equals s times the matching generator."""
+    p -> p * unit equals s times the matching generator (the documented
+    discrepancy when it is not the reference value -1)."""
     out: dict[str, int | None] = {}
     for name, gen in zip(("i", "j", "k"), generators):
         r = quat.right_mult_matrix(quat.UNITS[name])
-        match = match_up_to_sign(gen.real, r, name, tol)
+        match = match_up_to_sign(gen.real, r, name)
         imag = float(np.abs(np.asarray(gen).imag).max()) if np.iscomplexobj(gen) else 0.0
-        out[name] = match.sign if imag <= tol else None
+        out[name] = match.sign if imag <= TOL_IDENTITY else None
     return out
 
 
 def quaternion_correspondence(rotor: ErrorRotor, q: Quaternion,
-                              g_majorana: GammaSet | None = None,
-                              tol: float = 1e-12) -> CorrespondenceReport:
+                              g_majorana: GammaSet) -> CorrespondenceReport:
     """Check rotor(e) applied to Psi_q against q * conj(e).
 
     The right side is computed with the quaternion product as the oracle;
-    the left side uses the generator triple of the transformed basis.  The
-    per-unit sign classification is included so a global sign difference is
-    documented rather than absorbed.
+    the left side uses the generator triple of the given (real) basis.
     """
-    gm = g_majorana or majorana_set()
-    gens = error_generators(gm)
     psi = MajoranaSpinor.from_quaternion(q)
-    lhs_c = rotor.matrix(gens) @ psi.components
-    if np.abs(lhs_c.imag).max(initial=0.0) > 1e-10:
+    lhs_c = rotor.matrix(error_generators(g_majorana)) @ psi.components
+    if np.abs(lhs_c.imag).max(initial=0.0) > TOL_REAL:
         raise ValueError("generator triple is not real; use a real basis")
     lhs = lhs_c.real
     rhs = (q * rotor.as_quaternion().conj()).as_array()
     dev = float(np.abs(lhs - rhs).max())
-    return CorrespondenceReport(lhs, rhs, dev, dev <= tol,
-                                classify_unit_correspondences(gens))
+    return CorrespondenceReport(lhs, rhs, dev, dev <= TOL_IDENTITY)
 
 
 @dataclass(frozen=True)
@@ -391,14 +384,13 @@ class RealInvarianceReport:
 
 
 def real_invariance(rotor: ErrorRotor, s: np.ndarray,
-                    g_majorana: GammaSet | None = None,
-                    tol: float = 1e-12) -> RealInvarianceReport:
+                    g_majorana: GammaSet | None = None) -> RealInvarianceReport:
     """Real and imaginary parts of a complex spinor transform independently
     under the (real) rotor, and a real input stays real."""
     gm = g_majorana or majorana_set()
     gens = error_generators(gm)
     mat = rotor.matrix(gens)
-    if np.abs(np.asarray(mat).imag).max(initial=0.0) > 1e-10:
+    if np.abs(np.asarray(mat).imag).max(initial=0.0) > TOL_REAL:
         raise ValueError("generator triple is not real; use a real basis")
     mat = np.asarray(mat).real
     s = np.asarray(s, dtype=complex)
@@ -409,4 +401,5 @@ def real_invariance(rotor: ErrorRotor, s: np.ndarray,
     real_dev = float(np.abs(np.asarray(real_out, dtype=complex).imag).max())
     scale = max(1.0, float(np.linalg.norm(s)))
     return RealInvarianceReport(split_dev, real_dev,
-                                split_dev <= tol * scale and real_dev <= tol * scale)
+                                split_dev <= TOL_IDENTITY * scale
+                                and real_dev <= TOL_IDENTITY * scale)

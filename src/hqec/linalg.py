@@ -211,8 +211,7 @@ def _project_coeffs(basis: np.ndarray, v: np.ndarray, hermitian: bool) -> np.nda
     return basis.conj().T @ v if hermitian else basis.T @ v
 
 
-def complete_orthonormal(partial: list[StateVector],
-                         tol_rank: float = TOL_RANK) -> np.ndarray:
+def complete_orthonormal(partial: list[StateVector]) -> np.ndarray:
     """Extend a linearly independent list to an orthonormal basis, returned
     as the columns of one dim x dim matrix.
 
@@ -256,12 +255,12 @@ def complete_orthonormal(partial: list[StateVector],
         scale = max(1.0, v.norm())
         u = orthogonalized(v.amplitudes.copy())
         n = np.linalg.norm(u)
-        if n <= tol_rank * scale:
+        if n <= TOL_RANK * scale:
             raise RankDeficiencyError(idx)
         basis[:, count] = u / n
         count += 1
 
-    for threshold in (0.5, 10 * tol_rank):
+    for threshold in (0.5, 10 * TOL_RANK):
         for i in support:
             if count == len(support):
                 break

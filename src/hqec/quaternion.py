@@ -20,6 +20,8 @@ import numpy as np
 TOL_UNIT = 1e-9
 TOL_ZERO = 1e-12
 TOL_COMPARE = 1e-12
+TOL_PURE = 1e-9        # relative scalar part an ImaginaryVector drops
+PAULI_SAMPLES = 32     # random quaternions that confirm a Pauli classification
 
 PAULI_MATRICES = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -75,23 +77,21 @@ class Quaternion:
         return math.sqrt(self.norm_sq())
 
     def inverse(self) -> "Quaternion":
-        """conj(q) / |q|^2.  Rejects near-zero and non-finite input."""
-        _require_finite(self, "invert")
-        n2 = self.norm_sq()
+        """conj(q) / |q|^2.  Rejects near-zero, non-finite and overflowing input."""
+        n2 = _checked_norm(self, self.norm_sq(), "invert")
         if n2 <= TOL_ZERO * TOL_ZERO:
             raise ValueError("cannot invert a (near-)zero quaternion")
         return self.conj().scaled(1.0 / n2)
 
     def normalized(self) -> "Quaternion":
-        """q / |q|.  Rejects near-zero and non-finite input."""
-        _require_finite(self, "normalize")
-        n = self.norm()
+        """q / |q|.  Rejects near-zero, non-finite and overflowing input."""
+        n = _checked_norm(self, self.norm(), "normalize")
         if n <= TOL_ZERO:
             raise ValueError("cannot normalize a (near-)zero quaternion")
         return self.scaled(1.0 / n)
 
-    def is_unit(self, tol: float = TOL_UNIT) -> bool:
-        return abs(self.norm() - 1.0) <= tol
+    def is_unit(self) -> bool:
+        return abs(self.norm() - 1.0) <= TOL_UNIT
 
     def isclose(self, other: "Quaternion", tol: float = TOL_COMPARE) -> bool:
         return (self - other).norm() <= tol * (1.0 + self.norm() + other.norm())
@@ -105,10 +105,15 @@ class Quaternion:
         return cls(w, x, y, z)
 
 
-def _require_finite(q: Quaternion, action: str) -> None:
-    # A non-finite component would pass the <= TOL guards as NaN.
+def _checked_norm(q: Quaternion, norm: float, action: str) -> float:
+    """``norm``, a (squared) length computed from q, once q is finite and the
+    length has not overflowed: a non-finite component would pass the <= TOL
+    guards as NaN, and an overflowed length would scale by 0.0."""
     if not all(map(math.isfinite, (q.w, q.x, q.y, q.z))):
         raise ValueError(f"cannot {action} a non-finite quaternion: {q!r}")
+    if norm == math.inf:
+        raise ValueError(f"cannot {action} {q!r}: its norm overflows")
+    return norm
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +172,8 @@ class ImaginaryVector:
         return Quaternion(0.0, self.x, self.y, self.z)
 
     @classmethod
-    def from_quaternion(cls, q: Quaternion, tol: float = 1e-9) -> "ImaginaryVector":
-        if abs(q.w) > tol * (1.0 + q.norm()):
+    def from_quaternion(cls, q: Quaternion) -> "ImaginaryVector":
+        if abs(q.w) > TOL_PURE * (1.0 + q.norm()):
             raise ValueError(f"quaternion has a scalar part: {q.w!r}")
         return cls(q.x, q.y, q.z)
 
@@ -218,8 +223,8 @@ def rotate_vector(q: Quaternion, v: ImaginaryVector) -> ImaginaryVector:
 
 def rotation_axis(q: Quaternion) -> ImaginaryVector:
     """Unit imaginary part of q; the axis fixed by rotate_vector(q, .)."""
-    _require_finite(q, "take the axis of")
-    length = math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z)
+    length = _checked_norm(q, math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z),
+                           "take the axis of")
     if length <= TOL_ZERO:
         raise ValueError("quaternion has no imaginary part")
     return ImaginaryVector(q.x / length, q.y / length, q.z / length)
@@ -286,8 +291,7 @@ def _action_matrix(axis: str) -> np.ndarray:
     return np.array(cols, dtype=complex).T
 
 
-def classify_pauli_action(axis: str, samples: int = 32, seed: int = 0,
-                          tol: float = TOL_COMPARE) -> PauliActionClass:
+def classify_pauli_action(axis: str, seed: int = 0) -> PauliActionClass:
     """Match the sandwich action against phase * Pauli and report the match.
 
     Raises ValueError if no Pauli matrix fits, which would indicate a broken
@@ -309,14 +313,14 @@ def classify_pauli_action(axis: str, samples: int = 32, seed: int = 0,
     # Confirm the matrix reproduces the sandwich on random quaternions.
     rng = np.random.default_rng([seed, ord(axis)])
     dev = 0.0
-    for _ in range(samples):
+    for _ in range(PAULI_SAMPLES):
         q = Quaternion.from_array(rng.standard_normal(4))
         lhs = pauli_action(axis, q)
         pair = extract_qubit(q)
         vec = m @ np.array([pair.a, pair.b])
         rhs = embed_qubit(ComplexPair(vec[0], vec[1]))
         dev = max(dev, (lhs - rhs).norm())
-    if dev > tol * 10:
+    if dev > TOL_COMPARE * 10:
         raise ValueError(f"sandwich action disagrees with its matrix: {dev}")
     return PauliActionClass(axis, found[0], found[1], dev)
 
@@ -329,8 +333,7 @@ def hopf_project(q: Quaternion) -> ImaginaryVector:
     phase factors exp(phi*i), and transforms by the rotation attached to u
     when q is replaced by q * conj(u).
     """
-    _require_finite(q, "project")
-    n2 = q.norm_sq()
+    n2 = _checked_norm(q, q.norm_sq(), "project")
     if n2 <= TOL_ZERO * TOL_ZERO:
         raise ValueError("cannot project the zero quaternion")
     r = (q.conj() * I * q).scaled(1.0 / n2)

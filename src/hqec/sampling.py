@@ -16,8 +16,8 @@ def rng_for(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & (2**64 - 1), *stream])
 
 
-def random_quaternion(rng: np.random.Generator, scale: float = 1.0) -> Quaternion:
-    return Quaternion.from_array(scale * rng.standard_normal(4))
+def random_quaternion(rng: np.random.Generator) -> Quaternion:
+    return Quaternion.from_array(rng.standard_normal(4))
 
 
 def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:

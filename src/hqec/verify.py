@@ -537,8 +537,8 @@ def dirac_suite(seed: int, trials: int) -> list[CheckRecord]:
         rep.passed and rep.max_deviation <= 1e-12, rep.max_deviation))
 
     rng = rng_for(seed, 401)
-    dev = dirac.clifford_check(gm).max_deviation
-    ok = dirac.clifford_check(gm).passed
+    rep = dirac.clifford_check(gm)
+    dev, ok = rep.max_deviation, rep.passed
     for _ in range(100):
         u = random_unitary(4, rng)
         rep = dirac.clifford_check(dirac.transform_basis(gs, u))
@@ -595,7 +595,7 @@ def dirac_suite(seed: int, trials: int) -> list[CheckRecord]:
     for rotor, q in pairs:
         rep = dirac.quaternion_correspondence(rotor, q, gm)
         dev = max(dev, rep.max_deviation)
-    unit_signs = dirac.classify_unit_correspondences(dirac.error_generators(gm))
+    unit_signs = dirac.classify_unit_correspondences(gens)
     records.append(CheckRecord(
         "rotor_correspondence",
         "rotor action equals right multiplication by the conjugate coefficient "

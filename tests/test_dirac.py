@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hqec import dirac
+from hqec import cli, dirac
 from hqec import quaternion as quat
 from hqec.dirac import (
     DiracSpinor,
@@ -61,7 +61,7 @@ def test_clifford_standard_exact():
 
 def test_clifford_detects_violation():
     g = build_gammas_standard()
-    broken = GammaSet(g.g0, g.g0, g.g2, g.g3, g.g5, basis="broken")
+    broken = GammaSet(g.g0, g.g0, g.g2, g.g3, g.g5)
     report = clifford_check(broken)
     assert not report.passed
     assert any("g1" in f for f in report.failures)
@@ -199,7 +199,31 @@ def test_correspondence_i_unit_flips_sign():
     # reference claims 1*conj(i) = -i; the generator realizes +i instead
     assert np.allclose(rep.rhs, [0, -1, 0, 0])
     assert np.allclose(rep.lhs, [0, 1, 0, 0])
-    assert rep.unit_signs == {"i": 1, "j": -1, "k": 1}
+
+
+def test_non_real_basis_is_rejected():
+    # the standard basis's generators are imaginary, so no real spinor map exists
+    g = build_gammas_standard()
+    rotor = ErrorRotor(0.0, 1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="generator triple is not real"):
+        quaternion_correspondence(rotor, quat.ONE, g)
+    with pytest.raises(ValueError, match="generator triple is not real"):
+        real_invariance(rotor, np.ones(4), g)
+
+
+def test_verify_dirac_classifies_the_unit_signs_once(monkeypatch, capsys):
+    # the signs depend only on the gamma set, never on a rotor or quaternion
+    calls = []
+    classify = dirac.classify_unit_correspondences
+
+    def counted(generators):
+        calls.append(1)
+        return classify(generators)
+
+    monkeypatch.setattr(dirac, "classify_unit_correspondences", counted)
+    assert cli.main(["verify", "dirac", "--trials", "1000"]) == 1
+    assert "unit signs found" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_derived_correspondence_via_unit_signs():

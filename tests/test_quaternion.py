@@ -305,6 +305,30 @@ def test_non_finite_quaternion_is_rejected(call, slot, bad):
             call(Quaternion(*parts))
 
 
+@pytest.mark.parametrize("call, q", [
+    (Quaternion.normalized, Quaternion(1e300, 1e300, 0, 0)),
+    (Quaternion.inverse, Quaternion(1e300, 1e300, 0, 0)),
+    (quat.rotation_axis, Quaternion(0, 1e300, 1e300, 0)),
+    (quat.hopf_project, Quaternion(1e300, 1e300, 0, 0)),
+], ids=["normalized", "inverse", "rotation_axis", "hopf_project"])
+def test_norm_overflow_is_rejected(call, q):
+    # finite components whose norm overflows used to give zeros or a NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="norm overflows"):
+            call(q)
+
+
+def test_large_finite_norm_keeps_its_values():
+    q = Quaternion(1e150, -3e150, 2e150, 0)
+    assert q.normalized() == q.scaled(1.0 / math.sqrt(q.norm_sq()))
+    assert q.inverse() == q.conj().scaled(1.0 / q.norm_sq())
+    length = math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z)
+    assert quat.rotation_axis(q) == ImaginaryVector(q.x / length, q.y / length,
+                                                    q.z / length)
+    assert quat.hopf_project(q).length() == pytest.approx(1.0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan),
                                  complex(-math.inf, 1.0)])
 @pytest.mark.parametrize("entry", [(0, 0), (1, 0), (0, 1), (1, 1)])
