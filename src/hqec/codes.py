@@ -46,6 +46,7 @@ from .linalg import (
     ScalarField,
     SiteOperator,
     StateVector,
+    _checked_amplitudes,
     _is_index,
     _site_amplitudes,
     apply_site,
@@ -113,13 +114,18 @@ class Code:
 
 
 def encode(code: Code, coeffs) -> StateVector:
+    return StateVector(code.field, code.n_sites, _encoded(code, coeffs))
+
+
+def _encoded(code: Code, coeffs) -> np.ndarray:
+    """The amplitudes of :func:`encode`, validated as a state's."""
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (len(code.codewords),):
         raise ValueError(f"expected {len(code.codewords)} logical coefficients")
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("logical coefficients must be finite")
     amps = sum(c * w for c, w in zip(coeffs, code.words))
-    return StateVector(code.field, code.n_sites, amps)
+    return _checked_amplitudes(code.field, code.n_sites, amps)
 
 
 def _repetition_codewords(field: ScalarField, n_sites: int,
@@ -536,10 +542,7 @@ class CorrectionMap:
         completion = self._completion
         if completion is None or isinstance(completion, LinearMap):
             return completion
-        perm, sign = completion
-        matrix = np.zeros((len(perm), len(perm)), dtype=sign.dtype)
-        matrix[perm, np.arange(len(perm))] = sign
-        return LinearMap(self.code.field, matrix)
+        return LinearMap(self.code.field, _signed_matrix(*completion))
 
     def isometry_deviation(self) -> float:
         """Largest deviation from length preservation: of the completed
@@ -598,8 +601,8 @@ class CorrectionMap:
         a held ``(perm, sign)`` one as a scatter of those columns' entries.
 
         Without a completion it works in the code x ancilla frame: the domain
-        reads only the ancilla-|0> column, and the output fills only the
-        ``ancilla_states`` columns, with the codewords weighted per error."""
+        reads only the ancilla-|0> column, and the output is the codewords
+        weighted per ancilla state, with zero weight off ``ancilla_states``."""
         completion = self._completion
         if isinstance(completion, LinearMap):
             return completion.matrix[:, ::self.ancilla_dim] @ corrupted
@@ -610,10 +613,9 @@ class CorrectionMap:
             return out
         words = self.code.words
         coeffs = self._domain_adjoint @ corrupted
-        table = np.zeros((self.code.dim, self.ancilla_dim), self.code.field.dtype)
-        table[:, list(self.ancilla_states)] = (
-            words.T @ coeffs.reshape(-1, len(words)).T)
-        return table.reshape(-1)
+        weights = np.zeros((len(words), self.ancilla_dim), self.code.field.dtype)
+        weights[:, list(self.ancilla_states)] = coeffs.reshape(-1, len(words)).T
+        return (words.T @ weights).reshape(-1)
 
 
 def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
@@ -668,24 +670,34 @@ def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
     cmap = CorrectionMap(code, errors, n_ancilla, tuple(ancilla_states),
                          adjoint.reshape(-1, code.dim), None)
     if complete:
-        cmap = dataclasses.replace(cmap, _completion=_completed_operator(
-            code.field, complete_orthonormal(cmap.image),
-            complete_orthonormal(cmap.domain)))
+        cmap = dataclasses.replace(cmap, _completion=_completed_operator(cmap))
     return cmap
 
 
-def _completed_operator(field: ScalarField, image: np.ndarray, domain: np.ndarray
+def _completed_operator(cmap: CorrectionMap
                         ) -> LinearMap | tuple[np.ndarray, np.ndarray]:
-    """The operator image @ domain^H of two completed bases: as ``(perm,
-    sign)`` when both are signed canonical, else as a dense ``LinearMap``.
-    Column k of each basis then holds one entry, +-1, so the product sends
-    coordinate ``domain`` row k to ``image`` row k, with sign +1 exactly when
-    the two entries agree: the value the dense product computes."""
-    img, dom = _signed_columns(image), _signed_columns(domain)
+    """The operator image @ domain^H of the completed image and domain bases:
+    as ``(perm, sign)`` when both are signed canonical, else as a dense
+    ``LinearMap``.  Column k of each basis then holds one entry, +-1, so the
+    product sends coordinate ``domain`` row k to ``image`` row k, with sign +1
+    exactly when the two entries agree: the value the dense product computes.
+
+    A signed canonical image basis is released for its ``(row, value)``
+    arrays before the domain is completed, so one dense basis is alive at a
+    time.  The dense fallback rebuilds it from them exactly: its entries are
+    0 and +-1."""
+    image = complete_orthonormal(cmap.image)
+    img = _signed_columns(image)
+    if img is not None:
+        image = None
+    domain = complete_orthonormal(cmap.domain)
+    dom = _signed_columns(domain)
     if img is None or dom is None:
-        return LinearMap(field, image @ domain.conj().T)
-    perm = np.empty(len(image), dtype=np.intp)
-    sign = np.empty(len(image), dtype=image.dtype)
+        if image is None:
+            image = _signed_matrix(*img)
+        return LinearMap(cmap.code.field, image @ domain.conj().T)
+    perm = np.empty(len(domain), dtype=np.intp)
+    sign = np.empty(len(domain), dtype=domain.dtype)
     perm[dom[0]] = img[0]
     sign[dom[0]] = np.where(img[1] == dom[1], 1.0, -1.0)
     perm.setflags(write=False)
@@ -698,7 +710,10 @@ def _signed_columns(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     column of the square ``basis`` holds exactly one and it is exactly +-1;
     None otherwise."""
     n = len(basis)
-    rows, cols = np.divmod(np.flatnonzero(basis != 0), n)
+    # zero-tested 64 rows at a time: a mask of the whole basis adds 1 MiB to
+    # the peak of an h3 build, and np.flatnonzero scans floats 6x slower
+    hits = [np.flatnonzero(basis[k:k + 64] != 0) + k * n for k in range(0, n, 64)]
+    rows, cols = np.divmod(np.concatenate(hits), n)
     if len(cols) != n:
         return None
     order = np.argsort(cols)
@@ -707,6 +722,14 @@ def _signed_columns(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
             and np.all((values == 1) | (values == -1))):
         return None
     return rows, values
+
+
+def _signed_matrix(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The square matrix whose column c holds ``values[c]`` in row
+    ``rows[c]`` and zeros elsewhere."""
+    matrix = np.zeros((len(rows), len(rows)), dtype=values.dtype)
+    matrix[rows, np.arange(len(rows))] = values
+    return matrix
 
 
 def _column_states(field: ScalarField, n_sites: int,
@@ -782,22 +805,23 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
         raise TypeError("error must be a CombinedError, SiteOperator or "
                         f"LinearMap, got {type(error).__name__}")
     cmap._check_input(code.field, code.dim * cmap.ancilla_dim)
-    encoded = encode(code, logical)
-    scale = encoded.norm()
+    encoded = _encoded(code, logical)
+    scale = float(np.linalg.norm(encoded))
     if scale <= 0:
         raise ValueError("logical coefficients must not all vanish")
     if isinstance(error, CombinedError):
         amps = error._corrupt(code, np.asarray(logical))
     else:
-        amps = _error_amplitudes(error, encoded)
-    corrupted = encoded.with_amplitudes(amps)
-    out = cmap._correct(corrupted.amplitudes)
+        amps = _error_amplitudes(error, StateVector(code.field, code.n_sites, encoded))
+    corrupted = _checked_amplitudes(code.field, code.n_sites, amps)
+    out = cmap._correct(corrupted)
 
     table = out.reshape(code.dim, cmap.ancilla_dim)
-    ref = encoded.amplitudes / scale
+    ref = encoded / scale
     anc = ref.conj() @ table
-    residual_f = float(np.linalg.norm(table - np.outer(ref, anc)))
-    norm_gap = abs(corrupted.norm() - float(np.linalg.norm(out)))
+    diff = np.outer(ref, anc)
+    residual_f = float(np.linalg.norm(np.subtract(table, diff, out=diff)))
+    norm_gap = abs(float(np.linalg.norm(corrupted)) - float(np.linalg.norm(out)))
     residual = max(residual_f, norm_gap)
 
     anc_norm = float(np.linalg.norm(anc))

@@ -17,6 +17,7 @@ record the sign actually found instead of silently flipping it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,11 @@ class GammaSet:
 
     def all(self) -> tuple[np.ndarray, ...]:
         return self.g0, self.g1, self.g2, self.g3, self.g5
+
+    @cached_property
+    def _generators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The :func:`error_generators` triple, built once per set."""
+        return error_generators(self)
 
 
 def _block(a, b, c, d) -> np.ndarray:
@@ -364,10 +370,10 @@ def quaternion_correspondence(rotor: ErrorRotor, q: Quaternion,
     """Check rotor(e) applied to Psi_q against q * conj(e).
 
     The right side is computed with the quaternion product as the oracle;
-    the left side uses the generator triple of the given (real) basis.
+    the left side uses the generator triple the given (real) basis holds.
     """
     psi = MajoranaSpinor.from_quaternion(q)
-    lhs_c = rotor.matrix(error_generators(g_majorana)) @ psi.components
+    lhs_c = rotor.matrix(g_majorana._generators) @ psi.components
     if np.abs(lhs_c.imag).max(initial=0.0) > TOL_REAL:
         raise ValueError("generator triple is not real; use a real basis")
     lhs = lhs_c.real
@@ -388,8 +394,7 @@ def real_invariance(rotor: ErrorRotor, s: np.ndarray,
     """Real and imaginary parts of a complex spinor transform independently
     under the (real) rotor, and a real input stays real."""
     gm = g_majorana or majorana_set()
-    gens = error_generators(gm)
-    mat = rotor.matrix(gens)
+    mat = rotor.matrix(gm._generators)
     if np.abs(np.asarray(mat).imag).max(initial=0.0) > TOL_REAL:
         raise ValueError("generator triple is not real; use a real basis")
     mat = np.asarray(mat).real

@@ -59,6 +59,21 @@ def _coerce(field: ScalarField, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked_amplitudes(field: ScalarField, n_sites: int, values) -> np.ndarray:
+    """``values`` as the read-only amplitudes of an ``n_sites`` state over
+    ``field``: the validation of :class:`StateVector`, for callers that need
+    only the array."""
+    amps = _coerce(field, values)
+    expected = field.site_dim ** n_sites
+    if amps.shape != (expected,):
+        raise ValueError(
+            f"expected {expected} amplitudes for {n_sites} sites "
+            f"of dimension {field.site_dim}, got shape {amps.shape}")
+    if not np.all(np.isfinite(amps.view(float))):
+        raise ValueError("amplitudes must be finite")
+    return amps
+
+
 @dataclass(frozen=True)
 class StateVector:
     field: ScalarField
@@ -66,15 +81,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = _coerce(self.field, self.amplitudes)
-        expected = self.field.site_dim ** self.n_sites
-        if amps.shape != (expected,):
-            raise ValueError(
-                f"expected {expected} amplitudes for {self.n_sites} sites "
-                f"of dimension {self.field.site_dim}, got shape {amps.shape}")
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes must be finite")
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _checked_amplitudes(
+            self.field, self.n_sites, self.amplitudes))
 
     @property
     def dim(self) -> int:

@@ -20,7 +20,6 @@ import numpy as np
 TOL_UNIT = 1e-9
 TOL_ZERO = 1e-12
 TOL_COMPARE = 1e-12
-TOL_PURE = 1e-9        # relative scalar part an ImaginaryVector drops
 PAULI_SAMPLES = 32     # random quaternions that confirm a Pauli classification
 
 PAULI_MATRICES = {
@@ -170,12 +169,6 @@ class ImaginaryVector:
 
     def to_quaternion(self) -> Quaternion:
         return Quaternion(0.0, self.x, self.y, self.z)
-
-    @classmethod
-    def from_quaternion(cls, q: Quaternion) -> "ImaginaryVector":
-        if abs(q.w) > TOL_PURE * (1.0 + q.norm()):
-            raise ValueError(f"quaternion has a scalar part: {q.w!r}")
-        return cls(q.x, q.y, q.z)
 
     def length(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)

@@ -876,6 +876,59 @@ def test_dense_completion_fallback():
     assert residuals.max() <= 1e-10
 
 
+def test_mixed_completion_fallback_rebuilds_the_released_basis():
+    # on r3, E sends |000> to (|001> + |010>)/sqrt(2) and |111> to
+    # (|110> + |101>)/sqrt(2): the image basis is signed canonical, so it is
+    # released before the domain, which is not, is completed
+    code = build_r3_code()
+    matrix = np.zeros((8, 8))
+    matrix[[1, 2], 0] = matrix[[5, 6], 7] = 1 / math.sqrt(2.0)
+    errors = ErrorSet((identity_error(code.field),
+                       ErrorTerm("E", LinearMap(code.field, matrix))))
+    cmap = synthesize_correction(code, errors, 1)
+    assert isinstance(cmap._completion, LinearMap)
+    ref_domain, ref_image = _reference_pairs(cmap)
+    image, domain = complete_orthonormal(ref_image), complete_orthonormal(ref_domain)
+    assert codes._signed_columns(image) is not None
+    assert codes._signed_columns(domain) is None
+    expected = image @ domain.conj().T
+    assert cmap.operator.matrix.dtype == expected.dtype
+    assert cmap.operator.matrix.tobytes() == expected.tobytes()
+    fidelities, residuals = simulate(
+        cmap, combined_draw(errors, code.field), rng_for(3, 6), 50)
+    assert np.abs(fidelities - 1.0).max() <= 1e-10
+    assert residuals.max() <= 1e-10
+
+
+@pytest.mark.parametrize("build,dim", [(codes.build_r3_correction, 32),
+                                       (codes.build_h3_correction, 1024)],
+                         ids=["r3", "h3"])
+def test_completed_build_completes_two_bases(build, dim, monkeypatch):
+    # the benchmark's completion count reads these two calls
+    rows = []
+
+    def counting(partial):
+        basis = complete_orthonormal(partial)
+        rows.append(basis.shape)
+        return basis
+
+    monkeypatch.setattr(codes, "complete_orthonormal", counting)
+    build()
+    assert rows == [(dim, dim), (dim, dim)]
+
+
+def test_h3_build_holds_one_dense_basis_at_a_time():
+    # each completed 1024 x 1024 basis is 8 MiB; with both alive at once the
+    # build peaks at about 17 MiB
+    tracemalloc.start()
+    try:
+        codes.build_h3_correction()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2 ** 20
+
+
 # --- roundtrips ---------------------------------------------------------------
 
 def test_roundtrip_identity_error(r3_correction):

@@ -191,6 +191,23 @@ def test_correspondence_j_unit_matches_reference():
         assert rep.max_deviation <= 1e-12
 
 
+def test_correspondence_builds_the_generators_once_per_set(monkeypatch):
+    from hqec import verify
+
+    built = []
+    build = dirac.error_generators
+
+    def counting(g):
+        built.append(g)
+        return build(g)
+
+    monkeypatch.setattr(dirac, "error_generators", counting)
+    # 1,017 correspondence checks on one gamma set, which the suite also
+    # hands to error_generators once itself
+    verify.dirac_suite(0, 1000)
+    assert len(built) <= 2
+
+
 def test_correspondence_i_unit_flips_sign():
     gm = majorana_set()
     rotor = ErrorRotor(0.0, 1.0, 0.0, 0.0)

@@ -130,11 +130,6 @@ def test_rotation_composition(q1, q2, xyz):
     assert twice.isclose(once, tol=1e-10)
 
 
-def test_imaginary_vector_rejects_scalar_part():
-    with pytest.raises(ValueError):
-        ImaginaryVector.from_quaternion(Quaternion(1, 1, 0, 0))
-
-
 # --- qubit embedding ----------------------------------------------------
 
 def test_embed_examples():
