@@ -17,17 +17,21 @@ The images E_p w_l are one stacked, read-only array that an error set holds
 for the last code it was asked about, made and checked once per set and code:
 the KL table is its Gram matrix, effective-error classes and synthesis read it,
 and a combination sum_p e_p E_p corrupts an encoded state sum_l a_l w_l by
-linearity through it, as sum_p e_p sum_l a_l (E_p w_l).  A code holds its
-codewords once, as the rows of ``Code.words``.  A correction map holds its
-partial isometry in factored form: the code-space block of the domain adjoint,
-built from the images, while the codewords and the ancilla states define the
-image.  It applies the map in the code x ancilla frame, and a roundtrip, whose
-input is always corrupted x |0_A>, corrects from the code-space amplitudes
-alone.  A completion to the full operator is held as a signed permutation,
-two index arrays ``(perm, sign)``, whenever both completed bases are signed
-canonical (always for ``r3`` and ``h3``): it is applied by a scatter and
-checked for isometry on the arrays, and the dense ``operator`` is built only
-on access.  Any other completion is held as a dense matrix.
+linearity through it, as one product of the weights e_p a_l with the images,
+sum_p e_p sum_l a_l (E_p w_l).  A code holds its codewords once, as the rows
+of ``Code.words``, and the indices of the amplitudes they hold nonzero as
+``Code.support``.  A correction map holds its partial isometry in factored
+form: the code-space block of the domain adjoint, built from the images,
+while the codewords and the ancilla states define the image.  It applies the
+map in the code x ancilla frame, and a roundtrip, whose input is always
+corrupted x |0_A>, corrects from the code-space amplitudes alone.  Without a
+completion that output is zero off the codeword support, so the roundtrip
+checks it on the support rows only.  A completion to the full operator is
+held as a signed permutation, two index arrays ``(perm, sign)``, whenever
+both completed bases are signed canonical (always for ``r3`` and ``h3``): it
+is applied by a scatter and checked for isometry on the arrays, and the dense
+``operator`` is built only on access.  Any other completion is held as a
+dense matrix.
 """
 
 from __future__ import annotations
@@ -89,6 +93,8 @@ class Code:
     codewords: tuple[StateVector, ...]
     # the codewords as the rows of one read-only array
     words: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    # the read-only indices of the amplitudes some codeword holds nonzero
+    support: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.codewords:
@@ -106,7 +112,10 @@ class Code:
         if len(pairs):
             idx, jdx = pairs[0].tolist()
             raise ValueError(f"codewords {jdx}, {idx} are not orthonormal")
+        support = np.flatnonzero(words.any(axis=0))
+        support.setflags(write=False)
         object.__setattr__(self, "words", words)
+        object.__setattr__(self, "support", support)
 
     @property
     def dim(self) -> int:
@@ -114,18 +123,14 @@ class Code:
 
 
 def encode(code: Code, coeffs) -> StateVector:
-    return StateVector(code.field, code.n_sites, _encoded(code, coeffs))
-
-
-def _encoded(code: Code, coeffs) -> np.ndarray:
-    """The amplitudes of :func:`encode`, validated as a state's."""
+    """The state sum_l a_l w_l of the logical coefficients ``coeffs``."""
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (len(code.codewords),):
         raise ValueError(f"expected {len(code.codewords)} logical coefficients")
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("logical coefficients must be finite")
     amps = sum(c * w for c, w in zip(coeffs, code.words))
-    return _checked_amplitudes(code.field, code.n_sites, amps)
+    return StateVector(code.field, code.n_sites, amps)
 
 
 def _repetition_codewords(field: ScalarField, n_sites: int,
@@ -264,10 +269,12 @@ class CombinedError:
     def _corrupt(self, code: Code, logical: np.ndarray) -> np.ndarray:
         """The amplitudes of this error applied to ``encode(code, logical)``,
         not validated as a state: sum_p e_p sum_l a_l (E_p w_l), one product
-        over the stacked images of :func:`_images`."""
+        of the weights e_p a_l with the stacked images of :func:`_images`,
+        read as one (errors x codewords, dim) matrix."""
         images = _images(code, self.errors)
         with np.errstate(invalid="ignore", over="ignore"):
-            return self.coefficients @ (logical @ images)
+            return ((self.coefficients[:, None] * logical).reshape(-1)
+                    @ images.reshape(-1, code.dim))
 
 
 def _error_amplitudes(op: SiteOperator | LinearMap, state: StateVector) -> np.ndarray:
@@ -795,9 +802,12 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
     judge the residual yourself (what the reporting suites do).
 
     A combined error corrupts through the stacked images its set holds for
-    ``code``, and the map corrects corrupted x |0_A> from the corrupted
-    amplitudes alone.  A ``tol`` that is NaN or negative raises ValueError,
-    an error of another type TypeError.
+    ``code``, as one product, and the map corrects corrupted x |0_A> from the
+    corrupted amplitudes alone.  The output of a map without a completion is
+    zero outside the codeword support, so its residual and norm are taken on
+    the rows of ``code.support`` only; a completed map may scatter onto any
+    row, and is checked on its whole output.  A ``tol`` that is NaN or
+    negative raises ValueError, an error of another type TypeError.
     """
     if tol is not None and not tol >= 0:
         raise ValueError(f"tol must be nonnegative or None, got {tol!r}")
@@ -805,23 +815,27 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
         raise TypeError("error must be a CombinedError, SiteOperator or "
                         f"LinearMap, got {type(error).__name__}")
     cmap._check_input(code.field, code.dim * cmap.ancilla_dim)
-    encoded = _encoded(code, logical)
+    state = encode(code, logical)
+    encoded = state.amplitudes
     scale = float(np.linalg.norm(encoded))
     if scale <= 0:
         raise ValueError("logical coefficients must not all vanish")
     if isinstance(error, CombinedError):
         amps = error._corrupt(code, np.asarray(logical))
     else:
-        amps = _error_amplitudes(error, StateVector(code.field, code.n_sites, encoded))
+        amps = _error_amplitudes(error, state)
     corrupted = _checked_amplitudes(code.field, code.n_sites, amps)
     out = cmap._correct(corrupted)
 
     table = out.reshape(code.dim, cmap.ancilla_dim)
     ref = encoded / scale
     anc = ref.conj() @ table
-    diff = np.outer(ref, anc)
-    residual_f = float(np.linalg.norm(np.subtract(table, diff, out=diff)))
-    norm_gap = abs(float(np.linalg.norm(corrupted)) - float(np.linalg.norm(out)))
+    block, ref_block = table, ref
+    if cmap._completion is None:                # zero off the codeword support
+        block, ref_block = table[code.support], ref[code.support]
+    diff = ref_block[:, None] * anc
+    residual_f = float(np.linalg.norm(np.subtract(block, diff, out=diff)))
+    norm_gap = abs(float(np.linalg.norm(corrupted)) - float(np.linalg.norm(block)))
     residual = max(residual_f, norm_gap)
 
     anc_norm = float(np.linalg.norm(anc))

@@ -93,7 +93,8 @@ class Quaternion:
         return abs(self.norm() - 1.0) <= TOL_UNIT
 
     def isclose(self, other: "Quaternion", tol: float = TOL_COMPARE) -> bool:
-        return (self - other).norm() <= tol * (1.0 + self.norm() + other.norm())
+        return _within(self, other, tol, lambda: (
+            (self - other).norm(), 1.0 + self.norm() + other.norm()))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z], dtype=float)
@@ -113,6 +114,20 @@ def _checked_norm(q: Quaternion, norm: float, action: str) -> float:
     if norm == math.inf:
         raise ValueError(f"cannot {action} {q!r}: its norm overflows")
     return norm
+
+
+def _within(a, b, tol: float, lengths) -> bool:
+    """``diff <= tol * bound`` for ``diff, bound = lengths()``: the length of
+    a - b, and 1 plus the lengths of a and b.  Raises ValueError when either
+    overflows, which the bound would turn into a pass for any difference."""
+    try:
+        diff, bound = lengths()
+    except OverflowError:              # float ** and complex abs() raise it
+        diff = bound = math.inf
+    if diff == math.inf or bound == math.inf:
+        raise ValueError(f"cannot compare {a!r} with {b!r}: a norm or "
+                         "their difference overflows")
+    return diff <= tol * bound
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +189,10 @@ class ImaginaryVector:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
     def isclose(self, other: "ImaginaryVector", tol: float = TOL_COMPARE) -> bool:
-        d = math.sqrt((self.x - other.x) ** 2 + (self.y - other.y) ** 2
-                      + (self.z - other.z) ** 2)
-        return d <= tol * (1.0 + self.length() + other.length())
+        return _within(self, other, tol, lambda: (
+            math.sqrt((self.x - other.x) ** 2 + (self.y - other.y) ** 2
+                      + (self.z - other.z) ** 2),
+            1.0 + self.length() + other.length()))
 
 
 @dataclass(frozen=True)
@@ -187,8 +203,9 @@ class ComplexPair:
     b: complex
 
     def isclose(self, other: "ComplexPair", tol: float = TOL_COMPARE) -> bool:
-        return (abs(self.a - other.a) + abs(self.b - other.b)) <= tol * (
-            1.0 + abs(self.a) + abs(self.b) + abs(other.a) + abs(other.b))
+        return _within(self, other, tol, lambda: (
+            abs(self.a - other.a) + abs(self.b - other.b),
+            1.0 + abs(self.a) + abs(self.b) + abs(other.a) + abs(other.b)))
 
 
 def embed_qubit(p: ComplexPair) -> Quaternion:

@@ -60,9 +60,11 @@ def test_map_bytes_match_the_pinned_counts(workload, request):
         assert amps.shape == (cmap.code.dim * cmap.ancilla_dim,)
 
 
+@pytest.mark.parametrize("name", ["r3", "h3", "shor9"])
 @pytest.mark.parametrize("trials", [1, 7])
-def test_simulate_makes_one_roundtrip_call_per_trial(trials, r3_correction,
+def test_simulate_makes_one_roundtrip_call_per_trial(trials, name, request,
                                                      monkeypatch):
+    cmap = request.getfixturevalue(f"{name}_correction")
     calls = []
     original = codes.roundtrip
 
@@ -71,10 +73,8 @@ def test_simulate_makes_one_roundtrip_call_per_trial(trials, r3_correction,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(codes, "roundtrip", counting)
-    code = r3_correction.code
-    draw = codes.combined_draw(r3_correction.errors, code.field)
-    fidelities, _ = codes.simulate(r3_correction, draw,
-                                   np.random.default_rng(0), trials)
+    draw = codes.combined_draw(cmap.errors, cmap.code.field)
+    fidelities, _ = codes.simulate(cmap, draw, np.random.default_rng(0), trials)
     assert len(calls) == trials == len(fidelities)
 
 

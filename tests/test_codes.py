@@ -145,6 +145,16 @@ def test_code_holds_its_codewords_as_one_read_only_array(build):
         code.words[0, 0] = 2.0
 
 
+@pytest.mark.parametrize("build", [build_r3_code, build_h3_code, build_b3_code,
+                                   build_shor9_code])
+def test_code_holds_its_codeword_support_as_a_read_only_index(build):
+    code = build()
+    assert np.array_equal(code.support, np.flatnonzero(code.words.any(axis=0)))
+    assert not code.support.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        code.support[0] = 1
+
+
 # --- error operators --------------------------------------------------------
 
 def test_so2_action():
@@ -1105,6 +1115,87 @@ def test_roundtrip_builds_three_small_states(fixture, request, monkeypatch):
     roundtrip(code, cmap, logical, error)
     assert len(built) <= 3
     assert cmap.total_sites not in built
+
+
+@st.composite
+def _out_of_family_cases(draw):
+    """shor9 inputs whose logical coefficients are scaled by 1e-30..1e30 and
+    whose error is a random dense map, outside the corrected span."""
+    code = _partial_map("shor9").code
+    logical = _unit_coefficients(draw, code.field, len(code.codewords))
+    logical = logical * 10.0 ** draw(st.floats(-30.0, 30.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (code.dim, code.dim)
+    matrix = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return logical, LinearMap(code.field, matrix / math.sqrt(code.dim))
+
+
+def _full_table_residual(code, cmap, logical, error):
+    """The residual of :func:`_reference_roundtrip`, taken on the whole
+    output table of the map applied to corrupted x |0_A>, with the norm gap
+    read on the corrupted state as :func:`roundtrip` reads it: the norm of
+    corrupted x |0_A> sums its entries in another order, and differs from it
+    by up to 1.1e-15 relative."""
+    encoded = codes.encode(code, logical)
+    corrupted = encoded.with_amplitudes(codes._error_amplitudes(error, encoded))
+    anc0 = basis_state(code.field, cmap.n_ancilla, 0)
+    total = StateVector(code.field, cmap.total_sites,
+                        np.kron(corrupted.amplitudes, anc0.amplitudes))
+    out = cmap.apply(total)
+    table = out.amplitudes.reshape(code.dim, cmap.ancilla_dim)
+    ref = encoded.amplitudes / encoded.norm()
+    residual_f = float(np.linalg.norm(table - np.outer(ref, ref.conj() @ table)))
+    return max(residual_f, abs(corrupted.norm() - out.norm()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_out_of_family_cases())
+def test_partial_map_residual_on_the_support_matches_the_full_table(case):
+    # the map's output is zero off the codeword support, so the residual
+    # taken on those rows is the residual of the whole code x ancilla table
+    cmap = _partial_map("shor9")
+    logical, error = case
+    residual = _full_table_residual(cmap.code, cmap, logical, error)
+    res = roundtrip(cmap.code, cmap, logical, error, tol=None)
+    assert abs(res.residual - residual) <= 1e-15 * residual
+    flagged = residual > codes.SYNTH_TOL
+    try:
+        roundtrip(cmap.code, cmap, logical, error)
+    except codes.FactorizationError:
+        assert flagged
+    else:
+        assert not flagged
+
+
+def test_completed_map_residual_reads_the_whole_table(h3_correction):
+    # a completed map sends what lies outside its domain span to rows off the
+    # codeword support, where only a whole-table residual sees it
+    cmap, code = h3_correction, h3_correction.code
+    rng = rng_for(8, 4)
+    for _ in range(5):
+        logical = random_coefficients(code.field, 2, rng)
+        error = LinearMap(code.field, rng.standard_normal((code.dim, code.dim)))
+        residual = _full_table_residual(code, cmap, logical, error)
+        res = roundtrip(code, cmap, logical, error, tol=None)
+        assert residual > 1e-3
+        assert abs(res.residual - residual) <= 1e-15 * residual
+
+
+def test_shor9_roundtrip_builds_no_dense_temporary(shor9_correction):
+    # the (28, 512) corruption intermediate and the full residual table
+    # took the peak of one roundtrip to 822 KB
+    cmap = shor9_correction
+    rng = rng_for(8, 3)
+    logical = random_coefficients(cmap.code.field, 2, rng)
+    error = _combined(cmap)(rng)
+    roundtrip(cmap.code, cmap, logical, error)      # the images are held
+    tracemalloc.start()
+    try:
+        roundtrip(cmap.code, cmap, logical, error)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 400 * 2 ** 10
 
 
 @pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction", "shor9_correction"])

@@ -314,6 +314,42 @@ def test_norm_overflow_is_rejected(call, q):
             call(q)
 
 
+@pytest.mark.parametrize("a, b", [
+    (Quaternion(1e300, 0, 0, 0), Quaternion(0, 1e300, 1e300, 0)),
+    (Quaternion(1e308, 0, 0, 0), Quaternion(-1e308, 0, 0, 0)),
+], ids=["norm", "difference"])
+def test_quaternion_isclose_rejects_an_overflow(a, b):
+    # the bound tol * (1 + norms) used to be inf, which passed any difference
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            a.isclose(b)
+
+
+@pytest.mark.parametrize("a, b", [
+    (ImaginaryVector(1e300, 0, 0), ImaginaryVector(0, 1e300, 0)),
+    (ImaginaryVector(1e308, 0, 0), ImaginaryVector(-1e308, 0, 0)),
+], ids=["norm", "difference"])
+def test_imaginary_vector_isclose_rejects_an_overflow(a, b):
+    # the squared difference used to raise a bare OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            a.isclose(b)
+
+
+@pytest.mark.parametrize("a, b", [
+    (ComplexPair(1e308 + 1e308j, 0), ComplexPair(-1e308, 1e308)),
+    (ComplexPair(1e308, 0), ComplexPair(-1e308, 0)),
+], ids=["both", "difference"])
+def test_complex_pair_isclose_rejects_an_overflow(a, b):
+    # an infinite bound used to pass a difference of 2e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            a.isclose(b)
+
+
 def test_large_finite_norm_keeps_its_values():
     q = Quaternion(1e150, -3e150, 2e150, 0)
     assert q.normalized() == q.scaled(1.0 / math.sqrt(q.norm_sq()))
