@@ -4,7 +4,7 @@ narrative demonstrations.
 Exit codes: 0 when every check passes, 1 when any check fails, 2 on usage
 errors or when the report cannot be written.  The default seed can be set
 through the environment variable ``HQEC_SEED``; an explicit ``--seed`` flag
-wins.
+wins.  Only ``simulate`` takes ``--tol``, its gate (``codes.SYNTH_TOL``).
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ import sys
 import time
 from pathlib import Path
 
-from . import codes, quaternion as quat
+from . import codes, linalg, quaternion as quat
 from .report import (MAX_TRIALS, CheckRecord, RunConfig, SuiteReport, render,
                      write_output)
 from .sampling import rng_for
 from .verify import SUITE_RUNNERS
 
 SEED_ENV_VAR = "HQEC_SEED"
+TOL_DEMO = 1e-12    # the phase-failure mimic residual and the Hopf sphere radius
 
 SIMULATION_SETUPS = {
     "r3": ("plane rotations", codes.ErrorFamily.SO2,
@@ -53,7 +54,7 @@ def cmd_simulate(code_id: str, cfg: RunConfig) -> SuiteReport:
     """Build a code, its error basis and correction map, then run seeded
     roundtrips with random logical states and random in-family combinations."""
     start = time.perf_counter()
-    fidelity_tol = cfg.tol if cfg.tol is not None else 1e-10
+    fidelity_tol = cfg.tol if cfg.tol is not None else codes.SYNTH_TOL
     family_name, family, build = SIMULATION_SETUPS[code_id]
     records: list[CheckRecord] = []
     try:
@@ -61,21 +62,19 @@ def cmd_simulate(code_id: str, cfg: RunConfig) -> SuiteReport:
     except codes.SynthesisError as exc:
         records.append(CheckRecord("synthesis", "correction-map synthesis",
                                    False, None, str(exc)))
-        wall = time.perf_counter() - start
         return SuiteReport(f"simulate-{code_id}", cfg.seed, cfg.trials,
-                           tuple(records), wall)
+                           tuple(records), time.perf_counter() - start)
 
     code = cmap.code
     basis = codes.effective_error_basis(code, family)
     kl = codes.kl_check(code, basis)
-    dev = codes.kl_condition_deviation(kl)
-    records.append(CheckRecord(
-        "kl", f"correctability of {family_name}", kl.passed and dev <= 1e-12, dev))
+    records.append(CheckRecord("kl", f"correctability of {family_name}",
+                               kl.passed, codes.kl_condition_deviation(kl)))
 
     synth_dev = cmap.isometry_deviation()
     records.append(CheckRecord(
         "synthesis_isometric", "the correction operator preserves lengths",
-        synth_dev <= 1e-10, synth_dev))
+        synth_dev <= linalg.TOL_ISO, synth_dev))
 
     fidelities, residuals = codes.simulate(
         cmap, codes.combined_draw(basis, code.field), rng_for(cfg.seed, 501),
@@ -103,7 +102,7 @@ def _demo_phase_failure(cfg: RunConfig) -> list[CheckRecord]:
         CheckRecord(
             "mimic_identification",
             "a single-site phase error produces another valid codeword",
-            rep.match_residual <= 1e-12, rep.match_residual,
+            rep.match_residual <= TOL_DEMO, rep.match_residual,
             f"encoding of ({a:.4f}, {b:.4f}) is mapped to the encoding of "
             f"({ia:.4f}, {ib:.4f})"),
         CheckRecord(
@@ -156,7 +155,7 @@ def _demo_hopf(cfg: RunConfig) -> list[CheckRecord]:
                      f"({v.x:+.3f}, {v.y:+.3f}, {v.z:+.3f})")
     return [CheckRecord(
         "basis_projections", "projections of the basis and random quaternions "
-        "land on the unit sphere", dev <= 1e-12, dev, "; ".join(lines))]
+        "land on the unit sphere", dev <= TOL_DEMO, dev, "; ".join(lines))]
 
 
 DEMOS = {
@@ -184,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--trials", type=int, default=1000,
                         help="randomized trials per check (default 1000, "
                              f"at most {MAX_TRIALS})")
-    common.add_argument("--tol", type=float, default=None,
-                        help="override the headline tolerance where applicable")
     common.add_argument("--format", choices=("text", "structured", "json"),
                         default="text", dest="fmt",
                         help="output format ('json' is an alias of 'structured')")
@@ -198,6 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", parents=[common],
                            help="synthesize a correction map and run roundtrips")
     p_sim.add_argument("code", choices=tuple(SIMULATION_SETUPS))
+    p_sim.add_argument("--tol", type=float, default=None,
+                       help=f"roundtrip gate (default {codes.SYNTH_TOL:g})")
     p_demo = sub.add_parser("demo", parents=[common],
                             help="run a narrative demonstration")
     p_demo.add_argument("name", choices=tuple(DEMOS))
@@ -222,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     fmt = "structured" if args.fmt == "json" else args.fmt
     try:
         cfg = RunConfig(command=args.command, seed=seed, trials=args.trials,
-                        tol=args.tol, fmt=fmt, out=args.out)
+                        tol=getattr(args, "tol", None), fmt=fmt, out=args.out)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -806,8 +806,8 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
     corrupted amplitudes alone.  The output of a map without a completion is
     zero outside the codeword support, so its residual and norm are taken on
     the rows of ``code.support`` only; a completed map may scatter onto any
-    row, and is checked on its whole output.  A ``tol`` that is NaN or
-    negative raises ValueError, an error of another type TypeError.
+    row, and is checked on its whole output.  A NaN or negative ``tol`` or
+    an overflowing norm raises ValueError, an error of another type TypeError.
     """
     if tol is not None and not tol >= 0:
         raise ValueError(f"tol must be nonnegative or None, got {tol!r}")
@@ -817,34 +817,37 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
     cmap._check_input(code.field, code.dim * cmap.ancilla_dim)
     state = encode(code, logical)
     encoded = state.amplitudes
-    scale = float(np.linalg.norm(encoded))
-    if scale <= 0:
-        raise ValueError("logical coefficients must not all vanish")
-    if isinstance(error, CombinedError):
-        amps = error._corrupt(code, np.asarray(logical))
-    else:
-        amps = _error_amplitudes(error, state)
-    corrupted = _checked_amplitudes(code.field, code.n_sites, amps)
-    out = cmap._correct(corrupted)
+    with np.errstate(over="ignore", invalid="ignore"):     # raises ValueError below
+        scale = float(np.linalg.norm(encoded))
+        if scale <= 0:
+            raise ValueError("logical coefficients must not all vanish")
+        if isinstance(error, CombinedError):
+            amps = error._corrupt(code, np.asarray(logical))
+        else:
+            amps = _error_amplitudes(error, state)
+        corrupted = _checked_amplitudes(code.field, code.n_sites, amps)
+        out = cmap._correct(corrupted)
 
-    table = out.reshape(code.dim, cmap.ancilla_dim)
-    ref = encoded / scale
-    anc = ref.conj() @ table
-    block, ref_block = table, ref
-    if cmap._completion is None:                # zero off the codeword support
-        block, ref_block = table[code.support], ref[code.support]
-    diff = ref_block[:, None] * anc
-    residual_f = float(np.linalg.norm(np.subtract(block, diff, out=diff)))
-    norm_gap = abs(float(np.linalg.norm(corrupted)) - float(np.linalg.norm(block)))
-    residual = max(residual_f, norm_gap)
+        table = out.reshape(code.dim, cmap.ancilla_dim)
+        ref = encoded / scale
+        anc = ref.conj() @ table
+        block, ref_block = table, ref
+        if cmap._completion is None:            # zero off the codeword support
+            block, ref_block = table[code.support], ref[code.support]
+        diff = ref_block[:, None] * anc
+        residual_f = float(np.linalg.norm(np.subtract(block, diff, out=diff)))
+        norm_gap = abs(float(np.linalg.norm(corrupted)) - float(np.linalg.norm(block)))
+        residual = max(residual_f, norm_gap)
 
-    anc_norm = float(np.linalg.norm(anc))
-    if anc_norm > 0:
-        code_amps = table @ anc.conj() / (anc_norm ** 2)
-    else:
-        code_amps = np.zeros(code.dim, dtype=table.dtype)
-    cf_norm = float(np.linalg.norm(code_amps))
-    fidelity = float(abs(np.vdot(ref, code_amps)) / cf_norm) if cf_norm > 0 else 0.0
+        anc_norm = float(np.linalg.norm(anc))
+        if anc_norm > 0:
+            code_amps = table @ anc.conj() / (anc_norm ** 2)
+        else:
+            code_amps = np.zeros(code.dim, dtype=table.dtype)
+        cf_norm = float(np.linalg.norm(code_amps))
+        fidelity = float(abs(np.vdot(ref, code_amps)) / cf_norm) if cf_norm > 0 else 0.0
+    if not all(map(math.isfinite, (scale, residual_f, norm_gap, fidelity))):
+        raise ValueError("a norm overflows: the state is too large")
     result = RoundtripResult(StateVector(code.field, cmap.n_ancilla, anc),
                              residual, fidelity)
     if tol is not None and residual > tol:

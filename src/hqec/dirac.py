@@ -32,8 +32,9 @@ _I2 = np.eye(2, dtype=complex)
 _Z2 = np.zeros((2, 2), dtype=complex)
 
 # Tolerances: the algebra is exact, these bound float64 round-off.
-TOL_IDENTITY = 1e-12   # the algebraic identities checked below
-TOL_REAL = 1e-10       # imaginary part a real generator triple may carry
+TOL_IDENTITY = 1e-12     # the algebraic identities checked below
+TOL_REAL = 1e-10         # imaginary part a real generator triple may carry
+TOL_BASIS_IMAGE = 1e-13  # a conjugated gamma matrix against its reference image
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ def match_up_to_sign(computed: np.ndarray, reference: np.ndarray,
 
 def check_basis_images(g: GammaSet | None = None,
                        u: np.ndarray | None = None,
-                       tol: float = 1e-13) -> dict[str, SignedMatch]:
+                       tol: float = TOL_BASIS_IMAGE) -> dict[str, SignedMatch]:
     """Compare U gamma U^H against the reference images, sign-classified."""
     g = g or build_gammas_standard()
     u = build_majorana_transform(g) if u is None else u

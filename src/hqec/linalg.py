@@ -297,14 +297,14 @@ class IsometryResult:
     max_deviation: float
 
 
-def is_isometry(m: LinearMap | np.ndarray, tol: float = TOL_ISO) -> IsometryResult:
-    """Check m^H m = identity (m^T m over the real fields); reports the
-    largest absolute deviation.  The identity is subtracted and the modulus
-    taken in place, in the Gram matrix itself."""
+def is_isometry(m: LinearMap | np.ndarray) -> IsometryResult:
+    """Check m^H m = identity (m^T m over the real fields) within ``TOL_ISO``;
+    reports the largest absolute deviation.  The identity is subtracted and
+    the modulus taken in place, in the Gram matrix itself."""
     mat = m.matrix if isinstance(m, LinearMap) else np.asarray(m)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError("isometry check expects a square matrix")
     gram = (mat.conj().T @ mat).astype(np.result_type(mat, float), copy=False)
     gram[np.diag_indices_from(gram)] -= 1.0
     dev = float(np.abs(gram, out=gram).real.max())
-    return IsometryResult(dev <= tol, dev)
+    return IsometryResult(dev <= TOL_ISO, dev)

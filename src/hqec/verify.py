@@ -5,6 +5,10 @@ plain CheckRecords.  Randomized checks draw from generators derived from
 (seed, fixed stream id), so results are reproducible bit for bit and
 independent of execution order.
 
+Each record decides its verdict once: it takes the library's verdict where
+there is one, or compares its deviation with one named constant, a library
+tolerance or a ``TOL_*`` constant below.
+
 The quaternion suite evaluates its randomized checks as array expressions
 through the private row-wise kernel of :mod:`hqec.quaternion` (Hamilton
 product, norm, conjugate), in blocks of trials.  It spot-checks the public
@@ -29,6 +33,7 @@ from .linalg import (
     RankDeficiencyError,
     ScalarField,
     SiteOperator,
+    TOL_ISO,
     apply_site,
     basis_state,
     complete_orthonormal,
@@ -58,10 +63,11 @@ from .sampling import (
 # check covers the first _SPOT trials.  For the product-based checks it must
 # find no difference at all.  matrix_decompose_roundtrip solves its 8x8
 # system for a block of right-hand sides in one LAPACK call, so its spot check
-# is held to the check's tolerance instead.
+# is held to the check's tolerance, TOL_DECOMPOSE, instead.
 
 _BLOCK = 512
 _SPOT = 16
+TOL_DECOMPOSE = 1e-10
 _ONE, _I, _J = (u.as_array() for u in (quat.ONE, quat.I, quat.J))
 
 
@@ -239,9 +245,10 @@ def _matrix_decomposition(matrices: np.ndarray, rng, start: int,
 
 
 def _exact(check_id: str, anchor: str, dev: float, gap: float) -> CheckRecord:
-    """A product-based check: within 1e-12, and bit-identical to the scalar
-    route on the spot rows."""
-    return CheckRecord(check_id, anchor, dev <= 1e-12 and gap == 0.0, max(dev, gap))
+    """A product-based check: within ``quat.TOL_COMPARE``, and bit-identical
+    to the scalar route on the spot rows."""
+    return CheckRecord(check_id, anchor, dev <= quat.TOL_COMPARE and gap == 0.0,
+                       max(dev, gap))
 
 
 def quaternion_suite(seed: int, trials: int) -> list[CheckRecord]:
@@ -281,22 +288,23 @@ def quaternion_suite(seed: int, trials: int) -> list[CheckRecord]:
     records.append(CheckRecord(
         "matrix_decompose_roundtrip",
         "2x2 complex matrices act as q -> q*u + i*q*w",
-        dev <= 1e-10, dev))
+        dev <= TOL_DECOMPOSE, dev))
 
     classes = [quat.classify_pauli_action(axis, seed=seed) for axis in ("x", "y", "z")]
     repeat = [quat.classify_pauli_action(axis, seed=seed) for axis in ("x", "y", "z")]
-    stable = classes == repeat
     dev = max(c.max_deviation for c in classes)
-    witness = "; ".join(c.describe() for c in classes)
     records.append(CheckRecord(
         "pauli_sandwich_classification",
         "each sandwich action is one Pauli matrix up to a global left phase",
-        stable and dev <= 1e-12, dev, witness))
+        classes == repeat and dev <= quat.TOL_COMPARE, dev,
+        "; ".join(c.describe() for c in classes)))
     return records
 
 
 # ---------------------------------------------------------------------------
 # linalg suite
+
+TOL_KERNEL = 1e-12    # site application and tensor products vs dense forms
 
 
 def _random_isometry(field: ScalarField, dim: int, rng) -> np.ndarray:
@@ -317,18 +325,16 @@ def linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
         lm = LinearMap(field, mat)
         check = is_isometry(lm)
         dev = max(dev, check.max_deviation)
-        if not check.passed:
-            negative_ok = False
+        negative_ok = negative_ok and check.passed
         for _ in range(pair_count):
             u = random_state(field, n_sites, rng, normalize=False)
             v = random_state(field, n_sites, rng, normalize=False)
             dev = max(dev, abs(inner(lm.apply(u), lm.apply(v)) - inner(u, v)))
     stretched = is_isometry(LinearMap(ScalarField.REAL, np.diag([1.0, 2.0])))
-    negative_ok = negative_ok and not stretched.passed
     records.append(CheckRecord(
         "isometry_preserves_inner",
         "maps passing the isometry check preserve inner products",
-        negative_ok and dev <= 1e-10, dev,
+        negative_ok and not stretched.passed and dev <= TOL_ISO, dev,
         "diag(1, 2) correctly rejected" if not stretched.passed else
         "diag(1, 2) wrongly accepted"))
 
@@ -350,7 +356,7 @@ def linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
     records.append(CheckRecord(
         "site_application_matches_kron",
         "site-local application equals the full Kronecker operator",
-        dev <= 1e-12, dev))
+        dev <= TOL_KERNEL, dev))
 
     rng = rng_for(seed, 203)
     dev = 0.0
@@ -372,11 +378,10 @@ def linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
             dev = max(dev, float(np.abs(left.amplitudes - right).max()))
     records.append(CheckRecord(
         "tensor_bilinearity", "the tensor product is linear in each factor",
-        dev <= 1e-12, dev))
+        dev <= TOL_KERNEL, dev))
 
     rng = rng_for(seed, 204)
     dev = 0.0
-    witness = None
     negative_ok = False
     for field in ScalarField:
         n_sites = 2
@@ -401,7 +406,7 @@ def linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
     records.append(CheckRecord(
         "orthonormal_completion",
         "completion returns an orthonormal basis extending the input span",
-        negative_ok and dev <= 1e-10, dev, witness))
+        negative_ok and dev <= TOL_ISO, dev, witness))
     return records
 
 
@@ -423,23 +428,17 @@ def codes_suite(seed: int, trials: int) -> list[CheckRecord]:
     pauli_basis = codes.effective_error_basis(shor9, codes.ErrorFamily.PAULI_PER_SITE)
 
     report = codes.kl_check(r3, so2_basis)
-    dev = codes.kl_condition_deviation(report)
     records.append(CheckRecord(
         "kl_r3_so2", "correctability of plane rotations on the real code",
-        report.passed and dev <= 1e-12, dev))
+        report.passed, codes.kl_condition_deviation(report)))
 
-    dev = 0.0
-    ok = True
     h3_i = codes.build_h3_code("i")
-    for code, basis in ((h3_i, codes.effective_error_basis(h3_i, codes.ErrorFamily.SU2)),
-                        (h3, su2_basis)):
-        rep = codes.kl_check(code, basis)
-        ok = ok and rep.passed
-        dev = max(dev, codes.kl_condition_deviation(rep))
+    reps = [codes.kl_check(h3_i, codes.effective_error_basis(h3_i, codes.ErrorFamily.SU2)),
+            codes.kl_check(h3, su2_basis)]
     records.append(CheckRecord(
         "kl_h3_su2", "correctability of unit right multiplications on the "
         "quaternionic code (both repetition units)",
-        ok and dev <= 1e-12, dev))
+        all(r.passed for r in reps), max(map(codes.kl_condition_deviation, reps))))
 
     c3 = codes.build_complex3_code()
     phase_set = codes.ErrorSet((codes.identity_error(c3.field),
@@ -455,16 +454,15 @@ def codes_suite(seed: int, trials: int) -> list[CheckRecord]:
         else "expected witness (1j, -1j) not found"))
 
     rep = codes.kl_check(shor9, pauli_basis)
-    dev = codes.kl_condition_deviation(rep)
     records.append(CheckRecord(
         "kl_shor9_pauli", "correctability of all single-site Paulis on the "
-        "nine-qubit code", rep.passed and dev <= 1e-12, dev))
+        "nine-qubit code", rep.passed, codes.kl_condition_deviation(rep)))
 
     dev = max(cmap.isometry_deviation() for cmap in (r3_map, h3_map, shor9_map))
     records.append(CheckRecord(
         "correction_maps_isometric",
         "synthesized correction operators are orthogonal/unitary",
-        dev <= 1e-10, dev))
+        dev <= TOL_ISO, dev))
 
     def roundtrip_dev(cmap, draw_error, rng) -> float:
         fidelities, residuals = codes.simulate(cmap, draw_error, rng, trials)
@@ -476,27 +474,27 @@ def codes_suite(seed: int, trials: int) -> list[CheckRecord]:
     records.append(CheckRecord(
         "combined_error_linearity",
         "correction of arbitrary linear combinations of basis errors",
-        dev <= 1e-10, dev))
+        dev <= codes.SYNTH_TOL, dev))
 
     dev = roundtrip_dev(r3_map, lambda rng: codes.so2_error(
         rng.uniform(0.0, 2.0 * np.pi), int(rng.integers(r3.n_sites))),
         rng_for(seed, 302))
     records.append(CheckRecord(
         "roundtrip_fidelity_r3", "plane-rotation roundtrips recover the "
-        "logical state", dev <= 1e-10, dev))
+        "logical state", dev <= codes.SYNTH_TOL, dev))
 
     dev = roundtrip_dev(h3_map, lambda rng: codes.su2_error(
         random_unit_quaternion(rng), int(rng.integers(h3.n_sites))),
         rng_for(seed, 303))
     records.append(CheckRecord(
         "roundtrip_fidelity_h3", "unit right-multiplication roundtrips "
-        "recover the logical state", dev <= 1e-10, dev))
+        "recover the logical state", dev <= codes.SYNTH_TOL, dev))
 
     dev = roundtrip_dev(shor9_map, codes.combined_draw(pauli_basis, shor9.field),
                         rng_for(seed, 304))
     records.append(CheckRecord(
         "roundtrip_fidelity_shor9", "single-site Pauli combinations on the "
-        "nine-qubit code", dev <= 1e-10, dev))
+        "nine-qubit code", dev <= codes.SYNTH_TOL, dev))
 
     b3 = codes.build_b3_code()
     singles = codes.ErrorSet(codes.effective_error_basis(
@@ -525,6 +523,10 @@ def codes_suite(seed: int, trials: int) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 # dirac suite
 
+TOL_TRANSFORM_REFERENCE = 1e-15  # the Majorana transform vs its reference
+TOL_TRANSFORM_UNITARY = 1e-14    # the Majorana transform's unitarity
+TOL_GENERATORS_REAL = 1e-14      # imaginary part of the transformed bilinears
+
 
 def dirac_suite(seed: int, trials: int) -> list[CheckRecord]:
     records = []
@@ -534,53 +536,48 @@ def dirac_suite(seed: int, trials: int) -> list[CheckRecord]:
     rep = dirac.clifford_check(gs)
     records.append(CheckRecord(
         "clifford_standard", "anticommutators and squares in the block basis",
-        rep.passed and rep.max_deviation <= 1e-12, rep.max_deviation))
+        rep.passed, rep.max_deviation))
 
     rng = rng_for(seed, 401)
-    rep = dirac.clifford_check(gm)
-    dev, ok = rep.max_deviation, rep.passed
-    for _ in range(100):
-        u = random_unitary(4, rng)
-        rep = dirac.clifford_check(dirac.transform_basis(gs, u))
-        ok = ok and rep.passed
-        dev = max(dev, rep.max_deviation)
+    reps = [dirac.clifford_check(gm)] + [
+        dirac.clifford_check(dirac.transform_basis(gs, random_unitary(4, rng)))
+        for _ in range(100)]
     records.append(CheckRecord(
         "clifford_transformed",
         "the defining relations survive arbitrary unitary basis changes",
-        ok and dev <= 1e-12, dev))
+        all(r.passed for r in reps), max(r.max_deviation for r in reps)))
 
     um = dirac.build_majorana_transform(gs)
     dev_ref = float(np.abs(um - dirac.MAJORANA_TRANSFORM_REFERENCE).max())
-    dev_unitary = is_isometry(um, 1e-14).max_deviation
+    dev_unitary = is_isometry(um).max_deviation
     records.append(CheckRecord(
         "majorana_transform_matrix",
         "the product formula reproduces the reference matrix and is unitary",
-        dev_ref <= 1e-15 and dev_unitary <= 1e-14, max(dev_ref, dev_unitary)))
+        dev_ref <= TOL_TRANSFORM_REFERENCE and dev_unitary <= TOL_TRANSFORM_UNITARY,
+        max(dev_ref, dev_unitary)))
 
     images = dirac.check_basis_images(gs, um)
     signs = {k: v.sign for k, v in images.items()}
-    ok = all(v.matches_reference for v in images.values())
-    dev = max(v.reference_deviation for v in images.values())
     records.append(CheckRecord(
         "majorana_basis_images",
         "conjugation sends each matrix to its reference +-i partner",
-        ok and dev <= 1e-13, dev,
+        all(v.matches_reference for v in images.values()),
+        max(v.reference_deviation for v in images.values()),
         f"signs found vs reference: {signs}"))
 
     gens = dirac.error_generators(gm)
     dev = max(float(np.abs(np.asarray(g).imag).max()) for g in gens)
     records.append(CheckRecord(
         "generators_real", "the transformed rotation bilinears are real",
-        dev <= 1e-14, dev))
+        dev <= TOL_GENERATORS_REAL, dev))
 
     bil = dirac.check_majorana_bilinears(gm)
     signs = {k: v.sign for k, v in bil.items()}
-    ok = all(v.matches_reference for v in bil.values())
-    dev = max(v.reference_deviation for v in bil.values())
     records.append(CheckRecord(
         "generator_sign_patterns",
         "transformed bilinears match the reference +-1 patterns",
-        ok and dev <= 1e-12, dev,
+        all(v.matches_reference for v in bil.values()),
+        max(v.reference_deviation for v in bil.values()),
         f"signs found vs reference: {signs}"))
 
     rng = rng_for(seed, 402)
@@ -599,7 +596,7 @@ def dirac_suite(seed: int, trials: int) -> list[CheckRecord]:
     records.append(CheckRecord(
         "rotor_correspondence",
         "rotor action equals right multiplication by the conjugate coefficient "
-        "quaternion", dev <= 1e-12, dev,
+        "quaternion", dev <= dirac.TOL_IDENTITY, dev,
         f"unit signs found (reference -1 each): {unit_signs}"))
 
     rng = rng_for(seed, 403)
@@ -610,7 +607,7 @@ def dirac_suite(seed: int, trials: int) -> list[CheckRecord]:
         dev = max(dev, is_isometry(rotor.matrix(gens).real).max_deviation)
     records.append(CheckRecord(
         "rotor_isometry", "unit rotors act as isometries of R^4",
-        dev <= 1e-12, dev))
+        dev <= dirac.TOL_IDENTITY, dev))
     return records
 
 

@@ -117,6 +117,16 @@ def test_usage_error_trials_above_ceiling(capsys, monkeypatch):
     assert err.startswith("usage error") and str(MAX_TRIALS) in err
 
 
+@pytest.mark.parametrize("argv", [("verify", "quaternion"), ("demo", "hopf")],
+                         ids=["verify", "demo"])
+def test_tol_is_a_usage_error_outside_simulate(capsys, argv):
+    # --tol sets the simulate gate only; elsewhere it used to be ignored
+    code, out, err = run_cli(capsys, *argv, "--tol", "1e-300")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --tol" in err
+
+
 def test_exit_matches_overall_verdict(capsys):
     code, out, _ = run_cli(capsys, "simulate", "r3", "--trials", "20",
                            "--format", "structured")

@@ -1292,6 +1292,28 @@ def test_roundtrip_of_a_nan_error_raises_without_a_warning(r3_correction):
                               (0.6, 0.8), nan_error, "finite")
 
 
+@pytest.mark.parametrize("tol", [None, codes.SYNTH_TOL], ids=["no-gate", "gate"])
+def test_roundtrip_of_a_finite_overflowing_error_raises(shor9_correction, tol):
+    # the corrupted amplitudes are finite, but their norms overflow; this used
+    # to warn from the norms and, without a gate, return an inf residual
+    code = shor9_correction.code
+    matrix = 1e307 * np.eye(code.dim, dtype=code.field.dtype)
+    matrix[0, 7] = 1e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="a norm overflows"):
+            roundtrip(code, shor9_correction, (0.6, 0.8),
+                      LinearMap(code.field, matrix), tol=tol)
+
+
+def test_roundtrip_of_an_overflowing_logical_state_raises(r3_correction):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="a norm overflows"):
+            roundtrip(r3_correction.code, r3_correction, (1e160, 1e160),
+                      so2_error(0.3, 0), tol=None)
+
+
 def test_roundtrip_checks_zero_weighted_terms(r3_correction):
     errors = ErrorSet((identity_error(ScalarField.REAL),
                        identity_error(ScalarField.COMPLEX)))
