@@ -24,14 +24,14 @@ of ``Code.words``, and the indices of the amplitudes they hold nonzero as
 form: the code-space block of the domain adjoint, built from the images,
 while the codewords and the ancilla states define the image.  It applies the
 map in the code x ancilla frame, and a roundtrip, whose input is always
-corrupted x |0_A>, corrects from the code-space amplitudes alone.  Without a
-completion that output is zero off the codeword support, so the roundtrip
-checks it on the support rows only.  A completion to the full operator is
-held as a signed permutation, two index arrays ``(perm, sign)``, whenever
-both completed bases are signed canonical (always for ``r3`` and ``h3``): it
-is applied by a scatter and checked for isometry on the arrays, and the dense
-``operator`` is built only on access.  Any other completion is held as a
-dense matrix.
+corrupted x |0_A>, corrects from the code-space amplitudes alone, as a
+``(rows, block)`` pair: the output on the code rows that can be nonzero,
+``Code.support`` without a completion, every row with one.  A completion to
+the full operator is held as a signed permutation, two index arrays
+``(perm, sign)``, whenever both completed bases are signed canonical (always
+for ``r3`` and ``h3``): it is applied by a scatter and checked for isometry
+on the arrays, and the dense ``operator`` is built only on access.  Any
+other completion is held as a dense matrix.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .linalg import (
     ScalarField,
     SiteOperator,
     StateVector,
+    TOL_ISO,
     _checked_amplitudes,
     _is_index,
     _site_amplitudes,
@@ -66,6 +67,8 @@ KL_TOL = 1e-12
 SYNTH_TOL = 1e-10
 # two error actions on the code space agree within this, componentwise
 ACTION_TOL = 1e-12
+# the phase-failure cross term vanishes within this, relative to |a| |b|
+EQUIVALENCE_TOL = 1e-12
 
 
 class SynthesisError(ValueError):
@@ -107,7 +110,7 @@ class Code:
         # an overflow makes a diagonal entry inf, which the check reports
         with np.errstate(over="ignore", invalid="ignore"):
             gram = words.conj() @ words.T              # [j, i] = <w_j|w_i>
-        bad = np.abs(gram - np.eye(len(words))) > 1e-10
+        bad = np.abs(gram - np.eye(len(words))) > TOL_ISO
         pairs = np.argwhere(np.triu(bad).T)           # (i, j), j <= i, row-major
         if len(pairs):
             idx, jdx = pairs[0].tolist()
@@ -500,7 +503,8 @@ class CorrectionMap:
     (p, l) of ``_domain_adjoint`` is conj(E_p w_l) / sqrt(d_p), over the code
     space.  Image vector (p, l) is w_l x |a_p>, given by the codewords and
     ``ancilla_states``.  ``domain`` and ``image`` build the full states on
-    access.
+    access.  It corrects onto the rows of ``code.support`` only (see
+    :meth:`_correct`), and :meth:`apply` scatters them into the whole output.
 
     ``_completion`` is None for a partial map.  A completion whose two bases
     are signed canonical (one entry per column, exactly +-1, as for ``r3``
@@ -588,8 +592,10 @@ class CorrectionMap:
             out = np.empty_like(state.amplitudes)
             out[perm] = sign * state.amplitudes
             return state.with_amplitudes(out)
-        return state.with_amplitudes(
-            self._correct(state.amplitudes[::self.ancilla_dim]))
+        rows, block = self._correct(state.amplitudes[::self.ancilla_dim])
+        out = np.zeros((self.code.dim, self.ancilla_dim), self.code.field.dtype)
+        out[rows] = block
+        return state.with_amplitudes(out.reshape(-1))
 
     def _check_input(self, field: ScalarField, dim: int) -> None:
         """Reject input not over the code's field or not of code x ancilla size."""
@@ -600,29 +606,31 @@ class CorrectionMap:
         if dim != expected:
             raise ValueError(f"dimension mismatch: {expected} vs {dim}")
 
-    def _correct(self, corrupted: np.ndarray) -> np.ndarray:
+    def _correct(self, corrupted: np.ndarray) -> tuple[np.ndarray | slice, np.ndarray]:
         """The image of corrupted x |0_A> from the code-space amplitudes
         alone, unchecked: :meth:`apply` checks each state, :func:`roundtrip`
-        each code/map pair, before calling this.  A completed operator
-        contributes only its ancilla-|0> columns: a dense one as a product,
-        a held ``(perm, sign)`` one as a scatter of those columns' entries.
+        each code/map pair, before calling this.  Returns ``(rows, block)``,
+        the (code row, ancilla) output table on the rows that can be nonzero.
 
-        Without a completion it works in the code x ancilla frame: the domain
-        reads only the ancilla-|0> column, and the output is the codewords
-        weighted per ancilla state, with zero weight off ``ancilla_states``."""
+        Without a completion the output is the codewords weighted per ancilla
+        state, zero off ``ancilla_states``, so ``rows`` is ``code.support``.
+        A completed operator gives every row, ``slice(None)``, from its
+        ancilla-|0> columns only: a dense one as a product, a held
+        ``(perm, sign)`` one as a scatter of those columns' entries."""
         completion = self._completion
+        if completion is None:
+            words, support = self.code.words, self.code.support
+            coeffs = self._domain_adjoint @ corrupted
+            weights = np.zeros((len(words), self.ancilla_dim), self.code.field.dtype)
+            weights[:, list(self.ancilla_states)] = coeffs.reshape(-1, len(words)).T
+            return support, words[:, support].T @ weights
         if isinstance(completion, LinearMap):
-            return completion.matrix[:, ::self.ancilla_dim] @ corrupted
-        if completion is not None:
+            out = completion.matrix[:, ::self.ancilla_dim] @ corrupted
+        else:
             perm, sign = completion
             out = np.zeros(len(perm), self.code.field.dtype)
             out[perm[::self.ancilla_dim]] = sign[::self.ancilla_dim] * corrupted
-            return out
-        words = self.code.words
-        coeffs = self._domain_adjoint @ corrupted
-        weights = np.zeros((len(words), self.ancilla_dim), self.code.field.dtype)
-        weights[:, list(self.ancilla_states)] = coeffs.reshape(-1, len(words)).T
-        return (words.T @ weights).reshape(-1)
+        return slice(None), out.reshape(self.code.dim, self.ancilla_dim)
 
 
 def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
@@ -803,11 +811,12 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
 
     A combined error corrupts through the stacked images its set holds for
     ``code``, as one product, and the map corrects corrupted x |0_A> from the
-    corrupted amplitudes alone.  The output of a map without a completion is
-    zero outside the codeword support, so its residual and norm are taken on
-    the rows of ``code.support`` only; a completed map may scatter onto any
-    row, and is checked on its whole output.  A NaN or negative ``tol`` or
-    an overflowing norm raises ValueError, an error of another type TypeError.
+    corrupted amplitudes alone, as the ``(rows, block)`` pair of
+    :meth:`CorrectionMap._correct`, on which the ancilla, residual, norm and
+    fidelity are all taken: ``code.support`` for a map without a completion,
+    whose output is zero elsewhere, every row for a completed one.  A NaN or
+    negative ``tol`` or an overflowing norm raises ValueError, an error of
+    another type TypeError.
     """
     if tol is not None and not tol >= 0:
         raise ValueError(f"tol must be nonnegative or None, got {tol!r}")
@@ -826,14 +835,10 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
         else:
             amps = _error_amplitudes(error, state)
         corrupted = _checked_amplitudes(code.field, code.n_sites, amps)
-        out = cmap._correct(corrupted)
+        rows, block = cmap._correct(corrupted)
 
-        table = out.reshape(code.dim, cmap.ancilla_dim)
-        ref = encoded / scale
-        anc = ref.conj() @ table
-        block, ref_block = table, ref
-        if cmap._completion is None:            # zero off the codeword support
-            block, ref_block = table[code.support], ref[code.support]
+        ref_block = encoded[rows] / scale
+        anc = ref_block.conj() @ block
         diff = ref_block[:, None] * anc
         residual_f = float(np.linalg.norm(np.subtract(block, diff, out=diff)))
         norm_gap = abs(float(np.linalg.norm(corrupted)) - float(np.linalg.norm(block)))
@@ -841,11 +846,12 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
 
         anc_norm = float(np.linalg.norm(anc))
         if anc_norm > 0:
-            code_amps = table @ anc.conj() / (anc_norm ** 2)
+            code_amps = block @ anc.conj() / (anc_norm ** 2)
         else:
-            code_amps = np.zeros(code.dim, dtype=table.dtype)
+            code_amps = np.zeros(len(block), dtype=block.dtype)
         cf_norm = float(np.linalg.norm(code_amps))
-        fidelity = float(abs(np.vdot(ref, code_amps)) / cf_norm) if cf_norm > 0 else 0.0
+        fidelity = (float(abs(np.vdot(ref_block, code_amps)) / cf_norm)
+                    if cf_norm > 0 else 0.0)
     if not all(map(math.isfinite, (scale, residual_f, norm_gap, fidelity))):
         raise ValueError("a norm overflows: the state is too large")
     result = RoundtripResult(StateVector(code.field, cmap.n_ancilla, anc),
@@ -926,7 +932,7 @@ def phase_failure_demo(a: complex = 1 / math.sqrt(2.0),
     # (i*a, -i*b) is a phase multiple of (a, b) iff the cross term vanishes,
     # i.e. iff one of the amplitudes is zero.
     cross = (1j * a) * b - a * (-1j * b)
-    equivalent = abs(cross) <= 1e-12 * max(1.0, abs(a) * abs(b))
+    equivalent = abs(cross) <= EQUIVALENCE_TOL * max(1.0, abs(a) * abs(b))
     errors = ErrorSet((identity_error(code.field),
                        ErrorTerm("phase(pi)@0", phase_error_pi(0))))
     return PhaseFailureReport((a, b), (1j * a, -1j * b), residual,

@@ -35,6 +35,8 @@ _Z2 = np.zeros((2, 2), dtype=complex)
 TOL_IDENTITY = 1e-12     # the algebraic identities checked below
 TOL_REAL = 1e-10         # imaginary part a real generator triple may carry
 TOL_BASIS_IMAGE = 1e-13  # a conjugated gamma matrix against its reference image
+TOL_SPINOR_REAL = 1e-12  # imaginary part a Majorana spinor's components may carry
+TOL_ROTOR_UNIT = 1e-12   # an error rotor's sum of squares against one
 
 
 @dataclass(frozen=True)
@@ -271,7 +273,7 @@ class MajoranaSpinor:
         if comp.shape != (4,):
             raise ValueError("four components required")
         if np.iscomplexobj(comp):
-            if np.abs(comp.imag).max(initial=0.0) > 1e-12:
+            if np.abs(comp.imag).max(initial=0.0) > TOL_SPINOR_REAL:
                 raise ValueError("components must be real")
             comp = comp.real
         object.__setattr__(self, "components", comp.astype(float))
@@ -297,7 +299,7 @@ class ErrorRotor:
     @property
     def is_unit(self) -> bool:
         total = self.e0 ** 2 + self.e1 ** 2 + self.e2 ** 2 + self.e3 ** 2
-        return abs(total - 1.0) <= 1e-12
+        return abs(total - 1.0) <= TOL_ROTOR_UNIT
 
     def as_quaternion(self) -> Quaternion:
         return Quaternion(self.e0, self.e1, self.e2, self.e3)

@@ -89,7 +89,12 @@ class StateVector:
         return self.amplitudes.shape[0]
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        """The Euclidean norm; ValueError when it overflows a float."""
+        with np.errstate(over="ignore"):                 # raises ValueError below
+            n = float(np.linalg.norm(self.amplitudes))
+        if not np.isfinite(n):
+            raise ValueError("a norm overflows: the state is too large")
+        return n
 
     def with_amplitudes(self, amplitudes: np.ndarray) -> "StateVector":
         return StateVector(self.field, self.n_sites, amplitudes)

@@ -313,9 +313,9 @@ def classify_pauli_action(axis: str, seed: int = 0) -> PauliActionClass:
         mask = np.abs(p) > 0.5
         ratios = m[mask] / p[mask]
         phase = ratios[0]
-        if (np.allclose(ratios, phase, atol=1e-12)
-                and abs(abs(phase) - 1.0) <= 1e-12
-                and np.allclose(m, phase * p, atol=1e-12)):
+        if (np.allclose(ratios, phase, atol=TOL_COMPARE)
+                and abs(abs(phase) - 1.0) <= TOL_COMPARE
+                and np.allclose(m, phase * p, atol=TOL_COMPARE)):
             found = (name, complex(phase))
             break
     if found is None:

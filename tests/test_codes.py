@@ -633,6 +633,34 @@ def test_partial_map_output_lies_in_the_assigned_ancilla_states(name):
     assert np.all(np.any(table[:, list(cmap.ancilla_states)] != 0, axis=0))
 
 
+def _whole_table_correct(cmap, corrupted):
+    """The partial map's output on corrupted x |0_A> as the whole (code row,
+    ancilla) table: the codewords weighted per ancilla state, on every row."""
+    words = cmap.code.words
+    weights = np.zeros((len(words), cmap.ancilla_dim), cmap.code.field.dtype)
+    weights[:, list(cmap.ancilla_states)] = (
+        cmap._domain_adjoint @ corrupted).reshape(-1, len(words)).T
+    return words.T @ weights
+
+
+@pytest.mark.parametrize("name", _PARTIAL_MAPS)
+def test_partial_map_corrects_onto_the_support_rows_only(name):
+    # the block is bit for bit the support rows of the whole table, which is
+    # exactly zero off them, as is the state CorrectionMap.apply builds
+    cmap = _partial_map(name)
+    support = cmap.code.support
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        state = _random_input(cmap, rng)
+        corrupted = state.amplitudes[::cmap.ancilla_dim]
+        rows, block = cmap._correct(corrupted)
+        assert np.array_equal(rows, support)
+        for table in (_whole_table_correct(cmap, corrupted),
+                      cmap.apply(state).amplitudes.reshape(cmap.code.dim, -1)):
+            assert np.array_equal(table[support], block)
+            assert np.all(np.delete(table, support, axis=0) == 0.0)
+
+
 def test_partial_map_apply_does_not_copy_the_domain(shor9_correction):
     cmap = shor9_correction
     state = _shor9_input(cmap, np.random.default_rng(5))
@@ -1082,9 +1110,11 @@ def test_roundtrip_matches_the_state_reference(fixture, draw, request):
         ancilla, residual, fidelity = _reference_roundtrip(code, cmap, logical, error)
         # the norm gap reads the corrupted state, not corrupted x |0_A>
         assert abs(res.residual - residual) <= 1e-15
-        if draw is _combined:
+        if draw is _combined or cmap._completion is None:
             # a combination corrupts through the stacked images, which sums
-            # the terms in another order than CombinedError.apply
+            # the terms in another order than CombinedError.apply; a partial
+            # map's output is contracted on its support rows only, which sums
+            # them in another order than the whole table
             assert abs(res.fidelity - fidelity) <= 1e-15
             assert np.abs(res.ancilla.amplitudes - ancilla.amplitudes).max() <= 1e-15
         else:
@@ -1115,6 +1145,24 @@ def test_roundtrip_builds_three_small_states(fixture, request, monkeypatch):
     roundtrip(code, cmap, logical, error)
     assert len(built) <= 3
     assert cmap.total_sites not in built
+
+
+def test_shor9_roundtrip_builds_no_whole_output_table(shor9_correction):
+    # the partial map corrects onto its 8 support rows: the whole 512 x 32
+    # complex output table alone would take 256 KiB
+    cmap = shor9_correction
+    code = cmap.code
+    rng = rng_for(8, 2)
+    logical = random_coefficients(code.field, 2, rng)
+    error = _combined(cmap)(rng)
+    roundtrip(code, cmap, logical, error, tol=None)
+    tracemalloc.start()
+    try:
+        roundtrip(code, cmap, logical, error, tol=None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024 < code.dim * cmap.ancilla_dim * 16
 
 
 @st.composite

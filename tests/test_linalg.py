@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,18 @@ def test_state_validation():
     # a real-valued complex array is fine over a real field
     s = StateVector(R, 1, np.array([1.0 + 0j, 0.0]))
     assert s.amplitudes.dtype == np.dtype(float)
+
+
+@pytest.mark.parametrize("field", [R, C, H])
+def test_norm_of_a_finite_overflowing_state_raises(field):
+    # the amplitudes are finite, but the sum of their squares overflows; this
+    # used to warn and return inf
+    big = StateVector(field, 1, np.full(field.site_dim, 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="a norm overflows"):
+            big.norm()
+        assert StateVector(field, 1, np.full(field.site_dim, 1e150)).norm() > 1e150
 
 
 def test_tensor_basis_states():

@@ -1,6 +1,7 @@
 """Source guards on how verdicts read their tolerances.
 
-Each record of ``verify`` and ``cli`` is judged against a named module
+Every comparison in ``hqec``, each record of ``verify`` and ``cli`` as well
+as each check inside the library, is judged against a named module
 constant, so no small float literal appears in a comparison there.  Every
 parameter default of ``hqec`` is counted, so a new one has to name the caller
 that sets it before this bound moves.
@@ -20,9 +21,9 @@ def _parse(path: Path) -> ast.Module:
 
 
 def test_no_literal_tolerance_in_a_verdict():
-    found = [f"{name}:{lit.lineno}: {lit.value!r}"
-             for name in ("verify.py", "cli.py")
-             for node in ast.walk(_parse(SRC / name)) if isinstance(node, ast.Compare)
+    found = [f"{path.name}:{lit.lineno}: {lit.value!r}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(_parse(path)) if isinstance(node, ast.Compare)
              for lit in ast.walk(node)
              if isinstance(lit, ast.Constant) and type(lit.value) is float
              and 0.0 < lit.value < 1e-6]
