@@ -59,17 +59,14 @@ from .codes import (
     synthesize_correction,
 )
 from .dirac import (
-    DiracSpinor,
     ErrorRotor,
     GammaSet,
     MajoranaSpinor,
     build_gammas_standard,
     build_majorana_transform,
-    chi_preservation,
     clifford_check,
     error_generators,
     quaternion_correspondence,
-    real_invariance,
     transform_basis,
 )
 

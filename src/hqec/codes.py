@@ -67,7 +67,7 @@ KL_TOL = 1e-12
 SYNTH_TOL = 1e-10
 # two error actions on the code space agree within this, componentwise
 ACTION_TOL = 1e-12
-# the phase-failure cross term vanishes within this, relative to |a| |b|
+# the phase-failure cross term vanishes within this, relative to |a|^2 + |b|^2
 EQUIVALENCE_TOL = 1e-12
 
 
@@ -103,6 +103,9 @@ class Code:
         if not self.codewords:
             raise ValueError("a code needs at least one codeword")
         for idx, w in enumerate(self.codewords):
+            if not isinstance(w, StateVector):
+                raise TypeError(f"codeword {idx} must be a StateVector, "
+                                f"got {type(w).__name__}")
             if w.field is not self.field or w.n_sites != self.n_sites:
                 raise FieldMismatchError(f"codeword {idx} does not match the code")
         words = np.stack([w.amplitudes for w in self.codewords])
@@ -226,6 +229,12 @@ class ErrorSet:
     # [code, read-only images] for the last code the set was asked about
     _image_slot: list = dataclasses.field(default_factory=list, init=False,
                                           compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for idx, t in enumerate(self.terms):
+            if not isinstance(t, ErrorTerm):
+                raise TypeError(f"error set entry {idx} must be an ErrorTerm, "
+                                f"got {type(t).__name__}")
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -645,6 +654,9 @@ def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
     Signs and coefficients of the resulting map are derived from the defining
     pairs, never hard-coded.
     """
+    if not _is_index(n_ancilla) or n_ancilla < 0:
+        raise SynthesisError(
+            f"n_ancilla must be a non-negative integer, got {n_ancilla!r}")
     if len(errors) == 0:
         raise SynthesisError("the error set is empty; entry 0 must be the identity")
     report = kl_check(code, errors)
@@ -920,6 +932,11 @@ def phase_failure_demo(a: complex = 1 / math.sqrt(2.0),
     genuinely different physical state and the code fails.  With a or b zero
     the mimic differs only by phase and the failure is benign.
     """
+    # the largest real or imaginary part: abs() of a complex amplitude can
+    # itself overflow
+    scale = max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag))
+    if scale == 0:
+        raise ValueError("the demo needs a nonzero amplitude pair")
     code = build_complex3_code()
     encoded = encode(code, (a, b))
     mimic = encode(code, (1j * a, -1j * b))
@@ -929,10 +946,12 @@ def phase_failure_demo(a: complex = 1 / math.sqrt(2.0),
         residual = max(residual, float(
             np.linalg.norm(corrupted.amplitudes - mimic.amplitudes)))
 
-    # (i*a, -i*b) is a phase multiple of (a, b) iff the cross term vanishes,
-    # i.e. iff one of the amplitudes is zero.
-    cross = (1j * a) * b - a * (-1j * b)
-    equivalent = abs(cross) <= EQUIVALENCE_TOL * max(1.0, abs(a) * abs(b))
+    # (i*a, -i*b) is a phase multiple of (a, b) iff the cross term
+    # 2i*a*b vanishes, i.e. iff one of the amplitudes is zero.  The test is
+    # homogeneous in the scale, and dividing by it keeps the product from
+    # overflowing or underflowing.
+    a_s, b_s = a / scale, b / scale
+    equivalent = abs(a_s * b_s) <= EQUIVALENCE_TOL * (abs(a_s) ** 2 + abs(b_s) ** 2)
     errors = ErrorSet((identity_error(code.field),
                        ErrorTerm("phase(pi)@0", phase_error_pi(0))))
     return PhaseFailureReport((a, b), (1j * a, -1j * b), residual,

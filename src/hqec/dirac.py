@@ -36,7 +36,6 @@ TOL_IDENTITY = 1e-12     # the algebraic identities checked below
 TOL_REAL = 1e-10         # imaginary part a real generator triple may carry
 TOL_BASIS_IMAGE = 1e-13  # a conjugated gamma matrix against its reference image
 TOL_SPINOR_REAL = 1e-12  # imaginary part a Majorana spinor's components may carry
-TOL_ROTOR_UNIT = 1e-12   # an error rotor's sum of squares against one
 
 
 @dataclass(frozen=True)
@@ -122,13 +121,12 @@ def transform_basis(g: GammaSet, u: np.ndarray) -> GammaSet:
     return GammaSet(*(u @ m @ uh for m in g.all()))
 
 
-def build_majorana_transform(g: GammaSet | None = None) -> np.ndarray:
+def build_majorana_transform(g: GammaSet) -> np.ndarray:
     """The unitary g2 (g5 + i g1)(g0 + i g3) / 2.
 
     It commutes with g2 and swaps the roles of g3 with i*g0 and of g1 with
     i*g5, so that after conjugation every i*gamma_k is a real matrix.
     """
-    g = g or build_gammas_standard()
     return g.g2 @ (g.g5 + 1j * g.g1) @ (g.g0 + 1j * g.g3) / 2.0
 
 
@@ -177,12 +175,9 @@ def match_up_to_sign(computed: np.ndarray, reference: np.ndarray,
     return SignedMatch(name, None, min(plus, minus), plus)
 
 
-def check_basis_images(g: GammaSet | None = None,
-                       u: np.ndarray | None = None,
+def check_basis_images(g: GammaSet, u: np.ndarray,
                        tol: float = TOL_BASIS_IMAGE) -> dict[str, SignedMatch]:
     """Compare U gamma U^H against the reference images, sign-classified."""
-    g = g or build_gammas_standard()
-    u = build_majorana_transform(g) if u is None else u
     transformed = transform_basis(g, u)
     sources = {"g0": g.g0, "g1": g.g1, "g2": g.g2, "g3": g.g3, "g5": g.g5}
     images = {"g0": transformed.g0, "g1": transformed.g1, "g2": transformed.g2,
@@ -220,46 +215,16 @@ MAJORANA_BILINEAR_REFERENCE = {
 }
 
 
-def check_majorana_bilinears(
-        g_majorana: GammaSet | None = None) -> dict[str, SignedMatch]:
+def check_majorana_bilinears(g_majorana: GammaSet) -> dict[str, SignedMatch]:
     """Sign-classify the transformed bilinears against their reference forms."""
-    gm = g_majorana or majorana_set()
-    bilinears = {"g2g3": gm.g2 @ gm.g3, "g3g1": gm.g3 @ gm.g1, "g1g2": gm.g1 @ gm.g2}
+    g2, g3, g1 = g_majorana.g2, g_majorana.g3, g_majorana.g1
+    bilinears = {"g2g3": g2 @ g3, "g3g1": g3 @ g1, "g1g2": g1 @ g2}
     return {name: match_up_to_sign(bilinears[name], MAJORANA_BILINEAR_REFERENCE[name],
                                    name) for name in bilinears}
 
 
 # ---------------------------------------------------------------------------
 # Spinors and rotors
-
-
-@dataclass(frozen=True)
-class DiracSpinor:
-    """Four complex components; xi is the upper pair, eta the lower pair."""
-
-    psi: np.ndarray
-
-    def __post_init__(self) -> None:
-        psi = np.asarray(self.psi, dtype=complex)
-        if psi.shape != (4,):
-            raise ValueError("a spinor has four components")
-        object.__setattr__(self, "psi", psi)
-
-    @property
-    def xi(self) -> np.ndarray:
-        return self.psi[:2]
-
-    @property
-    def eta(self) -> np.ndarray:
-        return self.psi[2:]
-
-    @property
-    def phi(self) -> np.ndarray:
-        return (self.xi + self.eta) / np.sqrt(2.0)
-
-    @property
-    def chi(self) -> np.ndarray:
-        return (self.xi - self.eta) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -278,9 +243,6 @@ class MajoranaSpinor:
             comp = comp.real
         object.__setattr__(self, "components", comp.astype(float))
 
-    def to_quaternion(self) -> Quaternion:
-        return Quaternion.from_array(self.components)
-
     @classmethod
     def from_quaternion(cls, q: Quaternion) -> "MajoranaSpinor":
         return cls(q.as_array())
@@ -296,11 +258,6 @@ class ErrorRotor:
     e2: float
     e3: float
 
-    @property
-    def is_unit(self) -> bool:
-        total = self.e0 ** 2 + self.e1 ** 2 + self.e2 ** 2 + self.e3 ** 2
-        return abs(total - 1.0) <= TOL_ROTOR_UNIT
-
     def as_quaternion(self) -> Quaternion:
         return Quaternion(self.e0, self.e1, self.e2, self.e3)
 
@@ -308,34 +265,6 @@ class ErrorRotor:
         e1m, e2m, e3m = generators
         return (self.e0 * np.eye(4, dtype=e1m.dtype)
                 + self.e1 * e1m + self.e2 * e2m + self.e3 * e3m)
-
-
-@dataclass(frozen=True)
-class ChiReport:
-    precondition_met: bool     # input had chi = 0
-    chi_in: float
-    chi_out: float
-    passed: bool
-
-
-def chi_preservation(rotor: ErrorRotor, s: DiracSpinor,
-                     g: GammaSet | None = None) -> ChiReport:
-    """Apply e0 + e1 g2 g3 + e2 g3 g1 + e3 g1 g2 in the standard basis and
-    check that chi = (xi - eta)/sqrt(2) stays zero when it started zero.
-
-    The three bilinears are block diagonal with equal blocks, so they act on
-    xi and eta identically; inputs with chi != 0 are reported as outside the
-    precondition and nothing is asserted for them.
-    """
-    g = g or build_gammas_standard()
-    bilinears = (g.g2 @ g.g3, g.g3 @ g.g1, g.g1 @ g.g2)
-    chi_in = float(np.linalg.norm(s.chi))
-    met = chi_in <= TOL_IDENTITY
-    out = DiracSpinor(rotor.matrix(bilinears) @ s.psi)
-    chi_out = float(np.linalg.norm(out.chi))
-    scale = max(1.0, float(np.linalg.norm(s.psi)))
-    passed = (not met) or chi_out <= TOL_IDENTITY * scale * 10
-    return ChiReport(met, chi_in, chi_out, passed)
 
 
 @dataclass(frozen=True)
@@ -384,30 +313,3 @@ def quaternion_correspondence(rotor: ErrorRotor, q: Quaternion,
     dev = float(np.abs(lhs - rhs).max())
     return CorrespondenceReport(lhs, rhs, dev, dev <= TOL_IDENTITY)
 
-
-@dataclass(frozen=True)
-class RealInvarianceReport:
-    split_deviation: float     # rotor(s) vs rotor(Re s) + i rotor(Im s)
-    realness_deviation: float  # imaginary part of rotor(real input)
-    passed: bool
-
-
-def real_invariance(rotor: ErrorRotor, s: np.ndarray,
-                    g_majorana: GammaSet | None = None) -> RealInvarianceReport:
-    """Real and imaginary parts of a complex spinor transform independently
-    under the (real) rotor, and a real input stays real."""
-    gm = g_majorana or majorana_set()
-    mat = rotor.matrix(gm._generators)
-    if np.abs(np.asarray(mat).imag).max(initial=0.0) > TOL_REAL:
-        raise ValueError("generator triple is not real; use a real basis")
-    mat = np.asarray(mat).real
-    s = np.asarray(s, dtype=complex)
-    whole = mat @ s
-    split = mat @ s.real + 1j * (mat @ s.imag)
-    split_dev = float(np.abs(whole - split).max())
-    real_out = mat @ s.real
-    real_dev = float(np.abs(np.asarray(real_out, dtype=complex).imag).max())
-    scale = max(1.0, float(np.linalg.norm(s)))
-    return RealInvarianceReport(split_dev, real_dev,
-                                split_dev <= TOL_IDENTITY * scale
-                                and real_dev <= TOL_IDENTITY * scale)

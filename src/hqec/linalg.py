@@ -43,9 +43,9 @@ class RankDeficiencyError(ValueError):
     """Raised when a vector list is linearly dependent; carries the index of
     the first offending vector."""
 
-    def __init__(self, index: int, message: str | None = None):
+    def __init__(self, index: int):
         self.index = index
-        super().__init__(message or f"vector {index} is dependent on its predecessors")
+        super().__init__(f"vector {index} is dependent on its predecessors")
 
 
 def _coerce(field: ScalarField, values: np.ndarray) -> np.ndarray:

@@ -75,13 +75,6 @@ class Quaternion:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def inverse(self) -> "Quaternion":
-        """conj(q) / |q|^2.  Rejects near-zero, non-finite and overflowing input."""
-        n2 = _checked_norm(self, self.norm_sq(), "invert")
-        if n2 <= TOL_ZERO * TOL_ZERO:
-            raise ValueError("cannot invert a (near-)zero quaternion")
-        return self.conj().scaled(1.0 / n2)
-
     def normalized(self) -> "Quaternion":
         """q / |q|.  Rejects near-zero, non-finite and overflowing input."""
         n = _checked_norm(self, self.norm(), "normalize")
@@ -91,10 +84,6 @@ class Quaternion:
 
     def is_unit(self) -> bool:
         return abs(self.norm() - 1.0) <= TOL_UNIT
-
-    def isclose(self, other: "Quaternion", tol: float = TOL_COMPARE) -> bool:
-        return _within(self, other, tol, lambda: (
-            (self - other).norm(), 1.0 + self.norm() + other.norm()))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z], dtype=float)
@@ -114,20 +103,6 @@ def _checked_norm(q: Quaternion, norm: float, action: str) -> float:
     if norm == math.inf:
         raise ValueError(f"cannot {action} {q!r}: its norm overflows")
     return norm
-
-
-def _within(a, b, tol: float, lengths) -> bool:
-    """``diff <= tol * bound`` for ``diff, bound = lengths()``: the length of
-    a - b, and 1 plus the lengths of a and b.  Raises ValueError when either
-    overflows, which the bound would turn into a pass for any difference."""
-    try:
-        diff, bound = lengths()
-    except OverflowError:              # float ** and complex abs() raise it
-        diff = bound = math.inf
-    if diff == math.inf or bound == math.inf:
-        raise ValueError(f"cannot compare {a!r} with {b!r}: a norm or "
-                         "their difference overflows")
-    return diff <= tol * bound
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +163,6 @@ class ImaginaryVector:
     def length(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def isclose(self, other: "ImaginaryVector", tol: float = TOL_COMPARE) -> bool:
-        return _within(self, other, tol, lambda: (
-            math.sqrt((self.x - other.x) ** 2 + (self.y - other.y) ** 2
-                      + (self.z - other.z) ** 2),
-            1.0 + self.length() + other.length()))
-
 
 @dataclass(frozen=True)
 class ComplexPair:
@@ -201,11 +170,6 @@ class ComplexPair:
 
     a: complex
     b: complex
-
-    def isclose(self, other: "ComplexPair", tol: float = TOL_COMPARE) -> bool:
-        return _within(self, other, tol, lambda: (
-            abs(self.a - other.a) + abs(self.b - other.b),
-            1.0 + abs(self.a) + abs(self.b) + abs(other.a) + abs(other.b)))
 
 
 def embed_qubit(p: ComplexPair) -> Quaternion:
@@ -301,7 +265,7 @@ def _action_matrix(axis: str) -> np.ndarray:
     return np.array(cols, dtype=complex).T
 
 
-def classify_pauli_action(axis: str, seed: int = 0) -> PauliActionClass:
+def classify_pauli_action(axis: str, seed: int) -> PauliActionClass:
     """Match the sandwich action against phase * Pauli and report the match.
 
     Raises ValueError if no Pauli matrix fits, which would indicate a broken

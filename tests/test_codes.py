@@ -55,6 +55,8 @@ from hqec.linalg import (
 )
 from hqec.sampling import random_coefficients, random_unit_quaternion, rng_for
 
+from conftest import _close
+
 
 def _pauli_singles(n_sites: int) -> ErrorSet:
     return ErrorSet(tuple(
@@ -127,6 +129,12 @@ def test_code_with_an_overflowing_gram_raises_without_a_warning(field):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="codewords 1, 1 are not orthonormal"):
             codes.Code("huge", field, 1, words)
+
+
+def test_code_rejects_a_codeword_of_another_type():
+    # a bare array used to fail on the missing .field attribute
+    with pytest.raises(TypeError, match="codeword 0 must be a StateVector, got ndarray"):
+        codes.Code("bad", ScalarField.REAL, 1, (np.array([1.0, 0.0]),))
 
 
 def test_code_rejects_empty_codewords():
@@ -326,6 +334,12 @@ def test_error_term_rejects_an_op_of_another_type():
         ErrorTerm("x", "oops")
     with pytest.raises(TypeError, match="got ndarray"):
         ErrorTerm("x", np.eye(2))
+
+
+def test_error_set_rejects_a_term_of_another_type():
+    # a bare label used to fail inside kl_check on the missing .op attribute
+    with pytest.raises(TypeError, match="entry 1 must be an ErrorTerm, got str"):
+        ErrorSet((identity_error(ScalarField.REAL), "x"))
 
 
 # --- correctability conditions ---------------------------------------------
@@ -532,6 +546,18 @@ def test_synthesis_rejects_non_integer_ancilla_state(bad, complete):
     with pytest.raises(SynthesisError, match="integers"):
         synthesize_correction(code, errors, 2, ancilla_states=(0, bad, 2, 3),
                               complete=complete)
+
+
+@pytest.mark.parametrize("complete", [False, True])
+@pytest.mark.parametrize("bad", [2.0, -1, True, np.True_],
+                         ids=["float", "negative", "bool", "np-bool"])
+def test_synthesis_rejects_an_invalid_ancilla_count(bad, complete):
+    # two errors fit in 2.0 or True ancilla sites, so only the type check
+    # stops them; -1 used to report "0.5 states"
+    code = build_r3_code()
+    errors = ErrorSet(effective_error_basis(code, ErrorFamily.SO2).terms[:2])
+    with pytest.raises(SynthesisError, match="non-negative integer"):
+        synthesize_correction(code, errors, bad, complete=complete)
 
 
 def test_synthesis_accepts_numpy_integer_ancilla_states(r3_correction):
@@ -1420,6 +1446,22 @@ def test_phase_failure_random_pair():
     assert not rep.physically_equivalent
 
 
+@pytest.mark.parametrize("a, b, equivalent", [
+    (1e200, 1e200, False), (1e-200, 1e-200, False),
+    (1e200, 0.0, True), (0.0, 1e-200, True), (1.5e308 + 1.5e308j, 1e308, False),
+], ids=["huge", "tiny", "huge-benign", "tiny-benign", "modulus-overflows"])
+def test_phase_failure_verdict_holds_at_extreme_scale(a, b, equivalent):
+    # |2i*a*b| used to overflow to inf <= inf, or underflow to 0, and read
+    # a generic pair as equivalent; an amplitude whose modulus overflows
+    # raised OverflowError
+    assert phase_failure_demo(a, b).physically_equivalent is equivalent
+
+
+def test_phase_failure_rejects_the_zero_pair():
+    with pytest.raises(ValueError, match="nonzero amplitude"):
+        phase_failure_demo(0.0, 0.0)
+
+
 # --- effective error counting ---------------------------------------------
 
 def test_count_b3_is_seven():
@@ -1470,10 +1512,10 @@ def h3_error_table(second_unit: str = "j") -> dict[str, list[tuple[int, str]]]:
         for col in H3_TABLE_UNITS:
             product = quat.UNITS[row_unit] * quat.UNITS[col]
             for name, u in quat.UNITS.items():
-                if product.isclose(u):
+                if _close(product, u):
                     cells.append((1, name))
                     break
-                if product.isclose(-u):
+                if _close(product, -u):
                     cells.append((-1, name))
                     break
         rows[row_unit] = cells

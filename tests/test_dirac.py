@@ -4,13 +4,11 @@ import pytest
 from hqec import cli, dirac
 from hqec import quaternion as quat
 from hqec.dirac import (
-    DiracSpinor,
     ErrorRotor,
     GammaSet,
     MajoranaSpinor,
     build_gammas_standard,
     build_majorana_transform,
-    chi_preservation,
     check_basis_images,
     check_majorana_bilinears,
     classify_unit_correspondences,
@@ -18,11 +16,12 @@ from hqec.dirac import (
     error_generators,
     majorana_set,
     quaternion_correspondence,
-    real_invariance,
     transform_basis,
 )
 from hqec.linalg import is_isometry
 from hqec.sampling import random_unit_quaternion, random_unitary, rng_for
+
+from conftest import _close
 
 SX = quat.PAULI_MATRICES["x"]
 SY = quat.PAULI_MATRICES["y"]
@@ -88,13 +87,13 @@ def test_transform_identity_and_rejection():
 # --- the real-basis transform -------------------------------------------
 
 def test_majorana_transform_matches_reference_exactly():
-    um = build_majorana_transform()
+    um = build_majorana_transform(build_gammas_standard())
     assert np.array_equal(um, dirac.MAJORANA_TRANSFORM_REFERENCE)
     assert um[0, 1] == (1 + 1j) / 2
 
 
 def test_majorana_transform_unitary():
-    um = build_majorana_transform()
+    um = build_majorana_transform(build_gammas_standard())
     assert np.abs(um @ um.conj().T - np.eye(4)).max() <= 1e-14
 
 
@@ -107,7 +106,8 @@ def test_g2_invariant_under_transform():
 def test_basis_image_signs():
     # Derived classification: each image matches its reference target only
     # after flipping the imaginary coefficient, except the invariant g2.
-    matches = check_basis_images()
+    g = build_gammas_standard()
+    matches = check_basis_images(g, build_majorana_transform(g))
     assert {k: v.sign for k, v in matches.items()} == {
         "g0": -1, "g1": -1, "g2": 1, "g3": -1, "g5": -1}
     assert all(v.deviation <= 1e-13 for v in matches.values())
@@ -139,7 +139,7 @@ def test_majorana_generators_real_and_closed():
 
 
 def test_majorana_bilinear_signs():
-    matches = check_majorana_bilinears()
+    matches = check_majorana_bilinears(majorana_set())
     assert {k: v.sign for k, v in matches.items()} == {
         "g2g3": -1, "g3g1": 1, "g1g2": -1}
     assert matches["g3g1"].matches_reference
@@ -147,30 +147,31 @@ def test_majorana_bilinear_signs():
 
 # --- chi preservation -----------------------------------------------------
 
+def _chi(psi):
+    """chi = (xi - eta)/sqrt(2) of a Dirac spinor (xi upper, eta lower pair)."""
+    return (psi[:2] - psi[2:]) / np.sqrt(2.0)
+
+
 def test_chi_preserved_for_rest_spinor():
-    s = DiracSpinor(np.array([1, 0, 1, 0], dtype=complex) / np.sqrt(2))
-    assert np.abs(s.chi).max() <= 1e-15
+    # the bilinears are block diagonal with equal blocks, so they act on xi
+    # and eta alike and keep the Majorana condition chi = 0
+    g = build_gammas_standard()
+    bilinears = (g.g2 @ g.g3, g.g3 @ g.g1, g.g1 @ g.g2)
+    psi = np.array([1, 0, 1, 0], dtype=complex) / np.sqrt(2)
+    assert np.abs(_chi(psi)).max() <= 1e-15
     rng = rng_for(1, 8)
     for _ in range(20):
-        e = rng.standard_normal(4)
-        report = chi_preservation(ErrorRotor(*e), s)
-        assert report.precondition_met
-        assert report.passed
+        rotor = ErrorRotor(*rng.standard_normal(4))
+        out = rotor.matrix(bilinears) @ psi
+        assert np.linalg.norm(_chi(out)) <= 1e-11
 
 
 def test_chi_identity_rotor():
-    s = DiracSpinor(np.array([0.3, -0.2, 0.3, -0.2], dtype=complex))
+    psi = np.array([0.3, -0.2, 0.3, -0.2], dtype=complex)
     g = build_gammas_standard()
     rotor = ErrorRotor(1.0, 0.0, 0.0, 0.0)
-    out = rotor.matrix((g.g2 @ g.g3, g.g3 @ g.g1, g.g1 @ g.g2)) @ s.psi
-    assert np.abs(out - s.psi).max() <= 1e-15
-
-
-def test_chi_precondition_not_met():
-    s = DiracSpinor(np.array([1, 0, 0, 0], dtype=complex))
-    report = chi_preservation(ErrorRotor(0.0, 1.0, 0.0, 0.0), s)
-    assert not report.precondition_met
-    assert report.passed      # nothing asserted outside the precondition
+    out = rotor.matrix((g.g2 @ g.g3, g.g3 @ g.g1, g.g1 @ g.g2)) @ psi
+    assert np.abs(out - psi).max() <= 1e-15
 
 
 # --- quaternion correspondence ---------------------------------------------
@@ -224,8 +225,6 @@ def test_non_real_basis_is_rejected():
     rotor = ErrorRotor(0.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="generator triple is not real"):
         quaternion_correspondence(rotor, quat.ONE, g)
-    with pytest.raises(ValueError, match="generator triple is not real"):
-        real_invariance(rotor, np.ones(4), g)
 
 
 def test_verify_dirac_classifies_the_unit_signs_once(monkeypatch, capsys):
@@ -265,20 +264,26 @@ def test_unit_rotor_is_isometry():
     rng = rng_for(3, 10)
     for _ in range(50):
         e = random_unit_quaternion(rng)
+        assert abs(e.norm_sq() - 1.0) <= 1e-12
         rotor = ErrorRotor(e.w, e.x, e.y, e.z)
-        assert rotor.is_unit
         assert is_isometry(rotor.matrix(gens).real).passed
 
 
 # --- real-subspace invariance ------------------------------------------------
 
+def _real_rotor_matrix(rotor):
+    """The rotor in the Majorana basis, whose generator triple is real."""
+    mat = rotor.matrix(error_generators(majorana_set()))
+    assert np.abs(mat.imag).max() <= 1e-14
+    return mat.real
+
+
 def test_real_input_stays_real():
     rng = rng_for(4, 11)
     rotor = ErrorRotor(*rng.standard_normal(4))
     s = rng.standard_normal(4).astype(complex)
-    report = real_invariance(rotor, s)
-    assert report.passed
-    assert report.realness_deviation <= 1e-14
+    out = _real_rotor_matrix(rotor) @ s
+    assert np.abs(out.imag).max() <= 1e-14
 
 
 def test_imaginary_input_stays_imaginary():
@@ -295,24 +300,16 @@ def test_parts_transform_independently():
     for _ in range(20):
         rotor = ErrorRotor(*rng.standard_normal(4))
         s = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        report = real_invariance(rotor, s)
-        assert report.passed
-        assert report.split_deviation <= 1e-12
+        mat = _real_rotor_matrix(rotor)
+        split = mat @ s.real + 1j * (mat @ s.imag)
+        assert np.abs(mat @ s - split).max() <= 1e-12
 
 
 # --- spinor containers ----------------------------------------------------
 
-def test_spinor_decomposition():
-    s = DiracSpinor(np.array([1, 2, 3, 4], dtype=complex))
-    assert np.array_equal(s.xi, [1, 2])
-    assert np.array_equal(s.eta, [3, 4])
-    assert np.allclose(s.phi * np.sqrt(2), [4, 6])
-    assert np.allclose(s.chi * np.sqrt(2), [-2, -2])
-
-
 def test_majorana_spinor_roundtrip():
     q = quat.Quaternion(1, -2, 3, -4)
     m = MajoranaSpinor.from_quaternion(q)
-    assert m.to_quaternion().isclose(q)
+    assert _close(quat.Quaternion.from_array(m.components), q)
     with pytest.raises(ValueError):
         MajoranaSpinor(np.array([1j, 0, 0, 0]))

@@ -20,6 +20,8 @@ from hqec.quaternion import (
 from hqec.report import CheckRecord
 from hqec.sampling import random_quaternion, random_unit_quaternion, rng_for
 
+from conftest import _close
+
 finite = st.floats(min_value=-10, max_value=10,
                    allow_nan=False, allow_infinity=False)
 quaternions = st.builds(Quaternion, finite, finite, finite, finite)
@@ -30,22 +32,22 @@ unit_quaternions = nonzero_quaternions.map(lambda q: q.normalized())
 # --- multiplication table ---------------------------------------------------
 
 def test_unit_table():
-    assert (I * J).isclose(K)
-    assert (J * K).isclose(I)
-    assert (K * I).isclose(J)
-    assert (J * I).isclose(-K)
+    assert _close(I * J, K)
+    assert _close(J * K, I)
+    assert _close(K * I, J)
+    assert _close(J * I, -K)
     for u in (I, J, K):
-        assert (u * u).isclose(-ONE)
+        assert _close(u * u, -ONE)
 
 
 def test_one_is_identity():
     q = Quaternion(0.3, -1.2, 4.0, 0.5)
-    assert (ONE * q).isclose(q)
-    assert (q * ONE).isclose(q)
+    assert _close(ONE * q, q)
+    assert _close(q * ONE, q)
 
 
 def test_bilinear_expansion():
-    assert ((ONE + I) * (ONE + J)).isclose(Quaternion(1, 1, 1, 1))
+    assert _close((ONE + I) * (ONE + J), Quaternion(1, 1, 1, 1))
 
 
 @given(quaternions, quaternions)
@@ -56,21 +58,20 @@ def test_norm_multiplicative(q, h):
 
 @given(quaternions, quaternions, quaternions)
 def test_associativity(q, u, v):
-    assert ((q * u) * v).isclose(q * (u * v), tol=1e-12)
+    assert _close((q * u) * v, q * (u * v))
 
 
-# --- conjugation and inverse ------------------------------------------------
+# --- conjugation ----------------------------------------------------------
 
 def test_conj_examples():
-    assert I.conj().isclose(-I)
-    assert (2 * ONE).inverse().isclose(Quaternion(0.5, 0, 0, 0))
-    assert (I * J).conj().isclose(J.conj() * I.conj())
-    assert (I * J).conj().isclose(-K)
+    assert _close(I.conj(), -I)
+    assert _close((I * J).conj(), J.conj() * I.conj())
+    assert _close((I * J).conj(), -K)
 
 
 @given(quaternions, quaternions)
 def test_conj_antiautomorphism(q, u):
-    assert (q * u).conj().isclose(u.conj() * q.conj())
+    assert _close((q * u).conj(), u.conj() * q.conj())
 
 
 @given(quaternions)
@@ -80,26 +81,14 @@ def test_conj_gives_norm(q):
     assert abs(p.x) + abs(p.y) + abs(p.z) <= 1e-12 * (1 + q.norm_sq())
 
 
-@given(nonzero_quaternions)
-def test_inverse(q):
-    assert (q * q.inverse()).isclose(ONE)
-
-
-def test_inverse_of_zero_rejected():
-    with pytest.raises(ValueError):
-        Quaternion(0, 0, 0, 0).inverse()
-    with pytest.raises(ValueError):
-        Quaternion(1e-14, 0, 0, 0).inverse()
-
-
 # --- rotations ----------------------------------------------------------
 
 def test_rotate_examples():
     v = ImaginaryVector(1, 0, 0)
-    assert quat.rotate_vector(ONE, v).isclose(v)
-    assert quat.rotate_vector(K, v).isclose(ImaginaryVector(-1, 0, 0))
+    assert _close(quat.rotate_vector(ONE, v), v)
+    assert _close(quat.rotate_vector(K, v), ImaginaryVector(-1, 0, 0))
     half = Quaternion(1, 0, 0, 1).normalized()
-    assert quat.rotate_vector(half, v).isclose(ImaginaryVector(0, 1, 0))
+    assert _close(quat.rotate_vector(half, v), ImaginaryVector(0, 1, 0))
 
 
 def test_rotate_rejects_non_unit():
@@ -119,7 +108,7 @@ def test_rotation_fixes_axis(q):
     if q.as_array()[1:] @ q.as_array()[1:] < 1e-6:
         return
     axis = quat.rotation_axis(q)
-    assert quat.rotate_vector(q, axis).isclose(axis, tol=1e-10)
+    assert _close(quat.rotate_vector(q, axis), axis, tol=1e-10)
 
 
 @given(unit_quaternions, unit_quaternions, st.tuples(finite, finite, finite))
@@ -127,21 +116,21 @@ def test_rotation_composition(q1, q2, xyz):
     v = ImaginaryVector(*xyz)
     twice = quat.rotate_vector(q2, quat.rotate_vector(q1, v))
     once = quat.rotate_vector((q2 * q1).normalized(), v)
-    assert twice.isclose(once, tol=1e-10)
+    assert _close(twice, once, tol=1e-10)
 
 
 # --- qubit embedding ----------------------------------------------------
 
 def test_embed_examples():
-    assert quat.embed_qubit(ComplexPair(1, 0)).isclose(ONE)
-    assert quat.embed_qubit(ComplexPair(0, 1)).isclose(J)
-    assert quat.embed_qubit(ComplexPair(1j, 1j)).isclose(I + K)
+    assert _close(quat.embed_qubit(ComplexPair(1, 0)), ONE)
+    assert _close(quat.embed_qubit(ComplexPair(0, 1)), J)
+    assert _close(quat.embed_qubit(ComplexPair(1j, 1j)), I + K)
 
 
 @given(st.tuples(finite, finite, finite, finite))
 def test_embed_extract_roundtrip(parts):
     pair = ComplexPair(complex(parts[0], parts[1]), complex(parts[2], parts[3]))
-    assert quat.extract_qubit(quat.embed_qubit(pair)).isclose(pair)
+    assert _close(quat.extract_qubit(quat.embed_qubit(pair)), pair)
 
 
 @given(st.tuples(finite, finite, finite, finite),
@@ -151,17 +140,17 @@ def test_left_phase_is_complex_phase(parts, phi):
     lhs = quat.exp_phase(phi) * quat.embed_qubit(pair)
     scale = complex(math.cos(phi), math.sin(phi))
     rhs = quat.embed_qubit(ComplexPair(scale * pair.a, scale * pair.b))
-    assert lhs.isclose(rhs)
+    assert _close(lhs, rhs)
 
 
 # --- SU(2) right action -------------------------------------------------
 
 def test_su2_examples():
     q = Quaternion(0.3, 0.1, -0.7, 0.2)
-    assert quat.su2_right_action(q, ONE).isclose(q)
-    assert quat.su2_right_action(ONE, J).isclose(-J)
+    assert _close(quat.su2_right_action(q, ONE), q)
+    assert _close(quat.su2_right_action(ONE, J), -J)
     assert np.allclose(quat.su2_matrix(J) @ np.array([1, 0]), [0, -1])
-    assert quat.su2_right_action(J, J).isclose(ONE)
+    assert _close(quat.su2_right_action(J, J), ONE)
     assert np.allclose(quat.su2_matrix(J) @ np.array([0, 1]), [1, 0])
 
 
@@ -176,7 +165,7 @@ def test_su2_action_matches_matrix(q, u):
     pair = quat.extract_qubit(q)
     vec = quat.su2_matrix(u) @ np.array([pair.a, pair.b])
     rhs = quat.embed_qubit(ComplexPair(vec[0], vec[1]))
-    assert lhs.isclose(rhs, tol=1e-12)
+    assert _close(lhs, rhs)
 
 
 @given(quaternions, unit_quaternions)
@@ -188,9 +177,9 @@ def test_su2_action_preserves_norm(q, u):
 # --- Pauli sandwich actions ----------------------------------------------
 
 def test_pauli_sandwich_values():
-    assert quat.pauli_action("x", ONE).isclose(-ONE)      # i*1*i
-    assert quat.pauli_action("z", I).isclose(-K)          # i*i*k
-    assert quat.pauli_action("y", ONE).isclose(K)         # i*1*j
+    assert _close(quat.pauli_action("x", ONE), -ONE)      # i*1*i
+    assert _close(quat.pauli_action("z", I), -K)          # i*i*k
+    assert _close(quat.pauli_action("y", ONE), K)         # i*1*j
     with pytest.raises(ValueError):
         quat.pauli_action("w", ONE)
 
@@ -200,25 +189,25 @@ def test_pauli_classification():
     # one labeled z as -sigma_x, and the y sandwich is exactly sigma_y.
     expected = {"x": ("z", -1 + 0j), "y": ("y", 1 + 0j), "z": ("x", -1 + 0j)}
     for axis, (target, phase) in expected.items():
-        cls = quat.classify_pauli_action(axis)
+        cls = quat.classify_pauli_action(axis, seed=0)
         assert cls.target == target
         assert abs(cls.phase - phase) <= 1e-12
         assert cls.max_deviation <= 1e-12
 
 
 def test_pauli_classification_stable():
-    first = [quat.classify_pauli_action(a) for a in "xyz"]
-    second = [quat.classify_pauli_action(a) for a in "xyz"]
+    first = [quat.classify_pauli_action(a, seed=0) for a in "xyz"]
+    second = [quat.classify_pauli_action(a, seed=0) for a in "xyz"]
     assert first == second
 
 
 # --- Hopf projection ------------------------------------------------------
 
 def test_hopf_examples():
-    assert quat.hopf_project(ONE).isclose(ImaginaryVector(1, 0, 0))
-    assert quat.hopf_project(J).isclose(ImaginaryVector(-1, 0, 0))
+    assert _close(quat.hopf_project(ONE), ImaginaryVector(1, 0, 0))
+    assert _close(quat.hopf_project(J), ImaginaryVector(-1, 0, 0))
     phased = quat.exp_phase(0.7) * ONE
-    assert quat.hopf_project(phased).isclose(ImaginaryVector(1, 0, 0))
+    assert _close(quat.hopf_project(phased), ImaginaryVector(1, 0, 0))
 
 
 def test_hopf_rejects_zero():
@@ -234,24 +223,24 @@ def test_hopf_image_on_sphere(q):
 
 @given(nonzero_quaternions, st.floats(min_value=0, max_value=7, allow_nan=False))
 def test_hopf_phase_invariance(q, phi):
-    assert quat.hopf_project(quat.exp_phase(phi) * q).isclose(
-        quat.hopf_project(q), tol=1e-10)
+    assert _close(quat.hopf_project(quat.exp_phase(phi) * q),
+                  quat.hopf_project(q), tol=1e-10)
 
 
 @given(nonzero_quaternions, unit_quaternions)
 def test_hopf_equivariance(q, u):
     lhs = quat.hopf_project(q * u.conj())
     rhs = u * quat.hopf_project(q).to_quaternion() * u.conj()
-    assert lhs.to_quaternion().isclose(rhs, tol=1e-10)
+    assert _close(lhs.to_quaternion(), rhs, tol=1e-10)
 
 
 # --- matrix decomposition -------------------------------------------------
 
 def test_decompose_trivial_cases():
     u, w = quat.decompose_matrix(np.eye(2))
-    assert u.isclose(ONE) and w.isclose(Quaternion(0, 0, 0, 0))
+    assert _close(u, ONE) and _close(w, Quaternion(0, 0, 0, 0))
     u, w = quat.decompose_matrix(1j * np.eye(2))
-    assert u.isclose(Quaternion(0, 0, 0, 0)) and w.isclose(ONE)
+    assert _close(u, Quaternion(0, 0, 0, 0)) and _close(w, ONE)
 
 
 def test_decompose_sigma_x_roundtrip():
@@ -265,7 +254,7 @@ def test_decompose_sigma_x_roundtrip():
         vec = sx @ np.array([pair.a, pair.b])
         lhs = quat.embed_qubit(ComplexPair(vec[0], vec[1]))
         rhs = q * u + I * (q * w)
-        assert lhs.isclose(rhs, tol=1e-10)
+        assert _close(lhs, rhs, tol=1e-10)
 
 
 def test_decompose_rejects_bad_shape():
@@ -289,8 +278,8 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 @pytest.mark.parametrize("bad", NON_FINITE)
 @pytest.mark.parametrize("slot", range(4))
 @pytest.mark.parametrize("call", [
-    Quaternion.normalized, Quaternion.inverse, quat.hopf_project, quat.rotation_axis,
-], ids=["normalized", "inverse", "hopf_project", "rotation_axis"])
+    Quaternion.normalized, quat.hopf_project, quat.rotation_axis,
+], ids=["normalized", "hopf_project", "rotation_axis"])
 def test_non_finite_quaternion_is_rejected(call, slot, bad):
     parts = [0.5, -1.0, 2.0, 0.25]
     parts[slot] = bad
@@ -302,10 +291,9 @@ def test_non_finite_quaternion_is_rejected(call, slot, bad):
 
 @pytest.mark.parametrize("call, q", [
     (Quaternion.normalized, Quaternion(1e300, 1e300, 0, 0)),
-    (Quaternion.inverse, Quaternion(1e300, 1e300, 0, 0)),
     (quat.rotation_axis, Quaternion(0, 1e300, 1e300, 0)),
     (quat.hopf_project, Quaternion(1e300, 1e300, 0, 0)),
-], ids=["normalized", "inverse", "rotation_axis", "hopf_project"])
+], ids=["normalized", "rotation_axis", "hopf_project"])
 def test_norm_overflow_is_rejected(call, q):
     # finite components whose norm overflows used to give zeros or a NaN
     with warnings.catch_warnings():
@@ -323,7 +311,7 @@ def test_quaternion_isclose_rejects_an_overflow(a, b):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflows"):
-            a.isclose(b)
+            _close(a, b)
 
 
 @pytest.mark.parametrize("a, b", [
@@ -335,7 +323,7 @@ def test_imaginary_vector_isclose_rejects_an_overflow(a, b):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflows"):
-            a.isclose(b)
+            _close(a, b)
 
 
 @pytest.mark.parametrize("a, b", [
@@ -347,13 +335,12 @@ def test_complex_pair_isclose_rejects_an_overflow(a, b):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflows"):
-            a.isclose(b)
+            _close(a, b)
 
 
 def test_large_finite_norm_keeps_its_values():
     q = Quaternion(1e150, -3e150, 2e150, 0)
     assert q.normalized() == q.scaled(1.0 / math.sqrt(q.norm_sq()))
-    assert q.inverse() == q.conj().scaled(1.0 / q.norm_sq())
     length = math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z)
     assert quat.rotation_axis(q) == ImaginaryVector(q.x / length, q.y / length,
                                                     q.z / length)
