@@ -51,8 +51,9 @@ from .linalg import (
     SiteOperator,
     StateVector,
     TOL_ISO,
-    _checked_amplitudes,
+    _field_amplitudes,
     _is_index,
+    _norm,
     _site_amplitudes,
     apply_site,
     basis_state,
@@ -98,8 +99,12 @@ class Code:
     words: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     # the read-only indices of the amplitudes some codeword holds nonzero
     support: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    # the number of amplitudes of a state, site_dim ** n_sites
+    dim: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not _is_index(self.n_sites):
+            raise TypeError(f"n_sites must be an integer, got {self.n_sites!r}")
         if not self.codewords:
             raise ValueError("a code needs at least one codeword")
         for idx, w in enumerate(self.codewords):
@@ -122,21 +127,24 @@ class Code:
         support.setflags(write=False)
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "support", support)
-
-    @property
-    def dim(self) -> int:
-        return self.field.site_dim ** self.n_sites
+        object.__setattr__(self, "dim", words.shape[1])
 
 
 def encode(code: Code, coeffs) -> StateVector:
     """The state sum_l a_l w_l of the logical coefficients ``coeffs``."""
+    return StateVector(code.field, code.n_sites, _encoded_amplitudes(code, coeffs)[1])
+
+
+def _encoded_amplitudes(code: Code, coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """The logical coefficients ``coeffs`` as an array, checked for shape and
+    finiteness, and the amplitudes sum_l a_l w_l, neither coerced to the
+    code's field nor validated as a state."""
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (len(code.codewords),):
         raise ValueError(f"expected {len(code.codewords)} logical coefficients")
-    if not np.all(np.isfinite(coeffs)):
+    if not np.isfinite(coeffs).all():
         raise ValueError("logical coefficients must be finite")
-    amps = sum(c * w for c, w in zip(coeffs, code.words))
-    return StateVector(code.field, code.n_sites, amps)
+    return coeffs, sum(c * w for c, w in zip(coeffs, code.words))
 
 
 def _repetition_codewords(field: ScalarField, n_sites: int,
@@ -261,9 +269,9 @@ class CombinedError:
         coeffs = np.asarray(self.coefficients)
         if coeffs.shape != (len(self.errors),):
             raise ValueError("one coefficient per error term required")
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise ValueError("error coefficients must be finite")
-        if not np.any(np.abs(coeffs) > 0):
+        if not coeffs.any():
             raise ValueError("at least one coefficient must be nonzero")
         object.__setattr__(self, "coefficients", coeffs)
 
@@ -528,14 +536,16 @@ class CorrectionMap:
     ancilla_states: tuple[int, ...]
     _domain_adjoint: np.ndarray
     _completion: LinearMap | tuple[np.ndarray, np.ndarray] | None
+    # the number of ancilla basis states, site_dim ** n_ancilla
+    ancilla_dim: int = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ancilla_dim",
+                           self.code.field.site_dim ** self.n_ancilla)
 
     @property
     def total_sites(self) -> int:
         return self.code.n_sites + self.n_ancilla
-
-    @property
-    def ancilla_dim(self) -> int:
-        return self.code.field.site_dim ** self.n_ancilla
 
     @property
     def domain(self) -> tuple[StateVector, ...]:
@@ -829,39 +839,46 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
     whose output is zero elsewhere, every row for a completed one.  A NaN or
     negative ``tol`` or an overflowing norm raises ValueError, an error of
     another type TypeError.
+
+    Each array is checked once, where it enters: the logical coefficients as
+    :func:`encode` checks them, the encoded and the corrupted amplitudes for
+    field, shape and finiteness, and the ancilla as the result's one
+    validated state.  The encoded state is built only for an error that is
+    applied to one, a ``SiteOperator`` or a ``LinearMap``.
     """
     if tol is not None and not tol >= 0:
         raise ValueError(f"tol must be nonnegative or None, got {tol!r}")
     if not isinstance(error, (CombinedError, SiteOperator, LinearMap)):
         raise TypeError("error must be a CombinedError, SiteOperator or "
                         f"LinearMap, got {type(error).__name__}")
-    cmap._check_input(code.field, code.dim * cmap.ancilla_dim)
-    state = encode(code, logical)
-    encoded = state.amplitudes
+    field = code.field
+    cmap._check_input(field, code.dim * cmap.ancilla_dim)
+    logical, encoded = _encoded_amplitudes(code, logical)
+    encoded = _field_amplitudes(field, code.n_sites, encoded)
     with np.errstate(over="ignore", invalid="ignore"):     # raises ValueError below
-        scale = float(np.linalg.norm(encoded))
+        scale = _norm(encoded)
         if scale <= 0:
             raise ValueError("logical coefficients must not all vanish")
         if isinstance(error, CombinedError):
-            amps = error._corrupt(code, np.asarray(logical))
+            amps = error._corrupt(code, logical)
         else:
-            amps = _error_amplitudes(error, state)
-        corrupted = _checked_amplitudes(code.field, code.n_sites, amps)
+            amps = _error_amplitudes(error, StateVector(field, code.n_sites, encoded))
+        corrupted = _field_amplitudes(field, code.n_sites, amps)
         rows, block = cmap._correct(corrupted)
 
         ref_block = encoded[rows] / scale
         anc = ref_block.conj() @ block
         diff = ref_block[:, None] * anc
-        residual_f = float(np.linalg.norm(np.subtract(block, diff, out=diff)))
-        norm_gap = abs(float(np.linalg.norm(corrupted)) - float(np.linalg.norm(block)))
+        residual_f = _norm(np.subtract(block, diff, out=diff))
+        norm_gap = abs(_norm(corrupted) - _norm(block))
         residual = max(residual_f, norm_gap)
 
-        anc_norm = float(np.linalg.norm(anc))
+        anc_norm = _norm(anc)
         if anc_norm > 0:
             code_amps = block @ anc.conj() / (anc_norm ** 2)
         else:
             code_amps = np.zeros(len(block), dtype=block.dtype)
-        cf_norm = float(np.linalg.norm(code_amps))
+        cf_norm = _norm(code_amps)
         fidelity = (float(abs(np.vdot(ref_block, code_amps)) / cf_norm)
                     if cf_norm > 0 else 0.0)
     if not all(map(math.isfinite, (scale, residual_f, norm_gap, fidelity))):
@@ -972,13 +989,15 @@ def effective_error_classes(code: Code, errors: ErrorSet) -> list[list[int]]:
     """
     images = _images(code, errors)
     classes: list[list[int]] = []
+    leaders: list[int] = []
     for idx, action in enumerate(images):
-        for cls in classes:
-            if np.allclose(action, images[cls[0]], atol=ACTION_TOL, rtol=0.0):
-                cls.append(idx)
-                break
+        hits = np.flatnonzero(
+            (np.abs(images[leaders] - action) <= ACTION_TOL).all(axis=(1, 2)))
+        if len(hits):
+            classes[hits[0]].append(idx)
         else:
             classes.append([idx])
+            leaders.append(idx)
     return classes
 
 

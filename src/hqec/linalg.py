@@ -8,6 +8,7 @@ leftmost ket symbol is the most significant index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,17 +62,46 @@ def _coerce(field: ScalarField, values: np.ndarray) -> np.ndarray:
 
 def _checked_amplitudes(field: ScalarField, n_sites: int, values) -> np.ndarray:
     """``values`` as the read-only amplitudes of an ``n_sites`` state over
-    ``field``: the validation of :class:`StateVector`, for callers that need
-    only the array."""
-    amps = _coerce(field, values)
+    ``field``: the validation of :class:`StateVector`.  An array that already
+    has the field's dtype is copied once; anything else goes through
+    :func:`_coerce`."""
+    if type(values) is np.ndarray and values.dtype == field.dtype:
+        amps = values.copy()
+        amps.setflags(write=False)
+    else:
+        amps = _coerce(field, values)
+    return _field_amplitudes(field, n_sites, amps)
+
+
+def _field_amplitudes(field: ScalarField, n_sites: int,
+                      amps: np.ndarray) -> np.ndarray:
+    """The array ``amps`` checked as the amplitudes of an ``n_sites`` state
+    over ``field``, for callers whose array is their own: ``amps`` itself when
+    it has the field's dtype, else a coerced copy.  FieldMismatchError for a
+    complex entry over a real field, ValueError for a wrong shape or a
+    non-finite entry."""
+    if amps.dtype != field.dtype:
+        amps = _coerce(field, amps)
     expected = field.site_dim ** n_sites
     if amps.shape != (expected,):
         raise ValueError(
             f"expected {expected} amplitudes for {n_sites} sites "
             f"of dimension {field.site_dim}, got shape {amps.shape}")
-    if not np.all(np.isfinite(amps.view(float))):
+    if not np.isfinite(amps).all():
         raise ValueError("amplitudes must be finite")
     return amps
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a float or complex array, bit for bit: the
+    same operations its ``ord=None`` path performs (the dot product of the
+    flattened array with itself, the real and imaginary parts summed for a
+    complex one, then the square root), without numpy's dispatch."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 @dataclass(frozen=True)
@@ -81,6 +111,10 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        if not _is_index(self.n_sites):
+            raise TypeError(f"n_sites must be an integer, got {self.n_sites!r}")
+        if self.n_sites < 0:
+            raise ValueError(f"n_sites must be nonnegative, got {self.n_sites}")
         object.__setattr__(self, "amplitudes", _checked_amplitudes(
             self.field, self.n_sites, self.amplitudes))
 
@@ -159,6 +193,8 @@ class SiteOperator:
         d = self.field.site_dim
         if mat.shape != (d, d):
             raise ValueError(f"site operator must be {d}x{d}, got {mat.shape}")
+        if not _is_index(self.site):
+            raise TypeError(f"site index must be an integer, got {self.site!r}")
         if self.site < 0:
             raise ValueError("site index must be nonnegative")
         object.__setattr__(self, "matrix", mat)

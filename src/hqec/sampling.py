@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import ScalarField, StateVector
+from .linalg import ScalarField, StateVector, _norm
 from .quaternion import Quaternion
 
 
@@ -41,7 +41,7 @@ def random_coefficients(field: ScalarField, count: int,
     else:
         c = rng.standard_normal(count)
     if normalize:
-        c = c / np.linalg.norm(c)
+        c = c / _norm(c)
     return c
 
 

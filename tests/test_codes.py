@@ -142,6 +142,17 @@ def test_code_rejects_empty_codewords():
         codes.Code("e", ScalarField.REAL, 1, ())
 
 
+@pytest.mark.parametrize("n_sites", [3.0, np.float64(3.0), True],
+                         ids=["float", "numpy-float", "bool"])
+def test_code_rejects_a_site_count_that_is_not_an_index(n_sites):
+    # 3.0 (or True on one site) compares equal to its codewords' site count,
+    # so the code used to be built with a site count that is not an integer
+    words = build_r3_code().codewords if n_sites != 1 else (basis_state(
+        ScalarField.REAL, 1, 0),)
+    with pytest.raises(TypeError, match="n_sites must be an integer"):
+        codes.Code("c", ScalarField.REAL, n_sites, words)
+
+
 @pytest.mark.parametrize("build", [build_r3_code, build_h3_code, build_shor9_code])
 def test_code_holds_its_codewords_as_one_read_only_array(build):
     code = build()
@@ -1148,13 +1159,44 @@ def test_roundtrip_matches_the_state_reference(fixture, draw, request):
             assert np.array_equal(res.ancilla.amplitudes, ancilla.amplitudes)
 
 
+@pytest.mark.parametrize("draw", [_combined, _single_site], ids=["combined", "site"])
+@pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction"])
+def test_roundtrip_coerces_complex_typed_logical_coefficients(fixture, draw, request):
+    # over a real field, complex-typed coefficients with zero imaginary parts
+    # are the real ones: the encoded and the corrupted amplitudes are both
+    # coerced to the field, so no ComplexWarning reaches the correction
+    cmap = request.getfixturevalue(fixture)
+    code = cmap.code
+    draw_error = draw(cmap)
+    rng = rng_for(8, 5)
+    for _ in range(5):
+        logical = random_coefficients(code.field, 2, rng)
+        error = draw_error(rng)
+        expected = roundtrip(code, cmap, logical, error, tol=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = roundtrip(code, cmap, logical.astype(complex), error, tol=None)
+        assert res.residual == expected.residual
+        assert res.fidelity == expected.fidelity
+        assert res.ancilla.amplitudes.dtype == code.field.dtype
+        assert res.ancilla.amplitudes.tobytes() == expected.ancilla.amplitudes.tobytes()
+        for imag in ((1e-3, 0.0), (0.0, -1e-300)):
+            with pytest.raises(FieldMismatchError):
+                roundtrip(code, cmap, logical + 1j * np.array(imag), error, tol=None)
+
+
+@pytest.mark.parametrize("draw", [_combined, _single_site], ids=["combined", "site"])
 @pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction", "shor9_correction"])
-def test_roundtrip_builds_three_small_states(fixture, request, monkeypatch):
+def test_roundtrip_builds_only_the_states_it_needs(fixture, draw, request,
+                                                   monkeypatch):
+    # each array is checked once, where it enters: the ancilla is the one
+    # validated state of a combined-error roundtrip, and a single-site error
+    # needs the encoded state as well
     cmap = request.getfixturevalue(fixture)
     code = cmap.code
     rng = rng_for(8, 1)
     logical = random_coefficients(code.field, 2, rng)
-    error = _combined(cmap)(rng)
+    error = draw(cmap)(rng)
     built = []
     validate = StateVector.__post_init__
 
@@ -1168,9 +1210,11 @@ def test_roundtrip_builds_three_small_states(fixture, request, monkeypatch):
     monkeypatch.setattr(StateVector, "__post_init__", counting)
     monkeypatch.setattr(codes.CorrectionMap, "apply", forbidden)
     monkeypatch.setattr(LinearMap, "apply", forbidden)
-    roundtrip(code, cmap, logical, error)
-    assert len(built) <= 3
-    assert cmap.total_sites not in built
+    roundtrip(code, cmap, logical, error, tol=None)
+    if draw is _combined:
+        assert built == [cmap.n_ancilla]
+    else:
+        assert built == [code.n_sites, cmap.n_ancilla]
 
 
 def test_shor9_roundtrip_builds_no_whole_output_table(shor9_correction):
@@ -1296,6 +1340,23 @@ def test_simulate_applies_each_term_to_the_codewords_once(fixture, request,
     n_terms = len(effective_error_basis(code, _FAMILY[code.field]))
     assert counts == {1: n_terms * len(code.codewords),
                       7: n_terms * len(code.codewords)}
+
+
+@pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction", "shor9_correction"])
+def test_simulate_takes_no_numpy_norm_per_trial(fixture, request, monkeypatch):
+    # the roundtrip and the draws take their norms through linalg._norm,
+    # which skips np.linalg.norm's dispatch
+    cmap = request.getfixturevalue(fixture)
+    calls = []
+    original = np.linalg.norm
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    simulate(cmap, _combined(cmap), rng_for(8, 2), 7)
+    assert calls == []
 
 
 _CORRUPTION_CODES = {"r3": build_r3_code, "h3[j]": lambda: build_h3_code("j"),
@@ -1466,6 +1527,81 @@ def test_phase_failure_rejects_the_zero_pair():
 
 def test_count_b3_is_seven():
     assert count_effective_errors(build_b3_code(), _pauli_singles(3)) == 7
+
+
+def _reference_effective_error_classes(code, errors):
+    """The classes as one allclose comparison per (error, class) pair
+    computed them: each error joins the first class whose first member's
+    action matches its own within ACTION_TOL."""
+    images = codes._images(code, errors)
+    classes = []
+    for idx, action in enumerate(images):
+        for cls in classes:
+            if np.allclose(action, images[cls[0]], atol=codes.ACTION_TOL, rtol=0.0):
+                cls.append(idx)
+                break
+        else:
+            classes.append([idx])
+    return classes
+
+
+@pytest.mark.parametrize("case", ["shor9", "b3-singles", "r3", "h3"])
+def test_effective_error_classes_match_the_reference_on_the_built_in_sets(case):
+    code, errors, n_classes = {
+        "shor9": (build_shor9_code(), None, 22),
+        "b3-singles": (build_b3_code(), _pauli_singles(3), 7),
+        "r3": (build_r3_code(), None, 4),
+        "h3": (build_h3_code(), None, 10),
+    }[case]
+    if errors is None:
+        errors = effective_error_basis(code, _FAMILY[code.field])
+    classes = codes.effective_error_classes(code, errors)
+    assert classes == _reference_effective_error_classes(code, errors)
+    assert len(classes) == n_classes
+
+
+_ACTION_STEPS = {"below": np.nextafter(codes.ACTION_TOL, 0.0),
+                 "at": codes.ACTION_TOL,
+                 "above": np.nextafter(codes.ACTION_TOL, 1.0)}
+
+
+@st.composite
+def _near_tolerance_sets(draw):
+    """Dense errors on a repetition code, whose codewords are the first and
+    the last basis state.  Each error is a fresh matrix, filled on the upper
+    half of those two columns, or an earlier error's matrix with up to three
+    entries of the lower half set to ACTION_TOL or one ulp either side, in a
+    real or an imaginary direction.  A move from a fresh matrix thus changes
+    its images by exactly that step."""
+    code = draw(st.sampled_from([build_r3_code(), build_complex3_code()]))
+    dim, half = code.dim, code.dim // 2
+    matrices = []
+    for _ in range(draw(st.integers(2, 6))):
+        if matrices and draw(st.booleans()):
+            matrix = matrices[draw(st.integers(0, len(matrices) - 1))].copy()
+            for _ in range(draw(st.integers(1, 3))):
+                step = _ACTION_STEPS[draw(st.sampled_from(sorted(_ACTION_STEPS)))]
+                step *= draw(st.sampled_from([1.0, -1.0]))
+                if code.field.is_complex and draw(st.booleans()):
+                    step = step * 1j
+                row = draw(st.integers(half, dim - 1))
+                matrix[row, draw(st.sampled_from([0, dim - 1]))] = step
+        else:
+            matrix = np.zeros((dim, dim), dtype=code.field.dtype)
+            matrix[:half, [0, dim - 1]] = draw(arrays(
+                np.float64, (half, 2), elements=st.floats(-1.0, 1.0)))
+        matrices.append(matrix)
+    errors = ErrorSet(tuple(ErrorTerm(f"e{k}", LinearMap(code.field, m))
+                            for k, m in enumerate(matrices)))
+    return code, errors
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_near_tolerance_sets())
+def test_effective_error_classes_match_the_reference_at_the_tolerance(case):
+    code, errors = case
+    assert (codes.effective_error_classes(code, errors)
+            == _reference_effective_error_classes(code, errors))
 
 
 def test_count_r3_generators():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from hqec import quaternion as quat
 from hqec.codes import phase_error_pi
@@ -15,6 +16,7 @@ from hqec.linalg import (
     ScalarField,
     SiteOperator,
     StateVector,
+    _norm,
     apply_site,
     basis_state,
     complete_orthonormal,
@@ -54,6 +56,95 @@ def test_norm_of_a_finite_overflowing_state_raises(field):
         with pytest.raises(ValueError, match="a norm overflows"):
             big.norm()
         assert StateVector(field, 1, np.full(field.site_dim, 1e150)).norm() > 1e150
+
+
+@pytest.mark.parametrize("n_sites,error", [
+    (1.5, TypeError), (2.0, TypeError), (np.float64(1.0), TypeError),
+    (True, TypeError), (np.True_, TypeError), ("1", TypeError), (-1, ValueError),
+], ids=["half", "float", "numpy-float", "bool", "numpy-bool", "str", "negative"])
+def test_state_rejects_a_site_count_that_is_not_an_index(n_sites, error):
+    # a float count used to be read as a fractional number of amplitudes,
+    # a bool as one site
+    with pytest.raises(error, match="n_sites"):
+        StateVector(R, n_sites, np.zeros(2))
+
+
+def test_state_accepts_a_numpy_integer_site_count():
+    assert StateVector(R, np.int64(1), np.zeros(2)).dim == 2
+    assert StateVector(R, 0, np.ones(1)).dim == 1
+
+
+@pytest.mark.parametrize("site,error", [
+    (1.0, TypeError), (np.float64(0.0), TypeError), (True, TypeError),
+    (np.True_, TypeError), (None, TypeError), (-1, ValueError),
+], ids=["float", "numpy-float", "bool", "numpy-bool", "none", "negative"])
+def test_site_operator_rejects_a_site_that_is_not_an_index(site, error):
+    # a float site used to fail only in apply_site, and True acted on site 1
+    with pytest.raises(error, match="site index"):
+        SiteOperator(R, site, np.eye(2))
+
+
+def test_site_operator_accepts_a_numpy_integer_site():
+    state = tensor_state([basis_state(R, 1, 0)] * 2)
+    op = SiteOperator(R, np.int64(1), [[0.0, -1.0], [1.0, 0.0]])
+    assert np.array_equal(apply_site(op, state).amplitudes, [0.0, 1.0, 0.0, 0.0])
+
+
+def _same_float(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# zeros, subnormals and values near 1e300, whose squares overflow to inf
+_NORM_ELEMENTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e-310, 1e300, -3e300, 1.7e308]))
+
+
+@st.composite
+def _norm_inputs(draw):
+    """A real or complex array, 1-D or 2-D, and a view of it as roundtrip
+    may pass one: the whole array, a strided or reversed slice, or a
+    transpose."""
+    shape = draw(array_shapes(min_dims=1, max_dims=2, max_side=6))
+    x = draw(arrays(np.float64, shape, elements=_NORM_ELEMENTS))
+    if draw(st.booleans()):
+        x = x + 1j * draw(arrays(np.float64, shape, elements=_NORM_ELEMENTS))
+    view = draw(st.sampled_from(["whole", "strided", "reversed", "transposed"]))
+    return {"whole": x, "strided": x[::2], "reversed": x[::-1], "transposed": x.T}[view]
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_norm_inputs())
+def test_norm_is_numpys_norm_bit_for_bit(x):
+    with np.errstate(over="ignore"):
+        expected = np.linalg.norm(x)
+        got = _norm(x)
+    assert type(got) is float
+    assert _same_float(got, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(block=arrays(np.complex128, (8, 32),
+                    elements=st.complex_numbers(max_magnitude=1e3)),
+       ref=arrays(np.complex128, 8, elements=st.complex_numbers(max_magnitude=1.0)))
+def test_norm_of_a_residual_written_in_place_is_numpys_norm(block, ref):
+    # roundtrip takes the residual norm of np.subtract(block, diff, out=diff)
+    anc = ref.conj() @ block
+    diff = ref[:, None] * anc
+    residual = np.subtract(block, diff, out=diff)
+    assert _same_float(_norm(residual), np.linalg.norm(residual))
+    for view in (block, block[:, ::4], block.real, block.imag):
+        assert _same_float(_norm(view), np.linalg.norm(view))
+
+
+def test_norm_of_a_completed_map_block_is_numpys_norm(r3_correction, h3_correction):
+    rng = np.random.default_rng(3)
+    for cmap in (r3_correction, h3_correction):
+        corrupted = rng.standard_normal(cmap.code.dim)
+        rows, block = cmap._correct(corrupted)
+        assert rows == slice(None)
+        for x in (block, block.T, block[::3, 1:], corrupted[::2]):
+            assert _same_float(_norm(x), np.linalg.norm(x))
 
 
 def test_tensor_basis_states():
