@@ -538,10 +538,21 @@ class CorrectionMap:
     _completion: LinearMap | tuple[np.ndarray, np.ndarray] | None
     # the number of ancilla basis states, site_dim ** n_ancilla
     ancilla_dim: int = dataclasses.field(init=False, repr=False, compare=False)
+    # ancilla_states as a read-only index array, and the codewords on
+    # code.support: the fixed operands of _correct on a partial map
+    _ancilla_index: np.ndarray = dataclasses.field(init=False, repr=False,
+                                                   compare=False)
+    _support_words: np.ndarray = dataclasses.field(init=False, repr=False,
+                                                   compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ancilla_dim",
                            self.code.field.site_dim ** self.n_ancilla)
+        index = np.array(self.ancilla_states, dtype=np.intp)
+        words = self.code.words[:, self.code.support]
+        for name, arr in (("_ancilla_index", index), ("_support_words", words)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def total_sites(self) -> int:
@@ -638,11 +649,11 @@ class CorrectionMap:
         ``(perm, sign)`` one as a scatter of those columns' entries."""
         completion = self._completion
         if completion is None:
-            words, support = self.code.words, self.code.support
+            words = self._support_words
             coeffs = self._domain_adjoint @ corrupted
             weights = np.zeros((len(words), self.ancilla_dim), self.code.field.dtype)
-            weights[:, list(self.ancilla_states)] = coeffs.reshape(-1, len(words)).T
-            return support, words[:, support].T @ weights
+            weights[:, self._ancilla_index] = coeffs.reshape(-1, len(words)).T
+            return self.code.support, words.T @ weights
         if isinstance(completion, LinearMap):
             out = completion.matrix[:, ::self.ancilla_dim] @ corrupted
         else:

@@ -19,21 +19,18 @@ TOL_ISO = 1e-10
 
 
 class ScalarField(Enum):
+    """A scalar field.  Each member holds, as plain attributes set once,
+    ``site_dim`` (the real or complex dimension of one site), ``dtype`` (the
+    amplitudes' numpy dtype) and ``is_complex``."""
+
     REAL = "real"
     COMPLEX = "complex"
     QUATERNION_R4 = "quaternion_r4"
 
-    @property
-    def site_dim(self) -> int:
-        return 4 if self is ScalarField.QUATERNION_R4 else 2
-
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype(complex) if self is ScalarField.COMPLEX else np.dtype(float)
-
-    @property
-    def is_complex(self) -> bool:
-        return self is ScalarField.COMPLEX
+    def __init__(self, value: str) -> None:
+        self.site_dim = 4 if value == "quaternion_r4" else 2
+        self.is_complex = value == "complex"
+        self.dtype = np.dtype(complex) if self.is_complex else np.dtype(float)
 
 
 class FieldMismatchError(ValueError):
@@ -244,16 +241,6 @@ def _site_amplitudes(op: SiteOperator, state: StateVector) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):
         out = np.matmul(op.matrix, cube)
     return out.reshape(-1)
-
-
-def site_operator_matrix(op: SiteOperator, n_sites: int) -> np.ndarray:
-    """The full-space matrix identity x ... x op x ... x identity."""
-    d = op.field.site_dim
-    eye = np.eye(d, dtype=op.field.dtype)
-    mat = np.ones((1, 1), dtype=op.field.dtype)
-    for k in range(n_sites):
-        mat = np.kron(mat, op.matrix if k == op.site else eye)
-    return mat
 
 
 def _project_coeffs(basis: np.ndarray, v: np.ndarray, hermitian: bool) -> np.ndarray:

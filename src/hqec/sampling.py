@@ -11,6 +11,8 @@ import numpy as np
 from .linalg import ScalarField, StateVector, _norm
 from .quaternion import Quaternion
 
+UNIT_FLOOR = 1e-6   # random_unit_quaternion redraws a draw of norm at most this
+
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & (2**64 - 1), *stream])
@@ -24,7 +26,7 @@ def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:
     """Uniform on the 3-sphere: four standard Gaussians, normalized."""
     while True:
         q = Quaternion.from_array(rng.standard_normal(4))
-        if q.norm() > 1e-6:
+        if q.norm() > UNIT_FLOOR:
             return q.normalized()
 
 

@@ -11,7 +11,9 @@ modules are loaded by file path and never edited.
 ``perfbench`` also spans every ``Quaternion.__mul__`` call.  The quaternion
 suite runs its randomized checks through the array kernel, so it makes few
 scalar products; the mutation tests below show that the kernel is still what
-the suite checks, term by term and against the scalar product.
+the suite checks, term by term and against the scalar product.  The linalg
+and dirac suites run theirs array-at-a-time as well, and every suite runs the
+public scalar functions on its spot rows only.
 """
 
 import importlib.util
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hqec import cli, codes, verify
+from hqec import cli, codes, dirac, linalg, verify
 from hqec import quaternion as quat
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -135,3 +137,43 @@ def test_kernel_drift_in_the_spot_rows_fails_the_checks(monkeypatch):
         assert not records[check_id].passed, check_id
     # far inside the tolerance: only the bit-for-bit spot check catches it
     assert records["norm_multiplicative"].max_deviation < 1e-14
+
+
+# the public functions whose calls grew with the trial count in the loop form
+# of the suites, each at the name the suites call it by
+SCALAR_ROUTES = {
+    "tensor_state": (verify, "tensor_state"),
+    "StateVector": (linalg.StateVector, "__post_init__"),
+    "quaternion_correspondence": (dirac, "quaternion_correspondence"),
+    "random_unit_quaternion": (verify, "random_unit_quaternion"),
+}
+# their calls at 1000 trials, all on the spot rows: _SPOT trials of each
+# field or check.  The loop form made 4,752 StateVector and 1,080
+# tensor_state calls (linalg), 1,016 quaternion_correspondence and 1,200
+# random_unit_quaternion calls (dirac), and 4,000 random_unit_quaternion
+# calls (quaternion).
+SPOT_CALLS = {
+    "linalg": {"StateVector": 492, "tensor_state": 96},
+    "dirac": {"quaternion_correspondence": 32},
+    "quaternion": {},
+}
+
+
+@pytest.mark.parametrize("suite", list(SPOT_CALLS))
+def test_verify_calls_the_scalar_functions_on_the_spot_rows_only(suite, monkeypatch,
+                                                                  capsys):
+    calls = dict.fromkeys(SCALAR_ROUTES, 0)
+    for name, (owner, attr) in SCALAR_ROUTES.items():
+        def counting(*args, _name=name, _original=getattr(owner, attr)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(owner, attr, counting)
+
+    def counted(trials: int) -> dict:
+        calls.update(dict.fromkeys(calls, 0))
+        cli.main(["verify", suite, "--trials", str(trials)])
+        capsys.readouterr()
+        return {k: v for k, v in calls.items() if v}
+
+    # at _SPOT trials every trial is a spot row
+    assert counted(1000) == counted(verify._SPOT) == SPOT_CALLS[suite]

@@ -250,3 +250,19 @@ def test_commands_do_not_import_numpy_ma():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_hqec_loads_no_command_module():
+    # perfbench's setup_s times `import hqec`; the verify suites, the CLI and
+    # the report renderer must stay out of it
+    script = (
+        "import json, sys\n"
+        "import hqec\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('hqec')]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(hqec.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert loaded >= {"hqec", "hqec.linalg"}
+    assert loaded.isdisjoint({"hqec.verify", "hqec.cli", "hqec.report"})

@@ -698,6 +698,26 @@ def test_partial_map_corrects_onto_the_support_rows_only(name):
             assert np.all(np.delete(table, support, axis=0) == 0.0)
 
 
+@pytest.mark.parametrize("name", _PARTIAL_MAPS)
+def test_partial_map_holds_the_fixed_operands_of_its_correction(name):
+    # the ancilla index and the codewords on the support are built once per
+    # map, read-only, and give the block of the per-call gather bit for bit
+    cmap = _partial_map(name)
+    words, support = cmap.code.words, cmap.code.support
+    assert np.array_equal(cmap._ancilla_index, cmap.ancilla_states)
+    assert np.array_equal(cmap._support_words, words[:, support])
+    for held in (cmap._ancilla_index, cmap._support_words):
+        assert not held.flags.writeable
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        corrupted = _random_input(cmap, rng).amplitudes[::cmap.ancilla_dim]
+        weights = np.zeros((len(words), cmap.ancilla_dim), cmap.code.field.dtype)
+        weights[:, list(cmap.ancilla_states)] = (
+            cmap._domain_adjoint @ corrupted).reshape(-1, len(words)).T
+        assert np.array_equal(cmap._correct(corrupted)[1],
+                              words[:, support].T @ weights)
+
+
 def test_partial_map_apply_does_not_copy_the_domain(shor9_correction):
     cmap = shor9_correction
     state = _shor9_input(cmap, np.random.default_rng(5))

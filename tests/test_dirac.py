@@ -1,7 +1,10 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
-from hqec import cli, dirac
+from hqec import cli, dirac, sampling, verify
 from hqec import quaternion as quat
 from hqec.dirac import (
     ErrorRotor,
@@ -19,9 +22,16 @@ from hqec.dirac import (
     transform_basis,
 )
 from hqec.linalg import is_isometry
-from hqec.sampling import random_unit_quaternion, random_unitary, rng_for
+from hqec.quaternion import Quaternion
+from hqec.report import CheckRecord
+from hqec.sampling import (
+    random_quaternion,
+    random_unit_quaternion,
+    random_unitary,
+    rng_for,
+)
 
-from conftest import _close
+from conftest import TinyDraws, _close, one_ulp_up
 
 SX = quat.PAULI_MATRICES["x"]
 SY = quat.PAULI_MATRICES["y"]
@@ -313,3 +323,169 @@ def test_majorana_spinor_roundtrip():
     assert _close(quat.Quaternion.from_array(m.components), q)
     with pytest.raises(ValueError):
         MajoranaSpinor(np.array([1j, 0, 0, 0]))
+
+
+# --- the suite against its loop form ----------------------------------------
+
+def _reference_dirac_suite(seed: int, trials: int) -> list[CheckRecord]:
+    """The scalar loop form of verify.dirac_suite: one trial at a time
+    through the public functions, draws in the same order."""
+    records = []
+    gs = dirac.build_gammas_standard()
+    gm = dirac.majorana_set(gs)
+
+    rep = dirac.clifford_check(gs)
+    records.append(CheckRecord(
+        "clifford_standard", "anticommutators and squares in the block basis",
+        rep.passed, rep.max_deviation))
+
+    rng = rng_for(seed, 401)
+    reps = [dirac.clifford_check(gm)] + [
+        dirac.clifford_check(dirac.transform_basis(gs, random_unitary(4, rng)))
+        for _ in range(100)]
+    records.append(CheckRecord(
+        "clifford_transformed",
+        "the defining relations survive arbitrary unitary basis changes",
+        all(r.passed for r in reps), max(r.max_deviation for r in reps)))
+
+    um = dirac.build_majorana_transform(gs)
+    dev_ref = float(np.abs(um - dirac.MAJORANA_TRANSFORM_REFERENCE).max())
+    dev_unitary = is_isometry(um).max_deviation
+    records.append(CheckRecord(
+        "majorana_transform_matrix",
+        "the product formula reproduces the reference matrix and is unitary",
+        dev_ref <= verify.TOL_TRANSFORM_REFERENCE
+        and dev_unitary <= verify.TOL_TRANSFORM_UNITARY,
+        max(dev_ref, dev_unitary)))
+
+    images = dirac.check_basis_images(gs, um)
+    signs = {k: v.sign for k, v in images.items()}
+    records.append(CheckRecord(
+        "majorana_basis_images",
+        "conjugation sends each matrix to its reference +-i partner",
+        all(v.matches_reference for v in images.values()),
+        max(v.reference_deviation for v in images.values()),
+        f"signs found vs reference: {signs}"))
+
+    gens = dirac.error_generators(gm)
+    dev = max(float(np.abs(np.asarray(g).imag).max()) for g in gens)
+    records.append(CheckRecord(
+        "generators_real", "the transformed rotation bilinears are real",
+        dev <= verify.TOL_GENERATORS_REAL, dev))
+
+    bil = dirac.check_majorana_bilinears(gm)
+    signs = {k: v.sign for k, v in bil.items()}
+    records.append(CheckRecord(
+        "generator_sign_patterns",
+        "transformed bilinears match the reference +-1 patterns",
+        all(v.matches_reference for v in bil.values()),
+        max(v.reference_deviation for v in bil.values()),
+        f"signs found vs reference: {signs}"))
+
+    rng = rng_for(seed, 402)
+    dev = 0.0
+    units = (Quaternion(1, 0, 0, 0), quat.I, quat.J, quat.K)
+    rotors = [ErrorRotor(*(1.0 if i == k else 0.0 for i in range(4)))
+              for k in range(4)]
+    pairs = [(r, q) for r in rotors for q in units]
+    for _ in range(trials):
+        e = random_unit_quaternion(rng)
+        pairs.append((ErrorRotor(e.w, e.x, e.y, e.z), random_quaternion(rng)))
+    for rotor, q in pairs:
+        rep = quaternion_correspondence(rotor, q, gm)
+        dev = max(dev, rep.max_deviation)
+    unit_signs = classify_unit_correspondences(gens)
+    records.append(CheckRecord(
+        "rotor_correspondence",
+        "rotor action equals right multiplication by the conjugate coefficient "
+        "quaternion", dev <= dirac.TOL_IDENTITY, dev,
+        f"unit signs found (reference -1 each): {unit_signs}"))
+
+    rng = rng_for(seed, 403)
+    dev = 0.0
+    for _ in range(min(trials, 200)):
+        e = random_unit_quaternion(rng)
+        rotor = ErrorRotor(e.w, e.x, e.y, e.z)
+        dev = max(dev, is_isometry(rotor.matrix(gens).real).max_deviation)
+    records.append(CheckRecord(
+        "rotor_isometry", "unit rotors act as isometries of R^4",
+        dev <= dirac.TOL_IDENTITY, dev))
+    return records
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("trials", [0, 1, 5, 60, 200, 1000])
+def test_dirac_suite_matches_the_loop_reference(seed, trials):
+    # every verdict, witness and deviation is exactly that of the loop,
+    # rotor_correspondence's criterion-6 sign finding included
+    assert verify.dirac_suite(seed, trials) == _reference_dirac_suite(seed, trials)
+
+
+def test_blocked_dirac_suite_matches_the_loop_reference(monkeypatch):
+    # many blocks: each draws its trials in order, and the spot rows follow
+    # the trial index across block boundaries
+    monkeypatch.setattr(verify, "_BLOCK", 7)
+    assert verify.dirac_suite(7, 100) == _reference_dirac_suite(7, 100)
+
+
+def test_a_redrawn_rotor_inside_a_block_keeps_the_loop_draws(monkeypatch):
+    # a tiny first draw in trial 2 of each rotor stream: random_unit_quaternion
+    # redraws it, so the block is rewound and drawn trial by trial
+    streams = {}
+
+    def tiny_rng(seed, *stream):
+        tiny = {402: range(16, 20), 403: range(8, 12)}.get(stream[0], ())
+        streams[stream] = TinyDraws(sampling.rng_for(seed, *stream), tiny)
+        return streams[stream]
+
+    monkeypatch.setattr(verify, "rng_for", tiny_rng)
+    got = verify.dirac_suite(0, 50)
+    drawn = {s: (g.drawn, g.rewinds) for s, g in streams.items()}
+    monkeypatch.setitem(globals(), "rng_for", tiny_rng)
+    assert got == _reference_dirac_suite(0, 50)
+    # the redraw costs four more normals in each stream, in both forms
+    assert drawn[(402,)] == (streams[(402,)].drawn, 1) == (50 * 8 + 4, 1)
+    assert drawn[(403,)] == (streams[(403,)].drawn, 1) == (50 * 4 + 4, 1)
+
+
+DIRAC_DRIFT = {
+    "transform_basis": lambda g: GammaSet(*map(one_ulp_up, g.all())),
+    "clifford_check": lambda r: dataclasses.replace(
+        r, max_deviation=one_ulp_up(r.max_deviation)),
+    "is_isometry": lambda r: dataclasses.replace(
+        r, max_deviation=one_ulp_up(r.max_deviation)),
+    "quaternion_correspondence": lambda r: dataclasses.replace(
+        r, lhs=one_ulp_up(r.lhs)),
+}
+
+
+@pytest.mark.parametrize(("name", "check_id"), [
+    ("transform_basis", "clifford_transformed"),
+    ("clifford_check", "clifford_transformed"),
+    ("is_isometry", "rotor_isometry")])
+def test_a_public_function_one_ulp_off_fails_its_check(name, check_id, monkeypatch):
+    # the spot rows run through the public function, bit for bit, so one ulp
+    # of drift fails the check although it is far inside the tolerance
+    owner = verify if name == "is_isometry" else dirac
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: DIRAC_DRIFT[name](original(*args)))
+    records = {r.check_id: r for r in verify.dirac_suite(0, 20)}
+    assert not records[check_id].passed
+    assert records[check_id].max_deviation < 1e-13
+
+
+def test_a_drifting_correspondence_opens_a_spot_gap(monkeypatch):
+    # rotor_correspondence fails anyway (criterion 6), so the drift shows in
+    # the block's spot gap, which the record folds into its deviation
+    gm = majorana_set()
+    gens = error_generators(gm)
+
+    def gap():
+        check = functools.partial(verify._rotor_correspondence, gm, gens)
+        return verify._over_blocks(check, rng_for(0, 402), 20)[1]
+
+    assert gap() == 0.0
+    original = dirac.quaternion_correspondence
+    monkeypatch.setattr(dirac, "quaternion_correspondence", lambda *args:
+                        DIRAC_DRIFT["quaternion_correspondence"](original(*args)))
+    assert 0.0 < gap() < 1e-14

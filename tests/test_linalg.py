@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from hqec import quaternion as quat
+from hqec import verify
 from hqec.codes import phase_error_pi
 from hqec.linalg import (
+    TOL_ISO,
     FieldMismatchError,
     LinearMap,
     RankDeficiencyError,
@@ -22,9 +24,12 @@ from hqec.linalg import (
     complete_orthonormal,
     inner,
     is_isometry,
-    site_operator_matrix,
     tensor_state,
 )
+from hqec.report import CheckRecord
+from hqec.sampling import random_orthogonal, random_state, random_unitary, rng_for
+
+from conftest import one_ulp_up
 
 R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION_R4
 
@@ -32,6 +37,17 @@ R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION_R4
 def test_field_properties():
     assert R.site_dim == 2 and C.site_dim == 2 and H.site_dim == 4
     assert C.is_complex and not R.is_complex and not H.is_complex
+
+
+@pytest.mark.parametrize("field", list(ScalarField))
+def test_field_attributes_are_set_once_per_member(field):
+    # plain member attributes, not properties: one dtype object per member
+    assert field.dtype is field.dtype
+    assert field.dtype == (np.dtype(complex) if field is C else np.dtype(float))
+    for name in ("site_dim", "dtype", "is_complex"):
+        assert name in vars(field) and name not in vars(ScalarField)
+    assert ScalarField(field.value) is field
+    assert [f.value for f in ScalarField] == ["real", "complex", "quaternion_r4"]
 
 
 def test_state_validation():
@@ -247,6 +263,16 @@ def test_apply_site_range_and_field_checks():
         apply_site(SiteOperator(C, 0, np.eye(2)), state)
 
 
+def _site_operator_matrix(op: SiteOperator, n_sites: int) -> np.ndarray:
+    """The full-space matrix identity x ... x op x ... x identity."""
+    d = op.field.site_dim
+    eye = np.eye(d, dtype=op.field.dtype)
+    mat = np.ones((1, 1), dtype=op.field.dtype)
+    for k in range(n_sites):
+        mat = np.kron(mat, op.matrix if k == op.site else eye)
+    return mat
+
+
 @pytest.mark.parametrize("field,n_sites", [(R, 3), (C, 3), (H, 3)])
 def test_apply_site_matches_full_kron(field, n_sites):
     rng = np.random.default_rng(11)
@@ -262,7 +288,7 @@ def test_apply_site_matches_full_kron(field, n_sites):
             amps = amps + 1j * rng.standard_normal(d ** n_sites)
         state = StateVector(field, n_sites, amps)
         fast = apply_site(op, state).amplitudes
-        full = site_operator_matrix(op, n_sites) @ amps
+        full = _site_operator_matrix(op, n_sites) @ amps
         assert np.abs(fast - full).max() <= 1e-12
 
 
@@ -459,3 +485,143 @@ def test_completion_of_mixed_vectors_is_orthonormal(data, shape, seed):
     for v in partial:
         resid = v.amplitudes - lead @ (lead.conj().T @ v.amplitudes)
         assert np.linalg.norm(resid) <= 1e-10 * max(1.0, v.norm())
+
+
+# --- the suite against its loop form ----------------------------------------
+
+def _reference_linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
+    """The scalar loop form of verify.linalg_suite: one trial at a time
+    through the public functions, draws in the same order."""
+    records = []
+    pair_count = min(trials, 200)
+
+    rng = rng_for(seed, 201)
+    dev = 0.0
+    negative_ok = True
+    for field in ScalarField:
+        n_sites = 2
+        dim = field.site_dim ** n_sites
+        mat = (random_unitary(dim, rng) if field.is_complex
+               else random_orthogonal(dim, rng))
+        lm = LinearMap(field, mat)
+        check = is_isometry(lm)
+        dev = max(dev, check.max_deviation)
+        negative_ok = negative_ok and check.passed
+        for _ in range(pair_count):
+            u = random_state(field, n_sites, rng, normalize=False)
+            v = random_state(field, n_sites, rng, normalize=False)
+            dev = max(dev, abs(inner(lm.apply(u), lm.apply(v)) - inner(u, v)))
+    stretched = is_isometry(LinearMap(ScalarField.REAL, np.diag([1.0, 2.0])))
+    records.append(CheckRecord(
+        "isometry_preserves_inner",
+        "maps passing the isometry check preserve inner products",
+        negative_ok and not stretched.passed and dev <= TOL_ISO, dev,
+        "diag(1, 2) correctly rejected" if not stretched.passed else
+        "diag(1, 2) wrongly accepted"))
+
+    rng = rng_for(seed, 202)
+    dev = 0.0
+    for field in ScalarField:
+        n_sites = 3
+        for _ in range(min(trials, 60)):
+            site = int(rng.integers(n_sites))
+            d = field.site_dim
+            block = rng.standard_normal((d, d))
+            if field.is_complex:
+                block = block + 1j * rng.standard_normal((d, d))
+            op = SiteOperator(field, site, block)
+            state = random_state(field, n_sites, rng, normalize=False)
+            fast = apply_site(op, state).amplitudes
+            full = _site_operator_matrix(op, n_sites) @ state.amplitudes
+            dev = max(dev, float(np.abs(fast - full).max()))
+    records.append(CheckRecord(
+        "site_application_matches_kron",
+        "site-local application equals the full Kronecker operator",
+        dev <= verify.TOL_KERNEL, dev))
+
+    rng = rng_for(seed, 203)
+    dev = 0.0
+    for field in ScalarField:
+        for _ in range(min(trials, 60)):
+            u = random_state(field, 1, rng, normalize=False)
+            u2 = random_state(field, 1, rng, normalize=False)
+            v = random_state(field, 1, rng, normalize=False)
+            alpha, beta = rng.standard_normal(2)
+            left = tensor_state([u.with_amplitudes(alpha * u.amplitudes
+                                                   + beta * u2.amplitudes), v])
+            right = (alpha * tensor_state([u, v]).amplitudes
+                     + beta * tensor_state([u2, v]).amplitudes)
+            dev = max(dev, float(np.abs(left.amplitudes - right).max()))
+            left = tensor_state([v, u.with_amplitudes(alpha * u.amplitudes
+                                                      + beta * u2.amplitudes)])
+            right = (alpha * tensor_state([v, u]).amplitudes
+                     + beta * tensor_state([v, u2]).amplitudes)
+            dev = max(dev, float(np.abs(left.amplitudes - right).max()))
+    records.append(CheckRecord(
+        "tensor_bilinearity", "the tensor product is linear in each factor",
+        dev <= verify.TOL_KERNEL, dev))
+
+    rng = rng_for(seed, 204)
+    dev = 0.0
+    negative_ok = False
+    for field in ScalarField:
+        n_sites = 2
+        dim = field.site_dim ** n_sites
+        partial = [random_state(field, n_sites, rng) for _ in range(3)]
+        mat = complete_orthonormal(partial)
+        gram = mat.conj().T @ mat
+        dev = max(dev, float(np.abs(gram - np.eye(dim)).max()))
+        lead = mat[:, :len(partial)]
+        for v in partial:
+            resid = v.amplitudes - lead @ (lead.conj().T @ v.amplitudes)
+            dev = max(dev, float(np.linalg.norm(resid)))
+    try:
+        e0 = basis_state(ScalarField.REAL, 1, 0)
+        e1 = basis_state(ScalarField.REAL, 1, 1)
+        nearly = e0.with_amplitudes(e0.amplitudes + 1e-15 * e1.amplitudes)
+        complete_orthonormal([e0, nearly])
+        witness = "dependent input was not rejected"
+    except RankDeficiencyError as exc:
+        negative_ok = exc.index == 1
+        witness = f"dependent input rejected at index {exc.index}"
+    records.append(CheckRecord(
+        "orthonormal_completion",
+        "completion returns an orthonormal basis extending the input span",
+        negative_ok and dev <= TOL_ISO, dev, witness))
+    return records
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("trials", [0, 1, 5, 60, 200, 1000])
+def test_linalg_suite_matches_the_loop_reference(seed, trials):
+    # every verdict, witness and deviation is exactly that of the loop; the
+    # trial caps of 60 and 200 fall inside the list
+    assert verify.linalg_suite(seed, trials) == _reference_linalg_suite(seed, trials)
+
+
+def test_blocked_linalg_suite_matches_the_loop_reference(monkeypatch):
+    # many blocks per field: each draws its trials in order, and the spot rows
+    # follow the trial index across block boundaries
+    monkeypatch.setattr(verify, "_BLOCK", 7)
+    assert verify.linalg_suite(7, 100) == _reference_linalg_suite(7, 100)
+
+
+LINALG_DRIFT = [
+    ("isometry_preserves_inner", "inner"),
+    ("isometry_preserves_inner", "LinearMap.apply"),
+    ("site_application_matches_kron", "apply_site"),
+    ("tensor_bilinearity", "tensor_state"),
+]
+
+
+@pytest.mark.parametrize(("check_id", "name"), LINALG_DRIFT)
+def test_a_public_function_one_ulp_off_fails_its_check(check_id, name, monkeypatch):
+    # the spot rows run through the public function, bit for bit, so one ulp
+    # of drift fails the check although it is far inside the tolerance
+    owner, attr = ((LinearMap, "apply") if name == "LinearMap.apply"
+                   else (verify, name))
+    original = getattr(owner, attr)
+    monkeypatch.setattr(owner, attr, lambda *args: one_ulp_up(original(*args)))
+    records = {r.check_id: r for r in verify.linalg_suite(0, 20)}
+    assert [k for k, r in records.items() if not r.passed] == [check_id]
+    assert records[check_id].max_deviation < 1e-13

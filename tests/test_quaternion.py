@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqec import quaternion as quat
-from hqec import verify
+from hqec import sampling, verify
 from hqec.quaternion import (
     I,
     J,
@@ -20,7 +20,7 @@ from hqec.quaternion import (
 from hqec.report import CheckRecord
 from hqec.sampling import random_quaternion, random_unit_quaternion, rng_for
 
-from conftest import _close
+from conftest import TinyDraws, _close
 
 finite = st.floats(min_value=-10, max_value=10,
                    allow_nan=False, allow_infinity=False)
@@ -524,3 +524,36 @@ def test_blocked_quaternion_suite_matches_the_loop_reference(block, trials,
     monkeypatch.setattr(verify, "_BLOCK", block)
     assert verify.quaternion_suite(7, trials) \
         == _reference_quaternion_suite(7, trials)
+
+
+# positions in each stream's standard normal draws that make a rule fire:
+# stream 103, q of trial 2 (norm at most 1e-6, redrawn) and the axis of q in
+# trial 5 (squared length below 1e-4, redrawn); stream 104, u of trials 1 and
+# 6 (redrawn; the first four trials draw u alone); stream 105, q of trial 3
+# (norm below 1e-3, skipped) and u of trial 4 (redrawn)
+TINY = {103: [*range(22, 26), 60, 61, 62], 104: [*range(4, 8), *range(36, 40)],
+        105: [*range(24, 28), *range(32, 36)]}
+
+
+@pytest.mark.parametrize("block", [512, 3])
+def test_a_redrawn_or_skipped_row_inside_a_block_keeps_the_loop_draws(block,
+                                                                      monkeypatch):
+    streams = {}
+
+    def tiny_rng(seed, *stream):
+        streams[stream] = TinyDraws(sampling.rng_for(seed, *stream),
+                                    TINY.get(stream[0], ()))
+        return streams[stream]
+
+    monkeypatch.setattr(verify, "_BLOCK", block)
+    monkeypatch.setattr(verify, "rng_for", tiny_rng)
+    got = verify.quaternion_suite(0, 40)
+    drawn = {s: g.drawn for s, g in streams.items()}
+    rewinds = {s[0]: g.rewinds for s, g in streams.items() if g.rewinds}
+    monkeypatch.setitem(globals(), "rng_for", tiny_rng)
+    assert got == _reference_quaternion_suite(0, 40)
+    assert drawn == {s: g.drawn for s, g in streams.items()}
+    # a block that holds a hit is rewound once, and no other block is; the
+    # su2 check draws its first four trials as a block of their own
+    assert rewinds == ({103: 1, 104: 2, 105: 1} if block == 512
+                       else {103: 2, 104: 2, 105: 1})
