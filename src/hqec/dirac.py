@@ -85,8 +85,13 @@ class CliffordReport:
 
 def clifford_check(g: GammaSet) -> CliffordReport:
     """Verify pairwise anticommutation, the five squares, and the product
-    formula for gamma5.  Basis changes leave all of these invariant."""
+    formula for gamma5.  Basis changes leave all of these invariant.
+
+    Raises ValueError for a non-finite entry, which every deviation test
+    would pass as NaN."""
     mats = {"g0": g.g0, "g1": g.g1, "g2": g.g2, "g3": g.g3, "g5": g.g5}
+    if not all(np.isfinite(m).all() for m in mats.values()):
+        raise ValueError("gamma matrices must be finite")
     squares = {"g0": 1.0, "g1": -1.0, "g2": -1.0, "g3": -1.0, "g5": 1.0}
     eye = np.eye(4)
     failures = []

@@ -13,11 +13,15 @@ The quaternion, linalg and dirac suites evaluate their randomized checks as
 array expressions over blocks of trials: the quaternion identities through the
 private row-wise kernel of :mod:`hqec.quaternion` (Hamilton product, norm,
 conjugate), the linear-algebra and spinor identities through stacked numpy
-products.  Each spot-checks the public scalar API: the first 16 trials of
-each check (of each field, in the linalg suite) also run through the public
-functions (``*``, ``rotate_vector``, ``su2_right_action``, ``hopf_project``,
-``decompose_matrix``; ``inner``, ``LinearMap.apply``, ``apply_site``,
-``tensor_state``; ``transform_basis``, ``clifford_check``,
+products.  Their draws follow one rule: standard normals come in blocks from
+the check's stream, uniforms and integers in blocks from a sub-stream of their
+own, and a row that breaks a rule of the check is drawn again from a redraw
+sub-stream, so each check runs exactly its trial count and its draws do not
+depend on the block size.  Each spot-checks the public scalar API: the first
+16 trials of each check (of each field, in the linalg suite) also run through
+the public functions (``*``, ``rotate_vector``, ``su2_right_action``,
+``hopf_project``, ``decompose_matrix``; ``inner``, ``LinearMap.apply``,
+``apply_site``, ``tensor_state``; ``transform_basis``, ``clifford_check``,
 ``quaternion_correspondence``, ``is_isometry``), and the largest
 scalar-versus-array difference is folded into the check's deviation.
 The array forms repeat the scalar arithmetic operation by operation, so that
@@ -53,7 +57,6 @@ from .report import CheckRecord
 from .sampling import (
     UNIT_FLOOR,
     random_orthogonal,
-    random_quaternion,
     random_state,
     random_unit_quaternion,
     random_unitary,
@@ -64,25 +67,30 @@ from .sampling import (
 # Trials in blocks
 #
 # The randomized checks of the quaternion, linalg and dirac suites evaluate
-# their identities as array expressions over blocks of trials, and keep the
-# draws of one trial at a time: a block draw of standard normals equals the
-# same draws made one after another.  A check whose trials may be redrawn or
-# skipped draws its block, saves the generator state first, and replays the
-# rule on the block; if any row meets it, the generator is rewound and that
-# block is drawn trial by trial, as one trial's draw code does it.  Trials
-# run in blocks of at most _BLOCK, so memory stays small and flat at any
-# trial count.  The spot check runs the first _SPOT trials of each check
-# through the public functions too and takes the largest difference; every
-# array expression repeats the arithmetic of the function it mirrors, so the
-# spot check must find no difference at all.  matrix_decompose_roundtrip
-# solves its 8x8 system for a block of right-hand sides in one LAPACK call,
-# so its spot check is held to the check's tolerance, TOL_DECOMPOSE, instead.
+# their identities as array expressions over blocks of at most _BLOCK trials,
+# so memory stays small and flat at any trial count.  Every check draws by one
+# rule.  Its standard normals come in (n, width) blocks from its own stream,
+# rng_for(seed, stream); its uniforms or integers come in blocks from the
+# sub-stream rng_for(seed, stream, _VALUES).  A row that breaks a rule of the
+# check (a unit group of norm at most UNIT_FLOOR, a rotation axis of square
+# below _AXIS_FLOOR, a Hopf q of norm below _HOPF_FLOOR) is drawn again from
+# the sub-stream rng_for(seed, stream, _REDRAW): rows one at a time, in trial
+# order, each until it passes.  Every stream draws one kind of value only, and
+# numpy returns the same values for such a stream however the calls split it,
+# so the draws depend on (seed, trials) alone, never on _BLOCK.  The spot check
+# runs the first _SPOT trials of each check through the public functions too
+# and takes the largest difference; every array expression repeats the
+# arithmetic of the function it mirrors, so the spot check must find no
+# difference at all.  matrix_decompose_roundtrip solves its 8x8 system for a
+# block of right-hand sides in one LAPACK call, so its spot check is held to
+# the check's tolerance, TOL_DECOMPOSE, instead.
 
 _BLOCK = 512
 _SPOT = 16
 TOL_DECOMPOSE = 1e-10
 _AXIS_FLOOR = 1e-4    # rotation_geometry redraws a q whose axis has a smaller square
-_HOPF_FLOOR = 1e-3    # hopf_projection skips a q of smaller norm
+_HOPF_FLOOR = 1e-3    # hopf_projection redraws a q of smaller norm
+_VALUES, _REDRAW = 1, 2    # the sub-streams of uniforms or integers, and of redraws
 _ONE, _I, _J = (u.as_array() for u in (quat.ONE, quat.I, quat.J))
 _UNITS = np.eye(4)    # the rows 1, i, j, k
 
@@ -124,33 +132,32 @@ def _spot_gap(scalar: list[tuple], *arrays: np.ndarray) -> float:
     return gap
 
 
-def _unit_trial(rng) -> np.ndarray:
-    return random_unit_quaternion(rng).as_array()
+def _accepted(rows: np.ndarray, units: tuple[int, ...], keep) -> np.ndarray:
+    """Which rows pass the draw rules; the 4-column group at each offset in
+    ``units`` is normalized in place as :meth:`Quaternion.normalized` does it.
+    A row passes when each unit group has a norm above ``UNIT_FLOOR`` and
+    ``keep``, when not None, accepts it."""
+    ok = np.ones(len(rows), dtype=bool)
+    for c in units:
+        norm = quat._norm(rows[:, c:c + 4])
+        ok &= norm > UNIT_FLOOR
+        rows[:, c:c + 4] *= (1.0 / norm)[:, None]
+    return ok if keep is None else ok & keep(rows)
 
 
-def _unit_then_plain_trial(rng) -> np.ndarray:
-    return np.concatenate([_unit_trial(rng), random_quaternion(rng).as_array()])
-
-
-def _drawn(rng, n: int, width: int, units: tuple[int, ...], one_trial,
-           keep) -> np.ndarray:
-    """``n`` trials' draws, one ``width``-column row each, as ``one_trial(rng)``
-    returns them trial after trial.  They are drawn as one block of standard
-    normals, and the 4-column group at each offset in ``units`` is normalized
-    as :func:`random_unit_quaternion` normalizes it.  If a row would have been
-    redrawn (a unit group of norm at most ``UNIT_FLOOR``, or a row that
-    ``keep``, when not None, refuses), the block is drawn again trial by
-    trial."""
-    state = rng.bit_generator.state
+def _normal_rows(rng, redraw, n: int, width: int, units: tuple[int, ...],
+                 keep) -> np.ndarray:
+    """``n`` rows of ``width`` standard normals from ``rng``, unit groups
+    normalized (see :func:`_accepted`).  A row that fails the rules is drawn
+    again from ``redraw``: rows one at a time, in trial order, each until it
+    passes."""
     rows = rng.standard_normal((n, width))
-    norms = [quat._norm(rows[:, c:c + 4]) for c in units]
-    if all((norm > UNIT_FLOOR).all() for norm in norms):
-        for c, norm in zip(units, norms):
-            rows[:, c:c + 4] *= (1.0 / norm)[:, None]    # Quaternion.normalized
-        if keep is None or keep(rows).all():
-            return rows
-    rng.bit_generator.state = state
-    return np.array([one_trial(rng) for _ in range(n)]).reshape(n, width)
+    for k in np.flatnonzero(~_accepted(rows, units, keep)):
+        while True:
+            rows[k:k + 1] = redraw.standard_normal((1, width))
+            if _accepted(rows[k:k + 1], units, keep)[0]:
+                break
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +206,9 @@ def _axis_square(q: np.ndarray) -> np.ndarray:
     return np.matmul(q[:, None, 1:], q[:, 1:, None])[:, 0, 0]
 
 
-def _rotation_trial(rng) -> np.ndarray:
-    q = random_unit_quaternion(rng)
-    while _axis_square(q.as_array()[None])[0] < _AXIS_FLOOR:
-        q = random_unit_quaternion(rng)
-    v = rng.standard_normal(3)
-    return np.concatenate([q.as_array(), v, _unit_trial(rng)])
-
-
-def _rotation_geometry(rng, start: int, n: int) -> list[float]:
-    rows = _drawn(rng, n, 11, (0, 7), _rotation_trial,
-                  lambda r: _axis_square(r[:, :4]) >= _AXIS_FLOOR)
+def _rotation_geometry(redraw, rng, start: int, n: int) -> list[float]:
+    rows = _normal_rows(rng, redraw, n, 11, (0, 7),
+                        lambda r: _axis_square(r[:, :4]) >= _AXIS_FLOOR)
     q, q2 = rows[:, :4], rows[:, 7:]
     v = np.zeros((n, 4))
     v[:, 1:] = rows[:, 4:7]
@@ -233,13 +232,12 @@ def _rotation_geometry(rng, start: int, n: int) -> list[float]:
     return [dev, _spot_gap(scalar, rotated, axis, fixed, twice, once)]
 
 
-def _su2_right_action(rng, start: int, n: int) -> list[float]:
-    # each of the first four trials draws only u and pairs it with 1, i, j, k
+def _su2_right_action(redraw, rng, start: int, n: int) -> list[float]:
+    rows = _normal_rows(rng, redraw, n, 8, (0,), None)
+    # each of the first four trials pairs its u with 1, i, j, k, not its q
     head = min(n, max(0, 4 - start))
-    units = _drawn(rng, head, 4, (0,), _unit_trial, None)
-    rest = _drawn(rng, n - head, 8, (0,), _unit_then_plain_trial, None)
-    q = np.concatenate([np.tile(_UNITS, (head, 1)), rest[:, 4:]])
-    u = np.concatenate([np.repeat(units, 4, axis=0), rest[:, :4]])
+    q = np.concatenate([np.tile(_UNITS, (head, 1)), rows[head:, 4:]])
+    u = np.concatenate([np.repeat(rows[:head, :4], 4, axis=0), rows[head:, :4]])
     lhs = quat._hamilton(q, quat._conj(u))
     c, d = u.view(complex).T
     m = np.stack([np.stack([c.conj(), d.conj()], axis=-1),
@@ -250,41 +248,14 @@ def _su2_right_action(rng, start: int, n: int) -> list[float]:
     return [_max_abs(lhs - rhs), _spot_gap(scalar, lhs, m)]
 
 
-def _hopf_trial(rng) -> np.ndarray | None:
-    """One trial's draws (q, the phase, u), or None when q is skipped."""
-    q = random_quaternion(rng)
-    if q.norm() < _HOPF_FLOOR:
-        return None
-    phase = quat.exp_phase(rng.uniform(0.0, 2.0 * np.pi))
-    return np.concatenate([q.as_array(), phase.as_array(), _unit_trial(rng)])
-
-
-def _hopf_draws(rng, n: int) -> np.ndarray:
-    """The rows of ``n`` :func:`_hopf_trial` calls that are not skipped.  A
-    uniform draw sits between each trial's normals, so the trials are drawn
-    one at a time, as plain arrays; the skip and redraw rules are replayed
-    on the result, as in :func:`_drawn`."""
-    state = rng.bit_generator.state
-    normals, phis, two_pi = [], [], 2.0 * np.pi
-    for _ in range(n):
-        normals.append(rng.standard_normal(4))
-        phis.append(rng.uniform(0.0, two_pi))
-        normals.append(rng.standard_normal(4))
-    q, u = np.array(normals).reshape(n, 2, 4).transpose(1, 0, 2)
-    norm = quat._norm(u)
-    if (quat._norm(q) >= _HOPF_FLOOR).all() and (norm > UNIT_FLOOR).all():
-        phase = np.zeros((n, 4))
-        phase[:, 0] = [math.cos(phi) for phi in phis]    # quat.exp_phase
-        phase[:, 1] = [math.sin(phi) for phi in phis]
-        return np.concatenate([q, phase, u * (1.0 / norm)[:, None]], axis=1)
-    rng.bit_generator.state = state
-    kept = [r for r in (_hopf_trial(rng) for _ in range(n)) if r is not None]
-    return np.array(kept).reshape(len(kept), 12)
-
-
-def _hopf_projection(rng, start: int, n: int) -> list[float]:
-    rows = _hopf_draws(rng, n)
-    q, phase, u = rows[:, :4], rows[:, 4:8], rows[:, 8:]
+def _hopf_projection(phases, redraw, rng, start: int, n: int) -> list[float]:
+    rows = _normal_rows(rng, redraw, n, 8, (4,),
+                        lambda r: quat._norm(r[:, :4]) >= _HOPF_FLOOR)
+    q, u = rows[:, :4], rows[:, 4:]
+    phase = np.zeros((n, 4))
+    phis = phases.uniform(0.0, 2.0 * np.pi, n)
+    phase[:, 0] = [math.cos(phi) for phi in phis]    # quat.exp_phase
+    phase[:, 1] = [math.sin(phi) for phi in phis]
     mul, conj = quat._hamilton, quat._conj
     v = _hopf(q)
     v_phase = _hopf(mul(phase, q))
@@ -340,14 +311,20 @@ def quaternion_suite(seed: int, trials: int) -> list[CheckRecord]:
         _exact("mul_associative", "associativity of the product",
                *_over_blocks(_associativity, rng_for(seed, 102), trials)),
         _exact("rotation_geometry", "conjugation rotates the imaginary 3-space",
-               *_over_blocks(_rotation_geometry, rng_for(seed, 103), trials)),
+               *_over_blocks(functools.partial(_rotation_geometry,
+                                               rng_for(seed, 103, _REDRAW)),
+                             rng_for(seed, 103), trials)),
         _exact("su2_right_action_matrix",
                "right multiplication equals the 2x2 unitary on the amplitude pair",
-               *_over_blocks(_su2_right_action, rng_for(seed, 104), trials)),
+               *_over_blocks(functools.partial(_su2_right_action,
+                                               rng_for(seed, 104, _REDRAW)),
+                             rng_for(seed, 104), trials)),
     ]
 
-    dev_phase, dev_equi, gap = _over_blocks(_hopf_projection, rng_for(seed, 105),
-                                            trials)
+    dev_phase, dev_equi, gap = _over_blocks(
+        functools.partial(_hopf_projection, rng_for(seed, 105, _VALUES),
+                          rng_for(seed, 105, _REDRAW)),
+        rng_for(seed, 105), trials)
     records.append(_exact(
         "hopf_phase_invariance", "projection is blind to the left phase",
         dev_phase, gap))
@@ -452,19 +429,16 @@ def _site_matrices(ops: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     return mat
 
 
-def _site_application(field: ScalarField, rng, start: int, n: int) -> list[float]:
+def _site_application(sites_rng, field: ScalarField, rng, start: int,
+                      n: int) -> list[float]:
     """Site-local application against the full Kronecker operator, over a
-    block of random sites, operators and unnormalized 3-site states."""
+    block of random sites (from ``sites_rng``), operators and unnormalized
+    3-site states."""
     n_sites, d = 3, field.site_dim
     dim = d ** n_sites
     op_width = _width(field, d * d)
-    sites = np.empty(n, dtype=int)
-    normals = np.empty((n, op_width + _width(field, dim)))
-    # each trial draws a site, then normals; the integer draws keep half of a
-    # 64-bit word for the next one, so the trials are drawn one at a time
-    for k in range(n):
-        sites[k] = rng.integers(n_sites)
-        normals[k] = rng.standard_normal(normals.shape[1])
+    sites = sites_rng.integers(n_sites, size=n)
+    normals = rng.standard_normal((n, op_width + _width(field, dim)))
     ops = _amplitudes(field, normals[:, :op_width]).reshape(n, d, d)
     states = _amplitudes(field, normals[:, op_width:])
     fast, full = np.empty_like(states), np.empty_like(states)
@@ -523,7 +497,8 @@ def linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
     for check_id, anchor, stream, check in (
             ("site_application_matches_kron",
              "site-local application equals the full Kronecker operator",
-             202, _site_application),
+             202, functools.partial(_site_application,
+                                    rng_for(seed, 202, _VALUES))),
             ("tensor_bilinearity", "the tensor product is linear in each factor",
              203, _tensor_bilinearity)):
         rng = rng_for(seed, stream)
@@ -725,11 +700,11 @@ def _rotor_matrices(e: np.ndarray, gens: tuple[np.ndarray, ...]) -> np.ndarray:
             + c[:, 1] * e1m + c[:, 2] * e2m + c[:, 3] * e3m)
 
 
-def _rotor_correspondence(gm: dirac.GammaSet, gens, rng, start: int,
+def _rotor_correspondence(gm: dirac.GammaSet, gens, redraw, rng, start: int,
                           n: int) -> list[float]:
     """Rotor action against right multiplication by the conjugate, for a
     block of random unit rotors and quaternions."""
-    rows = _drawn(rng, n, 8, (0,), _unit_then_plain_trial, None)
+    rows = _normal_rows(rng, redraw, n, 8, (0,), None)
     e, q = rows[:, :4], rows[:, 4:]
     lhs = _matvec(_rotor_matrices(e, gens), q).real
     rhs = quat._hamilton(q, quat._conj(e))
@@ -741,9 +716,10 @@ def _rotor_correspondence(gm: dirac.GammaSet, gens, rng, start: int,
     return [_max_abs(lhs - rhs), _spot_gap(scalar, lhs, rhs)]
 
 
-def _rotor_isometry(gens, rng, start: int, n: int) -> list[float]:
+def _rotor_isometry(gens, redraw, rng, start: int, n: int) -> list[float]:
     """The isometry deviation of a block of random unit rotors on R^4."""
-    mats = _rotor_matrices(_drawn(rng, n, 4, (0,), _unit_trial, None), gens).real
+    rotors = _normal_rows(rng, redraw, n, 4, (0,), None)
+    mats = _rotor_matrices(rotors, gens).real
     gram = mats.swapaxes(-1, -2) @ mats        # is_isometry's Gram matrix
     gram[:, range(4), range(4)] -= 1.0
     devs = np.abs(gram).max(axis=(1, 2))
@@ -808,7 +784,8 @@ def dirac_suite(seed: int, trials: int) -> list[CheckRecord]:
         dirac.ErrorRotor(*r), Quaternion.from_array(q), gm).max_deviation
         for r in _UNITS for q in _UNITS)
     trial_dev, gap = _over_blocks(
-        functools.partial(_rotor_correspondence, gm, gens), rng_for(seed, 402), trials)
+        functools.partial(_rotor_correspondence, gm, gens, rng_for(seed, 402, _REDRAW)),
+        rng_for(seed, 402), trials)
     dev = max(dev, trial_dev, gap)
     unit_signs = dirac.classify_unit_correspondences(gens)
     records.append(CheckRecord(
@@ -817,8 +794,9 @@ def dirac_suite(seed: int, trials: int) -> list[CheckRecord]:
         "quaternion", dev <= dirac.TOL_IDENTITY and gap == 0.0, dev,
         f"unit signs found (reference -1 each): {unit_signs}"))
 
-    dev, gap = _over_blocks(functools.partial(_rotor_isometry, gens),
-                            rng_for(seed, 403), min(trials, 200))
+    dev, gap = _over_blocks(
+        functools.partial(_rotor_isometry, gens, rng_for(seed, 403, _REDRAW)),
+        rng_for(seed, 403), min(trials, 200))
     records.append(CheckRecord(
         "rotor_isometry", "unit rotors act as isometries of R^4",
         dev <= dirac.TOL_IDENTITY and gap == 0.0, max(dev, gap)))

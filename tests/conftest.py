@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hqec import codes
+from hqec import codes, sampling
 from hqec import quaternion as quat
 from hqec.linalg import StateVector
 
@@ -39,47 +39,63 @@ def _close(a, b, tol: float = 1e-12) -> bool:
     return diff <= tol * bound
 
 
-class TinyDraws:
-    """A numpy Generator stand-in whose standard normal stream holds 1e-9 at
-    chosen positions, so that a check's redraw and skip rules fire.
+class FixedDraws:
+    """A numpy Generator stand-in that hands out the values of one fixed
+    array in order, whatever the method or shape asked for, as one stream of
+    a real Generator does when it draws one kind of value only.  ``drawn``
+    counts the values handed out; reading ``bit_generator`` fails the test."""
 
-    Position k is the k-th standard normal drawn since creation, however the
-    draws are split into calls, so a block draw and the same draws made one
-    at a time still see equal values, as with a real Generator.  Uniform and
-    integer draws pass through.  ``bit_generator.state`` saves and restores
-    the whole stream, and ``rewinds`` counts the restores."""
+    def __init__(self, values):
+        self.values, self.drawn = np.ravel(values), 0
 
-    def __init__(self, rng, tiny):
-        self._rng, self._tiny = rng, frozenset(tiny)
-        self.drawn = self.rewinds = 0
+    def _next(self, size):
+        count = 1 if size is None else int(np.prod(size))
+        out = self.values[self.drawn:self.drawn + count]
+        assert len(out) == count, "the fixed values ran out"
+        self.drawn += count
+        return out[0].item() if size is None else out.reshape(size).copy()
+
+    def standard_normal(self, size=None):
+        return self._next(size)
+
+    def uniform(self, low, high, size=None):
+        return self._next(size)
 
     @property
     def bit_generator(self):
-        return self
+        raise AssertionError("a draw read the generator state")
 
-    @property
-    def state(self):
-        return self._rng.bit_generator.state, self.drawn
 
-    @state.setter
-    def state(self, value):
-        self.rewinds += 1
-        self._rng.bit_generator.state, self.drawn = value
+def tiny_streams(tiny, made):
+    """A ``sampling.rng_for`` stand-in that makes each stream a FixedDraws
+    over the real stream's first values, standard normals (uniforms on
+    [0, 2 pi) for a sub-stream 1), with 1e-9 at the positions that ``tiny``
+    lists for the stream, so that a check's redraw rules fire.  The last
+    stub made for each stream is kept in ``made``."""
+    def rng_for(seed, *stream):
+        real = sampling.rng_for(seed, *stream)
+        values = (real.uniform(0.0, 2.0 * np.pi, 10_000) if stream[1:] == (1,)
+                  else real.standard_normal(100_000))
+        values[list(tiny.get(stream, ()))] = 1e-9
+        made[stream] = FixedDraws(values)
+        return made[stream]
+    return rng_for
 
-    def standard_normal(self, size):
-        x = np.array(self._rng.standard_normal(size), dtype=float)
-        flat = x.reshape(-1)
-        for k in range(flat.size):
-            if self.drawn + k in self._tiny:
-                flat[k] = 1e-9
-        self.drawn += flat.size
-        return x
 
-    def uniform(self, low, high):
-        return self._rng.uniform(low, high)
+def drawn_row(rng, redraw, width, accept):
+    """One trial's row of ``width`` standard normals from ``rng``, drawn again
+    from ``redraw`` until ``accept(row)`` holds: the draw rule of the verify
+    suites, one trial at a time."""
+    row = rng.standard_normal(width)
+    while not accept(row):
+        row = redraw.standard_normal(width)
+    return row
 
-    def integers(self, high):
-        return self._rng.integers(high)
+
+def unit_draw(row) -> bool:
+    """Whether four normals make a unit quaternion draw: a norm above
+    ``sampling.UNIT_FLOOR``."""
+    return quat.Quaternion.from_array(row).norm() > 1e-6
 
 
 def one_ulp_up(x):

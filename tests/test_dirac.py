@@ -4,7 +4,7 @@ import functools
 import numpy as np
 import pytest
 
-from hqec import cli, dirac, sampling, verify
+from hqec import cli, dirac, verify
 from hqec import quaternion as quat
 from hqec.dirac import (
     ErrorRotor,
@@ -25,13 +25,12 @@ from hqec.linalg import is_isometry
 from hqec.quaternion import Quaternion
 from hqec.report import CheckRecord
 from hqec.sampling import (
-    random_quaternion,
     random_unit_quaternion,
     random_unitary,
     rng_for,
 )
 
-from conftest import TinyDraws, _close, one_ulp_up
+from conftest import _close, drawn_row, one_ulp_up, tiny_streams, unit_draw
 
 SX = quat.PAULI_MATRICES["x"]
 SY = quat.PAULI_MATRICES["y"]
@@ -74,6 +73,16 @@ def test_clifford_detects_violation():
     report = clifford_check(broken)
     assert not report.passed
     assert any("g1" in f for f in report.failures)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_clifford_rejects_a_non_finite_set(bad):
+    # every deviation test would pass a NaN, so the check refuses the set
+    g = build_gammas_standard()
+    g1 = g.g1.copy()
+    g1[1, 2] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        clifford_check(GammaSet(g.g0, g1, g.g2, g.g3, g.g5))
 
 
 def test_clifford_invariant_under_random_unitaries():
@@ -329,7 +338,8 @@ def test_majorana_spinor_roundtrip():
 
 def _reference_dirac_suite(seed: int, trials: int) -> list[CheckRecord]:
     """The scalar loop form of verify.dirac_suite: one trial at a time
-    through the public functions, draws in the same order."""
+    through the public functions, each trial's draws by the rule of
+    drawn_row."""
     records = []
     gs = dirac.build_gammas_standard()
     gm = dirac.majorana_set(gs)
@@ -382,15 +392,16 @@ def _reference_dirac_suite(seed: int, trials: int) -> list[CheckRecord]:
         max(v.reference_deviation for v in bil.values()),
         f"signs found vs reference: {signs}"))
 
-    rng = rng_for(seed, 402)
+    rng, redraw = rng_for(seed, 402), rng_for(seed, 402, 2)
     dev = 0.0
     units = (Quaternion(1, 0, 0, 0), quat.I, quat.J, quat.K)
     rotors = [ErrorRotor(*(1.0 if i == k else 0.0 for i in range(4)))
               for k in range(4)]
     pairs = [(r, q) for r in rotors for q in units]
     for _ in range(trials):
-        e = random_unit_quaternion(rng)
-        pairs.append((ErrorRotor(e.w, e.x, e.y, e.z), random_quaternion(rng)))
+        row = drawn_row(rng, redraw, 8, lambda r: unit_draw(r[:4]))
+        e = Quaternion.from_array(row[:4]).normalized()
+        pairs.append((ErrorRotor(e.w, e.x, e.y, e.z), Quaternion.from_array(row[4:])))
     for rotor, q in pairs:
         rep = quaternion_correspondence(rotor, q, gm)
         dev = max(dev, rep.max_deviation)
@@ -401,10 +412,10 @@ def _reference_dirac_suite(seed: int, trials: int) -> list[CheckRecord]:
         "quaternion", dev <= dirac.TOL_IDENTITY, dev,
         f"unit signs found (reference -1 each): {unit_signs}"))
 
-    rng = rng_for(seed, 403)
+    rng, redraw = rng_for(seed, 403), rng_for(seed, 403, 2)
     dev = 0.0
     for _ in range(min(trials, 200)):
-        e = random_unit_quaternion(rng)
+        e = Quaternion.from_array(drawn_row(rng, redraw, 4, unit_draw)).normalized()
         rotor = ErrorRotor(e.w, e.x, e.y, e.z)
         dev = max(dev, is_isometry(rotor.matrix(gens).real).max_deviation)
     records.append(CheckRecord(
@@ -422,30 +433,29 @@ def test_dirac_suite_matches_the_loop_reference(seed, trials):
 
 
 def test_blocked_dirac_suite_matches_the_loop_reference(monkeypatch):
-    # many blocks: each draws its trials in order, and the spot rows follow
-    # the trial index across block boundaries
-    monkeypatch.setattr(verify, "_BLOCK", 7)
-    assert verify.dirac_suite(7, 100) == _reference_dirac_suite(7, 100)
+    # many blocks: each draws its trials in order, the spot rows follow the
+    # trial index across block boundaries, and the records are those of the
+    # default block at every block size
+    default = verify.dirac_suite(7, 100)
+    assert default == _reference_dirac_suite(7, 100)
+    for size in (3, 7):
+        monkeypatch.setattr(verify, "_BLOCK", size)
+        assert verify.dirac_suite(7, 100) == default
 
 
-def test_a_redrawn_rotor_inside_a_block_keeps_the_loop_draws(monkeypatch):
-    # a tiny first draw in trial 2 of each rotor stream: random_unit_quaternion
-    # redraws it, so the block is rewound and drawn trial by trial
-    streams = {}
-
-    def tiny_rng(seed, *stream):
-        tiny = {402: range(16, 20), 403: range(8, 12)}.get(stream[0], ())
-        streams[stream] = TinyDraws(sampling.rng_for(seed, *stream), tiny)
-        return streams[stream]
-
-    monkeypatch.setattr(verify, "rng_for", tiny_rng)
+def test_a_redrawn_rotor_comes_from_the_redraw_stream(monkeypatch):
+    # a tiny rotor in trial 2 of each rotor stream is drawn again, as a whole
+    # row, from the stream's redraw sub-stream
+    tiny = {(402,): range(16, 20), (403,): range(8, 12)}
+    made = {}
+    monkeypatch.setattr(verify, "rng_for", tiny_streams(tiny, made))
     got = verify.dirac_suite(0, 50)
-    drawn = {s: (g.drawn, g.rewinds) for s, g in streams.items()}
-    monkeypatch.setitem(globals(), "rng_for", tiny_rng)
+    drawn = {s: g.drawn for s, g in made.items()}
+    monkeypatch.setitem(globals(), "rng_for", tiny_streams(tiny, made))
     assert got == _reference_dirac_suite(0, 50)
-    # the redraw costs four more normals in each stream, in both forms
-    assert drawn[(402,)] == (streams[(402,)].drawn, 1) == (50 * 8 + 4, 1)
-    assert drawn[(403,)] == (streams[(403,)].drawn, 1) == (50 * 4 + 4, 1)
+    assert drawn == {s: g.drawn for s, g in made.items()}
+    assert (drawn[(402,)], drawn[(402, 2)]) == (50 * 8, 8)
+    assert (drawn[(403,)], drawn[(403, 2)]) == (50 * 4, 4)
 
 
 DIRAC_DRIFT = {
@@ -481,7 +491,8 @@ def test_a_drifting_correspondence_opens_a_spot_gap(monkeypatch):
     gens = error_generators(gm)
 
     def gap():
-        check = functools.partial(verify._rotor_correspondence, gm, gens)
+        check = functools.partial(verify._rotor_correspondence, gm, gens,
+                                  rng_for(0, 402, 2))
         return verify._over_blocks(check, rng_for(0, 402), 20)[1]
 
     assert gap() == 0.0

@@ -491,7 +491,8 @@ def test_completion_of_mixed_vectors_is_orthonormal(data, shape, seed):
 
 def _reference_linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
     """The scalar loop form of verify.linalg_suite: one trial at a time
-    through the public functions, draws in the same order."""
+    through the public functions, draws in the same order; the sites come
+    from a sub-stream of their own."""
     records = []
     pair_count = min(trials, 200)
 
@@ -519,12 +520,12 @@ def _reference_linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
         "diag(1, 2) correctly rejected" if not stretched.passed else
         "diag(1, 2) wrongly accepted"))
 
-    rng = rng_for(seed, 202)
+    rng, sites = rng_for(seed, 202), rng_for(seed, 202, 1)
     dev = 0.0
     for field in ScalarField:
         n_sites = 3
         for _ in range(min(trials, 60)):
-            site = int(rng.integers(n_sites))
+            site = int(sites.integers(n_sites))
             d = field.site_dim
             block = rng.standard_normal((d, d))
             if field.is_complex:
@@ -600,10 +601,14 @@ def test_linalg_suite_matches_the_loop_reference(seed, trials):
 
 
 def test_blocked_linalg_suite_matches_the_loop_reference(monkeypatch):
-    # many blocks per field: each draws its trials in order, and the spot rows
-    # follow the trial index across block boundaries
-    monkeypatch.setattr(verify, "_BLOCK", 7)
-    assert verify.linalg_suite(7, 100) == _reference_linalg_suite(7, 100)
+    # many blocks per field: each draws its trials in order, the spot rows
+    # follow the trial index across block boundaries, and the records are
+    # those of the default block at every block size
+    default = verify.linalg_suite(7, 100)
+    assert default == _reference_linalg_suite(7, 100)
+    for size in (3, 7):
+        monkeypatch.setattr(verify, "_BLOCK", size)
+        assert verify.linalg_suite(7, 100) == default
 
 
 LINALG_DRIFT = [

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqec import quaternion as quat
-from hqec import sampling, verify
+from hqec import verify
 from hqec.quaternion import (
     I,
     J,
@@ -18,9 +18,9 @@ from hqec.quaternion import (
     Quaternion,
 )
 from hqec.report import CheckRecord
-from hqec.sampling import random_quaternion, random_unit_quaternion, rng_for
+from hqec.sampling import random_quaternion, rng_for
 
-from conftest import TinyDraws, _close
+from conftest import FixedDraws, _close, drawn_row, tiny_streams, unit_draw
 
 finite = st.floats(min_value=-10, max_value=10,
                    allow_nan=False, allow_infinity=False)
@@ -386,7 +386,7 @@ def test_array_kernel_matches_the_scalar_methods(pairs):
 
 def _reference_quaternion_suite(seed: int, trials: int) -> list[CheckRecord]:
     """The scalar loop form of verify.quaternion_suite: one Quaternion
-    product at a time, draws in the same order."""
+    product at a time, each trial's draws by the rule of drawn_row."""
     records = []
 
     rng = rng_for(seed, 101)
@@ -407,20 +407,25 @@ def _reference_quaternion_suite(seed: int, trials: int) -> list[CheckRecord]:
     records.append(CheckRecord("mul_associative", "associativity of the product",
                                dev <= 1e-12, dev))
 
-    rng = rng_for(seed, 103)
+    def rotation_draw(row):
+        if not (unit_draw(row[:4]) and unit_draw(row[7:])):
+            return False
+        axis = Quaternion.from_array(row[:4]).normalized().as_array()[1:]
+        return axis @ axis >= 1e-4
+
+    rng, redraw = rng_for(seed, 103), rng_for(seed, 103, 2)
     dev = 0.0
     for _ in range(trials):
-        q = random_unit_quaternion(rng)
-        while q.as_array()[1:] @ q.as_array()[1:] < 1e-4:
-            q = random_unit_quaternion(rng)
-        v = ImaginaryVector(*rng.standard_normal(3))
+        row = drawn_row(rng, redraw, 11, rotation_draw)
+        q = Quaternion.from_array(row[:4]).normalized()
+        v = ImaginaryVector(*row[4:7])
         rotated = quat.rotate_vector(q, v)
         dev = max(dev, abs(rotated.length() - v.length()) / (1.0 + v.length()))
         axis = quat.rotation_axis(q)
         fixed = quat.rotate_vector(q, axis)
         dev = max(dev, float(np.abs(np.array([fixed.x - axis.x, fixed.y - axis.y,
                                               fixed.z - axis.z])).max()))
-        q2 = random_unit_quaternion(rng)
+        q2 = Quaternion.from_array(row[7:]).normalized()
         twice = quat.rotate_vector(q2, rotated)
         once = quat.rotate_vector((q2 * q).normalized(), v)
         dev = max(dev, float(np.abs(np.array([twice.x - once.x, twice.y - once.y,
@@ -429,12 +434,13 @@ def _reference_quaternion_suite(seed: int, trials: int) -> list[CheckRecord]:
         "rotation_geometry", "conjugation rotates the imaginary 3-space",
         dev <= 1e-12, dev))
 
-    rng = rng_for(seed, 104)
+    rng, redraw = rng_for(seed, 104), rng_for(seed, 104, 2)
     dev = 0.0
     basis = (quat.ONE, quat.I, quat.J, quat.K)
     for trial in range(trials):
-        u = random_unit_quaternion(rng)
-        qs = basis if trial < 4 else (random_quaternion(rng),)
+        row = drawn_row(rng, redraw, 8, lambda r: unit_draw(r[:4]))
+        u = Quaternion.from_array(row[:4]).normalized()
+        qs = basis if trial < 4 else (Quaternion.from_array(row[4:]),)
         m = quat.su2_matrix(u)
         for q in qs:
             lhs = quat.su2_right_action(q, u)
@@ -447,14 +453,15 @@ def _reference_quaternion_suite(seed: int, trials: int) -> list[CheckRecord]:
         "right multiplication equals the 2x2 unitary on the amplitude pair",
         dev <= 1e-12, dev))
 
-    rng = rng_for(seed, 105)
+    rng, redraw = rng_for(seed, 105), rng_for(seed, 105, 2)
+    phases = rng_for(seed, 105, 1)
     dev_phase = dev_equi = dev_shape = 0.0
     for _ in range(trials):
-        q = random_quaternion(rng)
-        if q.norm() < 1e-3:
-            continue
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        u = random_unit_quaternion(rng)
+        row = drawn_row(rng, redraw, 8, lambda r: Quaternion.from_array(
+            r[:4]).norm() >= 1e-3 and unit_draw(r[4:]))
+        q = Quaternion.from_array(row[:4])
+        phi = phases.uniform(0.0, 2.0 * np.pi)
+        u = Quaternion.from_array(row[4:]).normalized()
         v = quat.hopf_project(q)
         dev_shape = max(dev_shape, abs(v.length() - 1.0))
         v_phase = quat.hopf_project(quat.exp_phase(phi) * q)
@@ -520,40 +527,65 @@ def test_quaternion_suite_matches_the_loop_reference(seed, trials):
 def test_blocked_quaternion_suite_matches_the_loop_reference(block, trials,
                                                               monkeypatch):
     # many blocks: each draws its trials in order, the su2 basis branch and
-    # the spot rows follow the trial index across block boundaries
-    monkeypatch.setattr(verify, "_BLOCK", block)
-    assert verify.quaternion_suite(7, trials) \
-        == _reference_quaternion_suite(7, trials)
+    # the spot rows follow the trial index across block boundaries, and the
+    # records are those of the default block at every block size
+    default = verify.quaternion_suite(7, trials)
+    assert default == _reference_quaternion_suite(7, trials)
+    for size in sorted({block, 3, 7}):
+        monkeypatch.setattr(verify, "_BLOCK", size)
+        assert verify.quaternion_suite(7, trials) == default
 
 
-# positions in each stream's standard normal draws that make a rule fire:
-# stream 103, q of trial 2 (norm at most 1e-6, redrawn) and the axis of q in
-# trial 5 (squared length below 1e-4, redrawn); stream 104, u of trials 1 and
-# 6 (redrawn; the first four trials draw u alone); stream 105, q of trial 3
-# (norm below 1e-3, skipped) and u of trial 4 (redrawn)
-TINY = {103: [*range(22, 26), 60, 61, 62], 104: [*range(4, 8), *range(36, 40)],
-        105: [*range(24, 28), *range(32, 36)]}
+def test_a_rejected_row_is_redrawn_in_trial_order_until_it_passes():
+    rng = np.random.default_rng(5)
+    block, redraws = rng.standard_normal((5, 8)), rng.standard_normal((3, 8))
+    block[:, 4] = redraws[:, 4] = 0.5
+    block[1, :4] = 1e-9         # a unit group of norm at most UNIT_FLOOR
+    block[3, 4] = -0.5          # refused by keep
+    redraws[0, :4] = 1e-9       # so the first redraw fails too
+    normals, redraw = FixedDraws(block), FixedDraws(redraws)
+    rows = verify._normal_rows(normals, redraw, 5, 8, (0,), lambda r: r[:, 4] > 0)
+    assert redraw.drawn == 3 * 8
+    # trial 1 takes the second redraw, trial 3 the third; every other row is
+    # the block's own, its unit group normalized as Quaternion.normalized does
+    for k, want in enumerate([block[0], redraws[1], block[2], redraws[2], block[4]]):
+        unit = Quaternion.from_array(want[:4]).normalized().as_array()
+        assert np.array_equal(rows[k], np.concatenate([unit, want[4:]]))
+
+
+# positions in the standard normals of each stream that make a rule fire:
+# stream 103, q of trial 2 (norm at most 1e-6) and the axis of q in trial 5
+# (squared length below 1e-4), and q2 of the first redraw, which is redrawn
+# again; stream 104, u of trials 1 and 6; stream 105, q of trial 3 (norm
+# below 1e-3) and u of trial 4
+TINY = {(103,): [*range(22, 26), 56, 57, 58], (103, 2): range(7, 11),
+        (104,): [*range(8, 12), *range(48, 52)],
+        (105,): [*range(24, 28), *range(36, 40)]}
 
 
 @pytest.mark.parametrize("block", [512, 3])
-def test_a_redrawn_or_skipped_row_inside_a_block_keeps_the_loop_draws(block,
-                                                                      monkeypatch):
-    streams = {}
-
-    def tiny_rng(seed, *stream):
-        streams[stream] = TinyDraws(sampling.rng_for(seed, *stream),
-                                    TINY.get(stream[0], ()))
-        return streams[stream]
-
+def test_a_redrawn_row_comes_from_the_redraw_stream(block, monkeypatch):
+    made = {}
     monkeypatch.setattr(verify, "_BLOCK", block)
-    monkeypatch.setattr(verify, "rng_for", tiny_rng)
+    monkeypatch.setattr(verify, "rng_for", tiny_streams(TINY, made))
     got = verify.quaternion_suite(0, 40)
-    drawn = {s: g.drawn for s, g in streams.items()}
-    rewinds = {s[0]: g.rewinds for s, g in streams.items() if g.rewinds}
-    monkeypatch.setitem(globals(), "rng_for", tiny_rng)
+    drawn = {s: g.drawn for s, g in made.items()}
+    monkeypatch.setitem(globals(), "rng_for", tiny_streams(TINY, made))
     assert got == _reference_quaternion_suite(0, 40)
-    assert drawn == {s: g.drawn for s, g in streams.items()}
-    # a block that holds a hit is rewound once, and no other block is; the
-    # su2 check draws its first four trials as a block of their own
-    assert rewinds == ({103: 1, 104: 2, 105: 1} if block == 512
-                       else {103: 2, 104: 2, 105: 1})
+    assert drawn == {s: g.drawn for s, g in made.items()}
+    # each trial draws one row; each redraw takes whole rows of its own stream
+    assert [drawn[(s,)] for s in (103, 104, 105)] == [40 * 11, 40 * 8, 40 * 8]
+    assert [drawn[(s, 2)] for s in (103, 104, 105)] == [3 * 11, 2 * 8, 2 * 8]
+    assert drawn[(105, 1)] == 40
+
+
+def test_the_hopf_checks_run_exactly_their_trial_count(monkeypatch):
+    made, rows = {}, []
+    monkeypatch.setattr(verify, "rng_for", tiny_streams(TINY, made))
+    original = verify._hopf
+    monkeypatch.setattr(verify, "_hopf", lambda q: rows.append(len(q)) or original(q))
+    records = {r.check_id: r for r in verify.quaternion_suite(0, 40)}
+    # q of trial 3 is redrawn, not skipped: three projections of every trial
+    assert sum(rows) == 3 * 40
+    assert records["hopf_phase_invariance"].passed
+    assert records["hopf_equivariance"].passed

@@ -6,7 +6,9 @@ constant, so no small float literal appears in a comparison there.  Every
 parameter default of ``hqec`` is counted, so a new one has to name the caller
 that sets it before this bound moves.  The bound is the count since the
 spinor report functions, the ``isclose`` methods and the options that only
-tests set were dropped.
+tests set were dropped.  No module reads or writes a generator's
+``bit_generator``: the seeded draws are plain blocks of one kind of value per
+stream, so no draw is ever replayed by saving and restoring its state.
 """
 
 import ast
@@ -39,3 +41,12 @@ def test_parameter_defaults_are_bounded():
                 for node in ast.walk(_parse(path))
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
     assert count <= MAX_PARAMETER_DEFAULTS
+
+
+def test_no_module_touches_the_generator_state():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(_parse(path))
+             if (isinstance(node, ast.Attribute) and node.attr == "bit_generator")
+             or (isinstance(node, ast.Name) and node.id == "bit_generator")]
+    assert found == []
