@@ -77,7 +77,7 @@ def cmd_simulate(code_id: str, cfg: RunConfig) -> SuiteReport:
         synth_dev <= linalg.TOL_ISO, synth_dev))
 
     fidelities, residuals = codes.simulate(
-        cmap, codes.combined_draw(basis, code.field), rng_for(cfg.seed, 501),
+        cmap, codes.combined_draw(code, basis), rng_for(cfg.seed, 501),
         cfg.trials)
     min_fidelity = float(fidelities.min())
     max_residual = float(residuals.max())

@@ -13,25 +13,24 @@ correctability in general; degenerate sets can first be reduced to one
 representative per distinct code-space action (see
 :func:`effective_representatives`).
 
-The images E_p w_l are one stacked, read-only array that an error set holds
-for the last code it was asked about, made and checked once per set and code:
-the KL table is its Gram matrix, effective-error classes and synthesis read it,
-and a combination sum_p e_p E_p corrupts an encoded state sum_l a_l w_l by
-linearity through it, as one product of the weights e_p a_l with the images,
-sum_p e_p sum_l a_l (E_p w_l).  A code holds its codewords once, as the rows
-of ``Code.words``, and the indices of the amplitudes they hold nonzero as
-``Code.support``.  A correction map holds its partial isometry in factored
-form: the code-space block of the domain adjoint, built from the images,
-while the codewords and the ancilla states define the image.  It applies the
-map in the code x ancilla frame, and a roundtrip, whose input is always
-corrupted x |0_A>, corrects from the code-space amplitudes alone, as a
-``(rows, block)`` pair: the output on the code rows that can be nonzero,
-``Code.support`` without a completion, every row with one.  A completion to
-the full operator is held as a signed permutation, two index arrays
-``(perm, sign)``, whenever both completed bases are signed canonical (always
-for ``r3`` and ``h3``): it is applied by a scatter and checked for isometry
-on the arrays, and the dense ``operator`` is built only on access.  Any
-other completion is held as a dense matrix.
+The images E_p w_l, on the columns some image holds nonzero, are one read-only
+array that an error set holds for the last code it was asked about: the KL
+table is its full-width Gram matrix, effective-error classes and synthesis
+read it, and a combination sum_p e_p E_p corrupts an encoded state
+sum_l a_l w_l through it, as one product of the weights e_p a_l with the
+images.  A code holds its codewords once, as the rows of ``Code.words``, and
+the indices of the amplitudes they hold nonzero as ``Code.support``.  A
+correction map holds its partial isometry in factored form: the domain
+adjoint on the images' columns, while the codewords and the ancilla states
+define the image.  It applies the map in the code x ancilla frame, and a
+roundtrip, whose input is always corrupted x |0_A>, corrects from the
+code-space amplitudes alone, as a ``(rows, block)`` pair: the output on the
+code rows that can be nonzero, ``Code.support`` without a completion, every
+row with one.  A completion to the full operator is held as a signed
+permutation, two index arrays ``(perm, sign)``, whenever both completed bases
+are signed canonical (always for ``r3`` and ``h3``): it is applied by a
+scatter and checked for isometry on the arrays, and the dense ``operator`` is
+built only on access.  Any other completion is held as a dense matrix.
 """
 
 from __future__ import annotations
@@ -62,10 +61,11 @@ from .linalg import (
     tensor_state,
 )
 from .quaternion import Quaternion
-from .sampling import random_coefficients
+from .sampling import _unit_rows, _width
 
 KL_TOL = 1e-12
 SYNTH_TOL = 1e-10
+_BLOCK = 128    # the trials simulate asks its drawer for at a time
 # two error actions on the code space agree within this, componentwise
 ACTION_TOL = 1e-12
 # the phase-failure cross term vanishes within this, relative to |a|^2 + |b|^2
@@ -144,7 +144,10 @@ def _encoded_amplitudes(code: Code, coeffs) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected {len(code.codewords)} logical coefficients")
     if not np.isfinite(coeffs).all():
         raise ValueError("logical coefficients must be finite")
-    return coeffs, sum(c * w for c, w in zip(coeffs, code.words))
+    encoded = coeffs[0] * code.words[0]
+    for c, w in zip(coeffs[1:], code.words[1:]):
+        encoded += c * w
+    return coeffs, encoded
 
 
 def _repetition_codewords(field: ScalarField, n_sites: int,
@@ -289,12 +292,12 @@ class CombinedError:
     def _corrupt(self, code: Code, logical: np.ndarray) -> np.ndarray:
         """The amplitudes of this error applied to ``encode(code, logical)``,
         not validated as a state: sum_p e_p sum_l a_l (E_p w_l), one product
-        of the weights e_p a_l with the stacked images of :func:`_images`,
-        read as one (errors x codewords, dim) matrix."""
-        images = _images(code, self.errors)
-        with np.errstate(invalid="ignore", over="ignore"):
-            return ((self.coefficients[:, None] * logical).reshape(-1)
-                    @ images.reshape(-1, code.dim))
+        of the weights e_p a_l with the images of :func:`_images`, scattered
+        to full width; :func:`roundtrip` holds the errstate."""
+        images, columns = _images(code, self.errors)
+        weights = (self.coefficients[:, None] * logical).reshape(-1)
+        return _scatter(weights @ images.reshape(len(weights), len(columns)),
+                        columns, code.dim)
 
 
 def _error_amplitudes(op: SiteOperator | LinearMap, state: StateVector) -> np.ndarray:
@@ -416,23 +419,33 @@ class KLReport:
     labels: tuple[str, ...]
 
 
-def _images(code: Code, errors: ErrorSet) -> np.ndarray:
-    """The code-space action of an error set as one read-only array: entry
-    [p, l] holds the amplitudes of E_p w_l.  The set holds it for the last
-    code it was asked about, once every term has been checked against the
-    code and every image found finite (ValueError otherwise)."""
+def _images(code: Code, errors: ErrorSet) -> tuple[np.ndarray, np.ndarray]:
+    """The code-space action of an error set as read-only ``(images, columns)``:
+    [p, l] holds E_p w_l on ``columns``, where some image is nonzero.  The set
+    holds them for the last code it was asked about, once every term has been
+    checked against the code and every image found finite (ValueError else)."""
     slot = errors._image_slot
     if slot and slot[0] is code:
-        return slot[1]
+        return slot[1], slot[2]
     images = np.empty((len(errors), len(code.codewords), code.dim),
                       dtype=code.field.dtype)
     for p, term in enumerate(errors):
         images[p] = [_error_amplitudes(term.op, w) for w in code.codewords]
     if not np.all(np.isfinite(images)):
         raise ValueError("error images must be finite")
-    images.setflags(write=False)
-    slot[:] = [code, images]
-    return images
+    columns = np.flatnonzero(images.any(axis=(0, 1)))
+    images = np.ascontiguousarray(images[..., columns])
+    for arr in (images, columns):
+        arr.setflags(write=False)
+    slot[:] = [code, images, columns]
+    return images, columns
+
+
+def _scatter(block: np.ndarray, columns: np.ndarray, dim: int) -> np.ndarray:
+    """``block`` placed at ``columns`` of a zero array of last axis ``dim``."""
+    out = np.zeros((*block.shape[:-1], dim), dtype=block.dtype)
+    out[..., columns] = block
+    return out
 
 
 def kl_check(code: Code, errors: ErrorSet) -> KLReport:
@@ -444,14 +457,14 @@ def kl_check(code: Code, errors: ErrorSet) -> KLReport:
     families hold, the common diagonal values form the ancilla Gram matrix.
     Non-finite error images, or a table that overflows, raise ValueError.
 
-    The table is the Gram matrix of the images of :func:`_images`.
+    The table is the full-width Gram matrix of the images of :func:`_images`.
     Violations come per error pair (p1, p2) in row-major order: its cross
     terms in (l1, l2) order, then at most one diagonal violation for the pair
     of codewords whose diagonal values are furthest apart (over the reals the
     smallest and the largest value, over C the first largest pair (m, n) in
     row-major order).
     """
-    images = _images(code, errors)
+    images = _scatter(*_images(code, errors), code.dim)
     n_err, n_words, dim = images.shape
     flat = images.reshape(n_err * n_words, dim)
     with np.errstate(over="ignore", invalid="ignore"):     # raises ValueError below
@@ -517,9 +530,9 @@ class CorrectionMap:
 
     The partial isometry is held in factored form.  Its domain lies in the
     ancilla-|0> block, so the map keeps only that block of its adjoint: row
-    (p, l) of ``_domain_adjoint`` is conj(E_p w_l) / sqrt(d_p), over the code
-    space.  Image vector (p, l) is w_l x |a_p>, given by the codewords and
-    ``ancilla_states``.  ``domain`` and ``image`` build the full states on
+    (p, l) of ``_domain_adjoint`` is conj(E_p w_l) / sqrt(d_p), on the images'
+    ``_columns``.  Image vector (p, l) is w_l x |a_p>, given by the codewords
+    and ``ancilla_states``.  ``domain`` and ``image`` build the full states on
     access.  It corrects onto the rows of ``code.support`` only (see
     :meth:`_correct`), and :meth:`apply` scatters them into the whole output.
 
@@ -535,6 +548,7 @@ class CorrectionMap:
     n_ancilla: int
     ancilla_states: tuple[int, ...]
     _domain_adjoint: np.ndarray
+    _columns: np.ndarray
     _completion: LinearMap | tuple[np.ndarray, np.ndarray] | None
     # the number of ancilla basis states, site_dim ** n_ancilla
     ancilla_dim: int = dataclasses.field(init=False, repr=False, compare=False)
@@ -562,7 +576,8 @@ class CorrectionMap:
     def domain(self) -> tuple[StateVector, ...]:
         """The states E_p w_l x |0_A> / sqrt(d_p) the map sends to ``image``."""
         anc0 = np.eye(self.ancilla_dim, 1, dtype=self.code.field.dtype)
-        full = self._domain_adjoint.conj().T[:, None, :] * anc0[None]
+        adj = _scatter(self._domain_adjoint, self._columns, self.code.dim)
+        full = adj.conj().T[:, None, :] * anc0[None]
         return _column_states(self.code.field, self.total_sites,
                               full.reshape(-1, full.shape[-1]))
 
@@ -603,8 +618,8 @@ class CorrectionMap:
             if not np.array_equal(np.sort(perm), np.arange(len(perm))):
                 return 1.0
             return float(np.abs(sign * sign.conj() - 1.0).max())
-        adj, words = self._domain_adjoint, self.code.words
-        anc = np.array(self.ancilla_states)
+        adj = _scatter(self._domain_adjoint, self._columns, self.code.dim)
+        words, anc = self.code.words, self._ancilla_index
         grams = (adj @ adj.conj().T,
                  np.kron(np.equal.outer(anc, anc), words.conj() @ words.T))
         return max(float(np.abs(g - np.eye(g.shape[0])).max()) for g in grams)
@@ -650,7 +665,7 @@ class CorrectionMap:
         completion = self._completion
         if completion is None:
             words = self._support_words
-            coeffs = self._domain_adjoint @ corrupted
+            coeffs = self._domain_adjoint @ corrupted[self._columns]
             weights = np.zeros((len(words), self.ancilla_dim), self.code.field.dtype)
             weights[:, self._ancilla_index] = coeffs.reshape(-1, len(words)).T
             return self.code.support, words.T @ weights
@@ -693,8 +708,9 @@ def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
     if np.any(diag <= SYNTH_TOL):
         raise SynthesisError("an error operator annihilates the code space")
 
-    images = _images(code, errors)                 # held by kl_check
-    if not np.allclose(images[0], code.words, atol=KL_TOL, rtol=0.0):
+    images, columns = _images(code, errors)        # held by kl_check
+    if not np.allclose(_scatter(images[0], columns, code.dim), code.words,
+                       atol=KL_TOL, rtol=0.0):
         raise SynthesisError("entry 0 of the error set must act as the "
                              "identity on the code space")
 
@@ -716,7 +732,7 @@ def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
 
     adjoint = images.conj() * (1.0 / np.sqrt(diag))[:, None, None]
     cmap = CorrectionMap(code, errors, n_ancilla, tuple(ancilla_states),
-                         adjoint.reshape(-1, code.dim), None)
+                         adjoint.reshape(-1, len(columns)), columns, None)
     if complete:
         cmap = dataclasses.replace(cmap, _completion=_completed_operator(cmap))
     return cmap
@@ -904,22 +920,29 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
     return result
 
 
-def combined_draw(errors: ErrorSet, field: ScalarField):
-    """An error draw for :func:`simulate`: a random linear combination of the
-    set, with coefficients from :func:`random_coefficients`."""
-    return lambda rng: CombinedError(
-        errors, random_coefficients(field, len(errors), rng))
+def combined_draw(code: Code, errors: ErrorSet):
+    """A block drawer for :func:`simulate`: per trial the logical, then the
+    error coefficients, as two :func:`random_coefficients` calls draw them."""
+    split = _width(code.field, len(code.codewords))
+
+    def draw(rng: np.random.Generator, n: int):
+        rows = rng.standard_normal((n, split + _width(code.field, len(errors))))
+        logical, coeffs = (_unit_rows(code.field, r) for r in np.hsplit(rows, [split]))
+        return zip(logical, (CombinedError(errors, e) for e in coeffs))
+
+    return draw
 
 
-def simulate(cmap: CorrectionMap, draw_error, rng: np.random.Generator,
+def simulate(cmap: CorrectionMap, draw, rng: np.random.Generator,
              trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded roundtrips through a correction map.
 
-    Each trial draws the logical coefficients, then the error as
-    ``draw_error(rng)``, and makes one :func:`roundtrip` call without a
-    residual gate.  Returns the per-trial fidelities and residuals; the draw
-    order fixes every seeded report.  ``trials`` must be a nonnegative
-    integer: TypeError otherwise, ValueError when negative.
+    ``draw(rng, n)`` returns an iterable of ``n`` (logical coefficients,
+    error) trials drawn from ``rng``, asked for in blocks of at most
+    ``_BLOCK``; the draw order fixes every seeded report.  Each trial makes
+    one ungated :func:`roundtrip` call.  Returns the fidelities and residuals.
+    ``trials`` must be a nonnegative integer: TypeError otherwise, ValueError
+    when negative.
     """
     if not _is_index(trials):
         raise TypeError(f"trials must be an integer, got {trials!r}")
@@ -928,10 +951,11 @@ def simulate(cmap: CorrectionMap, draw_error, rng: np.random.Generator,
     code = cmap.code
     fidelities = np.empty(trials)
     residuals = np.empty(trials)
-    for t in range(trials):
-        logical = random_coefficients(code.field, len(code.codewords), rng)
-        res = roundtrip(code, cmap, logical, draw_error(rng), tol=None)
-        fidelities[t], residuals[t] = res.fidelity, res.residual
+    for start in range(0, trials, _BLOCK):
+        n = min(_BLOCK, trials - start)     # the last block is freed before this one
+        for t, (logical, error) in enumerate(draw(rng, n), start):
+            res = roundtrip(code, cmap, logical, error, tol=None)
+            fidelities[t], residuals[t] = res.fidelity, res.residual
     return fidelities, residuals
 
 
@@ -998,7 +1022,7 @@ def effective_error_classes(code: Code, errors: ErrorSet) -> list[list[int]]:
     for exact equality over floats): each error joins the first class whose
     first member's action matches its own.
     """
-    images = _images(code, errors)
+    images, _ = _images(code, errors)           # all zero off their columns
     classes: list[list[int]] = []
     leaders: list[int] = []
     for idx, action in enumerate(images):
@@ -1014,7 +1038,7 @@ def effective_error_classes(code: Code, errors: ErrorSet) -> list[list[int]]:
 
 def count_effective_errors(code: Code, errors: ErrorSet) -> int:
     """Number of distinct nontrivial code-space actions in the set."""
-    images = _images(code, errors)
+    images = _scatter(*_images(code, errors), code.dim)
     return sum(not np.allclose(images[cls[0]], code.words, atol=ACTION_TOL, rtol=0.0)
                for cls in effective_error_classes(code, errors))
 

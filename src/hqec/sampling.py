@@ -38,13 +38,28 @@ def random_state(field: ScalarField, n_sites: int,
 
 def random_coefficients(field: ScalarField, count: int,
                         rng: np.random.Generator, normalize: bool = True) -> np.ndarray:
-    if field.is_complex:
-        c = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    else:
-        c = rng.standard_normal(count)
-    if normalize:
-        c = c / _norm(c)
-    return c
+    c = _amplitudes(field, rng.standard_normal(_width(field, count)))
+    return c / _norm(c) if normalize else c
+
+
+def _amplitudes(field: ScalarField, normals: np.ndarray) -> np.ndarray:
+    """Amplitudes from the last axis of a block of normals, as
+    :func:`random_coefficients` draws them: over C real parts, then imaginary."""
+    if not field.is_complex:
+        return normals
+    half = normals.shape[-1] // 2
+    return normals[..., :half] + 1j * normals[..., half:]
+
+
+def _width(field: ScalarField, count: int) -> int:
+    """The normals :func:`random_coefficients` draws for ``count`` amplitudes."""
+    return 2 * count if field.is_complex else count
+
+
+def _unit_rows(field: ScalarField, normals: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`random_coefficients` from its draws, bit for bit."""
+    rows = _amplitudes(field, normals)
+    return rows / np.array([_norm(row) for row in rows])[:, None]
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

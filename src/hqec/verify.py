@@ -56,9 +56,12 @@ from .quaternion import ImaginaryVector, Quaternion
 from .report import CheckRecord
 from .sampling import (
     UNIT_FLOOR,
+    _amplitudes,
+    _unit_rows,
+    _width,
+    random_coefficients,
     random_orthogonal,
     random_state,
-    random_unit_quaternion,
     random_unitary,
     rng_for,
 )
@@ -370,21 +373,6 @@ def _random_isometry(field: ScalarField, dim: int, rng) -> np.ndarray:
     return random_unitary(dim, rng) if field.is_complex else random_orthogonal(dim, rng)
 
 
-def _amplitudes(field: ScalarField, normals: np.ndarray) -> np.ndarray:
-    """Amplitudes from the last axis of a block of normals, as
-    :func:`random_coefficients` draws them: over C the real parts, then the
-    imaginary parts."""
-    if not field.is_complex:
-        return normals
-    half = normals.shape[-1] // 2
-    return normals[..., :half] + 1j * normals[..., half:]
-
-
-def _width(field: ScalarField, count: int) -> int:
-    """The normals :func:`random_coefficients` draws for ``count`` amplitudes."""
-    return 2 * count if field.is_complex else count
-
-
 def _matvec(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Row-wise ``mat @ row``: one matrix-vector product per row, as
     :meth:`LinearMap.apply` makes it."""
@@ -544,6 +532,43 @@ def linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
 # codes suite
 
 
+def _so2_draw(code: codes.Code):
+    """roundtrip_fidelity_r3's block drawer: logical coefficients, angle, site."""
+    return lambda rng, n: [(
+        random_coefficients(code.field, len(code.codewords), rng),
+        codes.so2_error(rng.uniform(0.0, 2.0 * np.pi), int(rng.integers(code.n_sites)),
+                        code.field)) for _ in range(n)]
+
+
+def _su2_draw(code: codes.Code, gaps: list):
+    """roundtrip_fidelity_h3's block drawer: per trial the logical normals, a
+    unit quaternion as :func:`random_unit_quaternion` draws it, and a site.  It
+    builds the operators row-wise, as :func:`codes.su2_error` does, and appends
+    to ``gaps`` their largest difference from it on the spot rows."""
+    done = 0
+
+    def draw(rng, n: int):
+        nonlocal done
+        normals, q, sites = np.empty((n, len(code.codewords))), np.zeros((n, 4)), []
+        for k in range(n):
+            normals[k] = rng.standard_normal(len(code.codewords))
+            while Quaternion.from_array(q[k]).norm() <= UNIT_FLOOR:    # until it passes
+                q[k] = rng.standard_normal(4)
+            sites.append(int(rng.integers(code.n_sites)))
+        u = q * (1.0 / quat._norm(q))[:, None]
+        if not np.all(np.abs(quat._norm(u) - 1.0) <= quat.TOL_UNIT):
+            raise ValueError("SU(2) errors require a unit quaternion")
+        mats = quat._hamilton(_UNITS, quat._conj(u)[:, None]).transpose(0, 2, 1).copy()
+        scalar = [(codes.su2_error(Quaternion.from_array(r).normalized(), s).matrix,)
+                  for r, s in zip(q[:_spot(done, n)], sites)]
+        gaps.append(_spot_gap(scalar, mats))
+        done += n
+        return zip(_unit_rows(code.field, normals),
+                   (SiteOperator(code.field, s, m) for s, m in zip(sites, mats)))
+
+    return draw
+
+
 def codes_suite(seed: int, trials: int) -> list[CheckRecord]:
     records = []
 
@@ -594,33 +619,29 @@ def codes_suite(seed: int, trials: int) -> list[CheckRecord]:
         "synthesized correction operators are orthogonal/unitary",
         dev <= TOL_ISO, dev))
 
-    def roundtrip_dev(cmap, draw_error, rng) -> float:
-        fidelities, residuals = codes.simulate(cmap, draw_error, rng, trials)
+    def roundtrip_dev(cmap, draw, rng) -> float:
+        fidelities, residuals = codes.simulate(cmap, draw, rng, trials)
         return float(max(residuals.max(), np.abs(fidelities - 1.0).max()))
 
     rng = rng_for(seed, 301)     # one stream for both maps, r3 first
-    dev = max(roundtrip_dev(cmap, codes.combined_draw(basis, cmap.code.field), rng)
+    dev = max(roundtrip_dev(cmap, codes.combined_draw(cmap.code, basis), rng)
               for cmap, basis in ((r3_map, so2_basis), (h3_map, su2_basis)))
     records.append(CheckRecord(
         "combined_error_linearity",
         "correction of arbitrary linear combinations of basis errors",
         dev <= codes.SYNTH_TOL, dev))
 
-    dev = roundtrip_dev(r3_map, lambda rng: codes.so2_error(
-        rng.uniform(0.0, 2.0 * np.pi), int(rng.integers(r3.n_sites))),
-        rng_for(seed, 302))
+    dev = roundtrip_dev(r3_map, _so2_draw(r3), rng_for(seed, 302))
     records.append(CheckRecord(
         "roundtrip_fidelity_r3", "plane-rotation roundtrips recover the "
         "logical state", dev <= codes.SYNTH_TOL, dev))
 
-    dev = roundtrip_dev(h3_map, lambda rng: codes.su2_error(
-        random_unit_quaternion(rng), int(rng.integers(h3.n_sites))),
-        rng_for(seed, 303))
+    dev = roundtrip_dev(h3_map, _su2_draw(h3, gaps := []), rng_for(seed, 303))
     records.append(CheckRecord(
-        "roundtrip_fidelity_h3", "unit right-multiplication roundtrips "
-        "recover the logical state", dev <= codes.SYNTH_TOL, dev))
+        "roundtrip_fidelity_h3", "unit right-multiplication roundtrips recover "
+        "the logical state", dev <= codes.SYNTH_TOL and not any(gaps), max(dev, *gaps)))
 
-    dev = roundtrip_dev(shor9_map, codes.combined_draw(pauli_basis, shor9.field),
+    dev = roundtrip_dev(shor9_map, codes.combined_draw(shor9, pauli_basis),
                         rng_for(seed, 304))
     records.append(CheckRecord(
         "roundtrip_fidelity_shor9", "single-site Pauli combinations on the "
@@ -638,7 +659,7 @@ def codes_suite(seed: int, trials: int) -> list[CheckRecord]:
 
     def _fingerprint() -> str:
         fidelities, residuals = codes.simulate(
-            r3_map, codes.combined_draw(so2_basis, r3.field), rng_for(seed, 305), 16)
+            r3_map, codes.combined_draw(r3, so2_basis), rng_for(seed, 305), 16)
         return "|".join(f"{f!r}:{r!r}" for f, r in
                         zip(fidelities.tolist(), residuals.tolist()))
 

@@ -5,8 +5,10 @@ through ``tracer.map_bytes`` and a domain state through ``cmap.domain[0]``.
 A storage change that alters either fails here before it fails the
 benchmark's set-up gate.  ``perfbench`` also pins the number of
 ``codes.roundtrip`` calls at one per trial and takes a median over them, so a
-simulation loop that batches its trials fails here first.  The benchmark
-modules are loaded by file path and never edited.
+simulation loop that batches its trials fails here first.  Its tracer runs
+here too, in a fresh interpreter right after the command line's import: a
+lazy import that leaves a traced module unloaded fails here first as well.
+The benchmark modules are loaded by file path and never edited.
 
 ``perfbench`` also spans every ``Quaternion.__mul__`` call.  The quaternion
 suite runs its randomized checks through the array kernel, so it makes few
@@ -17,12 +19,16 @@ public scalar functions on its spot rows only.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hqec import cli, codes, dirac, linalg, verify
+from hqec import cli, codes, dirac, linalg, sampling, verify
 from hqec import quaternion as quat
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -75,9 +81,44 @@ def test_simulate_makes_one_roundtrip_call_per_trial(trials, name, request,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(codes, "roundtrip", counting)
-    draw = codes.combined_draw(cmap.errors, cmap.code.field)
+    draw = codes.combined_draw(cmap.code, cmap.errors)
     fidelities, _ = codes.simulate(cmap, draw, np.random.default_rng(0), trials)
     assert len(calls) == trials == len(fidelities)
+
+
+# A fresh interpreter imports the command line and nothing else, then runs
+# two commands under perfbench's tracer, as its traced child process does,
+# and prints each command's exit code and number of codes.roundtrip spans.
+_TRACED_RUN = """
+import contextlib, importlib.util, io, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+from hqec import cli
+spans = tracer.Tracer()
+spans.instrument()
+counts = {}
+for argv in sys.argv[2:]:
+    start = len(spans.spans)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv.split())
+    counts[argv] = [code, sum(s[0] == "codes.roundtrip" for s in spans.spans[start:])]
+spans.uninstrument()
+print(json.dumps(counts))
+"""
+
+
+def test_perfbench_traces_the_commands_right_after_the_cli_import():
+    # instrument() looks up every TRACED_MODULES module in sys.modules, so
+    # importing the cli must load them all; each simulated trial is one
+    # codes.roundtrip span: five 1000-trial checks scale with --trials and
+    # the determinism check runs 2 x 16 trials
+    commands = ["verify codes --trials 7", "simulate shor9 --trials 7"]
+    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")}
+    run = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(PERFBENCH / "tracer.py"),
+                          *commands], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout) == {commands[0]: [0, 5 * 7 + 32],
+                                      commands[1]: [0, 7]}
 
 
 def test_verify_quaternion_makes_few_scalar_products(monkeypatch, capsys):
@@ -140,12 +181,13 @@ def test_kernel_drift_in_the_spot_rows_fails_the_checks(monkeypatch):
 
 
 # the public functions whose calls grew with the trial count in the loop form
-# of the suites, each at the name the suites call it by
+# of the suites, each at the name the suites call it by; no suite imports
+# random_unit_quaternion any more, so it is counted at its home in sampling
 SCALAR_ROUTES = {
     "tensor_state": (verify, "tensor_state"),
     "StateVector": (linalg.StateVector, "__post_init__"),
     "quaternion_correspondence": (dirac, "quaternion_correspondence"),
-    "random_unit_quaternion": (verify, "random_unit_quaternion"),
+    "random_unit_quaternion": (sampling, "random_unit_quaternion"),
 }
 # their calls at 1000 trials, all on the spot rows: _SPOT trials of each
 # field or check.  The loop form made 4,752 StateVector and 1,080

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hqec import codes
+from hqec import codes, verify
 from hqec import quaternion as quat
 from hqec.codes import (
     CombinedError,
@@ -294,13 +294,16 @@ def test_combined_error_with_a_zero_weighted_nan_term_raises_without_a_warning()
 def test_error_set_holds_its_images_read_only_per_code():
     code = build_r3_code()
     basis = effective_error_basis(code, ErrorFamily.SO2)
-    images = codes._images(code, basis)
-    assert np.array_equal(images, [[apply_site(t.op, w).amplitudes
-                                    for w in code.codewords] for t in basis])
-    assert not images.flags.writeable
-    assert codes._images(code, basis) is images
+    images, columns = codes._images(code, basis)
+    full = [[apply_site(t.op, w).amplitudes for w in code.codewords] for t in basis]
+    assert np.array_equal(codes._scatter(images, columns, code.dim), full)
+    # the support columns only: every other amplitude of every image is zero
+    assert np.array_equal(columns, np.flatnonzero(np.any(full, axis=(0, 1))))
+    assert not images.flags.writeable and not columns.flags.writeable
+    held = codes._images(code, basis)
+    assert held[0] is images and held[1] is columns
     other = build_r3_code()                    # equal, but another object
-    assert codes._images(other, basis) is not images
+    assert codes._images(other, basis)[0] is not images
 
 
 def _count_error_amplitudes(monkeypatch) -> list:
@@ -670,13 +673,17 @@ def test_partial_map_output_lies_in_the_assigned_ancilla_states(name):
     assert np.all(np.any(table[:, list(cmap.ancilla_states)] != 0, axis=0))
 
 
+def _full_adjoint(cmap):
+    return codes._scatter(cmap._domain_adjoint, cmap._columns, cmap.code.dim)
+
+
 def _whole_table_correct(cmap, corrupted):
     """The partial map's output on corrupted x |0_A> as the whole (code row,
     ancilla) table: the codewords weighted per ancilla state, on every row."""
     words = cmap.code.words
     weights = np.zeros((len(words), cmap.ancilla_dim), cmap.code.field.dtype)
     weights[:, list(cmap.ancilla_states)] = (
-        cmap._domain_adjoint @ corrupted).reshape(-1, len(words)).T
+        _full_adjoint(cmap) @ corrupted).reshape(-1, len(words)).T
     return words.T @ weights
 
 
@@ -713,7 +720,7 @@ def test_partial_map_holds_the_fixed_operands_of_its_correction(name):
         corrupted = _random_input(cmap, rng).amplitudes[::cmap.ancilla_dim]
         weights = np.zeros((len(words), cmap.ancilla_dim), cmap.code.field.dtype)
         weights[:, list(cmap.ancilla_states)] = (
-            cmap._domain_adjoint @ corrupted).reshape(-1, len(words)).T
+            _full_adjoint(cmap) @ corrupted).reshape(-1, len(words)).T
         assert np.array_equal(cmap._correct(corrupted)[1],
                               words[:, support].T @ weights)
 
@@ -762,7 +769,7 @@ def _reference_pairs(cmap):
     """The per-vector form of the synthesis pairs: one validated state per
     domain and image vector, each built by its own kron."""
     code, n_ancilla = cmap.code, cmap.n_ancilla
-    images = codes._images(code, cmap.errors)
+    images = codes._scatter(*codes._images(code, cmap.errors), code.dim)
     diag = np.real(np.diag(kl_check(code, cmap.errors).gram))
     anc0 = basis_state(code.field, n_ancilla, 0).amplitudes
     domain, image = [], []
@@ -833,15 +840,17 @@ def test_shor9_map_holds_its_partial_isometry_once():
 
 
 def test_shor9_map_holds_only_its_code_space_block():
-    # the domain adjoint is 44 x 512 complex amplitudes, 352 KiB; no
-    # 16384-dimensional stack may outlive synthesis or a use of the map
+    # the domain adjoint is held on the 80 columns of its support, 44 x 80
+    # complex amplitudes, 55 KiB (352 KiB at full width); no 16384-dimensional
+    # stack may outlive synthesis or a use of the map
     tracemalloc.start()
     try:
         cmap = _use_shor9_map()
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert cmap._domain_adjoint.shape == (44, 512)
+    assert cmap._domain_adjoint.shape == (44, 80)
+    assert cmap._columns.shape == (80,)
     assert current <= 2 ** 20
 
 
@@ -922,7 +931,8 @@ def test_held_completion_maps_each_pair(name):
 def test_h3_map_holds_only_its_index_arrays():
     # the dense 1024 x 1024 operator is 8 MiB; what synthesis adds next to
     # the code and the image table its error set already holds is the
-    # 20 x 64 domain adjoint and the two 1024-entry index arrays, 26 KiB
+    # domain adjoint on its support, 20 x 20 (20 x 64 at full width), and
+    # the two 1024-entry index arrays, 19 KiB
     code = build_h3_code()
     errors = effective_error_basis(code, ErrorFamily.SU2)
     kl_check(code, errors)
@@ -933,7 +943,8 @@ def test_h3_map_holds_only_its_index_arrays():
     finally:
         tracemalloc.stop()
     perm, sign = cmap._completion
-    assert cmap._domain_adjoint.nbytes + perm.nbytes + sign.nbytes == 26624
+    assert cmap._domain_adjoint.shape == (20, 20)
+    assert cmap._domain_adjoint.nbytes + perm.nbytes + sign.nbytes == 19584
     assert current < 32 * 1024
 
 
@@ -966,7 +977,7 @@ def test_dense_completion_fallback():
     assert cmap.operator.matrix.tobytes() == expected.tobytes()
     assert cmap.isometry_deviation() <= 1e-10
     fidelities, residuals = simulate(
-        cmap, combined_draw(errors, code.field), rng_for(3, 5), 50)
+        cmap, combined_draw(code, errors), rng_for(3, 5), 50)
     assert np.abs(fidelities - 1.0).max() <= 1e-10
     assert residuals.max() <= 1e-10
 
@@ -990,7 +1001,7 @@ def test_mixed_completion_fallback_rebuilds_the_released_basis():
     assert cmap.operator.matrix.dtype == expected.dtype
     assert cmap.operator.matrix.tobytes() == expected.tobytes()
     fidelities, residuals = simulate(
-        cmap, combined_draw(errors, code.field), rng_for(3, 6), 50)
+        cmap, combined_draw(code, errors), rng_for(3, 6), 50)
     assert np.abs(fidelities - 1.0).max() <= 1e-10
     assert residuals.max() <= 1e-10
 
@@ -1136,12 +1147,17 @@ _FAMILY = {ScalarField.REAL: ErrorFamily.SO2,
            ScalarField.COMPLEX: ErrorFamily.PAULI_PER_SITE}
 
 
+def _basis(cmap):
+    """The whole family basis, which `hqec simulate` combines (28 terms for
+    shor9, whose map holds 22 representatives)."""
+    return effective_error_basis(cmap.code, _FAMILY[cmap.code.field])
+
+
 def _combined(cmap):
-    """Combinations over the whole family basis, as `hqec simulate` draws
-    them (28 terms for shor9, whose map holds 22 representatives)."""
-    code = cmap.code
-    return combined_draw(effective_error_basis(code, _FAMILY[code.field]),
-                         code.field)
+    """One combination over the whole family basis per call, drawn as the
+    per-trial loop drew it before :func:`combined_draw` drew blocks."""
+    basis, field = _basis(cmap), cmap.code.field
+    return lambda rng: CombinedError(basis, random_coefficients(field, len(basis), rng))
 
 
 def _single_site(cmap):
@@ -1354,7 +1370,7 @@ def test_simulate_applies_each_term_to_the_codewords_once(fixture, request,
     counts = {}
     for trials in (1, 7):
         calls.clear()
-        draw = _combined(cmap)                 # a fresh error set each time
+        draw = combined_draw(code, _basis(cmap))   # a fresh error set each time
         simulate(cmap, draw, rng_for(8, 2), trials)
         counts[trials] = len(calls)
     n_terms = len(effective_error_basis(code, _FAMILY[code.field]))
@@ -1375,8 +1391,151 @@ def test_simulate_takes_no_numpy_norm_per_trial(fixture, request, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", counting)
-    simulate(cmap, _combined(cmap), rng_for(8, 2), 7)
+    simulate(cmap, combined_draw(cmap.code, _basis(cmap)), rng_for(8, 2), 7)
     assert calls == []
+
+
+def _reference_simulate(cmap, draw_error, rng, trials):
+    """The per-trial loop :func:`simulate` ran before it drew in blocks, kept
+    verbatim: each trial draws its logical coefficients, then its error as
+    ``draw_error(rng)``, and makes one roundtrip."""
+    code = cmap.code
+    fidelities = np.empty(trials)
+    residuals = np.empty(trials)
+    for t in range(trials):
+        logical = random_coefficients(code.field, len(code.codewords), rng)
+        res = roundtrip(code, cmap, logical, draw_error(rng), tol=None)
+        fidelities[t], residuals[t] = res.fidelity, res.residual
+    return fidelities, residuals
+
+
+def _site_drawer(cmap, gaps):
+    """The block drawer of verify's single-site roundtrip check for the map's
+    field: SU(2) errors over H, plane rotations otherwise."""
+    if cmap.code.field is ScalarField.QUATERNION_R4:
+        return verify._su2_draw(cmap.code, gaps)
+    return verify._so2_draw(cmap.code)
+
+
+# drawer id: (the block drawer simulate takes, the per-trial error draw of
+# the reference loop)
+_DRAWERS = {
+    "combined": (lambda cmap, gaps: combined_draw(cmap.code, _basis(cmap)), _combined),
+    "site": (_site_drawer, _single_site),
+}
+
+
+def _assert_same_runs(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("drawer", list(_DRAWERS))
+@pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction", "shor9_correction"])
+def test_simulate_matches_the_per_trial_loop_bit_for_bit(fixture, drawer, seed,
+                                                         request):
+    # at and around each block boundary, B = codes._BLOCK trials a block
+    cmap = request.getfixturevalue(fixture)
+    block_draw, trial_draw = _DRAWERS[drawer]
+    b = codes._BLOCK
+    for trials in (1, b - 1, b, b + 1, 2 * b + 3):
+        gaps = []
+        rng, ref_rng = rng_for(seed, trials), rng_for(seed, trials)
+        got = simulate(cmap, block_draw(cmap, gaps), rng, trials)
+        want = _reference_simulate(cmap, trial_draw(cmap), ref_rng, trials)
+        _assert_same_runs(got, want)
+        # the same draws were made: the generators stand at the same place
+        assert rng.standard_normal() == ref_rng.standard_normal()
+        assert all(gap == 0.0 for gap in gaps)
+
+
+def test_simulate_keeps_the_draw_order_on_a_shared_stream(r3_correction, h3_correction):
+    # r3, then h3 on the same generator, as combined_error_linearity runs them
+    rng, ref_rng = rng_for(5, 301), rng_for(5, 301)
+    for cmap in (r3_correction, h3_correction):
+        got = simulate(cmap, combined_draw(cmap.code, _basis(cmap)), rng, 600)
+        want = _reference_simulate(cmap, _combined(cmap), ref_rng, 600)
+        _assert_same_runs(got, want)
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+@pytest.mark.parametrize("block,trials", [(5, 23), (None, 1027)],
+                         ids=["short-blocks", "simulate-blocks"])
+def test_su2_drawer_spot_checks_the_first_trials(h3_correction, monkeypatch,
+                                                 block, trials):
+    # the first verify._SPOT operators are built through su2_error too, across
+    # block boundaries when the blocks are shorter, and agree exactly
+    calls = []
+    original = codes.su2_error
+
+    def counting(u, site):
+        calls.append(site)
+        return original(u, site)
+
+    monkeypatch.setattr(codes, "su2_error", counting)
+    if block is not None:
+        monkeypatch.setattr(codes, "_BLOCK", block)
+    gaps = []
+    rng = rng_for(2, 303)
+    fidelities, _ = simulate(h3_correction, _site_drawer(h3_correction, gaps), rng, trials)
+    assert len(fidelities) == trials
+    assert len(calls) == verify._SPOT
+    assert gaps == [0.0] * -(-trials // codes._BLOCK)
+
+
+def test_su2_drawer_fails_on_a_spot_row_difference(h3_correction, monkeypatch):
+    # the row-wise operators are checked against su2_error on the spot rows
+    original = quat._hamilton
+
+    def drifting(a, b):
+        return np.nextafter(original(a, b), np.inf)
+
+    monkeypatch.setattr(quat, "_hamilton", drifting)
+    gaps = []
+    verify._su2_draw(h3_correction.code, gaps)(rng_for(0, 303), 20)
+    assert gaps and gaps[0] > 0.0
+    # far inside the roundtrip tolerance: only the spot check catches it
+    records = {r.check_id: r for r in verify.codes_suite(0, 20)}
+    assert not records["roundtrip_fidelity_h3"].passed
+    assert records["roundtrip_fidelity_h3"].max_deviation < 1e-14
+
+
+def test_su2_drawer_keeps_the_unit_check(h3_correction, monkeypatch):
+    # su2_error's check, row by row: no row passes a negative tolerance
+    monkeypatch.setattr(quat, "TOL_UNIT", -1.0)
+    with pytest.raises(ValueError, match="unit quaternion"):
+        verify._su2_draw(h3_correction.code, [])(rng_for(0, 303), 3)
+
+
+@pytest.mark.parametrize("name", ["shor9", "h3[j]"])
+def test_support_products_equal_the_full_width_products(name):
+    # _correct reads the corrupted amplitudes on the images' support only and
+    # _corrupt multiplies the images' support columns only: both are the
+    # full-width products bit for bit, for any input, not only code-space ones
+    cmap = _partial_map(name)
+    code = cmap.code
+    full_adjoint = _full_adjoint(cmap)
+    assert cmap._domain_adjoint.shape[1] < code.dim
+    rng = np.random.default_rng(21)
+
+    def draw(count, scale=1.0):
+        values = rng.standard_normal(count)
+        if code.field.is_complex:
+            values = values + 1j * rng.standard_normal(count)
+        return scale * values
+
+    for errors in (cmap.errors, _basis(cmap)):
+        images = codes._scatter(*codes._images(code, errors), code.dim)
+        for _ in range(200):
+            corrupted = draw(code.dim, 10.0 ** rng.uniform(-30, 30))
+            assert np.array_equal(cmap._domain_adjoint @ corrupted[cmap._columns],
+                                  full_adjoint @ corrupted)
+            logical = draw(len(code.codewords), 10.0 ** rng.uniform(-30, 30))
+            error = CombinedError(errors, draw(len(errors)))
+            weights = (error.coefficients[:, None] * logical).reshape(-1)
+            assert np.array_equal(error._corrupt(code, logical),
+                                  weights @ images.reshape(-1, code.dim))
 
 
 _CORRUPTION_CODES = {"r3": build_r3_code, "h3[j]": lambda: build_h3_code("j"),
@@ -1491,14 +1650,14 @@ def test_roundtrip_rejects_an_error_of_another_type(r3_correction):
 
 
 def test_simulate_rejects_negative_trials(r3_correction):
-    draw = combined_draw(r3_correction.errors, r3_correction.code.field)
+    draw = combined_draw(r3_correction.code, r3_correction.errors)
     with pytest.raises(ValueError, match="trials must be nonnegative"):
         simulate(r3_correction, draw, rng_for(0, 1), -1)
 
 
 @pytest.mark.parametrize("trials", [2.5, True], ids=["float", "bool"])
 def test_simulate_rejects_non_integer_trials(r3_correction, trials):
-    draw = combined_draw(r3_correction.errors, r3_correction.code.field)
+    draw = combined_draw(r3_correction.code, r3_correction.errors)
     with pytest.raises(TypeError, match="trials must be an integer"):
         simulate(r3_correction, draw, rng_for(0, 1), trials)
 
@@ -1553,7 +1712,7 @@ def _reference_effective_error_classes(code, errors):
     """The classes as one allclose comparison per (error, class) pair
     computed them: each error joins the first class whose first member's
     action matches its own within ACTION_TOL."""
-    images = codes._images(code, errors)
+    images = codes._scatter(*codes._images(code, errors), code.dim)
     classes = []
     for idx, action in enumerate(images):
         for cls in classes:
@@ -1897,7 +2056,7 @@ def test_seeded_roundtrips_are_bit_identical(r3_correction):
     assert run() == reference
     # the shared loop keeps the draw order: logical state first, then error
     fidelities, residuals = simulate(
-        r3_correction, combined_draw(basis, code.field), rng_for(42, 9), 20)
+        r3_correction, combined_draw(code, basis), rng_for(42, 9), 20)
     assert list(zip(fidelities.tolist(), residuals.tolist())) == reference
 
 
