@@ -51,6 +51,7 @@ from .linalg import (
     StateVector,
     TOL_ISO,
     _field_amplitudes,
+    _finite_norm,
     _is_index,
     _norm,
     _site_amplitudes,
@@ -270,13 +271,17 @@ class CombinedError:
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coefficients)
-        if coeffs.shape != (len(self.errors),):
-            raise ValueError("one coefficient per error term required")
-        if not np.isfinite(coeffs).all():
-            raise ValueError("error coefficients must be finite")
-        if not coeffs.any():
-            raise ValueError("at least one coefficient must be nonzero")
+        _check_coefficient_rows(self.errors, coeffs[None])
         object.__setattr__(self, "coefficients", coeffs)
+
+    @classmethod
+    def _of_rows(cls, errors: ErrorSet, rows: np.ndarray) -> list["CombinedError"]:
+        """``[CombinedError(errors, row) for row in rows]``, checked once."""
+        _check_coefficient_rows(errors, rows)
+        out = [object.__new__(cls) for _ in rows]
+        for error, row in zip(out, rows):
+            vars(error).update(errors=errors, coefficients=row)
+        return out
 
     def apply(self, state: StateVector) -> StateVector:
         """Each term is checked against ``state`` as it is applied, whatever
@@ -298,6 +303,16 @@ class CombinedError:
         weights = (self.coefficients[:, None] * logical).reshape(-1)
         return _scatter(weights @ images.reshape(len(weights), len(columns)),
                         columns, code.dim)
+
+
+def _check_coefficient_rows(errors: ErrorSet, rows: np.ndarray) -> None:
+    """The checks of :class:`CombinedError` on each row of ``rows``."""
+    if rows.shape[1:] != (len(errors),):
+        raise ValueError("one coefficient per error term required")
+    if not np.isfinite(rows).all():
+        raise ValueError("error coefficients must be finite")
+    if not rows.any(axis=-1).all():
+        raise ValueError("at least one coefficient must be nonzero")
 
 
 def _error_amplitudes(op: SiteOperator | LinearMap, state: StateVector) -> np.ndarray:
@@ -869,9 +884,9 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
 
     Each array is checked once, where it enters: the logical coefficients as
     :func:`encode` checks them, the encoded and the corrupted amplitudes for
-    field, shape and finiteness, and the ancilla as the result's one
-    validated state.  The encoded state is built only for an error that is
-    applied to one, a ``SiteOperator`` or a ``LinearMap``.
+    field and shape, and for finiteness by the norm taken of each; so is the
+    ancilla.  The ancilla and the encoded state a ``SiteOperator`` or
+    ``LinearMap`` error needs are built from these arrays unvalidated.
     """
     if tol is not None and not tol >= 0:
         raise ValueError(f"tol must be nonnegative or None, got {tol!r}")
@@ -883,21 +898,23 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
     logical, encoded = _encoded_amplitudes(code, logical)
     encoded = _field_amplitudes(field, code.n_sites, encoded)
     with np.errstate(over="ignore", invalid="ignore"):     # raises ValueError below
-        scale = _norm(encoded)
+        scale = _finite_norm(encoded)
         if scale <= 0:
             raise ValueError("logical coefficients must not all vanish")
         if isinstance(error, CombinedError):
             amps = error._corrupt(code, logical)
         else:
-            amps = _error_amplitudes(error, StateVector(field, code.n_sites, encoded))
+            amps = _error_amplitudes(
+                error, StateVector._checked(field, code.n_sites, encoded))
         corrupted = _field_amplitudes(field, code.n_sites, amps)
+        corrupted_norm = _finite_norm(corrupted)
         rows, block = cmap._correct(corrupted)
 
         ref_block = encoded[rows] / scale
         anc = ref_block.conj() @ block
         diff = ref_block[:, None] * anc
         residual_f = _norm(np.subtract(block, diff, out=diff))
-        norm_gap = abs(_norm(corrupted) - _norm(block))
+        norm_gap = abs(corrupted_norm - _norm(block))
         residual = max(residual_f, norm_gap)
 
         anc_norm = _norm(anc)
@@ -908,9 +925,9 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
         cf_norm = _norm(code_amps)
         fidelity = (float(abs(np.vdot(ref_block, code_amps)) / cf_norm)
                     if cf_norm > 0 else 0.0)
-    if not all(map(math.isfinite, (scale, residual_f, norm_gap, fidelity))):
+    if not all(map(math.isfinite, (scale, residual_f, norm_gap, anc_norm, fidelity))):
         raise ValueError("a norm overflows: the state is too large")
-    result = RoundtripResult(StateVector(code.field, cmap.n_ancilla, anc),
+    result = RoundtripResult(StateVector._checked(field, cmap.n_ancilla, anc),
                              residual, fidelity)
     if tol is not None and residual > tol:
         raise FactorizationError(
@@ -928,7 +945,7 @@ def combined_draw(code: Code, errors: ErrorSet):
     def draw(rng: np.random.Generator, n: int):
         rows = rng.standard_normal((n, split + _width(code.field, len(errors))))
         logical, coeffs = (_unit_rows(code.field, r) for r in np.hsplit(rows, [split]))
-        return zip(logical, (CombinedError(errors, e) for e in coeffs))
+        return zip(logical, CombinedError._of_rows(errors, coeffs))
 
     return draw
 
@@ -942,7 +959,7 @@ def simulate(cmap: CorrectionMap, draw, rng: np.random.Generator,
     ``_BLOCK``; the draw order fixes every seeded report.  Each trial makes
     one ungated :func:`roundtrip` call.  Returns the fidelities and residuals.
     ``trials`` must be a nonnegative integer: TypeError otherwise, ValueError
-    when negative.
+    when negative, and when ``draw`` returns another number of trials.
     """
     if not _is_index(trials):
         raise TypeError(f"trials must be an integer, got {trials!r}")
@@ -952,10 +969,13 @@ def simulate(cmap: CorrectionMap, draw, rng: np.random.Generator,
     fidelities = np.empty(trials)
     residuals = np.empty(trials)
     for start in range(0, trials, _BLOCK):
-        n = min(_BLOCK, trials - start)     # the last block is freed before this one
-        for t, (logical, error) in enumerate(draw(rng, n), start):
+        n = min(_BLOCK, trials - start)
+        if len(block := list(draw(rng, n))) != n:
+            raise ValueError(f"the drawer returned {len(block)} trials for a block of {n}")
+        for t, (logical, error) in enumerate(block, start):
             res = roundtrip(code, cmap, logical, error, tol=None)
             fidelities[t], residuals[t] = res.fidelity, res.residual
+        del block                           # freed before the next block is drawn
     return fidelities, residuals
 
 

@@ -57,26 +57,13 @@ def _coerce(field: ScalarField, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checked_amplitudes(field: ScalarField, n_sites: int, values) -> np.ndarray:
-    """``values`` as the read-only amplitudes of an ``n_sites`` state over
-    ``field``: the validation of :class:`StateVector`.  An array that already
-    has the field's dtype is copied once; anything else goes through
-    :func:`_coerce`."""
-    if type(values) is np.ndarray and values.dtype == field.dtype:
-        amps = values.copy()
-        amps.setflags(write=False)
-    else:
-        amps = _coerce(field, values)
-    return _field_amplitudes(field, n_sites, amps)
-
-
 def _field_amplitudes(field: ScalarField, n_sites: int,
                       amps: np.ndarray) -> np.ndarray:
-    """The array ``amps`` checked as the amplitudes of an ``n_sites`` state
-    over ``field``, for callers whose array is their own: ``amps`` itself when
+    """The array ``amps`` checked for field and shape as the amplitudes of an
+    ``n_sites`` state over ``field``, for callers whose array is their own and
+    who check its finiteness (see :func:`_finite_norm`): ``amps`` itself when
     it has the field's dtype, else a coerced copy.  FieldMismatchError for a
-    complex entry over a real field, ValueError for a wrong shape or a
-    non-finite entry."""
+    complex entry over a real field, ValueError for a wrong shape."""
     if amps.dtype != field.dtype:
         amps = _coerce(field, amps)
     expected = field.site_dim ** n_sites
@@ -84,9 +71,15 @@ def _field_amplitudes(field: ScalarField, n_sites: int,
         raise ValueError(
             f"expected {expected} amplitudes for {n_sites} sites "
             f"of dimension {field.site_dim}, got shape {amps.shape}")
-    if not np.isfinite(amps).all():
-        raise ValueError("amplitudes must be finite")
     return amps
+
+
+def _finite_norm(amps: np.ndarray) -> float:
+    """``_norm(amps)``, as the finiteness check too: a finite norm has finite terms."""
+    norm = _norm(amps)
+    if not math.isfinite(norm) and not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
+    return norm
 
 
 def _norm(x: np.ndarray) -> float:
@@ -112,8 +105,17 @@ class StateVector:
             raise TypeError(f"n_sites must be an integer, got {self.n_sites!r}")
         if self.n_sites < 0:
             raise ValueError(f"n_sites must be nonnegative, got {self.n_sites}")
-        object.__setattr__(self, "amplitudes", _checked_amplitudes(
-            self.field, self.n_sites, self.amplitudes))
+        # a read-only copy: made once from an array of the field's dtype
+        values = self.amplitudes
+        if type(values) is np.ndarray and values.dtype == self.field.dtype:
+            amps = values.copy()
+            amps.setflags(write=False)
+        else:
+            amps = _coerce(self.field, values)
+        amps = _field_amplitudes(self.field, self.n_sites, amps)
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
+        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def dim(self) -> int:
@@ -129,6 +131,17 @@ class StateVector:
 
     def with_amplitudes(self, amplitudes: np.ndarray) -> "StateVector":
         return StateVector(self.field, self.n_sites, amplitudes)
+
+    @classmethod
+    def _checked(cls, field: ScalarField, n_sites: int, amps: np.ndarray) -> "StateVector":
+        """The state of ``amps`` as it is, not validated: the caller has checked
+        that ``n_sites`` is a nonnegative integer and that ``amps`` has
+        ``field.dtype``, shape ``(field.site_dim ** n_sites,)`` and finite
+        entries.  ``amps`` is made read-only; nothing else may write to it."""
+        amps.setflags(write=False)
+        state = object.__new__(cls)
+        vars(state).update(field=field, n_sites=n_sites, amplitudes=amps)
+        return state
 
 
 def _is_index(value) -> bool:

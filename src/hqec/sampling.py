@@ -39,7 +39,9 @@ def random_state(field: ScalarField, n_sites: int,
 def random_coefficients(field: ScalarField, count: int,
                         rng: np.random.Generator, normalize: bool = True) -> np.ndarray:
     c = _amplitudes(field, rng.standard_normal(_width(field, count)))
-    return c / _norm(c) if normalize else c
+    if normalize and not (norm := _norm(c)):
+        raise ValueError("cannot normalize a draw of zero norm")
+    return c / norm if normalize else c
 
 
 def _amplitudes(field: ScalarField, normals: np.ndarray) -> np.ndarray:
@@ -59,7 +61,10 @@ def _width(field: ScalarField, count: int) -> int:
 def _unit_rows(field: ScalarField, normals: np.ndarray) -> np.ndarray:
     """Row-wise :func:`random_coefficients` from its draws, bit for bit."""
     rows = _amplitudes(field, normals)
-    return rows / np.array([_norm(row) for row in rows])[:, None]
+    norms = np.array([_norm(row) for row in rows])
+    if not norms.all():
+        raise ValueError("cannot normalize a draw of zero norm")
+    return rows / norms[:, None]
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -552,8 +552,10 @@ def _su2_draw(code: codes.Code, gaps: list):
         normals, q, sites = np.empty((n, len(code.codewords))), np.zeros((n, 4)), []
         for k in range(n):
             normals[k] = rng.standard_normal(len(code.codewords))
-            while Quaternion.from_array(q[k]).norm() <= UNIT_FLOOR:    # until it passes
+            w = x = y = z = 0.0             # Quaternion.norm's arithmetic on the draw
+            while math.sqrt(w * w + x * x + y * y + z * z) <= UNIT_FLOOR:
                 q[k] = rng.standard_normal(4)
+                w, x, y, z = q[k].tolist()
             sites.append(int(rng.integers(code.n_sites)))
         u = q * (1.0 / quat._norm(q))[:, None]
         if not np.all(np.abs(quat._norm(u) - 1.0) <= quat.TOL_UNIT):

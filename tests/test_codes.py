@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hqec import codes, verify
+from hqec import codes, linalg, verify
 from hqec import quaternion as quat
 from hqec.codes import (
     CombinedError,
@@ -47,6 +47,7 @@ from hqec.linalg import (
     ScalarField,
     SiteOperator,
     StateVector,
+    _norm,
     apply_site,
     basis_state,
     complete_orthonormal,
@@ -1169,6 +1170,141 @@ def _single_site(cmap):
                                  int(rng.integers(code.n_sites)), code.field)
 
 
+def _field_amplitudes(field, n_sites, amps):
+    """``linalg._field_amplitudes`` as it was while it scanned the entries
+    for finiteness as well."""
+    amps = linalg._field_amplitudes(field, n_sites, amps)
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
+    return amps
+
+
+def _checked_twice_roundtrip(code, cmap, logical, error, tol=codes.SYNTH_TOL):
+    """The roundtrip as it was while it checked the encoded and the corrupted
+    amplitudes by an entry scan next to their norms, and validated the
+    states it built, kept verbatim as the bit-for-bit reference."""
+    if tol is not None and not tol >= 0:
+        raise ValueError(f"tol must be nonnegative or None, got {tol!r}")
+    if not isinstance(error, (CombinedError, SiteOperator, LinearMap)):
+        raise TypeError("error must be a CombinedError, SiteOperator or "
+                        f"LinearMap, got {type(error).__name__}")
+    field = code.field
+    cmap._check_input(field, code.dim * cmap.ancilla_dim)
+    logical, encoded = codes._encoded_amplitudes(code, logical)
+    encoded = _field_amplitudes(field, code.n_sites, encoded)
+    with np.errstate(over="ignore", invalid="ignore"):     # raises ValueError below
+        scale = _norm(encoded)
+        if scale <= 0:
+            raise ValueError("logical coefficients must not all vanish")
+        if isinstance(error, CombinedError):
+            amps = error._corrupt(code, logical)
+        else:
+            amps = codes._error_amplitudes(error, StateVector(field, code.n_sites, encoded))
+        corrupted = _field_amplitudes(field, code.n_sites, amps)
+        rows, block = cmap._correct(corrupted)
+
+        ref_block = encoded[rows] / scale
+        anc = ref_block.conj() @ block
+        diff = ref_block[:, None] * anc
+        residual_f = _norm(np.subtract(block, diff, out=diff))
+        norm_gap = abs(_norm(corrupted) - _norm(block))
+        residual = max(residual_f, norm_gap)
+
+        anc_norm = _norm(anc)
+        if anc_norm > 0:
+            code_amps = block @ anc.conj() / (anc_norm ** 2)
+        else:
+            code_amps = np.zeros(len(block), dtype=block.dtype)
+        cf_norm = _norm(code_amps)
+        fidelity = (float(abs(np.vdot(ref_block, code_amps)) / cf_norm)
+                    if cf_norm > 0 else 0.0)
+    if not all(map(math.isfinite, (scale, residual_f, norm_gap, fidelity))):
+        raise ValueError("a norm overflows: the state is too large")
+    result = codes.RoundtripResult(StateVector(code.field, cmap.n_ancilla, anc),
+                                   residual, fidelity)
+    if tol is not None and residual > tol:
+        raise codes.FactorizationError(
+            f"output does not factor (residual {residual:.3e} > {tol:.1e}); "
+            "the map is broken or the error lies outside the corrected family",
+            result)
+    return result
+
+
+@pytest.mark.parametrize("draw", [_combined, _single_site], ids=["combined", "site"])
+@pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction", "shor9_correction"])
+def test_roundtrip_matches_the_checked_twice_reference_bit_for_bit(fixture, draw,
+                                                                  request):
+    cmap = request.getfixturevalue(fixture)
+    code = cmap.code
+    draw_error = draw(cmap)
+    rng = rng_for(11, 9)
+    for _ in range(40):
+        logical = random_coefficients(code.field, 2, rng)
+        error = draw_error(rng)
+        res = roundtrip(code, cmap, logical, error, tol=None)
+        ref = _checked_twice_roundtrip(code, cmap, logical, error, tol=None)
+        assert res.fidelity == ref.fidelity
+        assert res.residual == ref.residual
+        assert res.ancilla.amplitudes.dtype == ref.ancilla.amplitudes.dtype
+        assert res.ancilla.amplitudes.tobytes() == ref.ancilla.amplitudes.tobytes()
+
+
+def _raised(call, *args, **kwargs):
+    """The type and message of the exception ``call`` raises, with every
+    warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Exception) as info:
+            call(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+def _zero_weighted_nan_error():
+    nan_term = ErrorTerm("nan", SiteOperator(ScalarField.REAL, 0,
+                                             [[math.nan, 0.0], [0.0, 1.0]]))
+    return CombinedError(ErrorSet((identity_error(ScalarField.REAL), nan_term)),
+                         [1.0, 0.0])
+
+
+def _overflowing_shor9_error():
+    code = _partial_map("shor9").code
+    matrix = 1e307 * np.eye(code.dim, dtype=code.field.dtype)
+    matrix[0, 7] = 1e307
+    return LinearMap(code.field, matrix)
+
+
+# (map fixture, logical coefficients, error, tol): the inputs of
+# test_roundtrip_rejects_invalid_input and the overflow tests below
+_REJECTED_INPUTS = {
+    "nan-logical": ("r3_correction", (math.nan, 1.0), lambda: so2_error(0.3, 0), None),
+    "inf-logical": ("r3_correction", (math.inf, 1.0), lambda: so2_error(0.3, 0), None),
+    "zero-logical": ("r3_correction", (0.0, 0.0), lambda: so2_error(0.3, 0), None),
+    "nan-error": ("r3_correction", (0.6, 0.8), lambda: SiteOperator(
+        ScalarField.REAL, 1, [[math.nan, 0.0], [0.0, 1.0]]), None),
+    "non-square-error": ("r3_correction", (0.6, 0.8),
+                         lambda: _non_square_error().op, None),
+    "zero-weighted-nan-term": ("r3_correction", (0.6, 0.8),
+                               _zero_weighted_nan_error, None),
+    "overflowing-error-no-gate": ("shor9_correction", (0.6, 0.8),
+                                  _overflowing_shor9_error, None),
+    "overflowing-error-gate": ("shor9_correction", (0.6, 0.8),
+                               _overflowing_shor9_error, codes.SYNTH_TOL),
+    "overflowing-logical": ("r3_correction", (1e160, 1e160),
+                            lambda: so2_error(0.3, 0), None),
+}
+
+
+@pytest.mark.parametrize("case", list(_REJECTED_INPUTS))
+def test_roundtrip_rejects_what_the_checked_twice_reference_rejects(case, request):
+    fixture, logical, make_error, tol = _REJECTED_INPUTS[case]
+    cmap = request.getfixturevalue(fixture)
+    error = make_error()
+    got = _raised(roundtrip, cmap.code, cmap, logical, error, tol=tol)
+    want = _raised(_checked_twice_roundtrip, cmap.code, cmap, logical, error, tol=tol)
+    assert got == want
+    assert got[0] is ValueError
+
+
 @pytest.mark.parametrize("draw", [_combined, _single_site], ids=["combined", "site"])
 @pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction", "shor9_correction"])
 def test_roundtrip_matches_the_state_reference(fixture, draw, request):
@@ -1225,9 +1361,9 @@ def test_roundtrip_coerces_complex_typed_logical_coefficients(fixture, draw, req
 @pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction", "shor9_correction"])
 def test_roundtrip_builds_only_the_states_it_needs(fixture, draw, request,
                                                    monkeypatch):
-    # each array is checked once, where it enters: the ancilla is the one
-    # validated state of a combined-error roundtrip, and a single-site error
-    # needs the encoded state as well
+    # each array is checked once, where it enters, so no state is validated
+    # again: the encoded state a single-site error acts on and the ancilla
+    # are built from the checked arrays as they are
     cmap = request.getfixturevalue(fixture)
     code = cmap.code
     rng = rng_for(8, 1)
@@ -1246,11 +1382,15 @@ def test_roundtrip_builds_only_the_states_it_needs(fixture, draw, request,
     monkeypatch.setattr(StateVector, "__post_init__", counting)
     monkeypatch.setattr(codes.CorrectionMap, "apply", forbidden)
     monkeypatch.setattr(LinearMap, "apply", forbidden)
-    roundtrip(code, cmap, logical, error, tol=None)
-    if draw is _combined:
-        assert built == [cmap.n_ancilla]
-    else:
-        assert built == [code.n_sites, cmap.n_ancilla]
+    ancilla = roundtrip(code, cmap, logical, error, tol=None).ancilla
+    assert built == []
+    amps = ancilla.amplitudes
+    assert not amps.flags.writeable
+    assert amps.dtype == code.field.dtype and amps.shape == (cmap.ancilla_dim,)
+    validated = StateVector(code.field, cmap.n_ancilla, amps)
+    assert built == [cmap.n_ancilla]
+    assert (ancilla.field, ancilla.n_sites) == (validated.field, validated.n_sites)
+    assert validated.amplitudes.tobytes() == amps.tobytes()
 
 
 def test_shor9_roundtrip_builds_no_whole_output_table(shor9_correction):
@@ -1393,6 +1533,127 @@ def test_simulate_takes_no_numpy_norm_per_trial(fixture, request, monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counting)
     simulate(cmap, combined_draw(cmap.code, _basis(cmap)), rng_for(8, 2), 7)
     assert calls == []
+
+
+@pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction", "shor9_correction"])
+def test_simulate_checks_finiteness_once_per_array(fixture, request, monkeypatch):
+    # the roundtrip's norms stand as its finiteness checks, and the drawer
+    # checks the error coefficients of its block at once: what is left is
+    # each trial's logical coefficients, which roundtrip takes from outside
+    cmap = request.getfixturevalue(fixture)
+    code, basis = cmap.code, _basis(cmap)
+    codes._images(code, basis)                  # the set holds its images
+    shapes = []
+    original = np.isfinite
+
+    def counting(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    simulate(cmap, combined_draw(code, basis), rng_for(8, 2), 7)
+    assert shapes == [(7, len(basis))] + [(len(code.codewords),)] * 7
+
+
+def test_combined_errors_of_checked_rows_equal_the_one_row_errors():
+    code = build_h3_code()
+    basis = effective_error_basis(code, ErrorFamily.SU2)
+    rows = rng_for(6, 2).standard_normal((5, len(basis)))
+    block = CombinedError._of_rows(basis, rows)
+    assert len(block) == len(rows)
+    for error, row in zip(block, rows, strict=True):
+        one = CombinedError(basis, row)
+        assert error.errors is one.errors is basis
+        assert error.coefficients.dtype == one.coefficients.dtype
+        assert error.coefficients.tobytes() == one.coefficients.tobytes()
+        assert (error._corrupt(code, np.array([0.6, 0.8])).tobytes()
+                == one._corrupt(code, np.array([0.6, 0.8])).tobytes())
+
+
+def _bad_blocks():
+    """(rows, the row CombinedError rejects alone or None, the message) for
+    the four-term r3 basis."""
+    rows = np.ones((3, 4))
+    nan, inf, zero = rows.copy(), rows.astype(complex), rows.copy()
+    nan[1, 2], inf[2, 0], zero[1] = math.nan, complex(0.0, -math.inf), 0.0
+    width = "one coefficient per error term required"
+    return {"narrow": (rows[:, :3], rows[0, :3], width),
+            "wide": (np.ones((3, 5)), np.ones(5), width),
+            "flat": (np.ones(4), None, width),
+            "nan": (nan, nan[1], "error coefficients must be finite"),
+            "complex-inf": (inf, inf[2], "error coefficients must be finite"),
+            "zero-row": (zero, zero[1], "at least one coefficient must be nonzero")}
+
+
+@pytest.mark.parametrize("case", list(_bad_blocks()))
+def test_combined_errors_of_checked_rows_reject_a_bad_block(case):
+    basis = effective_error_basis(build_r3_code(), ErrorFamily.SO2)
+    rows, row, message = _bad_blocks()[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CombinedError._of_rows(basis, rows)
+        if row is not None:             # with the message of the row alone
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                CombinedError(basis, row)
+
+
+@pytest.mark.parametrize("returned", [4, 6], ids=["short", "long"])
+def test_simulate_rejects_a_drawer_that_returns_another_count(r3_correction, returned):
+    # a short block left np.empty entries as results, a long one an IndexError
+    draw = combined_draw(r3_correction.code, r3_correction.errors)
+    with pytest.raises(ValueError, match=f"returned {returned} trials for a block of 5"):
+        simulate(r3_correction, lambda rng, n: list(draw(rng, returned)),
+                 rng_for(0, 1), 5)
+
+
+class _Zeros:
+    """A generator stand-in whose standard normals are all zero."""
+
+    def standard_normal(self, size=None):
+        return np.zeros(size)
+
+
+@pytest.mark.parametrize("fixture", ["r3_correction", "shor9_correction"])
+def test_a_zero_draw_raises_without_a_warning(fixture, request):
+    code = request.getfixturevalue(fixture).code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="cannot normalize a draw of zero norm"):
+            combined_draw(code, _basis(request.getfixturevalue(fixture)))(_Zeros(), 3)
+        with pytest.raises(ValueError, match="cannot normalize a draw of zero norm"):
+            random_coefficients(code.field, 2, _Zeros())
+    assert random_coefficients(code.field, 2, _Zeros(), normalize=False).shape == (2,)
+
+
+class _ShrunkQuaternions:
+    """A generator whose first ``count`` draws of four normals are shrunk
+    below ``sampling.UNIT_FLOOR``, so that a unit-quaternion draw is redrawn."""
+
+    def __init__(self, rng, count):
+        self.rng, self.count = rng, count
+
+    def standard_normal(self, size=None):
+        out = self.rng.standard_normal(size)
+        if size == 4 and self.count:
+            self.count -= 1
+            out *= 1e-9
+        return out
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+
+def test_su2_drawer_redraws_as_random_unit_quaternion(h3_correction):
+    got_rng = _ShrunkQuaternions(rng_for(4, 303), 3)
+    want_rng = _ShrunkQuaternions(rng_for(4, 303), 3)
+    gaps = []
+    got = simulate(h3_correction, _site_drawer(h3_correction, gaps), got_rng, 9)
+    want = _reference_simulate(h3_correction, _single_site(h3_correction), want_rng, 9)
+    _assert_same_runs(got, want)
+    assert got_rng.count == want_rng.count == 0
+    assert got_rng.rng.standard_normal() == want_rng.rng.standard_normal()
+    assert gaps == [0.0]
 
 
 def _reference_simulate(cmap, draw_error, rng, trials):
