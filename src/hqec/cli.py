@@ -34,42 +34,32 @@ SIMULATION_SETUPS = {
 }
 
 
-def cmd_verify(target: str, cfg: RunConfig) -> SuiteReport:
+def cmd_verify(target: str, cfg: RunConfig) -> list[CheckRecord]:
     """Run the invariant suite(s) for one module or all of them."""
-    start = time.perf_counter()
-    records: list[CheckRecord] = []
-    if target == "all":
-        for name, runner in SUITE_RUNNERS.items():
-            for rec in runner(cfg.seed, cfg.trials):
-                records.append(CheckRecord(f"{name}/{rec.check_id}", rec.anchor,
-                                           rec.passed, rec.max_deviation, rec.witness))
-    else:
-        records.extend(SUITE_RUNNERS[target](cfg.seed, cfg.trials))
-    wall = time.perf_counter() - start
-    return SuiteReport(f"verify-{target}", cfg.seed, cfg.trials,
-                       tuple(records), wall)
+    if target != "all":
+        return SUITE_RUNNERS[target](cfg.seed, cfg.trials)
+    return [CheckRecord(f"{name}/{rec.check_id}", rec.anchor, rec.passed,
+                        rec.max_deviation, rec.witness)
+            for name, runner in SUITE_RUNNERS.items()
+            for rec in runner(cfg.seed, cfg.trials)]
 
 
-def cmd_simulate(code_id: str, cfg: RunConfig) -> SuiteReport:
+def cmd_simulate(code_id: str, cfg: RunConfig) -> list[CheckRecord]:
     """Build a code, its error basis and correction map, then run seeded
     roundtrips with random logical states and random in-family combinations."""
-    start = time.perf_counter()
     fidelity_tol = cfg.tol if cfg.tol is not None else codes.SYNTH_TOL
     family_name, family, build = SIMULATION_SETUPS[code_id]
-    records: list[CheckRecord] = []
     try:
         cmap = build()
     except codes.SynthesisError as exc:
-        records.append(CheckRecord("synthesis", "correction-map synthesis",
-                                   False, None, str(exc)))
-        return SuiteReport(f"simulate-{code_id}", cfg.seed, cfg.trials,
-                           tuple(records), time.perf_counter() - start)
+        return [CheckRecord("synthesis", "correction-map synthesis",
+                            False, None, str(exc))]
 
     code = cmap.code
     basis = codes.effective_error_basis(code, family)
     kl = codes.kl_check(code, basis)
-    records.append(CheckRecord("kl", f"correctability of {family_name}",
-                               kl.passed, codes.kl_condition_deviation(kl)))
+    records = [CheckRecord("kl", f"correctability of {family_name}",
+                           kl.passed, kl.max_deviation)]
 
     synth_dev = cmap.isometry_deviation()
     records.append(CheckRecord(
@@ -89,9 +79,7 @@ def cmd_simulate(code_id: str, cfg: RunConfig) -> SuiteReport:
         "max_factorization_residual",
         "output factors as (encoded state) x (ancilla superposition)",
         max_residual <= fidelity_tol, max_residual))
-    wall = time.perf_counter() - start
-    return SuiteReport(f"simulate-{code_id}", cfg.seed, cfg.trials,
-                       tuple(records), wall)
+    return records
 
 
 def _demo_phase_failure(cfg: RunConfig) -> list[CheckRecord]:
@@ -165,13 +153,6 @@ DEMOS = {
 }
 
 
-def cmd_demo(name: str, cfg: RunConfig) -> SuiteReport:
-    start = time.perf_counter()
-    records = DEMOS[name](cfg)
-    wall = time.perf_counter() - start
-    return SuiteReport(f"demo-{name}", cfg.seed, cfg.trials, tuple(records), wall)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hqec",
@@ -220,18 +201,21 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     fmt = "structured" if args.fmt == "json" else args.fmt
     try:
-        cfg = RunConfig(command=args.command, seed=seed, trials=args.trials,
+        cfg = RunConfig(seed=seed, trials=args.trials,
                         tol=getattr(args, "tol", None), fmt=fmt, out=args.out)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 
+    start = time.perf_counter()
     if args.command == "verify":
-        report = cmd_verify(args.target, cfg)
+        target, records = args.target, cmd_verify(args.target, cfg)
     elif args.command == "simulate":
-        report = cmd_simulate(args.code, cfg)
+        target, records = args.code, cmd_simulate(args.code, cfg)
     else:
-        report = cmd_demo(args.name, cfg)
+        target, records = args.name, DEMOS[args.name](cfg)
+    report = SuiteReport(f"{args.command}-{target}", cfg.seed, cfg.trials,
+                         tuple(records), time.perf_counter() - start)
     try:
         write_output(render(report, cfg.fmt), cfg.out)
     except OSError as exc:

@@ -26,7 +26,11 @@ define the image.  It applies the map in the code x ancilla frame, and a
 roundtrip, whose input is always corrupted x |0_A>, corrects from the
 code-space amplitudes alone, as a ``(rows, block)`` pair: the output on the
 code rows that can be nonzero, ``Code.support`` without a completion, every
-row with one.  A completion to the full operator is held as a signed
+row with one.  The KL table, synthesis's identity check and the effective
+error count scatter the images back to full width before they reduce, so
+their sums are the full-width ones; a partial map's product on the support
+columns equals the full-width product bit for bit, since the columns it drops
+are zero.  A completion to the full operator is held as a signed
 permutation, two index arrays ``(perm, sign)``, whenever both completed bases
 are signed canonical (always for ``r3`` and ``h3``): it is applied by a
 scatter and checked for isometry on the arrays, and the dense ``operator`` is
@@ -432,6 +436,9 @@ class KLReport:
     violations: tuple[KLViolation, ...]
     gram: np.ndarray | None    # ancilla Gram <A_p1|A_p2> when passing
     labels: tuple[str, ...]
+    # the largest cross-term modulus or diagonal spread, verdict aside (0.0
+    # for an empty error set)
+    max_deviation: float
 
 
 def _images(code: Code, errors: ErrorSet) -> tuple[np.ndarray, np.ndarray]:
@@ -488,9 +495,9 @@ def kl_check(code: Code, errors: ErrorSet) -> KLReport:
         raise ValueError("the KL table of the error images must be finite")
 
     by_pair = table.transpose(0, 2, 1, 3)                 # [p1, p2, l1, l2]
+    cross = np.where(np.eye(n_words, dtype=bool), 0.0, _modulus(by_pair))
     violations = []
-    for p1, p2, l1, l2 in np.argwhere(
-            (_modulus(by_pair) > KL_TOL) & ~np.eye(n_words, dtype=bool)).tolist():
+    for p1, p2, l1, l2 in np.argwhere(cross > KL_TOL).tolist():
         value = by_pair[p1, p2, l1, l2]
         violations.append(KLViolation(
             "cross", p1, p2, l1, l2, (value,), abs(value)))
@@ -513,25 +520,15 @@ def kl_check(code: Code, errors: ErrorSet) -> KLReport:
 
     passed = not violations
     gram = np.mean(diag, axis=0) if passed else None
-    return KLReport(passed, table, tuple(violations), gram, errors.labels)
+    deviation = max(float(cross.max(initial=0.0)), float(dev.max(initial=0.0)))
+    return KLReport(passed, table, tuple(violations), gram, errors.labels,
+                    deviation)
 
 
 def _modulus(values: np.ndarray) -> np.ndarray:
     """Entrywise abs() as Python's scalar abs() computes it: np.abs of a
     complex array may differ from that in the last bit, np.hypot does not."""
     return np.hypot(values.real, values.imag)
-
-
-def kl_condition_deviation(report: KLReport) -> float:
-    """Largest deviation from either condition family, verdict aside: the
-    biggest cross term or the biggest spread between diagonal values (0.0 for
-    an empty error set)."""
-    table = report.table
-    n_words = table.shape[1]
-    cross = np.abs(table) * ~np.eye(n_words, dtype=bool)[:, None, :]
-    diag = table[:, range(n_words), :, range(n_words)]      # (L, P, P)
-    spread = np.abs(diag[:, None, :, :] - diag[None, :, :, :])
-    return max(float(cross.max(initial=0.0)), float(spread.max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -1002,7 +999,9 @@ def phase_failure_demo(a: complex = 1 / math.sqrt(2.0),
     word from an uncorrupted one.  Whenever both amplitudes are nonzero the
     pair (i*a, -i*b) is not a global phase times (a, b), so the mimic is a
     genuinely different physical state and the code fails.  With a or b zero
-    the mimic differs only by phase and the failure is benign.
+    the mimic differs only by phase and the failure is benign.  The verdict
+    is taken after scaling the largest part to one, so it holds at any scale;
+    the zero pair raises ValueError.
     """
     # the largest real or imaginary part: abs() of a complex amplitude can
     # itself overflow

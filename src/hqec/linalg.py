@@ -340,12 +340,15 @@ class IsometryResult:
 
 def is_isometry(m: LinearMap | np.ndarray) -> IsometryResult:
     """Check m^H m = identity (m^T m over the real fields) within ``TOL_ISO``;
-    reports the largest absolute deviation.  The identity is subtracted and
-    the modulus taken in place, in the Gram matrix itself."""
+    reports the largest absolute deviation (0.0 for a 0x0 matrix).  The
+    identity is subtracted and the modulus taken in place, in the Gram matrix
+    itself.  Raises ValueError for a non-square or non-finite matrix."""
     mat = m.matrix if isinstance(m, LinearMap) else np.asarray(m)
-    if mat.shape[0] != mat.shape[1]:
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("isometry check expects a square matrix")
+    if not np.isfinite(mat).all():
+        raise ValueError("isometry check expects finite entries")
     gram = (mat.conj().T @ mat).astype(np.result_type(mat, float), copy=False)
     gram[np.diag_indices_from(gram)] -= 1.0
-    dev = float(np.abs(gram, out=gram).real.max())
+    dev = float(np.abs(gram, out=gram).real.max(initial=0.0))
     return IsometryResult(dev <= TOL_ISO, dev)

@@ -182,11 +182,6 @@ def extract_qubit(q: Quaternion) -> ComplexPair:
     return ComplexPair(complex(q.w, q.x), complex(q.y, q.z))
 
 
-def exp_phase(phi: float) -> Quaternion:
-    """The left phase unit cos(phi) + sin(phi)*i, i.e. exp(i*phi) embedded."""
-    return Quaternion(math.cos(phi), math.sin(phi), 0.0, 0.0)
-
-
 def rotate_vector(q: Quaternion, v: ImaginaryVector) -> ImaginaryVector:
     """Rotate a 3-vector by the unit quaternion q via q * v * conj(q)."""
     if not q.is_unit():

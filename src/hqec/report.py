@@ -20,7 +20,6 @@ MAX_TRIALS = 10_000_000
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
     seed: int = 0
     trials: int = 1000
     tol: float | None = None

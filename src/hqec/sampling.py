@@ -31,17 +31,17 @@ def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:
 
 
 def random_state(field: ScalarField, n_sites: int,
-                 rng: np.random.Generator, normalize: bool = True) -> StateVector:
+                 rng: np.random.Generator) -> StateVector:
     return StateVector(field, n_sites, random_coefficients(
-        field, field.site_dim ** n_sites, rng, normalize))
+        field, field.site_dim ** n_sites, rng))
 
 
 def random_coefficients(field: ScalarField, count: int,
-                        rng: np.random.Generator, normalize: bool = True) -> np.ndarray:
+                        rng: np.random.Generator) -> np.ndarray:
     c = _amplitudes(field, rng.standard_normal(_width(field, count)))
-    if normalize and not (norm := _norm(c)):
+    if not (norm := _norm(c)):
         raise ValueError("cannot normalize a draw of zero norm")
-    return c / norm if normalize else c
+    return c / norm
 
 
 def _amplitudes(field: ScalarField, normals: np.ndarray) -> np.ndarray:

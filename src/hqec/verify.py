@@ -45,6 +45,7 @@ from .linalg import (
     SiteOperator,
     StateVector,
     TOL_ISO,
+    _is_index,
     apply_site,
     basis_state,
     complete_orthonormal,
@@ -96,6 +97,15 @@ _HOPF_FLOOR = 1e-3    # hopf_projection redraws a q of smaller norm
 _VALUES, _REDRAW = 1, 2    # the sub-streams of uniforms or integers, and of redraws
 _ONE, _I, _J = (u.as_array() for u in (quat.ONE, quat.I, quat.J))
 _UNITS = np.eye(4)    # the rows 1, i, j, k
+
+
+def _check_trials(trials: int) -> None:
+    """Each suite's check of its trial count, before it draws: TypeError for
+    a non-integer or a bool, ValueError below 1, as the CLI rejects them."""
+    if not _is_index(trials):
+        raise TypeError(f"trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
 
 
 def _over_blocks(check, rng, trials: int) -> list[float]:
@@ -257,7 +267,7 @@ def _hopf_projection(phases, redraw, rng, start: int, n: int) -> list[float]:
     q, u = rows[:, :4], rows[:, 4:]
     phase = np.zeros((n, 4))
     phis = phases.uniform(0.0, 2.0 * np.pi, n)
-    phase[:, 0] = [math.cos(phi) for phi in phis]    # quat.exp_phase
+    phase[:, 0] = [math.cos(phi) for phi in phis]    # the left phase e^(i phi)
     phase[:, 1] = [math.sin(phi) for phi in phis]
     mul, conj = quat._hamilton, quat._conj
     v = _hopf(q)
@@ -308,6 +318,7 @@ def _exact(check_id: str, anchor: str, dev: float, gap: float) -> CheckRecord:
 
 
 def quaternion_suite(seed: int, trials: int) -> list[CheckRecord]:
+    _check_trials(trials)
     records = [
         _exact("norm_multiplicative", "multiplicative norm",
                *_over_blocks(_norm_multiplicative, rng_for(seed, 101), 10_000)),
@@ -461,6 +472,7 @@ def _tensor_bilinearity(field: ScalarField, rng, start: int, n: int) -> list[flo
 
 
 def linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
+    _check_trials(trials)
     records = []
 
     rng = rng_for(seed, 201)
@@ -572,30 +584,29 @@ def _su2_draw(code: codes.Code, gaps: list):
 
 
 def codes_suite(seed: int, trials: int) -> list[CheckRecord]:
+    _check_trials(trials)
     records = []
 
-    # each KL check runs on its map's own code, so the roundtrips below read
-    # the error images the check made
+    # the r3 and h3 checks run on their maps' own error sets, whose images
+    # synthesis made; shor9's map holds 22 representatives of the 28 Paulis
     r3_map = codes.build_r3_correction()
     h3_map = codes.build_h3_correction("j")
     shor9_map = codes.build_shor9_correction()
     r3, h3, shor9 = r3_map.code, h3_map.code, shor9_map.code
-    so2_basis = codes.effective_error_basis(r3, codes.ErrorFamily.SO2)
-    su2_basis = codes.effective_error_basis(h3, codes.ErrorFamily.SU2)
     pauli_basis = codes.effective_error_basis(shor9, codes.ErrorFamily.PAULI_PER_SITE)
 
-    report = codes.kl_check(r3, so2_basis)
+    report = codes.kl_check(r3, r3_map.errors)
     records.append(CheckRecord(
         "kl_r3_so2", "correctability of plane rotations on the real code",
-        report.passed, codes.kl_condition_deviation(report)))
+        report.passed, report.max_deviation))
 
     h3_i = codes.build_h3_code("i")
     reps = [codes.kl_check(h3_i, codes.effective_error_basis(h3_i, codes.ErrorFamily.SU2)),
-            codes.kl_check(h3, su2_basis)]
+            codes.kl_check(h3, h3_map.errors)]
     records.append(CheckRecord(
         "kl_h3_su2", "correctability of unit right multiplications on the "
         "quaternionic code (both repetition units)",
-        all(r.passed for r in reps), max(map(codes.kl_condition_deviation, reps))))
+        all(r.passed for r in reps), max(r.max_deviation for r in reps)))
 
     c3 = codes.build_complex3_code()
     phase_set = codes.ErrorSet((codes.identity_error(c3.field),
@@ -613,7 +624,7 @@ def codes_suite(seed: int, trials: int) -> list[CheckRecord]:
     rep = codes.kl_check(shor9, pauli_basis)
     records.append(CheckRecord(
         "kl_shor9_pauli", "correctability of all single-site Paulis on the "
-        "nine-qubit code", rep.passed, codes.kl_condition_deviation(rep)))
+        "nine-qubit code", rep.passed, rep.max_deviation))
 
     dev = max(cmap.isometry_deviation() for cmap in (r3_map, h3_map, shor9_map))
     records.append(CheckRecord(
@@ -626,8 +637,8 @@ def codes_suite(seed: int, trials: int) -> list[CheckRecord]:
         return float(max(residuals.max(), np.abs(fidelities - 1.0).max()))
 
     rng = rng_for(seed, 301)     # one stream for both maps, r3 first
-    dev = max(roundtrip_dev(cmap, codes.combined_draw(cmap.code, basis), rng)
-              for cmap, basis in ((r3_map, so2_basis), (h3_map, su2_basis)))
+    dev = max(roundtrip_dev(cmap, codes.combined_draw(cmap.code, cmap.errors), rng)
+              for cmap in (r3_map, h3_map))
     records.append(CheckRecord(
         "combined_error_linearity",
         "correction of arbitrary linear combinations of basis errors",
@@ -661,7 +672,7 @@ def codes_suite(seed: int, trials: int) -> list[CheckRecord]:
 
     def _fingerprint() -> str:
         fidelities, residuals = codes.simulate(
-            r3_map, codes.combined_draw(r3, so2_basis), rng_for(seed, 305), 16)
+            r3_map, codes.combined_draw(r3, r3_map.errors), rng_for(seed, 305), 16)
         return "|".join(f"{f!r}:{r!r}" for f, r in
                         zip(fidelities.tolist(), residuals.tolist()))
 
@@ -751,6 +762,7 @@ def _rotor_isometry(gens, redraw, rng, start: int, n: int) -> list[float]:
 
 
 def dirac_suite(seed: int, trials: int) -> list[CheckRecord]:
+    _check_trials(trials)
     records = []
     gs = dirac.build_gammas_standard()
     gm = dirac.majorana_set(gs)

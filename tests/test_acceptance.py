@@ -26,7 +26,6 @@ from hqec.codes import (
     effective_error_basis,
     identity_error,
     kl_check,
-    kl_condition_deviation,
     pauli_error,
     phase_error_pi,
     phase_failure_demo,
@@ -137,7 +136,7 @@ def test_criterion_4_quaternionic_code():
         code = codes.build_h3_code(unit)
         basis = effective_error_basis(code, ErrorFamily.SU2)
         report = kl_check(code, basis)
-        dev = kl_condition_deviation(report)
+        dev = report.max_deviation
         if not report.passed or dev > 1e-12:
             failures.append(f"conditions fail for unit {unit} (dev {dev:.3e})")
         off = report.gram - np.diag(np.diag(report.gram))
@@ -265,7 +264,7 @@ def test_criterion_7_counting_and_nine_qubit_conditions():
     if len(basis) != 28:
         failures.append(f"expected 28 operators, got {len(basis)}")
     report = kl_check(shor9, basis)
-    dev = kl_condition_deviation(report)
+    dev = report.max_deviation
     if not report.passed or dev > 1e-12:
         failures.append(f"nine-qubit conditions fail (dev {dev:.3e})")
     elapsed = time.perf_counter() - start

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from hqec.report import (
     serialize,
     to_structured,
 )
+from hqec.verify import SUITE_RUNNERS
 
 
 def run_cli(capsys, *argv):
@@ -28,18 +30,18 @@ def run_cli(capsys, *argv):
 # --- configuration ------------------------------------------------------------
 
 def test_runconfig_validation():
-    RunConfig("verify", seed=0, trials=1)
-    RunConfig("verify", trials=MAX_TRIALS)
+    RunConfig(seed=0, trials=1)
+    RunConfig(trials=MAX_TRIALS)
     for trials in (0, MAX_TRIALS + 1):
         with pytest.raises(ValueError):
-            RunConfig("verify", trials=trials)
+            RunConfig(trials=trials)
     for tol in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            RunConfig("verify", tol=tol)
+            RunConfig(tol=tol)
     with pytest.raises(ValueError):
-        RunConfig("verify", seed=-1)
+        RunConfig(seed=-1)
     with pytest.raises(ValueError):
-        RunConfig("verify", seed=2 ** 64)
+        RunConfig(seed=2 ** 64)
 
 
 # --- report serialization ---------------------------------------------------
@@ -234,6 +236,18 @@ def test_verify_all_aggregates(capsys):
     assert any(i.startswith("linalg/") for i in ids)
     assert any(i.startswith("codes/") for i in ids)
     assert any(i.startswith("dirac/") for i in ids)
+
+
+@pytest.mark.parametrize("trials, error", [
+    (0, ValueError), (-1, ValueError), (1.5, TypeError), (True, TypeError)])
+@pytest.mark.parametrize("suite", list(SUITE_RUNNERS))
+def test_suites_check_their_trial_count(suite, trials, error):
+    # called directly, a suite rejects what RunConfig rejects for the CLI,
+    # with its own message and before it draws
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="trials must be"):
+            SUITE_RUNNERS[suite](0, trials)
 
 
 def test_commands_do_not_import_numpy_ma():

@@ -31,7 +31,6 @@ from hqec.codes import (
     effective_representatives,
     identity_error,
     kl_check,
-    kl_condition_deviation,
     pauli_error,
     phase_error_pi,
     phase_failure_demo,
@@ -363,7 +362,7 @@ def test_kl_r3_so2_passes():
     code = build_r3_code()
     report = kl_check(code, effective_error_basis(code, ErrorFamily.SO2))
     assert report.passed
-    assert kl_condition_deviation(report) <= 1e-12
+    assert report.max_deviation <= 1e-12
     assert np.allclose(report.gram, np.eye(4), atol=1e-12)
 
 
@@ -372,7 +371,7 @@ def test_kl_h3_su2_passes_for_both_units(unit):
     code = build_h3_code(unit)
     report = kl_check(code, effective_error_basis(code, ErrorFamily.SU2))
     assert report.passed
-    assert kl_condition_deviation(report) <= 1e-12
+    assert report.max_deviation <= 1e-12
     assert np.allclose(report.gram, np.eye(10), atol=1e-12)
 
 
@@ -394,7 +393,7 @@ def test_kl_shor9_pauli_passes():
     code = build_shor9_code()
     report = kl_check(code, effective_error_basis(code, ErrorFamily.PAULI_PER_SITE))
     assert report.passed
-    assert kl_condition_deviation(report) <= 1e-12
+    assert report.max_deviation <= 1e-12
     # degenerate pairs: the ancilla Gram matrix is not diagonal
     off = report.gram - np.diag(np.diag(report.gram))
     assert np.abs(off).max() > 0.5
@@ -403,7 +402,7 @@ def test_kl_shor9_pauli_passes():
 def test_kl_condition_deviation_of_empty_set_is_zero():
     report = kl_check(build_r3_code(), ErrorSet(()))
     assert report.passed
-    assert kl_condition_deviation(report) == 0.0
+    assert report.max_deviation == 0.0
 
 
 _IMAGE_ENTRIES = pytest.mark.parametrize("entry", [
@@ -958,8 +957,8 @@ def test_completed_hot_paths_never_build_the_dense_operator(monkeypatch):
 
     monkeypatch.setattr(codes.CorrectionMap, "operator", property(forbidden))
     for code_id in ("r3", "h3"):
-        report = cli.cmd_simulate(code_id, RunConfig("simulate", trials=5))
-        assert all(rec.passed for rec in report.records)
+        records = cli.cmd_simulate(code_id, RunConfig(trials=5))
+        assert all(rec.passed for rec in records)
     assert all(rec.passed for rec in verify.codes_suite(0, 5))
 
 
@@ -1623,7 +1622,6 @@ def test_a_zero_draw_raises_without_a_warning(fixture, request):
             combined_draw(code, _basis(request.getfixturevalue(fixture)))(_Zeros(), 3)
         with pytest.raises(ValueError, match="cannot normalize a draw of zero norm"):
             random_coefficients(code.field, 2, _Zeros())
-    assert random_coefficients(code.field, 2, _Zeros(), normalize=False).shape == (2,)
 
 
 class _ShrunkQuaternions:
@@ -2164,6 +2162,7 @@ def _reference_kl_check(code, errors, tol=codes.KL_TOL):
                     table[p1, l1, p2, l2] = inner(images[p1][l1], images[p2][l2])
 
     violations = []
+    deviation = 0.0
     for p1 in range(n_err):
         for p2 in range(n_err):
             for l1 in range(n_words):
@@ -2171,10 +2170,14 @@ def _reference_kl_check(code, errors, tol=codes.KL_TOL):
                     if l1 == l2:
                         continue
                     value = table[p1, l1, p2, l2]
+                    deviation = max(deviation, abs(value))
                     if abs(value) > tol:
                         violations.append(codes.KLViolation(
                             "cross", p1, p2, l1, l2, (value,), abs(value)))
             diag = table[p1, range(n_words), p2, range(n_words)]
+            deviation = max(deviation, *(abs(diag[m] - diag[n])
+                                         for m in range(n_words)
+                                         for n in range(n_words)))
             spread_idx = (int(np.argmin(diag.real)), int(np.argmax(diag.real)))
             if code.field.is_complex:
                 pair_dev = 0.0
@@ -2195,7 +2198,8 @@ def _reference_kl_check(code, errors, tol=codes.KL_TOL):
     gram = None
     if passed:
         gram = np.mean(table[:, range(n_words), :, range(n_words)], axis=0)
-    return codes.KLReport(passed, table, tuple(violations), gram, errors.labels)
+    return codes.KLReport(passed, table, tuple(violations), gram, errors.labels,
+                          float(deviation))
 
 
 def _assert_same_report(got, ref):
@@ -2210,6 +2214,7 @@ def _assert_same_report(got, ref):
     for v, w in zip(got.violations, ref.violations):
         assert (v.kind, v.p1, v.p2, v.l1, v.l2) == (w.kind, w.p1, w.p2, w.l1, w.l2)
         assert v.values == w.values and v.deviation == w.deviation
+    assert got.max_deviation == ref.max_deviation
 
 
 _PHASES = {ScalarField.REAL: [1.0, -1.0],
@@ -2286,6 +2291,35 @@ def test_builtin_kl_tables_match_the_loop_reference():
     got, ref = kl_check(shor9, errors), _reference_kl_check(shor9, errors)
     assert got.passed and ref.passed
     assert np.abs(got.table - ref.table).max() <= 1e-15
+
+
+def _table_deviation(report):
+    """The largest cross term or diagonal spread, recomputed over the whole
+    table with np.abs."""
+    table = report.table
+    n_words = table.shape[1]
+    cross = np.abs(table) * ~np.eye(n_words, dtype=bool)[:, None, :]
+    diag = table[:, range(n_words), :, range(n_words)]      # (L, P, P)
+    spread = np.abs(diag[:, None, :, :] - diag[None, :, :, :])
+    return max(float(cross.max(initial=0.0)), float(spread.max(initial=0.0)))
+
+
+def test_printed_kl_deviations_match_the_whole_table():
+    # every (code, set) pair whose KL deviation verify or simulate prints
+    phase_set = ErrorSet((identity_error(ScalarField.COMPLEX),
+                          ErrorTerm("phase(pi)@0", phase_error_pi(0))))
+    r3_map, h3_map = codes.build_r3_correction(), codes.build_h3_correction()
+    shor9 = build_shor9_code()
+    h3_i = build_h3_code("i")
+    cases = [(r3_map.code, r3_map.errors, 0.0),
+             (h3_map.code, h3_map.errors, 0.0),
+             (h3_i, effective_error_basis(h3_i, ErrorFamily.SU2), 0.0),
+             (shor9, effective_error_basis(shor9, ErrorFamily.PAULI_PER_SITE),
+              1.5947675498076692e-17),
+             (build_complex3_code(), phase_set, 2.0)]
+    for code, errors, printed in cases:
+        report = kl_check(code, errors)
+        assert report.max_deviation == _table_deviation(report) == printed
 
 
 # --- determinism ------------------------------------------------------------

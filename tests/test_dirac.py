@@ -101,6 +101,8 @@ def test_transform_identity_and_rejection():
     assert np.array_equal(same.g1, g.g1)
     with pytest.raises(ValueError):
         transform_basis(g, np.diag([1.0, 2.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="finite entries"):
+        transform_basis(g, np.diag([1.0, np.nan, 1.0, 1.0]))
 
 
 # --- the real-basis transform -------------------------------------------
@@ -429,6 +431,10 @@ def _reference_dirac_suite(seed: int, trials: int) -> list[CheckRecord]:
 def test_dirac_suite_matches_the_loop_reference(seed, trials):
     # every verdict, witness and deviation is exactly that of the loop,
     # rotor_correspondence's criterion-6 sign finding included
+    if trials == 0:     # rejected before any draw; the loop has no such run
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            verify.dirac_suite(seed, trials)
+        return
     assert verify.dirac_suite(seed, trials) == _reference_dirac_suite(seed, trials)
 
 

@@ -340,6 +340,22 @@ def test_is_isometry():
     assert not bad.passed
     with pytest.raises(ValueError):
         is_isometry(np.ones((2, 3)))
+    empty = is_isometry(np.zeros((0, 0)))
+    assert empty.passed and empty.max_deviation == 0.0
+
+
+@pytest.mark.parametrize("mat, message", [
+    (np.ones(2), "square matrix"),
+    (np.ones((2, 2, 2)), "square matrix"),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), "finite entries"),
+    (np.array([[1.0, 0.0], [0.0, -np.inf]]), "finite entries"),
+    (np.array([[1.0, 0.0], [0.0, complex(0.0, np.inf)]]), "finite entries"),
+], ids=["1-d", "stack", "nan", "inf", "complex-inf"])
+def test_is_isometry_checks_its_input(mat, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            is_isometry(mat)
 
 
 def test_is_isometry_works_in_the_gram_matrix():
@@ -489,6 +505,16 @@ def test_completion_of_mixed_vectors_is_orthonormal(data, shape, seed):
 
 # --- the suite against its loop form ----------------------------------------
 
+def _unnormalized_state(field: ScalarField, n_sites: int, rng) -> StateVector:
+    """A state of standard-normal amplitudes, drawn as random_state draws
+    them before it normalizes: over C the real parts, then the imaginary."""
+    dim = field.site_dim ** n_sites
+    if not field.is_complex:
+        return StateVector(field, n_sites, rng.standard_normal(dim))
+    normals = rng.standard_normal(2 * dim)
+    return StateVector(field, n_sites, normals[:dim] + 1j * normals[dim:])
+
+
 def _reference_linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
     """The scalar loop form of verify.linalg_suite: one trial at a time
     through the public functions, draws in the same order; the sites come
@@ -509,8 +535,8 @@ def _reference_linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
         dev = max(dev, check.max_deviation)
         negative_ok = negative_ok and check.passed
         for _ in range(pair_count):
-            u = random_state(field, n_sites, rng, normalize=False)
-            v = random_state(field, n_sites, rng, normalize=False)
+            u = _unnormalized_state(field, n_sites, rng)
+            v = _unnormalized_state(field, n_sites, rng)
             dev = max(dev, abs(inner(lm.apply(u), lm.apply(v)) - inner(u, v)))
     stretched = is_isometry(LinearMap(ScalarField.REAL, np.diag([1.0, 2.0])))
     records.append(CheckRecord(
@@ -531,7 +557,7 @@ def _reference_linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
             if field.is_complex:
                 block = block + 1j * rng.standard_normal((d, d))
             op = SiteOperator(field, site, block)
-            state = random_state(field, n_sites, rng, normalize=False)
+            state = _unnormalized_state(field, n_sites, rng)
             fast = apply_site(op, state).amplitudes
             full = _site_operator_matrix(op, n_sites) @ state.amplitudes
             dev = max(dev, float(np.abs(fast - full).max()))
@@ -544,9 +570,9 @@ def _reference_linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
     dev = 0.0
     for field in ScalarField:
         for _ in range(min(trials, 60)):
-            u = random_state(field, 1, rng, normalize=False)
-            u2 = random_state(field, 1, rng, normalize=False)
-            v = random_state(field, 1, rng, normalize=False)
+            u = _unnormalized_state(field, 1, rng)
+            u2 = _unnormalized_state(field, 1, rng)
+            v = _unnormalized_state(field, 1, rng)
             alpha, beta = rng.standard_normal(2)
             left = tensor_state([u.with_amplitudes(alpha * u.amplitudes
                                                    + beta * u2.amplitudes), v])
@@ -597,6 +623,10 @@ def _reference_linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
 def test_linalg_suite_matches_the_loop_reference(seed, trials):
     # every verdict, witness and deviation is exactly that of the loop; the
     # trial caps of 60 and 200 fall inside the list
+    if trials == 0:     # rejected before any draw; the loop has no such run
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            verify.linalg_suite(seed, trials)
+        return
     assert verify.linalg_suite(seed, trials) == _reference_linalg_suite(seed, trials)
 
 
