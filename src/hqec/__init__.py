@@ -42,7 +42,6 @@ from .codes import (
     ErrorFamily,
     ErrorSet,
     ErrorTerm,
-    FactorizationError,
     KLReport,
     SynthesisError,
     build_b3_code,

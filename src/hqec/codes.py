@@ -81,15 +81,6 @@ class SynthesisError(ValueError):
     pass
 
 
-class FactorizationError(ValueError):
-    """Corrected output failed to split as code-state x ancilla; carries the
-    offending result for diagnosis."""
-
-    def __init__(self, message: str, result: "RoundtripResult"):
-        self.result = result
-        super().__init__(message)
-
-
 # ---------------------------------------------------------------------------
 # Codes
 
@@ -637,10 +628,16 @@ class CorrectionMap:
         return max(float(np.abs(g - np.eye(g.shape[0])).max()) for g in grams)
 
     def apply(self, state: StateVector) -> StateVector:
-        """Apply the correction operator.  Without a completion this acts as
-        the partial isometry and annihilates anything outside its domain
-        span; downstream residual checks surface such inputs."""
-        self._check_input(state.field, state.dim)
+        """Apply the correction operator to a state over the code's field of
+        code x ancilla size.  Without a completion this acts as the partial
+        isometry and annihilates anything outside its domain span;
+        downstream residual checks surface such inputs."""
+        field, expected = self.code.field, self.code.dim * self.ancilla_dim
+        if state.field is not field:
+            raise FieldMismatchError(
+                f"map over {field.value} applied to {state.field.value} state")
+        if state.dim != expected:
+            raise ValueError(f"dimension mismatch: {expected} vs {state.dim}")
         completion = self._completion
         if isinstance(completion, LinearMap):
             return state.with_amplitudes(completion.matrix @ state.amplitudes)
@@ -654,20 +651,12 @@ class CorrectionMap:
         out[rows] = block
         return state.with_amplitudes(out.reshape(-1))
 
-    def _check_input(self, field: ScalarField, dim: int) -> None:
-        """Reject input not over the code's field or not of code x ancilla size."""
-        if field is not self.code.field:
-            raise FieldMismatchError(
-                f"map over {self.code.field.value} applied to {field.value} state")
-        expected = self.code.dim * self.ancilla_dim
-        if dim != expected:
-            raise ValueError(f"dimension mismatch: {expected} vs {dim}")
-
     def _correct(self, corrupted: np.ndarray) -> tuple[np.ndarray | slice, np.ndarray]:
         """The image of corrupted x |0_A> from the code-space amplitudes
-        alone, unchecked: :meth:`apply` checks each state, :func:`roundtrip`
-        each code/map pair, before calling this.  Returns ``(rows, block)``,
-        the (code row, ancilla) output table on the rows that can be nonzero.
+        alone, unchecked: :meth:`apply` checks each state before calling
+        this, and :func:`roundtrip` builds ``corrupted`` over ``self.code``.
+        Returns ``(rows, block)``, the (code row, ancilla) output table on the
+        rows that can be nonzero.
 
         Without a completion the output is the codewords weighted per ancilla
         state, zero off ``ancilla_states``, so ``rows`` is ``code.support``.
@@ -859,25 +848,23 @@ class RoundtripResult:
     fidelity: float                # |<encoded | code factor>| after normalization
 
 
-def roundtrip(code: Code, cmap: CorrectionMap, logical,
-              error: CombinedError | SiteOperator | LinearMap,
-              tol: float | None = SYNTH_TOL) -> RoundtripResult:
-    """Encode, corrupt, append |0_A>, correct, and factor the result.
+def roundtrip(cmap: CorrectionMap, logical,
+              error: CombinedError | SiteOperator | LinearMap) -> RoundtripResult:
+    """Encode ``logical`` in ``cmap.code``, corrupt, append |0_A>, correct,
+    and factor the result.
 
-    The output must split as (encoded state) x (ancilla superposition); the
-    residual measures the failure of that split and flags both a broken map
-    and an out-of-family error.  A residual above ``tol`` raises
-    FactorizationError; pass ``tol=None`` to always get the result back and
-    judge the residual yourself (what the reporting suites do).
+    The output should split as (encoded state) x (ancilla superposition);
+    the residual measures the failure of that split and flags both a broken
+    map and an out-of-family error.  It is a measurement, not a verdict: the
+    caller compares it with its own tolerance.
 
     A combined error corrupts through the stacked images its set holds for
-    ``code``, as one product, and the map corrects corrupted x |0_A> from the
+    the code, as one product, and the map corrects corrupted x |0_A> from the
     corrupted amplitudes alone, as the ``(rows, block)`` pair of
     :meth:`CorrectionMap._correct`, on which the ancilla, residual, norm and
     fidelity are all taken: ``code.support`` for a map without a completion,
-    whose output is zero elsewhere, every row for a completed one.  A NaN or
-    negative ``tol`` or an overflowing norm raises ValueError, an error of
-    another type TypeError.
+    whose output is zero elsewhere, every row for a completed one.  An
+    overflowing norm raises ValueError, an error of another type TypeError.
 
     Each array is checked once, where it enters: the logical coefficients as
     :func:`encode` checks them, the encoded and the corrupted amplitudes for
@@ -885,13 +872,11 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
     ancilla.  The ancilla and the encoded state a ``SiteOperator`` or
     ``LinearMap`` error needs are built from these arrays unvalidated.
     """
-    if tol is not None and not tol >= 0:
-        raise ValueError(f"tol must be nonnegative or None, got {tol!r}")
     if not isinstance(error, (CombinedError, SiteOperator, LinearMap)):
         raise TypeError("error must be a CombinedError, SiteOperator or "
                         f"LinearMap, got {type(error).__name__}")
+    code = cmap.code
     field = code.field
-    cmap._check_input(field, code.dim * cmap.ancilla_dim)
     logical, encoded = _encoded_amplitudes(code, logical)
     encoded = _field_amplitudes(field, code.n_sites, encoded)
     with np.errstate(over="ignore", invalid="ignore"):     # raises ValueError below
@@ -924,14 +909,8 @@ def roundtrip(code: Code, cmap: CorrectionMap, logical,
                     if cf_norm > 0 else 0.0)
     if not all(map(math.isfinite, (scale, residual_f, norm_gap, anc_norm, fidelity))):
         raise ValueError("a norm overflows: the state is too large")
-    result = RoundtripResult(StateVector._checked(field, cmap.n_ancilla, anc),
-                             residual, fidelity)
-    if tol is not None and residual > tol:
-        raise FactorizationError(
-            f"output does not factor (residual {residual:.3e} > {tol:.1e}); "
-            "the map is broken or the error lies outside the corrected family",
-            result)
-    return result
+    return RoundtripResult(StateVector._checked(field, cmap.n_ancilla, anc),
+                           residual, fidelity)
 
 
 def combined_draw(code: Code, errors: ErrorSet):
@@ -954,7 +933,7 @@ def simulate(cmap: CorrectionMap, draw, rng: np.random.Generator,
     ``draw(rng, n)`` returns an iterable of ``n`` (logical coefficients,
     error) trials drawn from ``rng``, asked for in blocks of at most
     ``_BLOCK``; the draw order fixes every seeded report.  Each trial makes
-    one ungated :func:`roundtrip` call.  Returns the fidelities and residuals.
+    one :func:`roundtrip` call.  Returns the fidelities and residuals.
     ``trials`` must be a nonnegative integer: TypeError otherwise, ValueError
     when negative, and when ``draw`` returns another number of trials.
     """
@@ -962,7 +941,6 @@ def simulate(cmap: CorrectionMap, draw, rng: np.random.Generator,
         raise TypeError(f"trials must be an integer, got {trials!r}")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
-    code = cmap.code
     fidelities = np.empty(trials)
     residuals = np.empty(trials)
     for start in range(0, trials, _BLOCK):
@@ -970,7 +948,7 @@ def simulate(cmap: CorrectionMap, draw, rng: np.random.Generator,
         if len(block := list(draw(rng, n))) != n:
             raise ValueError(f"the drawer returned {len(block)} trials for a block of {n}")
         for t, (logical, error) in enumerate(block, start):
-            res = roundtrip(code, cmap, logical, error, tol=None)
+            res = roundtrip(cmap, logical, error)
             fidelities[t], residuals[t] = res.fidelity, res.residual
         del block                           # freed before the next block is drawn
     return fidelities, residuals

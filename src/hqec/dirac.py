@@ -57,6 +57,14 @@ class GammaSet:
         return error_generators(self)
 
 
+def _finite(g: GammaSet) -> GammaSet:
+    """``g`` once every entry is finite (ValueError else), since every
+    deviation test would pass a NaN."""
+    if not all(np.isfinite(m).all() for m in g.all()):
+        raise ValueError("gamma matrices must be finite")
+    return g
+
+
 def _block(a, b, c, d) -> np.ndarray:
     return np.block([[a, b], [c, d]]).astype(complex)
 
@@ -89,9 +97,8 @@ def clifford_check(g: GammaSet) -> CliffordReport:
 
     Raises ValueError for a non-finite entry, which every deviation test
     would pass as NaN."""
+    _finite(g)
     mats = {"g0": g.g0, "g1": g.g1, "g2": g.g2, "g3": g.g3, "g5": g.g5}
-    if not all(np.isfinite(m).all() for m in mats.values()):
-        raise ValueError("gamma matrices must be finite")
     squares = {"g0": 1.0, "g1": -1.0, "g2": -1.0, "g3": -1.0, "g5": 1.0}
     eye = np.eye(4)
     failures = []
@@ -117,7 +124,9 @@ def clifford_check(g: GammaSet) -> CliffordReport:
 
 
 def transform_basis(g: GammaSet, u: np.ndarray) -> GammaSet:
-    """Conjugate every matrix by a unitary: gamma' = U gamma U^H."""
+    """Conjugate every matrix by a unitary: gamma' = U gamma U^H.  A
+    non-finite entry of ``g`` or ``u`` raises ValueError."""
+    _finite(g)
     u = np.asarray(u, dtype=complex)
     check = is_isometry(u)
     if not check.passed:
@@ -171,6 +180,10 @@ class SignedMatch:
 
 def match_up_to_sign(computed: np.ndarray, reference: np.ndarray,
                      name: str, tol: float = TOL_IDENTITY) -> SignedMatch:
+    """Classify ``computed`` as +-``reference`` within ``tol``; a non-finite
+    entry of either, whose deviation would be NaN, raises ValueError."""
+    if not (np.isfinite(computed).all() and np.isfinite(reference).all()):
+        raise ValueError(f"{name}: matrices must be finite")
     plus = float(np.abs(computed - reference).max())
     minus = float(np.abs(computed + reference).max())
     if plus <= tol:
@@ -202,8 +215,10 @@ def error_generators(g: GammaSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rotation bilinears (-g2 g3, -g3 g1, g1 g2) in the given basis.
 
     In a basis where all i*gamma_k are real these three matrices are real,
-    and the third is always the product of the first two.
+    and the third is always the product of the first two.  A non-finite
+    entry of ``g`` raises ValueError.
     """
+    _finite(g)
     return -g.g2 @ g.g3, -g.g3 @ g.g1, g.g1 @ g.g2
 
 
@@ -221,9 +236,10 @@ MAJORANA_BILINEAR_REFERENCE = {
 
 
 def check_majorana_bilinears(g_majorana: GammaSet) -> dict[str, SignedMatch]:
-    """Sign-classify the transformed bilinears against their reference forms."""
-    g2, g3, g1 = g_majorana.g2, g_majorana.g3, g_majorana.g1
-    bilinears = {"g2g3": g2 @ g3, "g3g1": g3 @ g1, "g1g2": g1 @ g2}
+    """Sign-classify the transformed bilinears against their reference forms
+    (ValueError for a non-finite entry)."""
+    g = _finite(g_majorana)
+    bilinears = {"g2g3": g.g2 @ g.g3, "g3g1": g.g3 @ g.g1, "g1g2": g.g1 @ g.g2}
     return {name: match_up_to_sign(bilinears[name], MAJORANA_BILINEAR_REFERENCE[name],
                                    name) for name in bilinears}
 
@@ -240,8 +256,8 @@ class MajoranaSpinor:
 
     def __post_init__(self) -> None:
         comp = np.asarray(self.components)
-        if comp.shape != (4,):
-            raise ValueError("four components required")
+        if comp.shape != (4,) or not np.isfinite(comp).all():
+            raise ValueError("four finite components required")
         if np.iscomplexobj(comp):
             if np.abs(comp.imag).max(initial=0.0) > TOL_SPINOR_REAL:
                 raise ValueError("components must be real")
@@ -285,7 +301,6 @@ class CorrespondenceReport:
     lhs: np.ndarray
     rhs: np.ndarray
     max_deviation: float
-    passed: bool
 
 
 def classify_unit_correspondences(
@@ -308,13 +323,18 @@ def quaternion_correspondence(rotor: ErrorRotor, q: Quaternion,
 
     The right side is computed with the quaternion product as the oracle;
     the left side uses the generator triple the given (real) basis holds.
+    A non-finite rotor, quaternion or gamma entry, or an overflow, raises
+    ValueError in place of a NaN or inf deviation.
     """
     psi = MajoranaSpinor.from_quaternion(q)
-    lhs_c = rotor.matrix(g_majorana._generators) @ psi.components
-    if np.abs(lhs_c.imag).max(initial=0.0) > TOL_REAL:
-        raise ValueError("generator triple is not real; use a real basis")
-    lhs = lhs_c.real
-    rhs = (q * rotor.as_quaternion().conj()).as_array()
-    dev = float(np.abs(lhs - rhs).max())
-    return CorrespondenceReport(lhs, rhs, dev, dev <= TOL_IDENTITY)
+    with np.errstate(over="ignore", invalid="ignore"):     # raises ValueError below
+        lhs_c = rotor.matrix(g_majorana._generators) @ psi.components
+        if np.abs(lhs_c.imag).max(initial=0.0) > TOL_REAL:
+            raise ValueError("generator triple is not real; use a real basis")
+        lhs = lhs_c.real
+        rhs = (q * rotor.as_quaternion().conj()).as_array()
+        dev = float(np.abs(lhs - rhs).max())
+    if not np.isfinite(dev):
+        raise ValueError("the rotor, the quaternion and their images must be finite")
+    return CorrespondenceReport(lhs, rhs, dev)
 

@@ -87,8 +87,7 @@ def test_criterion_2_first_site_rotation_roundtrips(r3_correction):
     for _ in range(1000):
         a, b = random_coefficients(code.field, 2, rng)
         theta = rng.uniform(0.0, 2.0 * math.pi)
-        res = roundtrip(code, r3_correction, (a, b), so2_error(theta, 0),
-                        tol=None)
+        res = roundtrip(r3_correction, (a, b), so2_error(theta, 0))
         worst_fid = max(worst_fid, abs(res.fidelity - 1.0))
         expected_anc = np.array([math.cos(theta), 0.0, math.sin(theta), 0.0])
         worst_anc = max(worst_anc, float(
@@ -150,8 +149,7 @@ def test_criterion_4_quaternionic_code():
         logical = random_coefficients(code.field, 2, rng)
         u = random_unit_quaternion(rng)
         site = int(rng.integers(3))
-        res = roundtrip(code, cmap, logical, codes.su2_error(u, site),
-                        tol=None)
+        res = roundtrip(cmap, logical, codes.su2_error(u, site))
         worst = max(worst, abs(res.fidelity - 1.0))
     if worst > 1e-10:
         failures.append(f"min roundtrip fidelity off by {worst:.3e} > 1e-10")
@@ -174,7 +172,7 @@ def test_criterion_5_linear_combination_theorem(r3_correction, h3_correction):
             logical = random_coefficients(code.field, 2, rng)
             err = CombinedError(basis,
                                 random_coefficients(code.field, len(basis), rng))
-            res = roundtrip(code, cmap, logical, err, tol=None)
+            res = roundtrip(cmap, logical, err)
             worst = max(worst, res.residual)
         if worst > 1e-10:
             failures.append(f"{code.name}: factorization residual "

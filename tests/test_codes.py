@@ -467,6 +467,116 @@ def test_kl_table_indexing():
     assert report.table[0, 0, 0, 0] == 1.0
 
 
+# --- negative controls ----------------------------------------------------------
+# Each positive KL verdict, one step past its claim (Knill & Laflamme,
+# quant-ph/9604034, Thm. III.2): r3 corrects SO(2) but not a reflection or a
+# two-site rotation; h3 corrects unit multiplications from either side alone
+# but not from both on one site; shor9 corrects single-site Paulis and bit
+# flips in two blocks, but not two bit flips in one block or phase flips in
+# two blocks; b3 alone does not correct a phase flip.
+
+# the shor9 and b3 witnesses carry the rounding of 1/sqrt(2) products, up to
+# 4.4e-16; the others are exact
+WITNESS_TOL = 1e-15
+
+
+def _product_map(field, n_sites, factors):
+    """The dense map of site matrices ``factors[site]`` applied together."""
+    d = field.site_dim
+    matrix = np.eye(d ** n_sites, dtype=field.dtype)
+    for site, m in factors.items():
+        matrix = np.kron(np.kron(np.eye(d ** site), m),
+                         np.eye(d ** (n_sites - site - 1))) @ matrix
+    return LinearMap(field, matrix)
+
+
+def _with_terms(code, family, *terms):
+    return ErrorSet(tuple(effective_error_basis(code, family)) + terms)
+
+
+def _left_units(sites):
+    field = ScalarField.QUATERNION_R4
+    return tuple(ErrorTerm(f"{u}*@{site}", SiteOperator(
+        field, site, quat.left_mult_matrix(quat.UNITS[u])))
+        for site in sites for u in "ijk")
+
+
+def _r3_reflection():
+    code = build_r3_code()
+    return code, _with_terms(code, ErrorFamily.SO2, ErrorTerm(
+        "refl@0", SiteOperator(code.field, 0, np.diag([1.0, -1.0]))))
+
+
+def _r3_rot90_pair():
+    code = build_r3_code()
+    rot = so2_error(math.pi / 2.0, 0).matrix
+    return code, _with_terms(code, ErrorFamily.SO2, ErrorTerm(
+        "rot90@0,1", _product_map(code.field, 3, {0: rot, 1: rot})))
+
+
+def _h3_left_units(unit):
+    code = build_h3_code(unit)
+    return code, ErrorSet((identity_error(code.field),) + _left_units(range(3)))
+
+
+def _h3_both_sides():
+    code = build_h3_code("j")
+    right = tuple(ErrorTerm(f"*{u}@0", codes.right_unit_error(u, 0)) for u in "ijk")
+    return code, ErrorSet((identity_error(code.field),) + right + _left_units([0]))
+
+
+def _shor9_with(label, factors):
+    code = build_shor9_code()
+    return code, _with_terms(code, ErrorFamily.PAULI_PER_SITE, ErrorTerm(
+        label, _product_map(code.field, 9, factors)))
+
+
+def _b3_phase_flip():
+    code = build_b3_code()
+    return code, ErrorSet((identity_error(code.field),
+                           ErrorTerm("Z@0", pauli_error("z", 0))))
+
+
+_X, _Z = quat.PAULI_MATRICES["x"], quat.PAULI_MATRICES["z"]
+
+# id: (code and error set, None for a pass or the first violation's kind,
+# error pair and values: the two diagonal values in ascending order, or the
+# cross term's modulus)
+_NEGATIVE_CONTROLS = {
+    "r3-reflection": (_r3_reflection, ("diagonal", "I", "refl@0", (-1.0, 1.0))),
+    "r3-rot90-two-sites": (_r3_rot90_pair, ("cross", "rot90@2", "rot90@0,1", 1.0)),
+    "h3[i]-left-units": (lambda: _h3_left_units("i"), None),
+    "h3[j]-left-units": (lambda: _h3_left_units("j"), None),
+    "h3[j]-both-sides": (_h3_both_sides, ("diagonal", "*i@0", "i*@0", (-1.0, 1.0))),
+    "shor9-X0X1": (lambda: _shor9_with("X0X1", {0: _X, 1: _X}),
+                   ("diagonal", "X@2", "X0X1", (-1.0, 1.0))),
+    "shor9-Z0Z3": (lambda: _shor9_with("Z0Z3", {0: _Z, 3: _Z}),
+                   ("cross", "Z@6", "Z0Z3", 1.0)),
+    "shor9-X0X3": (lambda: _shor9_with("X0X3", {0: _X, 3: _X}), None),
+    "b3-Z0": (_b3_phase_flip, ("cross", "I", "Z@0", 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_NEGATIVE_CONTROLS))
+def test_kl_negative_controls(case):
+    build, witness = _NEGATIVE_CONTROLS[case]
+    code, errors = build()
+    report = kl_check(code, errors)
+    assert report.passed is (witness is None)
+    if witness is None:
+        assert report.max_deviation <= codes.KL_TOL
+        return
+    kind, first, second, values = witness
+    v = report.violations[0]
+    assert (v.kind, report.labels[v.p1], report.labels[v.p2]) == (kind, first, second)
+    if kind == "diagonal":
+        assert all(abs(value.imag) <= WITNESS_TOL for value in np.asarray(v.values))
+        got = sorted(np.real(v.values))
+        assert np.abs(np.subtract(got, values)).max() <= WITNESS_TOL
+    else:
+        assert abs(v.deviation - values) <= WITNESS_TOL
+
+
 # --- correction synthesis ----------------------------------------------------
 
 R3_TABLE = [
@@ -899,8 +1009,8 @@ def test_held_completion_roundtrip_matches_the_dense_operator(name, seed):
     rng = np.random.default_rng(seed)
     logical = random_coefficients(code.field, 2, rng)
     error = _combined(cmap)(rng)
-    got = roundtrip(code, cmap, logical, error, tol=None)
-    expected = roundtrip(code, dense, logical, error, tol=None)
+    got = roundtrip(cmap, logical, error)
+    expected = roundtrip(dense, logical, error)
     assert got.residual == expected.residual
     assert got.fidelity == expected.fidelity
     assert np.array_equal(got.ancilla.amplitudes, expected.ancilla.amplitudes)
@@ -1041,7 +1151,7 @@ def test_roundtrip_identity_error(r3_correction):
     code = r3_correction.code
     basis = r3_correction.errors
     err = CombinedError(basis, np.array([1.0, 0, 0, 0]))
-    res = roundtrip(code, r3_correction, (0.6, 0.8), err)
+    res = roundtrip(r3_correction, (0.6, 0.8), err)
     assert res.residual <= 1e-12
     assert abs(res.fidelity - 1.0) <= 1e-12
     assert np.allclose(res.ancilla.amplitudes, [1, 0, 0, 0], atol=1e-12)
@@ -1053,7 +1163,7 @@ def test_roundtrip_worked_example(r3_correction):
     for _ in range(50):
         a, b = random_coefficients(code.field, 2, rng)
         theta = rng.uniform(0, 2 * math.pi)
-        res = roundtrip(code, r3_correction, (a, b), so2_error(theta, 0))
+        res = roundtrip(r3_correction, (a, b), so2_error(theta, 0))
         assert abs(res.fidelity - 1.0) <= 1e-10
         assert res.residual <= 1e-10
         expected_anc = np.array([math.cos(theta), 0.0, math.sin(theta), 0.0])
@@ -1067,19 +1177,16 @@ def test_roundtrip_h3_random_unit_errors(h3_correction):
         logical = random_coefficients(code.field, 2, rng)
         u = random_unit_quaternion(rng)
         site = int(rng.integers(3))
-        res = roundtrip(code, h3_correction, logical, su2_error(u, site))
+        res = roundtrip(h3_correction, logical, su2_error(u, site))
         assert abs(res.fidelity - 1.0) <= 1e-10
         assert res.residual <= 1e-10
 
 
 def test_roundtrip_flags_out_of_family_error(r3_correction):
-    # diag(1, -1) is not a plane rotation and lies outside the corrected span
-    code = r3_correction.code
+    # diag(1, -1) is not a plane rotation and lies outside the corrected span;
+    # the residual reports it and the caller judges it
     bad = codes.SiteOperator(ScalarField.REAL, 0, np.diag([1.0, -1.0]))
-    with pytest.raises(codes.FactorizationError) as err:
-        roundtrip(code, r3_correction, (0.6, 0.8), bad)
-    assert err.value.result.residual > 1e-3
-    res = roundtrip(code, r3_correction, (0.6, 0.8), bad, tol=None)
+    res = roundtrip(r3_correction, (0.6, 0.8), bad)
     assert res.residual > 1e-3
 
 
@@ -1090,7 +1197,7 @@ def test_roundtrip_shor9_combined(shor9_correction):
     for _ in range(25):
         logical = random_coefficients(code.field, 2, rng)
         err = CombinedError(basis, random_coefficients(code.field, len(basis), rng))
-        res = roundtrip(code, shor9_correction, logical, err)
+        res = roundtrip(shor9_correction, logical, err)
         assert abs(res.fidelity - 1.0) <= 1e-10
         assert res.residual <= 1e-10
 
@@ -1102,7 +1209,7 @@ def test_roundtrip_linearity_r3(r3_correction):
     for _ in range(100):
         logical = random_coefficients(code.field, 2, rng)
         err = CombinedError(basis, random_coefficients(code.field, 4, rng))
-        res = roundtrip(code, r3_correction, logical, err)
+        res = roundtrip(r3_correction, logical, err)
         assert res.residual <= 1e-10
         assert abs(res.fidelity - 1.0) <= 1e-10
 
@@ -1178,17 +1285,16 @@ def _field_amplitudes(field, n_sites, amps):
     return amps
 
 
-def _checked_twice_roundtrip(code, cmap, logical, error, tol=codes.SYNTH_TOL):
+def _checked_twice_roundtrip(cmap, logical, error):
     """The roundtrip as it was while it checked the encoded and the corrupted
     amplitudes by an entry scan next to their norms, and validated the
-    states it built, kept verbatim as the bit-for-bit reference."""
-    if tol is not None and not tol >= 0:
-        raise ValueError(f"tol must be nonnegative or None, got {tol!r}")
+    states it built, kept verbatim as the bit-for-bit reference (less the
+    residual gate and the code argument, which it has lost since)."""
     if not isinstance(error, (CombinedError, SiteOperator, LinearMap)):
         raise TypeError("error must be a CombinedError, SiteOperator or "
                         f"LinearMap, got {type(error).__name__}")
+    code = cmap.code
     field = code.field
-    cmap._check_input(field, code.dim * cmap.ancilla_dim)
     logical, encoded = codes._encoded_amplitudes(code, logical)
     encoded = _field_amplitudes(field, code.n_sites, encoded)
     with np.errstate(over="ignore", invalid="ignore"):     # raises ValueError below
@@ -1219,14 +1325,8 @@ def _checked_twice_roundtrip(code, cmap, logical, error, tol=codes.SYNTH_TOL):
                     if cf_norm > 0 else 0.0)
     if not all(map(math.isfinite, (scale, residual_f, norm_gap, fidelity))):
         raise ValueError("a norm overflows: the state is too large")
-    result = codes.RoundtripResult(StateVector(code.field, cmap.n_ancilla, anc),
-                                   residual, fidelity)
-    if tol is not None and residual > tol:
-        raise codes.FactorizationError(
-            f"output does not factor (residual {residual:.3e} > {tol:.1e}); "
-            "the map is broken or the error lies outside the corrected family",
-            result)
-    return result
+    return codes.RoundtripResult(StateVector(code.field, cmap.n_ancilla, anc),
+                                 residual, fidelity)
 
 
 @pytest.mark.parametrize("draw", [_combined, _single_site], ids=["combined", "site"])
@@ -1240,8 +1340,8 @@ def test_roundtrip_matches_the_checked_twice_reference_bit_for_bit(fixture, draw
     for _ in range(40):
         logical = random_coefficients(code.field, 2, rng)
         error = draw_error(rng)
-        res = roundtrip(code, cmap, logical, error, tol=None)
-        ref = _checked_twice_roundtrip(code, cmap, logical, error, tol=None)
+        res = roundtrip(cmap, logical, error)
+        ref = _checked_twice_roundtrip(cmap, logical, error)
         assert res.fidelity == ref.fidelity
         assert res.residual == ref.residual
         assert res.ancilla.amplitudes.dtype == ref.ancilla.amplitudes.dtype
@@ -1272,34 +1372,32 @@ def _overflowing_shor9_error():
     return LinearMap(code.field, matrix)
 
 
-# (map fixture, logical coefficients, error, tol): the inputs of
+# (map fixture, logical coefficients, error): the inputs of
 # test_roundtrip_rejects_invalid_input and the overflow tests below
 _REJECTED_INPUTS = {
-    "nan-logical": ("r3_correction", (math.nan, 1.0), lambda: so2_error(0.3, 0), None),
-    "inf-logical": ("r3_correction", (math.inf, 1.0), lambda: so2_error(0.3, 0), None),
-    "zero-logical": ("r3_correction", (0.0, 0.0), lambda: so2_error(0.3, 0), None),
+    "nan-logical": ("r3_correction", (math.nan, 1.0), lambda: so2_error(0.3, 0)),
+    "inf-logical": ("r3_correction", (math.inf, 1.0), lambda: so2_error(0.3, 0)),
+    "zero-logical": ("r3_correction", (0.0, 0.0), lambda: so2_error(0.3, 0)),
     "nan-error": ("r3_correction", (0.6, 0.8), lambda: SiteOperator(
-        ScalarField.REAL, 1, [[math.nan, 0.0], [0.0, 1.0]]), None),
+        ScalarField.REAL, 1, [[math.nan, 0.0], [0.0, 1.0]])),
     "non-square-error": ("r3_correction", (0.6, 0.8),
-                         lambda: _non_square_error().op, None),
+                         lambda: _non_square_error().op),
     "zero-weighted-nan-term": ("r3_correction", (0.6, 0.8),
-                               _zero_weighted_nan_error, None),
-    "overflowing-error-no-gate": ("shor9_correction", (0.6, 0.8),
-                                  _overflowing_shor9_error, None),
-    "overflowing-error-gate": ("shor9_correction", (0.6, 0.8),
-                               _overflowing_shor9_error, codes.SYNTH_TOL),
+                               _zero_weighted_nan_error),
+    "overflowing-error-norm": ("shor9_correction", (0.6, 0.8),
+                               _overflowing_shor9_error),
     "overflowing-logical": ("r3_correction", (1e160, 1e160),
-                            lambda: so2_error(0.3, 0), None),
+                            lambda: so2_error(0.3, 0)),
 }
 
 
 @pytest.mark.parametrize("case", list(_REJECTED_INPUTS))
 def test_roundtrip_rejects_what_the_checked_twice_reference_rejects(case, request):
-    fixture, logical, make_error, tol = _REJECTED_INPUTS[case]
+    fixture, logical, make_error = _REJECTED_INPUTS[case]
     cmap = request.getfixturevalue(fixture)
     error = make_error()
-    got = _raised(roundtrip, cmap.code, cmap, logical, error, tol=tol)
-    want = _raised(_checked_twice_roundtrip, cmap.code, cmap, logical, error, tol=tol)
+    got = _raised(roundtrip, cmap, logical, error)
+    want = _raised(_checked_twice_roundtrip, cmap, logical, error)
     assert got == want
     assert got[0] is ValueError
 
@@ -1314,7 +1412,7 @@ def test_roundtrip_matches_the_state_reference(fixture, draw, request):
     for _ in range(20):
         logical = random_coefficients(code.field, 2, rng)
         error = draw_error(rng)
-        res = roundtrip(code, cmap, logical, error, tol=None)
+        res = roundtrip(cmap, logical, error)
         ancilla, residual, fidelity = _reference_roundtrip(code, cmap, logical, error)
         # the norm gap reads the corrupted state, not corrupted x |0_A>
         assert abs(res.residual - residual) <= 1e-15
@@ -1343,17 +1441,17 @@ def test_roundtrip_coerces_complex_typed_logical_coefficients(fixture, draw, req
     for _ in range(5):
         logical = random_coefficients(code.field, 2, rng)
         error = draw_error(rng)
-        expected = roundtrip(code, cmap, logical, error, tol=None)
+        expected = roundtrip(cmap, logical, error)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = roundtrip(code, cmap, logical.astype(complex), error, tol=None)
+            res = roundtrip(cmap, logical.astype(complex), error)
         assert res.residual == expected.residual
         assert res.fidelity == expected.fidelity
         assert res.ancilla.amplitudes.dtype == code.field.dtype
         assert res.ancilla.amplitudes.tobytes() == expected.ancilla.amplitudes.tobytes()
         for imag in ((1e-3, 0.0), (0.0, -1e-300)):
             with pytest.raises(FieldMismatchError):
-                roundtrip(code, cmap, logical + 1j * np.array(imag), error, tol=None)
+                roundtrip(cmap, logical + 1j * np.array(imag), error)
 
 
 @pytest.mark.parametrize("draw", [_combined, _single_site], ids=["combined", "site"])
@@ -1381,7 +1479,7 @@ def test_roundtrip_builds_only_the_states_it_needs(fixture, draw, request,
     monkeypatch.setattr(StateVector, "__post_init__", counting)
     monkeypatch.setattr(codes.CorrectionMap, "apply", forbidden)
     monkeypatch.setattr(LinearMap, "apply", forbidden)
-    ancilla = roundtrip(code, cmap, logical, error, tol=None).ancilla
+    ancilla = roundtrip(cmap, logical, error).ancilla
     assert built == []
     amps = ancilla.amplitudes
     assert not amps.flags.writeable
@@ -1400,10 +1498,10 @@ def test_shor9_roundtrip_builds_no_whole_output_table(shor9_correction):
     rng = rng_for(8, 2)
     logical = random_coefficients(code.field, 2, rng)
     error = _combined(cmap)(rng)
-    roundtrip(code, cmap, logical, error, tol=None)
+    roundtrip(cmap, logical, error)
     tracemalloc.start()
     try:
-        roundtrip(code, cmap, logical, error, tol=None)
+        roundtrip(cmap, logical, error)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1449,15 +1547,8 @@ def test_partial_map_residual_on_the_support_matches_the_full_table(case):
     cmap = _partial_map("shor9")
     logical, error = case
     residual = _full_table_residual(cmap.code, cmap, logical, error)
-    res = roundtrip(cmap.code, cmap, logical, error, tol=None)
+    res = roundtrip(cmap, logical, error)
     assert abs(res.residual - residual) <= 1e-15 * residual
-    flagged = residual > codes.SYNTH_TOL
-    try:
-        roundtrip(cmap.code, cmap, logical, error)
-    except codes.FactorizationError:
-        assert flagged
-    else:
-        assert not flagged
 
 
 def test_completed_map_residual_reads_the_whole_table(h3_correction):
@@ -1469,7 +1560,7 @@ def test_completed_map_residual_reads_the_whole_table(h3_correction):
         logical = random_coefficients(code.field, 2, rng)
         error = LinearMap(code.field, rng.standard_normal((code.dim, code.dim)))
         residual = _full_table_residual(code, cmap, logical, error)
-        res = roundtrip(code, cmap, logical, error, tol=None)
+        res = roundtrip(cmap, logical, error)
         assert residual > 1e-3
         assert abs(res.residual - residual) <= 1e-15 * residual
 
@@ -1481,10 +1572,10 @@ def test_shor9_roundtrip_builds_no_dense_temporary(shor9_correction):
     rng = rng_for(8, 3)
     logical = random_coefficients(cmap.code.field, 2, rng)
     error = _combined(cmap)(rng)
-    roundtrip(cmap.code, cmap, logical, error)      # the images are held
+    roundtrip(cmap, logical, error)      # the images are held
     tracemalloc.start()
     try:
-        roundtrip(cmap.code, cmap, logical, error)
+        roundtrip(cmap, logical, error)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1663,7 +1754,7 @@ def _reference_simulate(cmap, draw_error, rng, trials):
     residuals = np.empty(trials)
     for t in range(trials):
         logical = random_coefficients(code.field, len(code.codewords), rng)
-        res = roundtrip(code, cmap, logical, draw_error(rng), tol=None)
+        res = roundtrip(cmap, logical, draw_error(rng))
         fidelities[t], residuals[t] = res.fidelity, res.residual
     return fidelities, residuals
 
@@ -1832,20 +1923,6 @@ def test_table_corruption_matches_the_term_by_term_sum(case):
     assert np.abs(error._corrupt(code, logical) - expected).max() <= 1e-15
 
 
-def test_roundtrip_rejects_a_map_over_another_field(r3_correction):
-    with pytest.raises(FieldMismatchError):
-        roundtrip(build_complex3_code(), r3_correction, (0.6, 0.8),
-                  pauli_error("x", 0))
-
-
-def test_roundtrip_rejects_a_map_of_another_dimension(r3_correction,
-                                                      shor9_correction):
-    with pytest.raises(ValueError):
-        roundtrip(build_h3_code(), r3_correction, (0.6, 0.8), su2_error(quat.I, 0))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        roundtrip(build_b3_code(), shor9_correction, (0.6, 0.8), pauli_error("x", 0))
-
-
 @pytest.mark.parametrize("logical,error,message", [
     ((math.nan, 1.0), so2_error(0.3, 0), "finite"),
     ((math.inf, 1.0), so2_error(0.3, 0), "finite"),
@@ -1856,7 +1933,7 @@ def test_roundtrip_rejects_a_map_of_another_dimension(r3_correction,
 ], ids=["nan-logical", "inf-logical", "zero-logical", "nan-error", "non-square-error"])
 def test_roundtrip_rejects_invalid_input(r3_correction, logical, error, message):
     with pytest.raises(ValueError, match=message):
-        roundtrip(r3_correction.code, r3_correction, logical, error, tol=None)
+        roundtrip(r3_correction, logical, error)
 
 
 def test_roundtrip_of_a_nan_error_raises_without_a_warning(r3_correction):
@@ -1865,47 +1942,37 @@ def test_roundtrip_of_a_nan_error_raises_without_a_warning(r3_correction):
                               (0.6, 0.8), nan_error, "finite")
 
 
-@pytest.mark.parametrize("tol", [None, codes.SYNTH_TOL], ids=["no-gate", "gate"])
-def test_roundtrip_of_a_finite_overflowing_error_raises(shor9_correction, tol):
+def test_roundtrip_of_a_finite_overflowing_error_raises(shor9_correction):
     # the corrupted amplitudes are finite, but their norms overflow; this used
-    # to warn from the norms and, without a gate, return an inf residual
+    # to warn from the norms and return an inf residual
     code = shor9_correction.code
     matrix = 1e307 * np.eye(code.dim, dtype=code.field.dtype)
     matrix[0, 7] = 1e307
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="a norm overflows"):
-            roundtrip(code, shor9_correction, (0.6, 0.8),
-                      LinearMap(code.field, matrix), tol=tol)
+            roundtrip(shor9_correction, (0.6, 0.8), LinearMap(code.field, matrix))
 
 
 def test_roundtrip_of_an_overflowing_logical_state_raises(r3_correction):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="a norm overflows"):
-            roundtrip(r3_correction.code, r3_correction, (1e160, 1e160),
-                      so2_error(0.3, 0), tol=None)
+            roundtrip(r3_correction, (1e160, 1e160),
+                      so2_error(0.3, 0))
 
 
 def test_roundtrip_checks_zero_weighted_terms(r3_correction):
     errors = ErrorSet((identity_error(ScalarField.REAL),
                        identity_error(ScalarField.COMPLEX)))
     with pytest.raises(FieldMismatchError):
-        roundtrip(r3_correction.code, r3_correction, (0.6, 0.8),
+        roundtrip(r3_correction, (0.6, 0.8),
                   CombinedError(errors, [1.0, 0.0]))
-
-
-@pytest.mark.parametrize("tol", [math.nan, -1e-12], ids=["nan", "negative"])
-def test_roundtrip_rejects_a_nan_or_negative_tol(r3_correction, tol):
-    # a NaN tol would silently turn the residual gate off
-    with pytest.raises(ValueError, match="tol must be nonnegative"):
-        roundtrip(r3_correction.code, r3_correction, (0.6, 0.8),
-                  so2_error(0.3, 0), tol=tol)
 
 
 def test_roundtrip_rejects_an_error_of_another_type(r3_correction):
     with pytest.raises(TypeError, match="CombinedError, SiteOperator or LinearMap"):
-        roundtrip(r3_correction.code, r3_correction, (0.6, 0.8), "X@0")
+        roundtrip(r3_correction, (0.6, 0.8), "X@0")
 
 
 def test_simulate_rejects_negative_trials(r3_correction):
@@ -2343,7 +2410,7 @@ def test_seeded_roundtrips_are_bit_identical(r3_correction):
         for _ in range(20):
             logical = random_coefficients(code.field, 2, rng)
             err = CombinedError(basis, random_coefficients(code.field, 4, rng))
-            res = roundtrip(code, r3_correction, logical, err)
+            res = roundtrip(r3_correction, logical, err)
             out.append((res.fidelity, res.residual))
         return out
 

@@ -1,10 +1,11 @@
 import dataclasses
 import functools
+import warnings
 
 import numpy as np
 import pytest
 
-from hqec import cli, dirac, verify
+from hqec import cli, codes, dirac, verify
 from hqec import quaternion as quat
 from hqec.dirac import (
     ErrorRotor,
@@ -18,13 +19,15 @@ from hqec.dirac import (
     clifford_check,
     error_generators,
     majorana_set,
+    match_up_to_sign,
     quaternion_correspondence,
     transform_basis,
 )
-from hqec.linalg import is_isometry
+from hqec.linalg import ScalarField, SiteOperator, is_isometry
 from hqec.quaternion import Quaternion
 from hqec.report import CheckRecord
 from hqec.sampling import (
+    random_coefficients,
     random_unit_quaternion,
     random_unitary,
     rng_for,
@@ -83,6 +86,66 @@ def test_clifford_rejects_a_non_finite_set(bad):
     g1[1, 2] = bad
     with pytest.raises(ValueError, match="must be finite"):
         clifford_check(GammaSet(g.g0, g1, g.g2, g.g3, g.g5))
+
+
+def _with_entry(g, name, value):
+    """A copy of ``g`` whose matrix ``name`` holds ``value`` at (1, 2)."""
+    mats = dict(zip(("g0", "g1", "g2", "g3", "g5"), (m.copy() for m in g.all())))
+    mats[name][1, 2] = value
+    return GammaSet(**mats)
+
+
+def _raises_without_a_warning(message, call, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call(*args)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_correspondence_rejects_a_non_finite_rotor_or_quaternion(bad):
+    # a NaN rotor used to return max_deviation nan, an infinite quaternion to
+    # warn from the product
+    gm = majorana_set()
+    for rotor, q in ((ErrorRotor(bad, 0.0, 0.0, 0.0), quat.ONE),
+                     (ErrorRotor(0.0, 0.0, bad, 0.0), quat.J),
+                     (ErrorRotor(1.0, 0.0, 0.0, 0.0), Quaternion(bad, 0.0, 0.0, 0.0)),
+                     (ErrorRotor(0.0, 0.0, 0.0, 1.0), Quaternion(1.0, 2.0, 0.0, bad))):
+        _raises_without_a_warning("finite", quaternion_correspondence, rotor, q, gm)
+
+
+def test_correspondence_that_overflows_raises():
+    big = 1e308
+    _raises_without_a_warning("must be finite", quaternion_correspondence,
+                              ErrorRotor(big, big, big, big),
+                              Quaternion(big, big, 1.0, 1.0), majorana_set())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_sign_checks_reject_non_finite_matrices(bad):
+    # match_up_to_sign used to return deviation nan, which reached the
+    # bilinear, basis-image and unit-sign classifications
+    gs = build_gammas_standard()
+    gm = majorana_set(gs)
+    um = build_majorana_transform(gs)
+    matrix = np.eye(4)
+    matrix[1, 2] = bad
+    _raises_without_a_warning("m: matrices must be finite", match_up_to_sign,
+                              matrix, np.eye(4), "m")
+    _raises_without_a_warning("m: matrices must be finite", match_up_to_sign,
+                              np.eye(4), matrix, "m")
+    _raises_without_a_warning("i: matrices must be finite",
+                              classify_unit_correspondences, (matrix,) * 3)
+    for name in ("g0", "g1", "g2", "g3", "g5"):
+        _raises_without_a_warning("must be finite", check_majorana_bilinears,
+                                  _with_entry(gm, name, bad))
+        _raises_without_a_warning("must be finite", check_basis_images,
+                                  _with_entry(gs, name, bad), um)
+        _raises_without_a_warning("must be finite", error_generators,
+                                  _with_entry(gm, name, bad))
+        _raises_without_a_warning("must be finite", quaternion_correspondence,
+                                  ErrorRotor(0.0, 1.0, 0.0, 0.0), quat.ONE,
+                                  _with_entry(gm, name, bad))
 
 
 def test_clifford_invariant_under_random_unitaries():
@@ -209,8 +272,7 @@ def test_correspondence_j_unit_matches_reference():
     rotor = ErrorRotor(0.0, 0.0, 1.0, 0.0)
     for q in (quat.ONE, quat.I, quat.J, quat.K, quat.Quaternion(1, -2, 0.5, 3)):
         rep = quaternion_correspondence(rotor, q, gm)
-        assert rep.passed
-        assert rep.max_deviation <= 1e-12
+        assert rep.max_deviation <= dirac.TOL_IDENTITY
 
 
 def test_correspondence_builds_the_generators_once_per_set(monkeypatch):
@@ -234,7 +296,7 @@ def test_correspondence_i_unit_flips_sign():
     gm = majorana_set()
     rotor = ErrorRotor(0.0, 1.0, 0.0, 0.0)
     rep = quaternion_correspondence(rotor, quat.ONE, gm)
-    assert not rep.passed
+    assert rep.max_deviation > dirac.TOL_IDENTITY
     # reference claims 1*conj(i) = -i; the generator realizes +i instead
     assert np.allclose(rep.rhs, [0, -1, 0, 0])
     assert np.allclose(rep.lhs, [0, 1, 0, 0])
@@ -334,6 +396,10 @@ def test_majorana_spinor_roundtrip():
     assert _close(quat.Quaternion.from_array(m.components), q)
     with pytest.raises(ValueError):
         MajoranaSpinor(np.array([1j, 0, 0, 0]))
+    # a NaN imaginary part used to pass the realness test and be dropped
+    for bad in (np.nan, np.inf, complex(1.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            MajoranaSpinor(np.array([bad, 0, 0, 0]))
 
 
 # --- the suite against its loop form ----------------------------------------
@@ -577,3 +643,54 @@ def test_conjugate_transform_satisfies_the_other_three_reference_tables():
 def test_a_global_phase_on_the_transform_keeps_the_seven_findings(phase):
     u = phase * build_majorana_transform(build_gammas_standard())
     assert _findings(u) == _SEVEN_FINDINGS
+
+
+# --- the spinor route into the quaternionic code ---------------------------------
+# A second route to the h3 claim: the error set comes from the gamma algebra,
+# not the quaternion table, and the map that corrects it from the table. Under
+# U the rotor is right multiplication by e0 + e1 i - e2 j + e3 k, under conj(U)
+# by conj(e); both are unit right multiplications, so either basis works.
+
+_TRANSFORMS = {"U": lambda u: u, "conj(U)": np.conj}
+
+
+def _real_generators(transform):
+    gs = build_gammas_standard()
+    gens = error_generators(transform_basis(
+        gs, _TRANSFORMS[transform](build_majorana_transform(gs))))
+    assert all(np.all(g.imag == 0.0) for g in gens)
+    return tuple(g.real for g in gens)
+
+
+def _spinor_error_set(gens):
+    """The identity and the three generators on each of the three sites."""
+    field = ScalarField.QUATERNION_R4
+    return codes.ErrorSet((codes.identity_error(field),) + tuple(
+        codes.ErrorTerm(f"E{k}@{site}", SiteOperator(field, site, g))
+        for site in range(3) for k, g in enumerate(gens, 1)))
+
+
+@pytest.mark.parametrize("transform", list(_TRANSFORMS))
+@pytest.mark.parametrize("unit", ["i", "j"])
+def test_spinor_error_set_is_correctable(unit, transform):
+    code = codes.build_h3_code(unit)
+    errors = _spinor_error_set(_real_generators(transform))
+    report = codes.kl_check(code, errors)
+    assert report.passed
+    assert report.max_deviation == 0.0
+    cmap = codes.synthesize_correction(code, errors, 2, complete=False)
+    assert cmap.isometry_deviation() == 0.0
+
+
+@pytest.mark.parametrize("transform", list(_TRANSFORMS))
+def test_the_h3_map_corrects_random_spinor_rotors(h3_correction, transform):
+    gens = _real_generators(transform)
+    field = h3_correction.code.field
+    rng = rng_for(12, 8)
+    for _ in range(200):
+        e = random_unit_quaternion(rng)
+        matrix = ErrorRotor(e.w, e.x, e.y, e.z).matrix(gens)
+        error = SiteOperator(field, int(rng.integers(3)), matrix)
+        res = codes.roundtrip(h3_correction, random_coefficients(field, 2, rng), error)
+        assert res.residual <= codes.SYNTH_TOL
+        assert abs(res.fidelity - 1.0) <= codes.SYNTH_TOL

@@ -206,6 +206,26 @@ def test_pauli_classification_stable():
     assert first == second
 
 
+def test_pauli_confirmation_drift_is_a_fail_record_not_an_error(monkeypatch):
+    # exact on the basis quaternions 1 and j, from which the matrix is read,
+    # but about 1e-9 off on the random quaternions that confirm it: the
+    # classification reports the drift and the suite's record decides it
+    exact = quat.pauli_action
+
+    def drifting(axis, q):
+        out = exact(axis, q)
+        return out if q in (ONE, quat.J) else out + quat.Quaternion(1e-9, 0, 0, 0)
+
+    monkeypatch.setattr(quat, "pauli_action", drifting)
+    cls = quat.classify_pauli_action("x", seed=0)
+    assert cls.target == "z"
+    assert 0.5e-9 <= cls.max_deviation <= 2e-9
+    records = {r.check_id: r for r in verify.quaternion_suite(0, 5)}
+    record = records["pauli_sandwich_classification"]
+    assert not record.passed
+    assert record.max_deviation == cls.max_deviation
+
+
 # --- Hopf projection ------------------------------------------------------
 
 def test_hopf_examples():

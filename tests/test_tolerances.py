@@ -11,17 +11,19 @@ reads or writes a generator's ``bit_generator``: the seeded draws are plain
 blocks of one kind of value per stream, so no draw is ever replayed by saving
 and restoring its state.  Every public top-level function and class of
 ``hqec`` has a caller in the package or in the benchmark, so none is kept
-alive by its own tests alone.
+alive by its own tests alone, and every exception class ``hqec`` defines is
+raised somewhere in it, so none outlives the check that raised it.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import hqec
 
 SRC = Path(hqec.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-MAX_PARAMETER_DEFAULTS = 14
+MAX_PARAMETER_DEFAULTS = 13
 
 
 def _parse(path: Path) -> ast.Module:
@@ -83,3 +85,35 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
             if not any(node.name in uses[other] for other in paths if other != path):
                 unused.append(f"{path.name}: {node.name}")
     assert unused == []
+
+
+def _name(node: ast.expr) -> str | None:
+    """The name a bare name or an attribute reads, None for anything else."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _is_builtin_exception(name: str | None) -> bool:
+    base = getattr(builtins, name or "", None)
+    return isinstance(base, type) and issubclass(base, BaseException)
+
+
+def test_every_exception_class_is_raised():
+    trees = [_parse(path) for path in sorted(SRC.glob("*.py"))]
+    classes = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    exceptions: set[str] = set()
+    grew = True
+    while grew:                  # subclasses of exception classes of hqec too
+        found = {node.name for node in classes
+                 if any(_is_builtin_exception(_name(b)) or _name(b) in exceptions
+                        for b in node.bases)}
+        grew = found != exceptions
+        exceptions = found
+    raised = {_name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+              for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and node.exc is not None}
+    assert exceptions and sorted(exceptions - raised) == []
