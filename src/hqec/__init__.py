@@ -57,16 +57,21 @@ from .codes import (
     roundtrip,
     synthesize_correction,
 )
-from .dirac import (
-    ErrorRotor,
-    GammaSet,
-    MajoranaSpinor,
-    build_gammas_standard,
-    build_majorana_transform,
-    clifford_check,
-    error_generators,
-    quaternion_correspondence,
-    transform_basis,
-)
 
 __version__ = "0.1.0"
+
+# ``hqec.dirac`` loads on first use of one of these, not with the package
+_DIRAC_EXPORTS = ("ErrorRotor", "GammaSet", "MajoranaSpinor", "build_gammas_standard",
+                  "build_majorana_transform", "clifford_check", "error_generators",
+                  "quaternion_correspondence", "transform_basis")
+
+
+def __getattr__(name: str):
+    if name in _DIRAC_EXPORTS:
+        from . import dirac
+        return getattr(dirac, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_DIRAC_EXPORTS])

@@ -39,14 +39,13 @@ built only on access.  Any other completion is held as a dense matrix.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import quaternion as quat
+from ._frozen import _Frozen, _set
 from .linalg import (
     FieldMismatchError,
     LinearMap,
@@ -85,31 +84,26 @@ class SynthesisError(ValueError):
 # Codes
 
 
-@dataclass(frozen=True)
-class Code:
-    name: str
-    field: ScalarField
-    n_sites: int
-    codewords: tuple[StateVector, ...]
-    # the codewords as the rows of one read-only array
-    words: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
-    # the read-only indices of the amplitudes some codeword holds nonzero
-    support: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
-    # the number of amplitudes of a state, site_dim ** n_sites
-    dim: int = dataclasses.field(init=False, repr=False, compare=False)
+class Code(_Frozen):
+    """Codewords, also held as the rows of the read-only array ``words``, with
+    ``support``, the read-only indices of the amplitudes some codeword holds
+    nonzero, and ``dim``, the amplitudes of a state (site_dim ** n_sites)."""
 
-    def __post_init__(self) -> None:
-        if not _is_index(self.n_sites):
-            raise TypeError(f"n_sites must be an integer, got {self.n_sites!r}")
-        if not self.codewords:
+    __slots__ = ("name", "field", "n_sites", "codewords", "words", "support", "dim")
+
+    def __init__(self, name: str, field: ScalarField, n_sites: int,
+                 codewords: tuple[StateVector, ...]) -> None:
+        if not _is_index(n_sites):
+            raise TypeError(f"n_sites must be an integer, got {n_sites!r}")
+        if not codewords:
             raise ValueError("a code needs at least one codeword")
-        for idx, w in enumerate(self.codewords):
+        for idx, w in enumerate(codewords):
             if not isinstance(w, StateVector):
                 raise TypeError(f"codeword {idx} must be a StateVector, "
                                 f"got {type(w).__name__}")
-            if w.field is not self.field or w.n_sites != self.n_sites:
+            if w.field is not field or w.n_sites != n_sites:
                 raise FieldMismatchError(f"codeword {idx} does not match the code")
-        words = np.stack([w.amplitudes for w in self.codewords])
+        words = np.stack([w.amplitudes for w in codewords])
         words.setflags(write=False)
         # an overflow makes a diagonal entry inf, which the check reports
         with np.errstate(over="ignore", invalid="ignore"):
@@ -121,9 +115,7 @@ class Code:
             raise ValueError(f"codewords {jdx}, {idx} are not orthonormal")
         support = np.flatnonzero(words.any(axis=0))
         support.setflags(write=False)
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "dim", words.shape[1])
+        self._init(name, field, n_sites, codewords, words, support, words.shape[1])
 
 
 def encode(code: Code, coeffs) -> StateVector:
@@ -216,32 +208,29 @@ def build_shor9_code() -> Code:
 # Error operators
 
 
-@dataclass(frozen=True)
-class ErrorTerm:
-    label: str
-    op: SiteOperator | LinearMap
+class ErrorTerm(_Frozen):
+    __slots__ = ("label", "op")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.op, (SiteOperator, LinearMap)):
+    def __init__(self, label: str, op: SiteOperator | LinearMap) -> None:
+        if not isinstance(op, (SiteOperator, LinearMap)):
             raise TypeError("an error term's op must be a SiteOperator or "
-                            f"LinearMap, got {type(self.op).__name__}")
+                            f"LinearMap, got {type(op).__name__}")
+        self._init(label, op)
 
 
-@dataclass(frozen=True)
-class ErrorSet:
+class ErrorSet(_Frozen):
     """An ordered list of labeled error operators.  Sets meant for correction
     synthesis start with the identity (entry 0)."""
 
-    terms: tuple[ErrorTerm, ...]
-    # [code, read-only images] for the last code the set was asked about
-    _image_slot: list = dataclasses.field(default_factory=list, init=False,
-                                          compare=False, repr=False)
+    __slots__ = ("terms", "_image_slot")
 
-    def __post_init__(self) -> None:
-        for idx, t in enumerate(self.terms):
+    def __init__(self, terms: tuple[ErrorTerm, ...]) -> None:
+        for idx, t in enumerate(terms):
             if not isinstance(t, ErrorTerm):
                 raise TypeError(f"error set entry {idx} must be an ErrorTerm, "
                                 f"got {type(t).__name__}")
+        # _image_slot: [code, read-only images] for the last code the set was asked about
+        self._init(terms, [])
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -257,17 +246,15 @@ class ErrorSet:
         return tuple(t.label for t in self.terms)
 
 
-@dataclass(frozen=True)
-class CombinedError:
+class CombinedError(_Frozen):
     """A linear combination sum_p e_p E_p over an ErrorSet."""
 
-    errors: ErrorSet
-    coefficients: np.ndarray
+    __slots__ = ("errors", "coefficients")
 
-    def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coefficients)
-        _check_coefficient_rows(self.errors, coeffs[None])
-        object.__setattr__(self, "coefficients", coeffs)
+    def __init__(self, errors: ErrorSet, coefficients: np.ndarray) -> None:
+        coeffs = np.asarray(coefficients)
+        _check_coefficient_rows(errors, coeffs[None])
+        self._init(errors, coeffs)
 
     @classmethod
     def _of_rows(cls, errors: ErrorSet, rows: np.ndarray) -> list["CombinedError"]:
@@ -275,7 +262,7 @@ class CombinedError:
         _check_coefficient_rows(errors, rows)
         out = [object.__new__(cls) for _ in rows]
         for error, row in zip(out, rows):
-            vars(error).update(errors=errors, coefficients=row)
+            error._init(errors, row)
         return out
 
     def apply(self, state: StateVector) -> StateVector:
@@ -402,15 +389,14 @@ def effective_error_basis(code: Code, family: ErrorFamily) -> ErrorSet:
 # Knill-Laflamme conditions
 
 
-@dataclass(frozen=True)
-class KLViolation:
-    kind: str            # "cross" (l1 != l2) or "diagonal" (unequal diagonals)
-    p1: int
-    p2: int
-    l1: int
-    l2: int
-    values: tuple
-    deviation: float
+class KLViolation(_Frozen):
+    """``kind`` is "cross" (l1 != l2) or "diagonal" (unequal diagonals)."""
+
+    __slots__ = ("kind", "p1", "p2", "l1", "l2", "values", "deviation")
+
+    def __init__(self, kind: str, p1: int, p2: int, l1: int, l2: int,
+                 values: tuple, deviation: float) -> None:
+        self._init(kind, p1, p2, l1, l2, values, deviation)
 
     def describe(self, labels: tuple[str, ...]) -> str:
         if self.kind == "cross":
@@ -420,16 +406,17 @@ class KLViolation:
                 f"{self.values[0]} but <w{self.l2}|...|w{self.l2}> = {self.values[1]}")
 
 
-@dataclass(frozen=True)
-class KLReport:
-    passed: bool
-    table: np.ndarray          # [p1, l1, p2, l2] = <E_p1 w_l1 | E_p2 w_l2>
-    violations: tuple[KLViolation, ...]
-    gram: np.ndarray | None    # ancilla Gram <A_p1|A_p2> when passing
-    labels: tuple[str, ...]
-    # the largest cross-term modulus or diagonal spread, verdict aside (0.0
-    # for an empty error set)
-    max_deviation: float
+class KLReport(_Frozen):
+    """``table[p1, l1, p2, l2]`` = <E_p1 w_l1 | E_p2 w_l2>; ``gram`` the ancilla
+    Gram <A_p1|A_p2> when passing; ``max_deviation`` the largest cross-term
+    modulus or diagonal spread, verdict aside (0.0 for an empty error set)."""
+
+    __slots__ = ("passed", "table", "violations", "gram", "labels", "max_deviation")
+
+    def __init__(self, passed: bool, table: np.ndarray,
+                 violations: tuple[KLViolation, ...], gram: np.ndarray | None,
+                 labels: tuple[str, ...], max_deviation: float) -> None:
+        self._init(passed, table, violations, gram, labels, max_deviation)
 
 
 def _images(code: Code, errors: ErrorSet) -> tuple[np.ndarray, np.ndarray]:
@@ -526,8 +513,7 @@ def _modulus(values: np.ndarray) -> np.ndarray:
 # Correction synthesis
 
 
-@dataclass(frozen=True)
-class CorrectionMap:
+class CorrectionMap(_Frozen):
     """The ancilla-transfer partial isometry E_p w_l x |0_A> -> w_l x |a_p>,
     optionally completed to a full orthogonal/unitary operator.
 
@@ -546,30 +532,22 @@ class CorrectionMap:
     held as a dense ``LinearMap``.  ``operator`` is the dense form either
     way, built on access from a held ``(perm, sign)``."""
 
-    code: Code
-    errors: ErrorSet
-    n_ancilla: int
-    ancilla_states: tuple[int, ...]
-    _domain_adjoint: np.ndarray
-    _columns: np.ndarray
-    _completion: LinearMap | tuple[np.ndarray, np.ndarray] | None
-    # the number of ancilla basis states, site_dim ** n_ancilla
-    ancilla_dim: int = dataclasses.field(init=False, repr=False, compare=False)
-    # ancilla_states as a read-only index array, and the codewords on
-    # code.support: the fixed operands of _correct on a partial map
-    _ancilla_index: np.ndarray = dataclasses.field(init=False, repr=False,
-                                                   compare=False)
-    _support_words: np.ndarray = dataclasses.field(init=False, repr=False,
-                                                   compare=False)
+    __slots__ = ("code", "errors", "n_ancilla", "ancilla_states", "_domain_adjoint",
+                 "_columns", "_completion", "ancilla_dim", "_ancilla_index",
+                 "_support_words")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ancilla_dim",
-                           self.code.field.site_dim ** self.n_ancilla)
-        index = np.array(self.ancilla_states, dtype=np.intp)
-        words = self.code.words[:, self.code.support]
-        for name, arr in (("_ancilla_index", index), ("_support_words", words)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    def __init__(self, code: Code, errors: ErrorSet, n_ancilla: int,
+                 ancilla_states: tuple[int, ...], _domain_adjoint: np.ndarray,
+                 _columns: np.ndarray,
+                 _completion: LinearMap | tuple[np.ndarray, np.ndarray] | None) -> None:
+        # ancilla_states as a read-only index array, and the codewords on
+        # code.support: the fixed operands of _correct on a partial map
+        index = np.array(ancilla_states, dtype=np.intp)
+        words = code.words[:, code.support]
+        index.setflags(write=False)
+        words.setflags(write=False)
+        self._init(code, errors, n_ancilla, ancilla_states, _domain_adjoint, _columns,
+                   _completion, code.field.site_dim ** n_ancilla, index, words)
 
     @property
     def total_sites(self) -> int:
@@ -734,8 +712,8 @@ def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
     adjoint = images.conj() * (1.0 / np.sqrt(diag))[:, None, None]
     cmap = CorrectionMap(code, errors, n_ancilla, tuple(ancilla_states),
                          adjoint.reshape(-1, len(columns)), columns, None)
-    if complete:
-        cmap = dataclasses.replace(cmap, _completion=_completed_operator(cmap))
+    if complete:    # completed in place, before the partial map reaches a caller
+        _set(cmap, "_completion", _completed_operator(cmap))
     return cmap
 
 
@@ -841,11 +819,16 @@ def build_shor9_correction() -> CorrectionMap:
 # Roundtrip simulation
 
 
-@dataclass(frozen=True)
-class RoundtripResult:
-    ancilla: StateVector           # extracted ancilla factor
-    residual: float                # rank-one factorization residual
-    fidelity: float                # |<encoded | code factor>| after normalization
+class RoundtripResult(_Frozen):
+    """The extracted ancilla factor, the rank-one factorization residual, and
+    the fidelity |<encoded | code factor>| after normalization."""
+
+    __slots__ = ("ancilla", "residual", "fidelity")
+
+    def __init__(self, ancilla: StateVector, residual: float, fidelity: float) -> None:
+        _set(self, "ancilla", ancilla)
+        _set(self, "residual", residual)
+        _set(self, "fidelity", fidelity)
 
 
 def roundtrip(cmap: CorrectionMap, logical,
@@ -958,13 +941,17 @@ def simulate(cmap: CorrectionMap, draw, rng: np.random.Generator,
 # Phase-failure demonstration
 
 
-@dataclass(frozen=True)
-class PhaseFailureReport:
-    coeffs: tuple[complex, complex]            # logical input (a, b)
-    mimic_coeffs: tuple[complex, complex]      # (i*a, -i*b)
-    match_residual: float                      # corrupted vs encode(i*a, -i*b)
-    physically_equivalent: bool                # (i*a, -i*b) ~ phase * (a, b)?
-    kl: KLReport                               # verdict for {identity, phase error}
+class PhaseFailureReport(_Frozen):
+    """The logical input (a, b), its mimic (i*a, -i*b), the corrupted state's
+    residual against the mimic's encoding, whether the mimic is a phase times
+    (a, b), and the KL verdict for {identity, phase error}."""
+
+    __slots__ = ("coeffs", "mimic_coeffs", "match_residual", "physically_equivalent", "kl")
+
+    def __init__(self, coeffs: tuple[complex, complex],
+                 mimic_coeffs: tuple[complex, complex], match_residual: float,
+                 physically_equivalent: bool, kl: KLReport) -> None:
+        self._init(coeffs, mimic_coeffs, match_residual, physically_equivalent, kl)
 
 
 def phase_failure_demo(a: complex = 1 / math.sqrt(2.0),

@@ -16,12 +16,12 @@ record the sign actually found instead of silently flipping it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import quaternion as quat
+from ._frozen import _Frozen
 from .linalg import is_isometry
 from .quaternion import Quaternion
 
@@ -38,15 +38,14 @@ TOL_BASIS_IMAGE = 1e-13  # a conjugated gamma matrix against its reference image
 TOL_SPINOR_REAL = 1e-12  # imaginary part a Majorana spinor's components may carry
 
 
-@dataclass(frozen=True)
-class GammaSet:
+class GammaSet(_Frozen):
     """Five 4x4 matrices: gamma0..gamma3 plus the chirality matrix gamma5."""
 
-    g0: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-    g3: np.ndarray
-    g5: np.ndarray
+    __slots__ = ("g0", "g1", "g2", "g3", "g5", "__dict__")    # a dict for _generators
+
+    def __init__(self, g0: np.ndarray, g1: np.ndarray, g2: np.ndarray,
+                 g3: np.ndarray, g5: np.ndarray) -> None:
+        self._init(g0, g1, g2, g3, g5)
 
     def all(self) -> tuple[np.ndarray, ...]:
         return self.g0, self.g1, self.g2, self.g3, self.g5
@@ -84,11 +83,12 @@ def build_gammas_standard() -> GammaSet:
     return gs
 
 
-@dataclass(frozen=True)
-class CliffordReport:
-    passed: bool
-    max_deviation: float
-    failures: tuple[str, ...]
+class CliffordReport(_Frozen):
+    __slots__ = ("passed", "max_deviation", "failures")
+
+    def __init__(self, passed: bool, max_deviation: float,
+                 failures: tuple[str, ...]) -> None:
+        self._init(passed, max_deviation, failures)
 
 
 def clifford_check(g: GammaSet) -> CliffordReport:
@@ -164,14 +164,16 @@ BASIS_IMAGE_REFERENCE = {
 }
 
 
-@dataclass(frozen=True)
-class SignedMatch:
-    """Result of matching a computed matrix against sign * reference."""
+class SignedMatch(_Frozen):
+    """Result of matching a computed matrix against sign * reference: ``sign``
+    is +1, -1 or None (neither matches), ``deviation`` the residual for the best
+    sign, ``reference_deviation`` the residual against the reference (+1)."""
 
-    name: str
-    sign: int | None              # +1 / -1, or None when neither sign matches
-    deviation: float              # residual for the best sign
-    reference_deviation: float    # residual against the reference itself (+1)
+    __slots__ = ("name", "sign", "deviation", "reference_deviation")
+
+    def __init__(self, name: str, sign: int | None, deviation: float,
+                 reference_deviation: float) -> None:
+        self._init(name, sign, deviation, reference_deviation)
 
     @property
     def matches_reference(self) -> bool:
@@ -248,36 +250,34 @@ def check_majorana_bilinears(g_majorana: GammaSet) -> dict[str, SignedMatch]:
 # Spinors and rotors
 
 
-@dataclass(frozen=True)
-class MajoranaSpinor:
+class MajoranaSpinor(_Frozen):
     """A real 4-vector identified with the quaternion q0 + q1 i + q2 j + q3 k."""
 
-    components: np.ndarray
+    __slots__ = ("components",)
 
-    def __post_init__(self) -> None:
-        comp = np.asarray(self.components)
+    def __init__(self, components: np.ndarray) -> None:
+        comp = np.asarray(components)
         if comp.shape != (4,) or not np.isfinite(comp).all():
             raise ValueError("four finite components required")
         if np.iscomplexobj(comp):
             if np.abs(comp.imag).max(initial=0.0) > TOL_SPINOR_REAL:
                 raise ValueError("components must be real")
             comp = comp.real
-        object.__setattr__(self, "components", comp.astype(float))
+        self._init(comp.astype(float))
 
     @classmethod
     def from_quaternion(cls, q: Quaternion) -> "MajoranaSpinor":
         return cls(q.as_array())
 
 
-@dataclass(frozen=True)
-class ErrorRotor:
+class ErrorRotor(_Frozen):
     """Real coefficients (e0, e1, e2, e3) over identity and a generator
     triple; with sum of squares one the rotor acts as an isometry of R^4."""
 
-    e0: float
-    e1: float
-    e2: float
-    e3: float
+    __slots__ = ("e0", "e1", "e2", "e3")
+
+    def __init__(self, e0: float, e1: float, e2: float, e3: float) -> None:
+        self._init(e0, e1, e2, e3)
 
     def as_quaternion(self) -> Quaternion:
         return Quaternion(self.e0, self.e1, self.e2, self.e3)
@@ -288,8 +288,7 @@ class ErrorRotor:
                 + self.e1 * e1m + self.e2 * e2m + self.e3 * e3m)
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(_Frozen):
     """Rotor action on a real spinor versus right quaternion multiplication.
 
     ``max_deviation`` measures the reference identity
@@ -298,9 +297,10 @@ class CorrespondenceReport:
     :func:`classify_unit_correspondences`.
     """
 
-    lhs: np.ndarray
-    rhs: np.ndarray
-    max_deviation: float
+    __slots__ = ("lhs", "rhs", "max_deviation")
+
+    def __init__(self, lhs: np.ndarray, rhs: np.ndarray, max_deviation: float) -> None:
+        self._init(lhs, rhs, max_deviation)
 
 
 def classify_unit_correspondences(

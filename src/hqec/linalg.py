@@ -9,10 +9,11 @@ leftmost ket symbol is the most significant index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from ._frozen import _Frozen, _set
 
 TOL_RANK = 1e-10
 TOL_ISO = 1e-10
@@ -94,11 +95,14 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-@dataclass(frozen=True)
-class StateVector:
-    field: ScalarField
-    n_sites: int
-    amplitudes: np.ndarray
+class StateVector(_Frozen):
+    __slots__ = ("field", "n_sites", "amplitudes")
+
+    def __init__(self, field: ScalarField, n_sites: int, amplitudes: np.ndarray) -> None:
+        _set(self, "field", field)
+        _set(self, "n_sites", n_sites)
+        _set(self, "amplitudes", amplitudes)
+        self.__post_init__()        # the validation perfbench traces, by name
 
     def __post_init__(self) -> None:
         if not _is_index(self.n_sites):
@@ -115,7 +119,7 @@ class StateVector:
         amps = _field_amplitudes(self.field, self.n_sites, amps)
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
-        object.__setattr__(self, "amplitudes", amps)
+        _set(self, "amplitudes", amps)
 
     @property
     def dim(self) -> int:
@@ -140,7 +144,9 @@ class StateVector:
         entries.  ``amps`` is made read-only; nothing else may write to it."""
         amps.setflags(write=False)
         state = object.__new__(cls)
-        vars(state).update(field=field, n_sites=n_sites, amplitudes=amps)
+        _set(state, "field", field)
+        _set(state, "n_sites", n_sites)
+        _set(state, "amplitudes", amps)
         return state
 
 
@@ -161,16 +167,14 @@ def basis_state(field: ScalarField, n_sites: int, index: int) -> StateVector:
     return StateVector(field, n_sites, amps)
 
 
-@dataclass(frozen=True)
-class LinearMap:
-    field: ScalarField
-    matrix: np.ndarray
+class LinearMap(_Frozen):
+    __slots__ = ("field", "matrix")
 
-    def __post_init__(self) -> None:
-        mat = _coerce(self.field, self.matrix)
+    def __init__(self, field: ScalarField, matrix: np.ndarray) -> None:
+        mat = _coerce(field, matrix)
         if mat.ndim != 2:
             raise ValueError(f"expected a matrix, got ndim={mat.ndim}")
-        object.__setattr__(self, "matrix", mat)
+        self._init(field, mat)
 
     @property
     def dim_in(self) -> int:
@@ -190,24 +194,32 @@ class LinearMap:
         return self.matrix @ state.amplitudes
 
 
-@dataclass(frozen=True)
-class SiteOperator:
+class SiteOperator(_Frozen):
     """A site-local operator together with the site index it acts on."""
 
-    field: ScalarField
-    site: int
-    matrix: np.ndarray
+    __slots__ = ("field", "site", "matrix")
 
-    def __post_init__(self) -> None:
-        mat = _coerce(self.field, self.matrix)
-        d = self.field.site_dim
+    def __init__(self, field: ScalarField, site: int, matrix: np.ndarray) -> None:
+        mat = _coerce(field, matrix)
+        d = field.site_dim
         if mat.shape != (d, d):
             raise ValueError(f"site operator must be {d}x{d}, got {mat.shape}")
-        if not _is_index(self.site):
-            raise TypeError(f"site index must be an integer, got {self.site!r}")
-        if self.site < 0:
+        if not _is_index(site):
+            raise TypeError(f"site index must be an integer, got {site!r}")
+        if site < 0:
             raise ValueError("site index must be nonnegative")
-        object.__setattr__(self, "matrix", mat)
+        self._init(field, site, mat)
+
+    @classmethod
+    def _checked(cls, field: ScalarField, site: int, matrix: np.ndarray) -> "SiteOperator":
+        """The operator of ``matrix`` as it is, not validated: the caller has
+        checked that ``site`` is a nonnegative integer and that ``matrix`` has
+        ``field.dtype`` and shape ``(field.site_dim, field.site_dim)``.
+        ``matrix`` is made read-only; nothing else may write to it."""
+        matrix.setflags(write=False)
+        op = object.__new__(cls)
+        op._init(field, site, matrix)
+        return op
 
 
 def tensor_state(factors: list[StateVector] | tuple[StateVector, ...]) -> StateVector:
@@ -332,10 +344,11 @@ def complete_orthonormal(partial: list[StateVector]) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class IsometryResult:
-    passed: bool
-    max_deviation: float
+class IsometryResult(_Frozen):
+    __slots__ = ("passed", "max_deviation")
+
+    def __init__(self, passed: bool, max_deviation: float) -> None:
+        self._init(passed, max_deviation)
 
 
 def is_isometry(m: LinearMap | np.ndarray) -> IsometryResult:

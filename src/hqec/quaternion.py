@@ -12,9 +12,10 @@ out by the Hopf projection q -> q^-1 * i * q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from ._frozen import _Frozen, _set, _Value
 
 # Tolerances: the algebra itself is exact, these bound float64 round-off.
 TOL_UNIT = 1e-9
@@ -29,14 +30,16 @@ PAULI_MATRICES = {
 }
 
 
-@dataclass(frozen=True)
-class Quaternion:
+class Quaternion(_Value):
     """w + x*i + y*j + z*k with the Hamilton convention i*j = k."""
 
-    w: float
-    x: float
-    y: float
-    z: float
+    __slots__ = ("w", "x", "y", "z")
+
+    def __init__(self, w: float, x: float, y: float, z: float) -> None:
+        _set(self, "w", w)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
         return Quaternion(self.w + other.w, self.x + other.x,
@@ -148,14 +151,14 @@ K = Quaternion(0.0, 0.0, 0.0, 1.0)
 UNITS = {"1": ONE, "i": I, "j": J, "k": K}
 
 
-@dataclass(frozen=True)
-class ImaginaryVector:
+class ImaginaryVector(_Value):
     """A pure-imaginary quaternion x*i + y*j + z*k; the scalar part is zero
     by construction."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: float, y: float, z: float) -> None:
+        self._init(x, y, z)
 
     def to_quaternion(self) -> Quaternion:
         return Quaternion(0.0, self.x, self.y, self.z)
@@ -164,12 +167,13 @@ class ImaginaryVector:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
 
-@dataclass(frozen=True)
-class ComplexPair:
+class ComplexPair(_Frozen):
     """Complex amplitudes (a, b) of |0> and |1>."""
 
-    a: complex
-    b: complex
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: complex, b: complex) -> None:
+        self._init(a, b)
 
 
 def embed_qubit(p: ComplexPair) -> Quaternion:
@@ -233,14 +237,14 @@ def pauli_action(axis: str, q: Quaternion) -> Quaternion:
     return I * q * unit
 
 
-@dataclass(frozen=True)
-class PauliActionClass:
-    """Empirical classification of one sandwich action as phase * Pauli."""
+class PauliActionClass(_Value):
+    """Empirical classification of one sandwich action as phase * Pauli: the
+    Pauli matrix ``target`` it realizes and the global left phase, |phase| = 1."""
 
-    axis: str
-    target: str          # which Pauli matrix the sandwich realizes
-    phase: complex       # global left phase, |phase| = 1
-    max_deviation: float
+    __slots__ = ("axis", "target", "phase", "max_deviation")
+
+    def __init__(self, axis: str, target: str, phase: complex, max_deviation: float) -> None:
+        self._init(axis, target, phase, max_deviation)
 
     def describe(self) -> str:
         return (f"sandwich '{self.axis}' acts as ({self.phase.real:+.0f}"

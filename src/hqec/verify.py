@@ -545,11 +545,18 @@ def linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
 
 
 def _so2_draw(code: codes.Code):
-    """roundtrip_fidelity_r3's block drawer: logical coefficients, angle, site."""
+    """roundtrip_fidelity_r3's block drawer: logical coefficients, angle, site.
+    Each rotation is built as :func:`codes.so2_error` builds it, unchecked."""
+
+    def rotation(theta: float, site: int) -> SiteOperator:
+        c, s = math.cos(theta), math.sin(theta)
+        return SiteOperator._checked(code.field, site,
+                                     np.array([[c, -s], [s, c]], code.field.dtype))
+
     return lambda rng, n: [(
         random_coefficients(code.field, len(code.codewords), rng),
-        codes.so2_error(rng.uniform(0.0, 2.0 * np.pi), int(rng.integers(code.n_sites)),
-                        code.field)) for _ in range(n)]
+        rotation(rng.uniform(0.0, 2.0 * np.pi), int(rng.integers(code.n_sites))))
+        for _ in range(n)]
 
 
 def _su2_draw(code: codes.Code, gaps: list):
@@ -578,7 +585,7 @@ def _su2_draw(code: codes.Code, gaps: list):
         gaps.append(_spot_gap(scalar, mats))
         done += n
         return zip(_unit_rows(code.field, normals),
-                   (SiteOperator(code.field, s, m) for s, m in zip(sites, mats)))
+                   (SiteOperator._checked(code.field, s, m) for s, m in zip(sites, mats)))
 
     return draw
 

@@ -280,3 +280,42 @@ def test_importing_hqec_loads_no_command_module():
     loaded = set(json.loads(proc.stdout))
     assert loaded >= {"hqec", "hqec.linalg"}
     assert loaded.isdisjoint({"hqec.verify", "hqec.cli", "hqec.report"})
+
+
+# the names `hqec` exported from hqec.dirac when it imported that module eagerly
+DIRAC_EXPORTS = ("ErrorRotor", "GammaSet", "MajoranaSpinor", "build_gammas_standard",
+                 "build_majorana_transform", "clifford_check", "error_generators",
+                 "quaternion_correspondence", "transform_basis")
+
+
+def test_importing_hqec_loads_no_dirac_and_builds_no_dataclass():
+    # hqec.dirac loads on the first use of one of its exports, and no module
+    # that `import hqec` loads generates a dataclass class
+    script = (
+        "import dataclasses, json, sys\n"
+        "made = []\n"
+        "process = dataclasses._process_class\n"
+        "dataclasses._process_class = lambda cls, *args: (\n"
+        "    made.append(cls.__qualname__) or process(cls, *args))\n"
+        "import hqec\n"
+        "loaded = 'hqec.dirac' in sys.modules\n"
+        "rotor = hqec.ErrorRotor\n"
+        "print(json.dumps([made, loaded, rotor is sys.modules['hqec.dirac'].ErrorRotor]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(hqec.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], False, True]
+
+
+@pytest.mark.parametrize("name", DIRAC_EXPORTS)
+def test_each_dirac_export_is_the_dirac_object(name):
+    from hqec import dirac
+    assert getattr(hqec, name) is getattr(dirac, name)
+    assert name in dir(hqec)
+
+
+def test_an_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="module 'hqec' has no attribute 'no_such_name'"):
+        hqec.no_such_name
+    assert {"StateVector", "roundtrip", "__version__"} <= set(dir(hqec))

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import re
@@ -931,8 +930,10 @@ def _use_shor9_map():
 
 
 def test_correction_map_holds_only_its_fields():
+    # no attribute dict: a cache added to a used map could not be stored
     cmap = _use_shor9_map()
-    assert set(vars(cmap)) == {f.name for f in dataclasses.fields(cmap)}
+    assert not hasattr(cmap, "__dict__")
+    assert all(hasattr(cmap, name) for name in type(cmap).__slots__)
 
 
 def test_shor9_map_holds_its_partial_isometry_once():
@@ -979,6 +980,12 @@ def _dense_operator(name):
     return _completed_map(name).operator.matrix
 
 
+def _with_completion(cmap, completion):
+    """The map ``cmap`` holding ``completion`` as its completed operator."""
+    return codes.CorrectionMap(cmap.code, cmap.errors, cmap.n_ancilla, cmap.ancilla_states,
+                               cmap._domain_adjoint, cmap._columns, completion)
+
+
 @pytest.mark.parametrize("name", _COMPLETED_MAPS)
 def test_signed_canonical_completion_is_held_as_index_arrays(name):
     cmap = _completed_map(name)
@@ -1004,7 +1011,7 @@ def test_held_completion_roundtrip_matches_the_dense_operator(name, seed):
     cmap = _completed_map(name)
     # the same map holding its operator dense, as a completion that is not
     # signed canonical does
-    dense = dataclasses.replace(cmap, _completion=cmap.operator)
+    dense = _with_completion(cmap, cmap.operator)
     code = cmap.code
     rng = np.random.default_rng(seed)
     logical = random_coefficients(code.field, 2, rng)
@@ -1023,7 +1030,7 @@ def test_held_isometry_check_agrees_with_the_dense_check(name):
     perm, sign = cmap._completion
     perm = perm.copy()
     perm[1] = perm[0]                  # two columns sent to one row
-    broken = dataclasses.replace(cmap, _completion=(perm, sign))
+    broken = _with_completion(cmap, (perm, sign))
     assert broken.isometry_deviation() == is_isometry(broken.operator).max_deviation
     assert broken.isometry_deviation() == 1.0
 
@@ -1856,6 +1863,23 @@ def test_su2_drawer_keeps_the_unit_check(h3_correction, monkeypatch):
     monkeypatch.setattr(quat, "TOL_UNIT", -1.0)
     with pytest.raises(ValueError, match="unit quaternion"):
         verify._su2_draw(h3_correction.code, [])(rng_for(0, 303), 3)
+
+
+@pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction"])
+def test_site_drawers_build_the_public_operators_unchecked(fixture, request):
+    # each drawn operator, built by SiteOperator._checked, is the one
+    # so2_error or su2_error builds from the same draws, bit for bit
+    cmap = request.getfixturevalue(fixture)
+    rng, ref_rng = rng_for(9, 302), rng_for(9, 302)
+    for logical, op in _site_drawer(cmap, [])(rng, 2 * verify._SPOT + 5):
+        ref_logical = random_coefficients(cmap.code.field, 2, ref_rng)
+        ref = _single_site(cmap)(ref_rng)
+        assert np.array_equal(logical, ref_logical)
+        assert (op.field, op.site) == (ref.field, ref.site)
+        assert op.matrix.dtype == ref.matrix.dtype
+        assert op.matrix.tobytes() == ref.matrix.tobytes()
+        assert not op.matrix.flags.writeable
+    assert rng.standard_normal() == ref_rng.standard_normal()
 
 
 @pytest.mark.parametrize("name", ["shor9", "h3[j]"])

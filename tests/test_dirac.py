@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import warnings
 
@@ -23,7 +22,7 @@ from hqec.dirac import (
     quaternion_correspondence,
     transform_basis,
 )
-from hqec.linalg import ScalarField, SiteOperator, is_isometry
+from hqec.linalg import IsometryResult, ScalarField, SiteOperator, is_isometry
 from hqec.quaternion import Quaternion
 from hqec.report import CheckRecord
 from hqec.sampling import (
@@ -532,12 +531,11 @@ def test_a_redrawn_rotor_comes_from_the_redraw_stream(monkeypatch):
 
 DIRAC_DRIFT = {
     "transform_basis": lambda g: GammaSet(*map(one_ulp_up, g.all())),
-    "clifford_check": lambda r: dataclasses.replace(
-        r, max_deviation=one_ulp_up(r.max_deviation)),
-    "is_isometry": lambda r: dataclasses.replace(
-        r, max_deviation=one_ulp_up(r.max_deviation)),
-    "quaternion_correspondence": lambda r: dataclasses.replace(
-        r, lhs=one_ulp_up(r.lhs)),
+    "clifford_check": lambda r: dirac.CliffordReport(
+        r.passed, one_ulp_up(r.max_deviation), r.failures),
+    "is_isometry": lambda r: IsometryResult(r.passed, one_ulp_up(r.max_deviation)),
+    "quaternion_correspondence": lambda r: dirac.CorrespondenceReport(
+        one_ulp_up(r.lhs), r.rhs, r.max_deviation),
 }
 
 
