@@ -13,28 +13,26 @@ correctability in general; degenerate sets can first be reduced to one
 representative per distinct code-space action (see
 :func:`effective_representatives`).
 
-The images E_p w_l, on the columns some image holds nonzero, are one read-only
-array that an error set holds for the last code it was asked about: the KL
-table is its full-width Gram matrix, effective-error classes and synthesis
-read it, and a combination sum_p e_p E_p corrupts an encoded state
-sum_l a_l w_l through it, as one product of the weights e_p a_l with the
-images.  A code holds its codewords once, as the rows of ``Code.words``, and
-the indices of the amplitudes they hold nonzero as ``Code.support``.  A
-correction map holds its partial isometry in factored form: the domain
-adjoint on the images' columns, while the codewords and the ancilla states
-define the image.  It applies the map in the code x ancilla frame, and a
-roundtrip, whose input is always corrupted x |0_A>, corrects from the
-code-space amplitudes alone, as a ``(rows, block)`` pair: the output on the
-code rows that can be nonzero, ``Code.support`` without a completion, every
-row with one.  The KL table, synthesis's identity check and the effective
-error count scatter the images back to full width before they reduce, so
-their sums are the full-width ones; a partial map's product on the support
-columns equals the full-width product bit for bit, since the columns it drops
-are zero.  A completion to the full operator is held as a signed
-permutation, two index arrays ``(perm, sign)``, whenever both completed bases
-are signed canonical (always for ``r3`` and ``h3``): it is applied by a
-scatter and checked for isometry on the arrays, and the dense ``operator`` is
-built only on access.  Any other completion is held as a dense matrix.
+A roundtrip computes only its per-trial products; its fixed operands are
+held once.  A code holds its codewords as the rows of ``Code.words``, and
+``Code.support``, where some codeword is nonzero.  An error set holds its
+images E_p w_l on the columns where some image is nonzero, for the last code
+it was asked about, with their (pairs, columns) view: the KL table is their
+full-width Gram matrix, effective-error classes and synthesis read them, and
+a combination sum_p e_p E_p corrupts an encoded state sum_l a_l w_l as one
+product of the weights e_p a_l with the view.  A correction map holds its
+partial isometry in factored form, the domain adjoint on the images'
+columns, while the codewords and the ancilla states define the image.  A
+completion is held as a signed permutation ``(perm, sign)`` when both
+completed bases are signed canonical (always for ``r3`` and ``h3``), else as
+a dense matrix, with views of its ancilla-|0> columns, the only ones a
+roundtrip's input corrupted x |0_A> reaches; the dense form of a held
+``(perm, sign)`` is built only on access.  A roundtrip corrects onto the
+code rows that can be nonzero: ``Code.support`` without a completion, every
+row with one.  Reductions over the images (the KL table, synthesis's
+identity check, the effective error count) scatter them to full width
+first; the products on the support columns equal the full-width ones bit for
+bit, since the columns they drop are zero.
 """
 
 from __future__ import annotations
@@ -127,14 +125,14 @@ def _encoded_amplitudes(code: Code, coeffs) -> tuple[np.ndarray, np.ndarray]:
     """The logical coefficients ``coeffs`` as an array, checked for shape and
     finiteness, and the amplitudes sum_l a_l w_l, neither coerced to the
     code's field nor validated as a state."""
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape != (len(code.codewords),):
-        raise ValueError(f"expected {len(code.codewords)} logical coefficients")
+    coeffs, words = np.asarray(coeffs), code.codewords
+    if coeffs.shape != (len(words),):
+        raise ValueError(f"expected {len(words)} logical coefficients")
     if not np.isfinite(coeffs).all():
         raise ValueError("logical coefficients must be finite")
-    encoded = coeffs[0] * code.words[0]
-    for c, w in zip(coeffs[1:], code.words[1:]):
-        encoded += c * w
+    encoded = coeffs[0] * words[0].amplitudes
+    for k in range(1, len(words)):
+        encoded += coeffs[k] * words[k].amplitudes
     return coeffs, encoded
 
 
@@ -178,10 +176,8 @@ def build_h3_code(second_unit: str = "j") -> Code:
 
 
 def _b3_words() -> tuple[np.ndarray, np.ndarray]:
-    plus = np.zeros(8, dtype=complex)
-    minus = np.zeros(8, dtype=complex)
-    plus[0] = plus[7] = 1.0 / math.sqrt(2.0)
-    minus[0] = 1.0 / math.sqrt(2.0)
+    plus, minus = np.zeros((2, 8), dtype=complex)
+    plus[[0, 7]] = minus[0] = 1.0 / math.sqrt(2.0)
     minus[7] = -1.0 / math.sqrt(2.0)
     return plus, minus
 
@@ -229,7 +225,7 @@ class ErrorSet(_Frozen):
             if not isinstance(t, ErrorTerm):
                 raise TypeError(f"error set entry {idx} must be an ErrorTerm, "
                                 f"got {type(t).__name__}")
-        # _image_slot: [code, read-only images] for the last code the set was asked about
+        # _image_slot: what _images holds for the last code the set was asked about
         self._init(terms, [])
 
     def __len__(self) -> int:
@@ -279,12 +275,13 @@ class CombinedError(_Frozen):
     def _corrupt(self, code: Code, logical: np.ndarray) -> np.ndarray:
         """The amplitudes of this error applied to ``encode(code, logical)``,
         not validated as a state: sum_p e_p sum_l a_l (E_p w_l), one product
-        of the weights e_p a_l with the images of :func:`_images`, scattered
-        to full width; :func:`roundtrip` holds the errstate."""
-        images, columns = _images(code, self.errors)
-        weights = (self.coefficients[:, None] * logical).reshape(-1)
-        return _scatter(weights @ images.reshape(len(weights), len(columns)),
-                        columns, code.dim)
+        of the weights e_p a_l with the (pairs, columns) images the set holds,
+        scattered to full width; :func:`roundtrip` holds the errstate."""
+        columns = _images(code, self.errors)[1]
+        block = (self.coefficients[:, None] * logical).ravel() @ self.errors._image_slot[3]
+        out = np.zeros(code.dim, block.dtype)
+        out[columns] = block
+        return out
 
 
 def _check_coefficient_rows(errors: ErrorSet, rows: np.ndarray) -> None:
@@ -302,7 +299,7 @@ def _error_amplitudes(op: SiteOperator | LinearMap, state: StateVector) -> np.nd
     and dimension (a full-space map must map the state's space to itself) but
     not validated as a state."""
     if isinstance(op, SiteOperator):
-        return _site_amplitudes(op, state)
+        return _site_amplitudes(op, state.field, state.n_sites, state.amplitudes)
     if op.matrix.shape != (state.dim, state.dim):
         raise ValueError(f"dimension mismatch: error of shape {op.matrix.shape} "
                          f"on a state of dimension {state.dim}")
@@ -422,22 +419,24 @@ class KLReport(_Frozen):
 def _images(code: Code, errors: ErrorSet) -> tuple[np.ndarray, np.ndarray]:
     """The code-space action of an error set as read-only ``(images, columns)``:
     [p, l] holds E_p w_l on ``columns``, where some image is nonzero.  The set
-    holds them for the last code it was asked about, once every term has been
-    checked against the code and every image found finite (ValueError else)."""
+    holds them, and their (pairs, columns) view, for the last code it was asked
+    about, once each term is checked against it and each image found finite."""
     slot = errors._image_slot
     if slot and slot[0] is code:
         return slot[1], slot[2]
     images = np.empty((len(errors), len(code.codewords), code.dim),
                       dtype=code.field.dtype)
-    for p, term in enumerate(errors):
-        images[p] = [_error_amplitudes(term.op, w) for w in code.codewords]
+    with np.errstate(invalid="ignore", over="ignore"):     # raises ValueError below
+        for p, term in enumerate(errors):
+            images[p] = [_error_amplitudes(term.op, w) for w in code.codewords]
     if not np.all(np.isfinite(images)):
         raise ValueError("error images must be finite")
     columns = np.flatnonzero(images.any(axis=(0, 1)))
     images = np.ascontiguousarray(images[..., columns])
     for arr in (images, columns):
         arr.setflags(write=False)
-    slot[:] = [code, images, columns]
+    pairs = images.reshape(len(errors) * len(code.codewords), len(columns))
+    slot[:] = [code, images, columns, pairs]
     return images, columns
 
 
@@ -530,24 +529,28 @@ class CorrectionMap(_Frozen):
     and ``h3``) is held as two index arrays ``(perm, sign)``: column c of the
     operator holds ``sign[c]`` in row ``perm[c]``.  Any other completion is
     held as a dense ``LinearMap``.  ``operator`` is the dense form either
-    way, built on access from a held ``(perm, sign)``."""
+    way, built on access.  ``_gather`` holds views of the completion's
+    ancilla-|0> columns, every ``ancilla_dim``-th, for :meth:`_correct`."""
 
     __slots__ = ("code", "errors", "n_ancilla", "ancilla_states", "_domain_adjoint",
                  "_columns", "_completion", "ancilla_dim", "_ancilla_index",
-                 "_support_words")
+                 "_support_words", "_gather")
 
     def __init__(self, code: Code, errors: ErrorSet, n_ancilla: int,
                  ancilla_states: tuple[int, ...], _domain_adjoint: np.ndarray,
                  _columns: np.ndarray,
                  _completion: LinearMap | tuple[np.ndarray, np.ndarray] | None) -> None:
-        # ancilla_states as a read-only index array, and the codewords on
-        # code.support: the fixed operands of _correct on a partial map
+        # the fixed operands of _correct: for a partial map ancilla_states as an
+        # index array and the codewords on code.support, read-only, else _gather
+        step = code.field.site_dim ** n_ancilla
         index = np.array(ancilla_states, dtype=np.intp)
         words = code.words[:, code.support]
         index.setflags(write=False)
         words.setflags(write=False)
+        gather = (_completion.matrix[:, ::step] if isinstance(_completion, LinearMap)
+                  else _completion and tuple(held[::step] for held in _completion))
         self._init(code, errors, n_ancilla, ancilla_states, _domain_adjoint, _columns,
-                   _completion, code.field.site_dim ** n_ancilla, index, words)
+                   _completion, step, index, words, gather)
 
     @property
     def total_sites(self) -> int:
@@ -638,23 +641,22 @@ class CorrectionMap(_Frozen):
 
         Without a completion the output is the codewords weighted per ancilla
         state, zero off ``ancilla_states``, so ``rows`` is ``code.support``.
-        A completed operator gives every row, ``slice(None)``, from its
-        ancilla-|0> columns only: a dense one as a product, a held
-        ``(perm, sign)`` one as a scatter of those columns' entries."""
-        completion = self._completion
-        if completion is None:
+        A completed operator gives every row, ``slice(None)``, from the
+        ancilla-|0> columns it holds as ``_gather``: a dense one as a
+        product, a held ``(perm, sign)`` one as a scatter of their entries."""
+        gather = self._gather
+        if gather is None:
             words = self._support_words
             coeffs = self._domain_adjoint @ corrupted[self._columns]
             weights = np.zeros((len(words), self.ancilla_dim), self.code.field.dtype)
             weights[:, self._ancilla_index] = coeffs.reshape(-1, len(words)).T
             return self.code.support, words.T @ weights
-        if isinstance(completion, LinearMap):
-            out = completion.matrix[:, ::self.ancilla_dim] @ corrupted
-        else:
-            perm, sign = completion
-            out = np.zeros(len(perm), self.code.field.dtype)
-            out[perm[::self.ancilla_dim]] = sign[::self.ancilla_dim] * corrupted
-        return slice(None), out.reshape(self.code.dim, self.ancilla_dim)
+        if type(gather) is tuple:
+            rows, sign = gather
+            out = np.zeros((self.code.dim, self.ancilla_dim), sign.dtype)
+            out.reshape(-1)[rows] = sign * corrupted
+            return slice(None), out
+        return slice(None), (gather @ corrupted).reshape(self.code.dim, self.ancilla_dim)
 
 
 def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
@@ -710,11 +712,10 @@ def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
         raise SynthesisError("ancilla state index out of range")
 
     adjoint = images.conj() * (1.0 / np.sqrt(diag))[:, None, None]
-    cmap = CorrectionMap(code, errors, n_ancilla, tuple(ancilla_states),
-                         adjoint.reshape(-1, len(columns)), columns, None)
-    if complete:    # completed in place, before the partial map reaches a caller
-        _set(cmap, "_completion", _completed_operator(cmap))
-    return cmap
+    args = (code, errors, n_ancilla, tuple(ancilla_states),
+            adjoint.reshape(-1, len(columns)), columns)
+    cmap = CorrectionMap(*args, None)      # completed, if asked, before a caller sees it
+    return CorrectionMap(*args, _completed_operator(cmap)) if complete else cmap
 
 
 def _completed_operator(cmap: CorrectionMap
@@ -841,37 +842,35 @@ def roundtrip(cmap: CorrectionMap, logical,
     map and an out-of-family error.  It is a measurement, not a verdict: the
     caller compares it with its own tolerance.
 
-    A combined error corrupts through the stacked images its set holds for
-    the code, as one product, and the map corrects corrupted x |0_A> from the
-    corrupted amplitudes alone, as the ``(rows, block)`` pair of
-    :meth:`CorrectionMap._correct`, on which the ancilla, residual, norm and
-    fidelity are all taken: ``code.support`` for a map without a completion,
-    whose output is zero elsewhere, every row for a completed one.  An
-    overflowing norm raises ValueError, an error of another type TypeError.
-
-    Each array is checked once, where it enters: the logical coefficients as
+    Each call computes only its per-trial products, from operands held once
+    (see the module docstring): the encoding, the corruption (one product of
+    a combined error's weights with its set's images; a ``SiteOperator`` acts
+    on the encoded amplitudes, a ``LinearMap`` on an unvalidated state of
+    them) and the ``(rows, block)`` pair of :meth:`CorrectionMap._correct`,
+    on which the ancilla, residual, norm and fidelity are all taken.  Each
+    array is checked once, where it enters: the logical coefficients as
     :func:`encode` checks them, the encoded and the corrupted amplitudes for
-    field and shape, and for finiteness by the norm taken of each; so is the
-    ancilla.  The ancilla and the encoded state a ``SiteOperator`` or
-    ``LinearMap`` error needs are built from these arrays unvalidated.
+    field and shape, and all for finiteness by their norms, the ancilla too.
+    An overflowing norm raises ValueError, an error of another type TypeError.
     """
     if not isinstance(error, (CombinedError, SiteOperator, LinearMap)):
         raise TypeError("error must be a CombinedError, SiteOperator or "
                         f"LinearMap, got {type(error).__name__}")
     code = cmap.code
-    field = code.field
+    field, n_sites = code.field, code.n_sites
     logical, encoded = _encoded_amplitudes(code, logical)
-    encoded = _field_amplitudes(field, code.n_sites, encoded)
+    encoded = _field_amplitudes(field, n_sites, encoded)
     with np.errstate(over="ignore", invalid="ignore"):     # raises ValueError below
         scale = _finite_norm(encoded)
         if scale <= 0:
             raise ValueError("logical coefficients must not all vanish")
         if isinstance(error, CombinedError):
             amps = error._corrupt(code, logical)
+        elif isinstance(error, SiteOperator):
+            amps = _site_amplitudes(error, field, n_sites, encoded)
         else:
-            amps = _error_amplitudes(
-                error, StateVector._checked(field, code.n_sites, encoded))
-        corrupted = _field_amplitudes(field, code.n_sites, amps)
+            amps = _error_amplitudes(error, StateVector._checked(field, n_sites, encoded))
+        corrupted = _field_amplitudes(field, n_sites, amps)
         corrupted_norm = _finite_norm(corrupted)
         rows, block = cmap._correct(corrupted)
 
@@ -890,7 +889,8 @@ def roundtrip(cmap: CorrectionMap, logical,
         cf_norm = _norm(code_amps)
         fidelity = (float(abs(np.vdot(ref_block, code_amps)) / cf_norm)
                     if cf_norm > 0 else 0.0)
-    if not all(map(math.isfinite, (scale, residual_f, norm_gap, anc_norm, fidelity))):
+    if not (scale < math.inf and residual_f < math.inf and norm_gap < math.inf
+            and anc_norm < math.inf and fidelity < math.inf):    # each >= 0 or NaN
         raise ValueError("a norm overflows: the state is too large")
     return RoundtripResult(StateVector._checked(field, cmap.n_ancilla, anc),
                            residual, fidelity)

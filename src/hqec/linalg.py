@@ -248,24 +248,24 @@ def inner(u: StateVector, v: StateVector) -> complex | float:
 
 def apply_site(op: SiteOperator, state: StateVector) -> StateVector:
     """Apply a site-local operator without forming the full Kronecker product."""
-    return state.with_amplitudes(_site_amplitudes(op, state))
-
-
-def _site_amplitudes(op: SiteOperator, state: StateVector) -> np.ndarray:
-    """The amplitudes of ``op`` applied to ``state``, checked for field and
-    site but not validated as a state: the kernel of :func:`apply_site`."""
-    if op.field is not state.field:
-        raise FieldMismatchError(
-            f"operator over {op.field.value} applied to {state.field.value} state")
-    if op.site >= state.n_sites:
-        raise ValueError(f"site {op.site} out of range for {state.n_sites} sites")
-    d = state.field.site_dim
-    lead = d ** op.site
-    cube = state.amplitudes.reshape(lead, d, -1)
-    # a non-finite operator is the caller's to report, without a warning
+    # a non-finite operator is the state check's to report, without a warning
     with np.errstate(invalid="ignore", over="ignore"):
-        out = np.matmul(op.matrix, cube)
-    return out.reshape(-1)
+        amps = _site_amplitudes(op, state.field, state.n_sites, state.amplitudes)
+    return state.with_amplitudes(amps)
+
+
+def _site_amplitudes(op: SiteOperator, field: ScalarField, n_sites: int,
+                     amps: np.ndarray) -> np.ndarray:
+    """``op`` applied to the amplitudes ``amps`` of an ``n_sites`` state over
+    ``field``, checked for field and site but not validated as a state, under
+    the caller's errstate: the kernel of :func:`apply_site`."""
+    if op.field is not field:
+        raise FieldMismatchError(
+            f"operator over {op.field.value} applied to {field.value} state")
+    if op.site >= n_sites:
+        raise ValueError(f"site {op.site} out of range for {n_sites} sites")
+    d = field.site_dim
+    return (op.matrix @ amps.reshape(d ** op.site, d, -1)).reshape(-1)
 
 
 def _project_coeffs(basis: np.ndarray, v: np.ndarray, hermitian: bool) -> np.ndarray:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
+
+from ._frozen import _Frozen, _Value
 
 # Upper limit on --trials.  At the ceiling the per-trial fidelity and
 # residual arrays of a simulation take 160 MB; far above it they could not
@@ -18,39 +19,36 @@ from pathlib import Path
 MAX_TRIALS = 10_000_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    trials: int = 1000
-    tol: float | None = None
-    fmt: str = "text"
-    out: Path | None = None
+class RunConfig(_Frozen):
+    __slots__ = ("seed", "trials", "tol", "fmt", "out")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.trials <= MAX_TRIALS:
+    def __init__(self, seed: int, trials: int, tol: float | None, fmt: str,
+                 out: Path | None) -> None:
+        if not 1 <= trials <= MAX_TRIALS:
             raise ValueError(f"trials must be between 1 and {MAX_TRIALS}")
-        if self.tol is not None and (not math.isfinite(self.tol) or self.tol <= 0):
+        if tol is not None and (not math.isfinite(tol) or tol <= 0):
             raise ValueError("tolerance must be positive and finite")
-        if not 0 <= self.seed < 2 ** 64:
+        if not 0 <= seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
+        self._init(seed, trials, tol, fmt, out)
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    check_id: str
-    anchor: str              # stable name of the identity or claim checked
-    passed: bool
-    max_deviation: float | None = None
-    witness: str | None = None
+class CheckRecord(_Value):
+    """``anchor`` is the stable name of the identity or claim checked."""
+
+    __slots__ = ("check_id", "anchor", "passed", "max_deviation", "witness")
+
+    def __init__(self, check_id: str, anchor: str, passed: bool,
+                 max_deviation: float | None, witness: str | None = None) -> None:
+        self._init(check_id, anchor, passed, max_deviation, witness)
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    seed: int
-    trials: int
-    records: tuple[CheckRecord, ...]
-    wall_time_s: float = 0.0
+class SuiteReport(_Frozen):
+    __slots__ = ("suite", "seed", "trials", "records", "wall_time_s")
+
+    def __init__(self, suite: str, seed: int, trials: int,
+                 records: tuple[CheckRecord, ...], wall_time_s: float) -> None:
+        self._init(suite, seed, trials, records, wall_time_s)
 
     @property
     def passed(self) -> bool:

@@ -29,19 +29,34 @@ def run_cli(capsys, *argv):
 
 # --- configuration ------------------------------------------------------------
 
+def _config(seed=0, trials=1000, tol=None):
+    return RunConfig(seed=seed, trials=trials, tol=tol, fmt="text", out=None)
+
+
 def test_runconfig_validation():
-    RunConfig(seed=0, trials=1)
-    RunConfig(trials=MAX_TRIALS)
+    _config(seed=0, trials=1)
+    _config(trials=MAX_TRIALS)
     for trials in (0, MAX_TRIALS + 1):
-        with pytest.raises(ValueError):
-            RunConfig(trials=trials)
+        with pytest.raises(ValueError, match="trials must be between 1 and"):
+            _config(trials=trials)
     for tol in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            RunConfig(tol=tol)
-    with pytest.raises(ValueError):
-        RunConfig(seed=-1)
-    with pytest.raises(ValueError):
-        RunConfig(seed=2 ** 64)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            _config(tol=tol)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match="seed must fit in 64 unsigned bits"):
+            _config(seed=seed)
+
+
+def test_report_records_take_every_field_but_the_witness():
+    # cli passes every RunConfig field and the wall time; a check's witness
+    # is the one field its callers may omit
+    with pytest.raises(TypeError):
+        RunConfig(seed=0, trials=10)
+    with pytest.raises(TypeError):
+        SuiteReport("verify-demo", 7, 12, ())
+    with pytest.raises(TypeError):
+        CheckRecord("alpha", "an identity", True)
+    assert CheckRecord("alpha", "an identity", True, 0.5).witness is None
 
 
 # --- report serialization ---------------------------------------------------
@@ -306,6 +321,28 @@ def test_importing_hqec_loads_no_dirac_and_builds_no_dataclass():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[], False, True]
+
+
+def test_importing_the_cli_builds_no_dataclass_and_loads_no_dataclasses():
+    # report's records are plain read-only classes, so no module a command
+    # process loads generates a dataclass, and none imports dataclasses
+    patched = (
+        "import dataclasses, json, sys\n"
+        "made = []\n"
+        "process = dataclasses._process_class\n"
+        "dataclasses._process_class = lambda cls, *args: (\n"
+        "    made.append(cls.__qualname__) or process(cls, *args))\n"
+        "import hqec.cli\n"
+        "print(json.dumps(made))\n")
+    plain = ("import json, sys\n"
+             "import hqec.cli\n"
+             "print(json.dumps('dataclasses' in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(hqec.__file__).parents[1]))
+    for script, expected in ((patched, []), (plain, False)):
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == expected
 
 
 @pytest.mark.parametrize("name", DIRAC_EXPORTS)

@@ -1065,6 +1065,90 @@ def test_h3_map_holds_only_its_index_arrays():
     assert current < 32 * 1024
 
 
+# --- known answers on the basis images ----------------------------------------
+
+def _image_certificate(cmap, errors, states):
+    """The first (label, l) whose image E_p w_l x |0_A> the map's ``_correct``
+    does not send to sqrt(d_p) w_l x |a_p>, for the images ``errors`` holds
+    and the ancilla states ``states`` (a_p), with d_p = |E_p w_0|^2; None when
+    every image lands there."""
+    code = cmap.code
+    images = codes._scatter(*codes._images(code, errors), code.dim)
+    for label, a, pair in zip(errors.labels, states, images, strict=True):
+        root_d = _norm(pair[0])
+        for l, (word, image) in enumerate(zip(code.words, pair, strict=True)):
+            rows, block = cmap._correct(image)
+            expected = np.zeros((code.dim, cmap.ancilla_dim), code.field.dtype)
+            expected[:, a] = root_d * word
+            if not np.allclose(block, expected[rows], rtol=0.0, atol=1e-12):
+                return label, l
+    return None
+
+
+_CERTIFIED_MAPS = {
+    "r3": lambda: _completed_map("r3"),
+    "r3-dense": lambda: _with_completion(_completed_map("r3"),
+                                         _completed_map("r3").operator),
+    "r3-partial": lambda: _partial_map("r3"),
+    "h3": lambda: _completed_map("h3[j]"),
+    "h3-partial": lambda: _partial_map("h3[j]"),
+    "shor9": lambda: _partial_map("shor9"),
+}
+
+
+@pytest.mark.parametrize("name", list(_CERTIFIED_MAPS))
+def test_correction_sends_each_held_image_to_its_codeword_and_ancilla(name):
+    # r3 4 errors x 2 codewords, h3 10 x 2, shor9 its 22 representatives x 2
+    cmap = _CERTIFIED_MAPS[name]()
+    assert len(cmap.errors) == {"r3": 4, "h3": 10, "shor9": 22}[name.partition("-")[0]]
+    assert _image_certificate(cmap, cmap.errors, cmap.ancilla_states) is None
+
+
+def test_shor9_correction_sends_all_28_pauli_images_to_their_class_state():
+    # the six Paulis effective_representatives dropped land on the ancilla
+    # state of the representative of their class
+    cmap = _partial_map("shor9")
+    basis = _basis(cmap)
+    reps, mapping = effective_representatives(cmap.code, basis)
+    assert len(basis) == 28 and reps.labels == cmap.errors.labels
+    dropped = [p for p, c in enumerate(mapping) if basis[p] is not reps[c]]
+    assert len(dropped) == 6
+    states = [cmap.ancilla_states[c] for c in mapping]
+    assert _image_certificate(cmap, basis, states) is None
+
+
+def test_image_certificate_names_the_reflection_that_r3_does_not_correct():
+    # diag(1, -1)@0 fixes |000> but flips the sign of |111>, so no ancilla
+    # state takes both images: the second codeword is the witness
+    label = "diag(1,-1)@0"
+    reflection = ErrorSet((ErrorTerm(label, SiteOperator(ScalarField.REAL, 0,
+                                                         np.diag([1.0, -1.0]))),))
+    for cmap in (_completed_map("r3"), _partial_map("r3")):
+        assert _image_certificate(cmap, reflection, (0,)) == (label, 1)
+
+
+@pytest.mark.parametrize("name", _COMPLETED_MAPS)
+def test_completed_map_holds_views_of_its_ancilla_zero_columns(name):
+    cmap = _completed_map(name)
+    step = cmap.ancilla_dim
+    (perm, sign), (rows, signs) = cmap._completion, cmap._gather
+    dense = _with_completion(cmap, cmap.operator)
+    for held, full in ((rows, perm[::step]), (signs, sign[::step]),
+                       (dense._gather, dense._completion.matrix[:, ::step])):
+        assert np.array_equal(held, full) and np.shares_memory(held, full)
+        assert not held.flags.writeable
+    assert _partial_map(name)._gather is None
+
+
+def test_error_set_holds_the_pair_rows_of_its_images(r3_correction):
+    code, errors = r3_correction.code, r3_correction.errors
+    images, columns = codes._images(code, errors)
+    pairs = errors._image_slot[3]
+    assert pairs.shape == (len(errors) * len(code.codewords), len(columns))
+    assert np.shares_memory(pairs, images) and not pairs.flags.writeable
+    assert np.array_equal(pairs, images.reshape(pairs.shape))
+
+
 def test_completed_hot_paths_never_build_the_dense_operator(monkeypatch):
     from hqec import cli, verify
     from hqec.report import RunConfig
@@ -1074,7 +1158,7 @@ def test_completed_hot_paths_never_build_the_dense_operator(monkeypatch):
 
     monkeypatch.setattr(codes.CorrectionMap, "operator", property(forbidden))
     for code_id in ("r3", "h3"):
-        records = cli.cmd_simulate(code_id, RunConfig(trials=5))
+        records = cli.cmd_simulate(code_id, RunConfig(0, 5, None, "text", None))
         assert all(rec.passed for rec in records)
     assert all(rec.passed for rec in verify.codes_suite(0, 5))
 
@@ -1292,28 +1376,62 @@ def _field_amplitudes(field, n_sites, amps):
     return amps
 
 
+def _reference_correct(cmap, corrupted):
+    """``CorrectionMap._correct`` as it was while it sliced the ancilla-|0>
+    columns of a completion on every call, kept verbatim (``self`` is
+    ``cmap``)."""
+    completion = cmap._completion
+    if completion is None:
+        words = cmap._support_words
+        coeffs = cmap._domain_adjoint @ corrupted[cmap._columns]
+        weights = np.zeros((len(words), cmap.ancilla_dim), cmap.code.field.dtype)
+        weights[:, cmap._ancilla_index] = coeffs.reshape(-1, len(words)).T
+        return cmap.code.support, words.T @ weights
+    if isinstance(completion, LinearMap):
+        out = completion.matrix[:, ::cmap.ancilla_dim] @ corrupted
+    else:
+        perm, sign = completion
+        out = np.zeros(len(perm), cmap.code.field.dtype)
+        out[perm[::cmap.ancilla_dim]] = sign[::cmap.ancilla_dim] * corrupted
+    return slice(None), out.reshape(cmap.code.dim, cmap.ancilla_dim)
+
+
 def _checked_twice_roundtrip(cmap, logical, error):
     """The roundtrip as it was while it checked the encoded and the corrupted
     amplitudes by an entry scan next to their norms, and validated the
     states it built, kept verbatim as the bit-for-bit reference (less the
-    residual gate and the code argument, which it has lost since)."""
+    residual gate and the code argument, which it has lost since).  The
+    bodies of the helpers it called then are inlined as they were, so the
+    reference does not move with them: ``codes._encoded_amplitudes``,
+    ``CombinedError._corrupt`` and ``CorrectionMap._correct`` (see
+    :func:`_reference_correct`)."""
     if not isinstance(error, (CombinedError, SiteOperator, LinearMap)):
         raise TypeError("error must be a CombinedError, SiteOperator or "
                         f"LinearMap, got {type(error).__name__}")
     code = cmap.code
     field = code.field
-    logical, encoded = codes._encoded_amplitudes(code, logical)
+    logical = np.asarray(logical)                          # _encoded_amplitudes
+    if logical.shape != (len(code.codewords),):
+        raise ValueError(f"expected {len(code.codewords)} logical coefficients")
+    if not np.isfinite(logical).all():
+        raise ValueError("logical coefficients must be finite")
+    encoded = logical[0] * code.words[0]
+    for c, w in zip(logical[1:], code.words[1:]):
+        encoded += c * w
     encoded = _field_amplitudes(field, code.n_sites, encoded)
     with np.errstate(over="ignore", invalid="ignore"):     # raises ValueError below
         scale = _norm(encoded)
         if scale <= 0:
             raise ValueError("logical coefficients must not all vanish")
-        if isinstance(error, CombinedError):
-            amps = error._corrupt(code, logical)
+        if isinstance(error, CombinedError):              # CombinedError._corrupt
+            images, columns = codes._images(code, error.errors)
+            weights = (error.coefficients[:, None] * logical).reshape(-1)
+            amps = codes._scatter(weights @ images.reshape(len(weights), len(columns)),
+                                  columns, code.dim)
         else:
             amps = codes._error_amplitudes(error, StateVector(field, code.n_sites, encoded))
         corrupted = _field_amplitudes(field, code.n_sites, amps)
-        rows, block = cmap._correct(corrupted)
+        rows, block = _reference_correct(cmap, corrupted)
 
         ref_block = encoded[rows] / scale
         anc = ref_block.conj() @ block
@@ -1396,6 +1514,40 @@ _REJECTED_INPUTS = {
     "overflowing-logical": ("r3_correction", (1e160, 1e160),
                             lambda: so2_error(0.3, 0)),
 }
+
+
+def _checked_twice_simulate(cmap, draw, rng, trials):
+    """:func:`simulate`'s loop, each trial through the checked-twice reference."""
+    fidelities, residuals = np.empty(trials), np.empty(trials)
+    for start in range(0, trials, codes._BLOCK):
+        n = min(codes._BLOCK, trials - start)
+        for t, (logical, error) in enumerate(draw(rng, n), start):
+            ref = _checked_twice_roundtrip(cmap, logical, error)
+            fidelities[t], residuals[t] = ref.fidelity, ref.residual
+    return fidelities, residuals
+
+
+# (map fixture, drawer of simulate's trials for the map): the combined draws of
+# `hqec simulate` and the single-site draws of `verify codes`
+_SIMULATED_DRAWS = {
+    "r3-combined": ("r3_correction", lambda cmap: combined_draw(cmap.code, _basis(cmap))),
+    "h3-combined": ("h3_correction", lambda cmap: combined_draw(cmap.code, _basis(cmap))),
+    "shor9-combined": ("shor9_correction",
+                       lambda cmap: combined_draw(cmap.code, _basis(cmap))),
+    "r3-so2": ("r3_correction", lambda cmap: verify._so2_draw(cmap.code)),
+    "h3-su2": ("h3_correction", lambda cmap: verify._su2_draw(cmap.code, [])),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("case", list(_SIMULATED_DRAWS))
+def test_simulate_agrees_with_the_checked_twice_reference_loop(case, seed, request):
+    fixture, make_draw = _SIMULATED_DRAWS[case]
+    cmap = request.getfixturevalue(fixture)
+    got = simulate(cmap, make_draw(cmap), rng_for(seed, 501), 1000)
+    want = _checked_twice_simulate(cmap, make_draw(cmap), rng_for(seed, 501), 1000)
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("case", list(_REJECTED_INPUTS))

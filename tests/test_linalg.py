@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -261,6 +262,18 @@ def test_apply_site_range_and_field_checks():
         apply_site(SiteOperator(R, 2, np.eye(2)), state)
     with pytest.raises(FieldMismatchError):
         apply_site(SiteOperator(C, 0, np.eye(2)), state)
+
+
+@pytest.mark.parametrize("matrix", [[[math.inf, 0.0], [0.0, 1.0]],
+                                    [[1e308, 0.0], [0.0, 1e308]]], ids=["inf", "huge"])
+def test_apply_site_reports_a_non_finite_product_without_a_warning(matrix):
+    # inf x 0 and an overflow are the state check's to report: apply_site
+    # holds the errstate that _site_amplitudes leaves to its caller
+    state = StateVector(R, 1, [0.0, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            apply_site(SiteOperator(R, 0, matrix), state)
 
 
 def _site_operator_matrix(op: SiteOperator, n_sites: int) -> np.ndarray:

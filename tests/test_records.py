@@ -3,9 +3,10 @@
 Every record class is read-only once built: assigning or deleting any
 attribute raises AttributeError, as it did when these were frozen
 dataclasses.  Each class's public fields and constructor signature are
-pinned, and the three types that callers compare (``Quaternion``,
-``ImaginaryVector``, ``PauliActionClass``) compare and hash by value; the
-others compare by identity.
+pinned, and the four types that callers compare (``Quaternion``,
+``ImaginaryVector``, ``PauliActionClass``, ``CheckRecord``) compare and hash
+by value; the others compare by identity.  The report records take every
+field the dataclasses had, in their order, with no default but the witness.
 """
 
 import inspect
@@ -14,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from hqec import codes, dirac, linalg
+from hqec import codes, dirac, linalg, report
 from hqec import quaternion as quat
 
 R = linalg.ScalarField.REAL
@@ -58,6 +59,9 @@ def _objects():
         dirac.ErrorRotor: rotor,
         dirac.CorrespondenceReport: dirac.quaternion_correspondence(
             rotor, q, dirac.majorana_set()),
+        report.RunConfig: report.RunConfig(0, 1000, None, "text", None),
+        report.CheckRecord: report.CheckRecord("alpha", "an identity", True, 0.5),
+        report.SuiteReport: report.SuiteReport("verify-demo", 7, 12, (), 0.25),
     }
 
 
@@ -135,9 +139,22 @@ CONTRACT = {
     dirac.CorrespondenceReport: (
         ("lhs", "rhs", "max_deviation"),
         "(lhs: 'np.ndarray', rhs: 'np.ndarray', max_deviation: 'float')"),
+    report.RunConfig: (
+        ("seed", "trials", "tol", "fmt", "out"),
+        "(seed: 'int', trials: 'int', tol: 'float | None', fmt: 'str', "
+        "out: 'Path | None')"),
+    report.CheckRecord: (
+        ("check_id", "anchor", "passed", "max_deviation", "witness"),
+        "(check_id: 'str', anchor: 'str', passed: 'bool', "
+        "max_deviation: 'float | None', witness: 'str | None' = None)"),
+    report.SuiteReport: (
+        ("suite", "seed", "trials", "records", "wall_time_s"),
+        "(suite: 'str', seed: 'int', trials: 'int', "
+        "records: 'tuple[CheckRecord, ...]', wall_time_s: 'float')"),
 }
 
-VALUE_TYPES = (quat.Quaternion, quat.ImaginaryVector, quat.PauliActionClass)
+VALUE_TYPES = (quat.Quaternion, quat.ImaginaryVector, quat.PauliActionClass,
+               report.CheckRecord)
 
 
 def _id(cls):
@@ -146,7 +163,7 @@ def _id(cls):
 
 def test_every_record_class_is_covered():
     assert set(OBJECTS) == set(CONTRACT)
-    for module in (linalg, quat, codes, dirac):
+    for module in (linalg, quat, codes, dirac, report):
         for cls in vars(module).values():
             if isinstance(cls, type) and cls.__module__ == module.__name__ \
                     and issubclass(cls, linalg._Frozen):
@@ -190,7 +207,9 @@ def test_value_types_compare_and_hash_by_their_fields():
     pairs = [(lambda: quat.Quaternion(1.0, -2.0, 0.5, 0.0), quat.Quaternion(1.0, -2.0, 0.5, 1.0)),
              (lambda: quat.ImaginaryVector(0.0, 3.0, -1.0), quat.ImaginaryVector(0.0, 3.0, 1.0)),
              (lambda: quat.classify_pauli_action("y", 3),
-              quat.classify_pauli_action("z", 3))]
+              quat.classify_pauli_action("z", 3)),
+             (lambda: report.CheckRecord("alpha", "an identity", True, 0.5, "w"),
+              report.CheckRecord("alpha", "an identity", True, 0.5, None))]
     for make, other in pairs:
         a, b = make(), make()
         assert a is not b and a == b and not a != b and hash(a) == hash(b)
@@ -212,3 +231,11 @@ def test_repr_shows_the_public_fields():
     assert repr(dirac.ErrorRotor(1, 0, 0, 0)) == "ErrorRotor(e0=1, e1=0, e2=0, e3=0)"
     assert repr(linalg.IsometryResult(True, 0.0)) == \
         "IsometryResult(passed=True, max_deviation=0.0)"
+    # as the report dataclasses printed themselves
+    assert repr(report.CheckRecord("alpha", "an identity", True, None)) == (
+        "CheckRecord(check_id='alpha', anchor='an identity', passed=True, "
+        "max_deviation=None, witness=None)")
+    assert repr(report.RunConfig(7, 12, 0.5, "text", None)) == \
+        "RunConfig(seed=7, trials=12, tol=0.5, fmt='text', out=None)"
+    assert repr(report.SuiteReport("s", 7, 12, (), 0.25)) == \
+        "SuiteReport(suite='s', seed=7, trials=12, records=(), wall_time_s=0.25)"
