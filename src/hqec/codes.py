@@ -14,25 +14,22 @@ representative per distinct code-space action (see
 :func:`effective_representatives`).
 
 A roundtrip computes only its per-trial products; its fixed operands are
-held once.  A code holds its codewords as the rows of ``Code.words``, and
+held once.  A code holds its codewords as the rows of ``Code.words`` and
 ``Code.support``, where some codeword is nonzero.  An error set holds its
 images E_p w_l on the columns where some image is nonzero, for the last code
-it was asked about, with their (pairs, columns) view: the KL table is their
-full-width Gram matrix, effective-error classes and synthesis read them, and
-a combination sum_p e_p E_p corrupts an encoded state sum_l a_l w_l as one
-product of the weights e_p a_l with the view.  A correction map holds its
-partial isometry in factored form, the domain adjoint on the images'
-columns, while the codewords and the ancilla states define the image.  A
+it was asked about, and their (pairs, columns) view: a combination
+sum_p e_p E_p corrupts sum_l a_l w_l as one product of the weights e_p a_l
+with the view; the KL table, synthesis's identity check and the effective
+error count scatter the images to full width, exactly.  A correction map
+holds its partial isometry in factored form, the domain adjoint on the
+images' columns; the codewords and the ancilla states define the image.  A
 completion is held as a signed permutation ``(perm, sign)`` when both
 completed bases are signed canonical (always for ``r3`` and ``h3``), else as
-a dense matrix, with views of its ancilla-|0> columns, the only ones a
-roundtrip's input corrupted x |0_A> reaches; the dense form of a held
-``(perm, sign)`` is built only on access.  A roundtrip corrects onto the
-code rows that can be nonzero: ``Code.support`` without a completion, every
-row with one.  Reductions over the images (the KL table, synthesis's
-identity check, the effective error count) scatter them to full width
-first; the products on the support columns equal the full-width ones bit for
-bit, since the columns they drop are zero.
+a dense matrix, with views of its ancilla-|0> columns, the only ones
+corrupted x |0_A> reaches.  A roundtrip corrects onto ``Code.support``
+without a completion, every row with one, by ``ndarray.dot`` products (the
+BLAS calls of ``@``, with less dispatch).  It checks its logical coefficients'
+finiteness by their encoded norm alone and scales up those too small for it.
 """
 
 from __future__ import annotations
@@ -67,6 +64,7 @@ from .sampling import _unit_rows, _width
 
 KL_TOL = 1e-12
 SYNTH_TOL = 1e-10
+_NORM_FLOOR = 2.0 ** -400    # roundtrip scales up smaller encoded norms (see there)
 _BLOCK = 128    # the trials simulate asks its drawer for at a time
 # two error actions on the code space agree within this, componentwise
 ACTION_TOL = 1e-12
@@ -118,32 +116,39 @@ class Code(_Frozen):
 
 def encode(code: Code, coeffs) -> StateVector:
     """The state sum_l a_l w_l of the logical coefficients ``coeffs``."""
-    return StateVector(code.field, code.n_sites, _encoded_amplitudes(code, coeffs)[1])
+    with np.errstate(over="ignore", invalid="ignore"):     # raises ValueError instead
+        amps = _encoded_amplitudes(code, coeffs)[1]
+    return StateVector(code.field, code.n_sites, amps)
 
 
-def _encoded_amplitudes(code: Code, coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """The logical coefficients ``coeffs`` as an array, checked for shape and
-    finiteness, and the amplitudes sum_l a_l w_l, neither coerced to the
-    code's field nor validated as a state."""
+def _encoded_amplitudes(code: Code, coeffs) -> tuple[np.ndarray, np.ndarray, float]:
+    """The logical coefficients ``coeffs`` as an array, checked for shape; the
+    amplitudes sum_l a_l w_l in the code's field, not validated as a state;
+    and their norm; under the caller's errstate.  Float and complex ``coeffs``
+    are checked for finiteness only when the amplitudes need a coercion or
+    their norm is not finite or below ``_NORM_FLOOR``, as a non-finite one
+    makes it; others at once, as np.isfinite takes them (strings it rejects)."""
     coeffs, words = np.asarray(coeffs), code.codewords
     if coeffs.shape != (len(words),):
         raise ValueError(f"expected {len(words)} logical coefficients")
-    if not np.isfinite(coeffs).all():
+    if coeffs.dtype.kind not in "fc" and not np.isfinite(coeffs).all():
         raise ValueError("logical coefficients must be finite")
-    encoded = coeffs[0] * words[0].amplitudes
+    encoded = words[0].amplitudes * coeffs[0]
     for k in range(1, len(words)):
-        encoded += coeffs[k] * words[k].amplitudes
-    return coeffs, encoded
+        encoded += words[k].amplitudes * coeffs[k]
+    norm = _norm(encoded)
+    if not _NORM_FLOOR <= norm < math.inf or encoded.dtype != code.field.dtype:
+        if not np.isfinite(coeffs).all():
+            raise ValueError("logical coefficients must be finite")
+        norm = _finite_norm(encoded := _field_amplitudes(code.field, code.n_sites, encoded))
+    return coeffs, encoded, norm
 
 
 def _repetition_codewords(field: ScalarField, n_sites: int,
                           unit_indices: tuple[int, int]) -> tuple[StateVector, ...]:
     dim = field.site_dim
-    words = []
-    for u in unit_indices:
-        index = sum(u * dim ** k for k in range(n_sites))
-        words.append(basis_state(field, n_sites, index))
-    return tuple(words)
+    return tuple(basis_state(field, n_sites, sum(u * dim ** k for k in range(n_sites)))
+                 for u in unit_indices)
 
 
 def build_r3_code() -> Code:
@@ -185,19 +190,14 @@ def _b3_words() -> tuple[np.ndarray, np.ndarray]:
 def build_b3_code() -> Code:
     """(|000> +- |111>)/sqrt(2): the three-qubit pre-encoding stage of the
     nine-qubit code."""
-    plus, minus = _b3_words()
     return Code("b3", ScalarField.COMPLEX, 3,
-                (StateVector(ScalarField.COMPLEX, 3, plus),
-                 StateVector(ScalarField.COMPLEX, 3, minus)))
+                tuple(StateVector(ScalarField.COMPLEX, 3, w) for w in _b3_words()))
 
 
 def build_shor9_code() -> Code:
     """Nine complex qubits: each b3 codeword repeated across three blocks."""
-    plus, minus = _b3_words()
-    sv = lambda a: StateVector(ScalarField.COMPLEX, 3, a)
-    w0 = tensor_state([sv(plus)] * 3)
-    w1 = tensor_state([sv(minus)] * 3)
-    return Code("shor9", ScalarField.COMPLEX, 9, (w0, w1))
+    return Code("shor9", ScalarField.COMPLEX, 9, tuple(
+        tensor_state([StateVector(ScalarField.COMPLEX, 3, w)] * 3) for w in _b3_words()))
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +277,11 @@ class CombinedError(_Frozen):
         not validated as a state: sum_p e_p sum_l a_l (E_p w_l), one product
         of the weights e_p a_l with the (pairs, columns) images the set holds,
         scattered to full width; :func:`roundtrip` holds the errstate."""
-        columns = _images(code, self.errors)[1]
-        block = (self.coefficients[:, None] * logical).ravel() @ self.errors._image_slot[3]
+        if not (slot := self.errors._image_slot) or slot[0] is not code:
+            _images(code, self.errors)
+        block = (self.coefficients[:, None] * logical).ravel().dot(slot[3])
         out = np.zeros(code.dim, block.dtype)
-        out[columns] = block
+        out[slot[2]] = block
         return out
 
 
@@ -634,29 +635,26 @@ class CorrectionMap(_Frozen):
 
     def _correct(self, corrupted: np.ndarray) -> tuple[np.ndarray | slice, np.ndarray]:
         """The image of corrupted x |0_A> from the code-space amplitudes
-        alone, unchecked: :meth:`apply` checks each state before calling
-        this, and :func:`roundtrip` builds ``corrupted`` over ``self.code``.
-        Returns ``(rows, block)``, the (code row, ancilla) output table on the
-        rows that can be nonzero.
-
-        Without a completion the output is the codewords weighted per ancilla
-        state, zero off ``ancilla_states``, so ``rows`` is ``code.support``.
-        A completed operator gives every row, ``slice(None)``, from the
-        ancilla-|0> columns it holds as ``_gather``: a dense one as a
-        product, a held ``(perm, sign)`` one as a scatter of their entries."""
+        alone, unchecked (:meth:`apply` checks each state, :func:`roundtrip`
+        builds ``corrupted`` over ``self.code``), as ``(rows, block)``: the
+        (code row, ancilla) output table on the rows that can be nonzero.
+        Without a completion they are ``code.support``, the codewords weighted
+        per ancilla state.  A completion gives every row, ``slice(None)``,
+        from its ancilla-|0> columns ``_gather``: a dense one by a product, a
+        ``(perm, sign)`` one by a scatter of their entries."""
         gather = self._gather
         if gather is None:
             words = self._support_words
-            coeffs = self._domain_adjoint @ corrupted[self._columns]
+            coeffs = self._domain_adjoint.dot(corrupted[self._columns])
             weights = np.zeros((len(words), self.ancilla_dim), self.code.field.dtype)
             weights[:, self._ancilla_index] = coeffs.reshape(-1, len(words)).T
-            return self.code.support, words.T @ weights
+            return self.code.support, words.T.dot(weights)
         if type(gather) is tuple:
             rows, sign = gather
             out = np.zeros((self.code.dim, self.ancilla_dim), sign.dtype)
             out.reshape(-1)[rows] = sign * corrupted
             return slice(None), out
-        return slice(None), (gather @ corrupted).reshape(self.code.dim, self.ancilla_dim)
+        return slice(None), gather.dot(corrupted).reshape(self.code.dim, self.ancilla_dim)
 
 
 def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
@@ -832,6 +830,7 @@ class RoundtripResult(_Frozen):
         _set(self, "fidelity", fidelity)
 
 
+@np.errstate(over="ignore", invalid="ignore")     # raises ValueError below
 def roundtrip(cmap: CorrectionMap, logical,
               error: CombinedError | SiteOperator | LinearMap) -> RoundtripResult:
     """Encode ``logical`` in ``cmap.code``, corrupt, append |0_A>, correct,
@@ -843,55 +842,57 @@ def roundtrip(cmap: CorrectionMap, logical,
     caller compares it with its own tolerance.
 
     Each call computes only its per-trial products, from operands held once
-    (see the module docstring): the encoding, the corruption (one product of
-    a combined error's weights with its set's images; a ``SiteOperator`` acts
-    on the encoded amplitudes, a ``LinearMap`` on an unvalidated state of
-    them) and the ``(rows, block)`` pair of :meth:`CorrectionMap._correct`,
-    on which the ancilla, residual, norm and fidelity are all taken.  Each
-    array is checked once, where it enters: the logical coefficients as
-    :func:`encode` checks them, the encoded and the corrupted amplitudes for
-    field and shape, and all for finiteness by their norms, the ancilla too.
+    (see the module docstring), and checks each array once, where it enters,
+    for finiteness by its norm: float or complex ``logical`` is checked as
+    :func:`encode` checks it, in its order, only when its encoding's norm is
+    not finite or is below ``_NORM_FLOOR`` or its dtype is not the field's.
+    Nonzero coefficients below the floor are scaled up by an exact power of
+    two, the residual and the ancilla back down, so that no norm underflows.
     An overflowing norm raises ValueError, an error of another type TypeError.
     """
     if not isinstance(error, (CombinedError, SiteOperator, LinearMap)):
         raise TypeError("error must be a CombinedError, SiteOperator or "
                         f"LinearMap, got {type(error).__name__}")
     code = cmap.code
-    field, n_sites = code.field, code.n_sites
-    logical, encoded = _encoded_amplitudes(code, logical)
-    encoded = _field_amplitudes(field, n_sites, encoded)
-    with np.errstate(over="ignore", invalid="ignore"):     # raises ValueError below
-        scale = _finite_norm(encoded)
-        if scale <= 0:
+    field, n_sites, power = code.field, code.n_sites, 0
+    logical, encoded, scale = _encoded_amplitudes(code, logical)
+    if scale < _NORM_FLOOR:
+        if not logical.any():
             raise ValueError("logical coefficients must not all vanish")
-        if isinstance(error, CombinedError):
-            amps = error._corrupt(code, logical)
-        elif isinstance(error, SiteOperator):
-            amps = _site_amplitudes(error, field, n_sites, encoded)
-        else:
-            amps = _error_amplitudes(error, StateVector._checked(field, n_sites, encoded))
-        corrupted = _field_amplitudes(field, n_sites, amps)
-        corrupted_norm = _finite_norm(corrupted)
-        rows, block = cmap._correct(corrupted)
+        # the largest modulus to [1/2, 1); 2 ** 1022 lifts 2 ** -1074 to 2 ** -52
+        power = min(-math.frexp(np.abs(logical).max())[1], 1022)
+        logical, encoded, scale = _encoded_amplitudes(code, logical * 2.0 ** power)
+    if isinstance(error, CombinedError):
+        amps = error._corrupt(code, logical)
+    elif isinstance(error, SiteOperator):
+        amps = _site_amplitudes(error, field, n_sites, encoded)
+    else:
+        amps = _error_amplitudes(error, StateVector._checked(field, n_sites, encoded))
+    corrupted = _field_amplitudes(field, n_sites, amps)
+    corrupted_norm = _finite_norm(corrupted)
+    rows, block = cmap._correct(corrupted)
 
-        ref_block = encoded[rows] / scale
-        anc = ref_block.conj() @ block
-        diff = ref_block[:, None] * anc
-        residual_f = _norm(np.subtract(block, diff, out=diff))
-        norm_gap = abs(corrupted_norm - _norm(block))
-        residual = max(residual_f, norm_gap)
+    ref_block = encoded[rows] / scale
+    anc = ref_block.conj().dot(block)
+    diff = ref_block[:, None] * anc
+    residual_f = _norm(np.subtract(block, diff, out=diff))
+    norm_gap = abs(corrupted_norm - _norm(block))
+    residual = max(residual_f, norm_gap)
 
-        anc_norm = _norm(anc)
-        if anc_norm > 0:
-            code_amps = block @ anc.conj() / (anc_norm ** 2)
-        else:
-            code_amps = np.zeros(len(block), dtype=block.dtype)
-        cf_norm = _norm(code_amps)
-        fidelity = (float(abs(np.vdot(ref_block, code_amps)) / cf_norm)
-                    if cf_norm > 0 else 0.0)
+    anc_norm = _norm(anc)
+    if anc_norm > 0:
+        code_amps = block.dot(anc.conj()) / (anc_norm ** 2)
+    else:
+        code_amps = np.zeros(len(block), dtype=block.dtype)
+    cf_norm = _norm(code_amps)
+    fidelity = (float(abs(np.vdot(ref_block, code_amps)) / cf_norm)
+                if cf_norm > 0 else 0.0)
     if not (scale < math.inf and residual_f < math.inf and norm_gap < math.inf
             and anc_norm < math.inf and fidelity < math.inf):    # each >= 0 or NaN
         raise ValueError("a norm overflows: the state is too large")
+    if power:
+        anc *= 2.0 ** -power
+        residual *= 2.0 ** -power
     return RoundtripResult(StateVector._checked(field, cmap.n_ancilla, anc),
                            residual, fidelity)
 
@@ -924,8 +925,7 @@ def simulate(cmap: CorrectionMap, draw, rng: np.random.Generator,
         raise TypeError(f"trials must be an integer, got {trials!r}")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
-    fidelities = np.empty(trials)
-    residuals = np.empty(trials)
+    fidelities, residuals = np.empty(trials), np.empty(trials)
     for start in range(0, trials, _BLOCK):
         n = min(_BLOCK, trials - start)
         if len(block := list(draw(rng, n))) != n:

@@ -60,7 +60,6 @@ from .sampling import (
     _amplitudes,
     _unit_rows,
     _width,
-    random_coefficients,
     random_orthogonal,
     random_state,
     random_unitary,
@@ -321,7 +320,7 @@ def quaternion_suite(seed: int, trials: int) -> list[CheckRecord]:
     _check_trials(trials)
     records = [
         _exact("norm_multiplicative", "multiplicative norm",
-               *_over_blocks(_norm_multiplicative, rng_for(seed, 101), 10_000)),
+               *_over_blocks(_norm_multiplicative, rng_for(seed, 101), trials)),
         _exact("mul_associative", "associativity of the product",
                *_over_blocks(_associativity, rng_for(seed, 102), trials)),
         _exact("rotation_geometry", "conjugation rotates the imaginary 3-space",
@@ -347,12 +346,8 @@ def quaternion_suite(seed: int, trials: int) -> list[CheckRecord]:
         dev_equi, gap))
 
     rng = rng_for(seed, 106)
-    canonical = []
-    for r in range(2):
-        for c in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[r, c] = 1.0
-            canonical.extend([e, 1j * e, -e, -1j * e])
+    canonical = [m for e in np.eye(4, dtype=complex).reshape(4, 2, 2)    # e_rc, row-major
+                 for m in (e, 1j * e, -e, -1j * e)]
     # every matrix is drawn before the first q
     drawn = rng.standard_normal((trials, 2, 2, 2))
     matrices = np.concatenate([canonical, drawn[:, 0] + 1j * drawn[:, 1]])
@@ -545,18 +540,23 @@ def linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
 
 
 def _so2_draw(code: codes.Code):
-    """roundtrip_fidelity_r3's block drawer: logical coefficients, angle, site.
-    Each rotation is built as :func:`codes.so2_error` builds it, unchecked."""
+    """roundtrip_fidelity_r3's block drawer: per trial the logical normals, an
+    angle (``rng.random() * 2 pi`` is ``rng.uniform(0, 2 pi)`` bit for bit)
+    and a site; the rotations as :func:`codes.so2_error` builds them."""
+    width = _width(code.field, len(code.codewords))
 
-    def rotation(theta: float, site: int) -> SiteOperator:
-        c, s = math.cos(theta), math.sin(theta)
-        return SiteOperator._checked(code.field, site,
-                                     np.array([[c, -s], [s, c]], code.field.dtype))
+    def draw(rng, n: int):
+        normals, angles, sites = np.empty((n, width)), [], []
+        for k in range(n):
+            normals[k] = rng.standard_normal(width)
+            angles.append(rng.random() * (2.0 * np.pi))
+            sites.append(int(rng.integers(code.n_sites)))
+        cos, sin = (np.array([f(t) for t in angles]) for f in (math.cos, math.sin))
+        mats = np.stack([cos, -sin, sin, cos], -1, dtype=code.field.dtype).reshape(n, 2, 2)
+        return zip(_unit_rows(code.field, normals),
+                   (SiteOperator._checked(code.field, s, m) for s, m in zip(sites, mats)))
 
-    return lambda rng, n: [(
-        random_coefficients(code.field, len(code.codewords), rng),
-        rotation(rng.uniform(0.0, 2.0 * np.pi), int(rng.integers(code.n_sites))))
-        for _ in range(n)]
+    return draw
 
 
 def _su2_draw(code: codes.Code, gaps: list):

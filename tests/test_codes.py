@@ -1454,16 +1454,24 @@ def _checked_twice_roundtrip(cmap, logical, error):
                                  residual, fidelity)
 
 
-@pytest.mark.parametrize("draw", [_combined, _single_site], ids=["combined", "site"])
-@pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction", "shor9_correction"])
-def test_roundtrip_matches_the_checked_twice_reference_bit_for_bit(fixture, draw,
-                                                                  request):
-    cmap = request.getfixturevalue(fixture)
-    code = cmap.code
-    draw_error = draw(cmap)
+def _dense_error(cmap):
+    """A random full-space map per call, of unit scale, outside the corrected
+    span: the ``LinearMap`` error of a roundtrip."""
+    field, dim = cmap.code.field, cmap.code.dim
+
+    def draw(rng):
+        matrix = rng.standard_normal((dim, dim))
+        if field.is_complex:
+            matrix = matrix + 1j * rng.standard_normal((dim, dim))
+        return LinearMap(field, matrix / math.sqrt(dim))
+
+    return draw
+
+
+def _assert_matches_the_checked_twice_reference(cmap, draw_error, trials):
     rng = rng_for(11, 9)
-    for _ in range(40):
-        logical = random_coefficients(code.field, 2, rng)
+    for _ in range(trials):
+        logical = random_coefficients(cmap.code.field, 2, rng)
         error = draw_error(rng)
         res = roundtrip(cmap, logical, error)
         ref = _checked_twice_roundtrip(cmap, logical, error)
@@ -1471,6 +1479,29 @@ def test_roundtrip_matches_the_checked_twice_reference_bit_for_bit(fixture, draw
         assert res.residual == ref.residual
         assert res.ancilla.amplitudes.dtype == ref.ancilla.amplitudes.dtype
         assert res.ancilla.amplitudes.tobytes() == ref.ancilla.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("draw", [_combined, _single_site, _dense_error],
+                         ids=["combined", "site", "linear-map"])
+@pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction", "shor9_correction"])
+def test_roundtrip_matches_the_checked_twice_reference_bit_for_bit(fixture, draw,
+                                                                  request):
+    cmap = request.getfixturevalue(fixture)
+    _assert_matches_the_checked_twice_reference(cmap, draw(cmap),
+                                                10 if draw is _dense_error else 40)
+
+
+@pytest.mark.parametrize("draw", [_combined, _single_site, _dense_error],
+                         ids=["combined", "site", "linear-map"])
+@pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction"])
+def test_dense_completed_roundtrip_matches_the_checked_twice_reference(fixture, draw,
+                                                                      request):
+    # the same map holding its completion as a dense LinearMap, which
+    # CorrectionMap._correct multiplies by its held ancilla-|0> columns
+    held = request.getfixturevalue(fixture)
+    cmap = _with_completion(held, held.operator)
+    assert isinstance(cmap._completion, LinearMap)
+    _assert_matches_the_checked_twice_reference(cmap, draw(cmap), 20)
 
 
 def _raised(call, *args, **kwargs):
@@ -1513,6 +1544,27 @@ _REJECTED_INPUTS = {
                                _overflowing_shor9_error),
     "overflowing-logical": ("r3_correction", (1e160, 1e160),
                             lambda: so2_error(0.3, 0)),
+    # the logical checks run only once the encoded norm is found non-finite,
+    # zero or tiny, or the encoding's dtype not the field's: their order
+    # against each other and against the error's checks is as before
+    "nan-logical-nan-error": ("r3_correction", (math.nan, 1.0), lambda: SiteOperator(
+        ScalarField.REAL, 1, [[math.nan, 0.0], [0.0, 1.0]])),
+    "complex-nan-logical-on-a-real-code": ("r3_correction", (complex(math.nan, 1.0), 0.8),
+                                           lambda: so2_error(0.3, 0)),
+    "complex-logical-nan-imaginary-part": ("r3_correction", (complex(0.6, math.nan), 0.8),
+                                           lambda: so2_error(0.3, 0)),
+    "complex-zero-logical-on-a-real-code": ("r3_correction", (0j, 0j),
+                                            lambda: so2_error(0.3, 0)),
+    "wrong-length-nan-logical": ("r3_correction", (math.nan, 0.6, 0.8),
+                                 lambda: so2_error(0.3, 0)),
+    "inf-logical-linear-map-error": ("r3_correction", (math.inf, 1.0),
+                                     lambda: _non_square_error().op),
+    "zero-logical-linear-map-error": ("r3_correction", (0.0, 0.0),
+                                      lambda: LinearMap(ScalarField.REAL, np.eye(8))),
+    "nan-linear-map-error": ("r3_correction", (0.6, 0.8), lambda: LinearMap(
+        ScalarField.REAL, np.full((8, 8), math.nan))),
+    "overflowing-shor9-encoded-norm": ("shor9_correction", (1.7e308, 1.7e308),
+                                   lambda: pauli_error("x", 0)),
 }
 
 
@@ -1786,9 +1838,9 @@ def test_simulate_takes_no_numpy_norm_per_trial(fixture, request, monkeypatch):
 
 @pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction", "shor9_correction"])
 def test_simulate_checks_finiteness_once_per_array(fixture, request, monkeypatch):
-    # the roundtrip's norms stand as its finiteness checks, and the drawer
-    # checks the error coefficients of its block at once: what is left is
-    # each trial's logical coefficients, which roundtrip takes from outside
+    # the roundtrip's norms stand as its finiteness checks, the logical
+    # coefficients' too (a non-finite one makes the encoded norm non-finite),
+    # and the drawer checks the error coefficients of its block at once
     cmap = request.getfixturevalue(fixture)
     code, basis = cmap.code, _basis(cmap)
     codes._images(code, basis)                  # the set holds its images
@@ -1801,7 +1853,7 @@ def test_simulate_checks_finiteness_once_per_array(fixture, request, monkeypatch
 
     monkeypatch.setattr(np, "isfinite", counting)
     simulate(cmap, combined_draw(code, basis), rng_for(8, 2), 7)
-    assert shapes == [(7, len(basis))] + [(len(code.codewords),)] * 7
+    assert shapes == [(7, len(basis))]
 
 
 def test_combined_errors_of_checked_rows_equal_the_one_row_errors():
@@ -2110,6 +2162,76 @@ def test_table_corruption_matches_the_term_by_term_sum(case):
 def test_roundtrip_rejects_invalid_input(r3_correction, logical, error, message):
     with pytest.raises(ValueError, match=message):
         roundtrip(r3_correction, logical, error)
+
+
+def test_roundtrip_rejects_a_complex_logical_on_a_real_code_as_the_reference(
+        r3_correction):
+    logical, error = (0.6j, 0.8), so2_error(0.3, 0)
+    got = _raised(roundtrip, r3_correction, logical, error)
+    assert got == _raised(_checked_twice_roundtrip, r3_correction, logical, error)
+    assert got == (FieldMismatchError, "complex entries are invalid over real")
+
+
+@pytest.mark.parametrize("logical", [("a", "b"), (None, 1.0),
+                                     np.array([0.6, 0.8], dtype=object)],
+                         ids=["strings", "none", "object-floats"])
+def test_roundtrip_rejects_non_numeric_logicals_as_the_reference(r3_correction, logical):
+    # only float and complex coefficients wait for the norm; np.isfinite
+    # rejects these at once, before the encoding, as it did
+    error = so2_error(0.3, 0)
+    got = _raised(roundtrip, r3_correction, logical, error)
+    assert got == _raised(_checked_twice_roundtrip, r3_correction, logical, error)
+    assert got[0] is TypeError and "isfinite" in got[1]
+    assert _raised(codes.encode, r3_correction.code, logical) == got
+
+
+def _tiny_case(name):
+    """(map fixture, error) of the underflow tests: one in-family error per map."""
+    return {"r3": ("r3_correction", so2_error(0.3, 0)),
+            "h3": ("h3_correction", su2_error(quat.Quaternion(0.6, 0.0, 0.8, 0.0), 1)),
+            "shor9": ("shor9_correction", pauli_error("y", 4))}[name]
+
+
+@pytest.mark.parametrize("s", [1e-150, 1e-160, 1e-170])
+@pytest.mark.parametrize("name", ["r3", "h3", "shor9"])
+def test_roundtrip_of_tiny_logical_coefficients_keeps_its_verdict(name, s, request):
+    # (0.6 s, 0.8 s) once read fidelity 1.0000055615710528 on r3 at 1e-160 and
+    # raised "must not all vanish" at 1e-170: the squared norms underflowed.
+    # Scaled up by a power of two, they read as at scale 1, within rounding
+    # (the fidelity at scale 1 itself reads 1 + 2 ** -52 on r3).
+    fixture, error = _tiny_case(name)
+    cmap = request.getfixturevalue(fixture)
+    rounding = 8 * np.finfo(float).eps
+    one = roundtrip(cmap, np.array([0.6, 0.8]), error)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = roundtrip(cmap, s * np.array([0.6, 0.8]), error)
+    assert tiny.fidelity <= 1.0 + rounding
+    assert abs(tiny.fidelity - 1.0) <= codes.SYNTH_TOL
+    assert abs(tiny.fidelity - one.fidelity) <= rounding
+    assert abs(tiny.residual - s * one.residual) <= rounding * s
+    assert (np.abs(tiny.ancilla.amplitudes - s * one.ancilla.amplitudes).max()
+            <= rounding * s)
+
+
+def test_roundtrip_scales_the_least_subnormal_logical_up(r3_correction):
+    # 2 ** -1074 is lifted by 2 ** 1022, the largest factor roundtrip uses
+    error = so2_error(0.3, 0)
+    res = roundtrip(r3_correction, (5e-324, 0.0), error)
+    assert res.fidelity == roundtrip(r3_correction, (1.0, 0.0), error).fidelity
+    assert res.residual == 0.0
+
+
+def test_unit_logical_coefficients_are_never_rescaled(r3_correction, monkeypatch):
+    # no unit draw comes near the floor, so its bits are the reference's
+    calls = []
+    original = math.frexp
+    monkeypatch.setattr(math, "frexp", lambda x: calls.append(x) or original(x))
+    simulate(r3_correction, combined_draw(r3_correction.code, r3_correction.errors),
+             rng_for(8, 2), 50)
+    assert calls == []
+    roundtrip(r3_correction, (1e-170, 0.0), so2_error(0.3, 0))
+    assert len(calls) == 1
 
 
 def test_roundtrip_of_a_nan_error_raises_without_a_warning(r3_correction):

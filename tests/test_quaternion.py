@@ -416,7 +416,7 @@ def _reference_quaternion_suite(seed: int, trials: int) -> list[CheckRecord]:
 
     rng = rng_for(seed, 101)
     dev = 0.0
-    for _ in range(10_000):
+    for _ in range(trials):
         q, h = random_quaternion(rng), random_quaternion(rng)
         d = abs(q.norm() * h.norm() - (q * h).norm()) / (1.0 + q.norm() * h.norm())
         dev = max(dev, d)
