@@ -18,7 +18,6 @@ from .linalg import (
     apply_site,
     basis_state,
     complete_orthonormal,
-    inner,
     is_isometry,
     tensor_state,
 )
@@ -26,14 +25,10 @@ from .quaternion import (
     ComplexPair,
     ImaginaryVector,
     Quaternion,
-    decompose_matrix,
-    compose_matrix,
     embed_qubit,
     extract_qubit,
     hopf_project,
     pauli_action,
-    rotate_vector,
-    su2_right_action,
 )
 from .codes import (
     Code,

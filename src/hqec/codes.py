@@ -339,12 +339,6 @@ def su2_error(u: Quaternion, site: int) -> SiteOperator:
                         quat.right_mult_matrix(u.conj()))
 
 
-def right_unit_error(unit: str, site: int) -> SiteOperator:
-    """Right multiplication by a quaternion basis unit (i, j, or k)."""
-    return SiteOperator(ScalarField.QUATERNION_R4, site,
-                        quat.right_mult_matrix(quat.UNITS[unit]))
-
-
 class ErrorFamily(Enum):
     SO2 = "so2"
     SU2 = "su2"
@@ -371,7 +365,8 @@ def effective_error_basis(code: Code, family: ErrorFamily) -> ErrorSet:
             raise FieldMismatchError("unit right multiplications need quaternionic sites")
         for site in range(code.n_sites):
             for unit in ("i", "j", "k"):
-                terms.append(ErrorTerm(f"*{unit}@{site}", right_unit_error(unit, site)))
+                terms.append(ErrorTerm(f"*{unit}@{site}",
+                                       su2_error(quat.UNITS[unit].conj(), site)))
     elif family is ErrorFamily.PAULI_PER_SITE:
         if code.field is not ScalarField.COMPLEX:
             raise FieldMismatchError("Pauli errors need complex sites")

@@ -91,36 +91,38 @@ class CliffordReport(_Frozen):
         self._init(passed, max_deviation, failures)
 
 
+_NAMES = ("g0", "g1", "g2", "g3", "g5")
+_SQUARES = (1.0, -1.0, -1.0, -1.0, 1.0)
+# the relations clifford_check tests, in the order of _clifford_deviations
+_RELATIONS = ([f"{a},{b} do not anticommute" for k, a in enumerate(_NAMES)
+               for b in _NAMES[k + 1:]]
+              + [f"{name}^2 != {sign:+.0f}" for name, sign in zip(_NAMES, _SQUARES)]
+              + ["g5 != -i g0 g1 g2 g3"])
+
+
+def _clifford_deviations(mats) -> list[np.ndarray]:
+    """The deviation of each relation in ``_RELATIONS`` for stacked gamma
+    sets ``mats`` = (g0, g1, g2, g3, g5), each of shape (..., 4, 4)."""
+    axes = (-2, -1)
+    devs = [np.abs(a @ b + b @ a).max(axis=axes)
+            for k, a in enumerate(mats) for b in mats[k + 1:]]
+    devs += [np.abs(g @ g - sign * np.eye(4)).max(axis=axes)
+             for g, sign in zip(mats, _SQUARES)]
+    g0, g1, g2, g3, g5 = mats
+    devs.append(np.abs(g5 - (-1j) * g0 @ g1 @ g2 @ g3).max(axis=axes))
+    return devs
+
+
 def clifford_check(g: GammaSet) -> CliffordReport:
     """Verify pairwise anticommutation, the five squares, and the product
     formula for gamma5.  Basis changes leave all of these invariant.
 
     Raises ValueError for a non-finite entry, which every deviation test
     would pass as NaN."""
-    _finite(g)
-    mats = {"g0": g.g0, "g1": g.g1, "g2": g.g2, "g3": g.g3, "g5": g.g5}
-    squares = {"g0": 1.0, "g1": -1.0, "g2": -1.0, "g3": -1.0, "g5": 1.0}
-    eye = np.eye(4)
-    failures = []
-    dev = 0.0
-
-    names = list(mats)
-    for a_idx, na in enumerate(names):
-        for nb in names[a_idx + 1:]:
-            d = float(np.abs(mats[na] @ mats[nb] + mats[nb] @ mats[na]).max())
-            dev = max(dev, d)
-            if d > TOL_IDENTITY:
-                failures.append(f"{na},{nb} do not anticommute (dev {d:.3e})")
-    for name, sign in squares.items():
-        d = float(np.abs(mats[name] @ mats[name] - sign * eye).max())
-        dev = max(dev, d)
-        if d > TOL_IDENTITY:
-            failures.append(f"{name}^2 != {sign:+.0f} (dev {d:.3e})")
-    d = float(np.abs(g.g5 - (-1j) * g.g0 @ g.g1 @ g.g2 @ g.g3).max())
-    dev = max(dev, d)
-    if d > TOL_IDENTITY:
-        failures.append(f"g5 != -i g0 g1 g2 g3 (dev {d:.3e})")
-    return CliffordReport(not failures, dev, tuple(failures))
+    devs = [float(d) for d in _clifford_deviations(_finite(g).all())]
+    failures = tuple(f"{relation} (dev {d:.3e})"
+                     for relation, d in zip(_RELATIONS, devs) if d > TOL_IDENTITY)
+    return CliffordReport(not failures, max(devs), failures)
 
 
 def transform_basis(g: GammaSet, u: np.ndarray) -> GammaSet:
@@ -283,9 +285,17 @@ class ErrorRotor(_Frozen):
         return Quaternion(self.e0, self.e1, self.e2, self.e3)
 
     def matrix(self, generators: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-        e1m, e2m, e3m = generators
-        return (self.e0 * np.eye(4, dtype=e1m.dtype)
-                + self.e1 * e1m + self.e2 * e2m + self.e3 * e3m)
+        return _rotor_matrices(np.array([[self.e0, self.e1, self.e2, self.e3]]),
+                               generators)[0]
+
+
+def _rotor_matrices(e: np.ndarray, generators) -> np.ndarray:
+    """The rotor matrices e0 + e1 E1 + e2 E2 + e3 E3, one per coefficient
+    row of ``e``, over the generator triple (E1, E2, E3)."""
+    e1m, e2m, e3m = generators
+    c = e[:, :, None, None]
+    return (c[:, 0] * np.eye(4, dtype=e1m.dtype)
+            + c[:, 1] * e1m + c[:, 2] * e2m + c[:, 3] * e3m)
 
 
 class CorrespondenceReport(_Frozen):

@@ -218,7 +218,9 @@ class SiteOperator(_Frozen):
         ``matrix`` is made read-only; nothing else may write to it."""
         matrix.setflags(write=False)
         op = object.__new__(cls)
-        op._init(field, site, matrix)
+        _set(op, "field", field)
+        _set(op, "site", site)
+        _set(op, "matrix", matrix)
         return op
 
 
@@ -231,19 +233,15 @@ def tensor_state(factors: list[StateVector] | tuple[StateVector, ...]) -> StateV
         raise FieldMismatchError("all tensor factors must share a scalar field")
     amps = factors[0].amplitudes
     for f in factors[1:]:
-        amps = np.kron(amps, f.amplitudes)
+        amps = _kron(amps, f.amplitudes)
     return StateVector(field, sum(f.n_sites for f in factors), amps)
 
 
-def inner(u: StateVector, v: StateVector) -> complex | float:
-    """<u|v>: Hermitian (conjugate-linear in u) over C, Euclidean otherwise."""
-    if u.field is not v.field:
-        raise FieldMismatchError("inner product requires matching fields")
-    if u.dim != v.dim:
-        raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
-    if u.field.is_complex:
-        return complex(np.vdot(u.amplitudes, v.amplitudes))
-    return float(np.dot(u.amplitudes, v.amplitudes))
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product of each amplitude row of ``a`` with the matching
+    row of ``b`` (rows broadcast): one product per entry, as ``np.kron``
+    forms it for two vectors."""
+    return (a[..., :, None] * b[..., None, :]).reshape(*a.shape[:-1], -1)
 
 
 def apply_site(op: SiteOperator, state: StateVector) -> StateVector:

@@ -149,6 +149,35 @@ I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 UNITS = {"1": ONE, "i": I, "j": J, "k": K}
+_ONE, _I, _J = (u.as_array() for u in (ONE, I, J))
+_UNITS = np.eye(4)    # the rows 1, i, j, k
+
+
+def _pure(a: np.ndarray) -> np.ndarray:
+    """Rows with the scalar part set to 0.0, as an ImaginaryVector keeps them."""
+    out = a.copy()
+    out[..., 0] = 0.0
+    return out
+
+
+def _rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise rotation of the pure rows ``v`` by the unit rows ``q``:
+    q * v * conj(q)."""
+    return _pure(_hamilton(_hamilton(q, v), _conj(q)))
+
+
+def _hopf(q: np.ndarray) -> np.ndarray:
+    """Row-wise Hopf projection q^-1 * i * q of nonzero rows, as pure rows;
+    the arithmetic of :func:`hopf_project`."""
+    r = _hamilton(_hamilton(_conj(q), _I), q)
+    return _pure(r * (1.0 / _norm_sq(q))[..., None])
+
+
+def _right_mult(q: np.ndarray) -> np.ndarray:
+    """The 4x4 real matrices of p -> p * q, one per row of ``q``, as one
+    C-ordered stack: column c is the c-th unit times q.  The arithmetic of
+    :func:`right_mult_matrix`."""
+    return np.ascontiguousarray(_hamilton(_UNITS, q[..., None, :]).swapaxes(-1, -2))
 
 
 class ImaginaryVector(_Value):
@@ -184,42 +213,6 @@ def embed_qubit(p: ComplexPair) -> Quaternion:
 def extract_qubit(q: Quaternion) -> ComplexPair:
     """Inverse of :func:`embed_qubit`."""
     return ComplexPair(complex(q.w, q.x), complex(q.y, q.z))
-
-
-def rotate_vector(q: Quaternion, v: ImaginaryVector) -> ImaginaryVector:
-    """Rotate a 3-vector by the unit quaternion q via q * v * conj(q)."""
-    if not q.is_unit():
-        raise ValueError("rotation requires a unit quaternion")
-    r = q * v.to_quaternion() * q.conj()
-    return ImaginaryVector(r.x, r.y, r.z)
-
-
-def rotation_axis(q: Quaternion) -> ImaginaryVector:
-    """Unit imaginary part of q; the axis fixed by rotate_vector(q, .)."""
-    length = _checked_norm(q, math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z),
-                           "take the axis of")
-    if length <= TOL_ZERO:
-        raise ValueError("quaternion has no imaginary part")
-    return ImaginaryVector(q.x / length, q.y / length, q.z / length)
-
-
-def su2_right_action(q: Quaternion, u: Quaternion) -> Quaternion:
-    """Apply the SU(2) element attached to the unit quaternion u: q * conj(u)."""
-    if not u.is_unit():
-        raise ValueError("the SU(2) action requires a unit quaternion")
-    return q * u.conj()
-
-
-def su2_matrix(u: Quaternion) -> np.ndarray:
-    """The 2x2 unitary [[c~, d~], [-d, c]] acting on (a, b), where u = c + d*j.
-
-    Applying this matrix to extract_qubit(q) agrees with embed of
-    q * conj(u) for every q; right multiplication and the matrix action are
-    the same map in two coordinate systems.
-    """
-    p = extract_qubit(u)
-    c, d = p.a, p.b
-    return np.array([[np.conj(c), np.conj(d)], [-d, c]], dtype=complex)
 
 
 def pauli_action(axis: str, q: Quaternion) -> Quaternion:
@@ -307,11 +300,10 @@ def hopf_project(q: Quaternion) -> ImaginaryVector:
     phase factors exp(phi*i), and transforms by the rotation attached to u
     when q is replaced by q * conj(u).
     """
-    n2 = _checked_norm(q, q.norm_sq(), "project")
-    if n2 <= TOL_ZERO * TOL_ZERO:
+    if _checked_norm(q, q.norm_sq(), "project") <= TOL_ZERO * TOL_ZERO:
         raise ValueError("cannot project the zero quaternion")
-    r = (q.conj() * I * q).scaled(1.0 / n2)
-    return ImaginaryVector(r.x, r.y, r.z)
+    _, x, y, z = _hopf(q.as_array()).tolist()
+    return ImaginaryVector(x, y, z)
 
 
 def left_mult_matrix(q: Quaternion) -> np.ndarray:
@@ -322,45 +314,30 @@ def left_mult_matrix(q: Quaternion) -> np.ndarray:
 
 def right_mult_matrix(q: Quaternion) -> np.ndarray:
     """4x4 real matrix of p -> p * q on (w, x, y, z) coordinates."""
-    cols = [(u * q).as_array() for u in (ONE, I, J, K)]
-    return np.column_stack(cols)
+    return _right_mult(q.as_array())
 
 
 # The 8x8 real matrix taking (u, w) to the embedded images of 1 and j under
-# q -> q*u + i*q*w, that is q*u + (i*q)*w: the system decompose_matrix solves.
+# q -> q*u + i*q*w, that is q*u + (i*q)*w: the system _decompose solves.
 _DECOMPOSITION_SYSTEM = np.block([
     [left_mult_matrix(ONE), left_mult_matrix(I)],
     [left_mult_matrix(J), left_mult_matrix(K)]])
 _DECOMPOSITION_SYSTEM.setflags(write=False)
 
 
-def decompose_matrix(m: np.ndarray) -> tuple[Quaternion, Quaternion]:
-    """Write a 2x2 complex matrix M as the pair (u, w) with
-    M(q) = q*u + i*q*w under the qubit embedding.
-
-    Both sides are 8-real-dimensional and the correspondence is a linear
-    bijection, so the 8x8 system it solves is square and always solvable; a
-    large residual would mean the solver itself is broken, not the input.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("cannot decompose a matrix with non-finite entries")
-    rhs = []
-    for pair in (ComplexPair(1, 0), ComplexPair(0, 1)):
-        image = m @ np.array([pair.a, pair.b])
-        rhs.append(embed_qubit(ComplexPair(image[0], image[1])).as_array())
-    solution = np.linalg.solve(_DECOMPOSITION_SYSTEM, np.concatenate(rhs))
-    return Quaternion.from_array(solution[:4]), Quaternion.from_array(solution[4:])
+def _decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (u, w) with M(q) = q*u + i*q*w under the qubit embedding, one
+    pair per finite 2x2 complex matrix of the stack ``m``, solved in one
+    call.  Both sides are 8-real-dimensional and the correspondence is a
+    linear bijection, so the system is square and always solvable."""
+    # right-hand sides: the embedded columns m @ (1, 0) and m @ (0, 1)
+    rhs = np.ascontiguousarray(m.swapaxes(-1, -2)).reshape(-1, 4).view(float)
+    uw = np.linalg.solve(_DECOMPOSITION_SYSTEM, rhs.T).T
+    return uw[:, :4], uw[:, 4:]
 
 
-def compose_matrix(u: Quaternion, w: Quaternion) -> np.ndarray:
-    """Inverse of :func:`decompose_matrix`: the 2x2 matrix of
-    q -> q*u + i*q*w."""
-    cols = []
-    for q in (ONE, J):
-        image = q * u + I * (q * w)
-        pair = extract_qubit(image)
-        cols.append([pair.a, pair.b])
-    return np.array(cols, dtype=complex).T
+def _compose(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_decompose`: the stack of 2x2 matrices of
+    q -> q*u + i*q*w, whose columns are the images of 1 and j."""
+    return np.stack([(_hamilton(e, u) + _hamilton(_I, _hamilton(e, w))).view(complex)
+                     for e in (_ONE, _J)], axis=-1)

@@ -98,11 +98,9 @@ def unit_draw(row) -> bool:
     return quat.Quaternion.from_array(row).norm() > 1e-6
 
 
-def one_ulp_up(x):
-    """x with every real component one ulp larger: an array, a state's
-    amplitudes, or a float or complex number."""
-    if isinstance(x, StateVector):
-        return x.with_amplitudes(one_ulp_up(x.amplitudes))
-    arr = np.array(x, ndmin=1)
-    up = np.nextafter(arr.view(float), np.inf).view(arr.dtype)
-    return up if isinstance(x, np.ndarray) else type(x)(up[0])
+def inner(u: StateVector, v: StateVector) -> complex | float:
+    """<u|v> of two states of one field and dimension: Hermitian
+    (conjugate-linear in u) over C, Euclidean otherwise."""
+    if u.field.is_complex:
+        return complex(np.vdot(u.amplitudes, v.amplitudes))
+    return float(np.dot(u.amplitudes, v.amplitudes))

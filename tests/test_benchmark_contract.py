@@ -10,14 +10,16 @@ here too, in a fresh interpreter right after the command line's import: a
 lazy import that leaves a traced module unloaded fails here first as well.
 The benchmark modules are loaded by file path and never edited.
 
-``perfbench`` also spans every ``Quaternion.__mul__`` call.  The quaternion
-suite runs its randomized checks through the array kernel, so it makes few
-scalar products; the mutation tests below show that the kernel is still what
-the suite checks, term by term and against the scalar product.  The linalg
-and dirac suites run theirs array-at-a-time as well, and every suite runs the
-public scalar functions on its spot rows only.
+``perfbench`` also spans every ``Quaternion.__mul__`` call and every public
+function of the package.  The quaternion, linalg and dirac suites run their
+randomized checks through stacked-row functions, so they make few scalar
+products; the mutation test below shows that the kernel is still what the
+suite checks, term by term.  No suite makes more calls of a public function
+at 1000 trials than at 1, except the one ``codes.roundtrip`` per simulated
+trial that ``perfbench`` pins.
 """
 
+import collections
 import importlib.util
 import json
 import os
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hqec import cli, codes, dirac, linalg, sampling, verify
+from hqec import cli, codes, verify
 from hqec import quaternion as quat
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -156,66 +158,24 @@ def test_a_broken_kernel_term_fails_associativity(monkeypatch):
     assert not _verdicts()["mul_associative"].passed
 
 
-PRODUCT_CHECKS = ("norm_multiplicative", "mul_associative", "rotation_geometry",
-                  "su2_right_action_matrix", "hopf_phase_invariance",
-                  "hopf_equivariance")
+# the one public function that runs once per trial: perfbench counts its
+# calls as the simulated roundtrips
+PER_TRIAL = ("codes.roundtrip",)
 
 
-def test_kernel_drift_in_the_spot_rows_fails_the_checks(monkeypatch):
-    original = quat._hamilton
-
-    def drifting(a, b):
-        # one ulp off the scalar product, in the spot-checked rows only
-        out = original(a, b)
-        if out.ndim == 2:
-            out[:16] = np.nextafter(out[:16], np.inf)
-        return out
-
-    monkeypatch.setattr(quat, "_hamilton", drifting)
-    monkeypatch.setattr(verify, "_BLOCK", 10_000)    # one block per check
-    records = _verdicts()
-    for check_id in PRODUCT_CHECKS:
-        assert not records[check_id].passed, check_id
-    # far inside the tolerance: only the bit-for-bit spot check catches it
-    assert records["norm_multiplicative"].max_deviation < 1e-14
-
-
-# the public functions whose calls grew with the trial count in the loop form
-# of the suites, each at the name the suites call it by; no suite imports
-# random_unit_quaternion any more, so it is counted at its home in sampling
-SCALAR_ROUTES = {
-    "tensor_state": (verify, "tensor_state"),
-    "StateVector": (linalg.StateVector, "__post_init__"),
-    "quaternion_correspondence": (dirac, "quaternion_correspondence"),
-    "random_unit_quaternion": (sampling, "random_unit_quaternion"),
-}
-# their calls at 1000 trials, all on the spot rows: _SPOT trials of each
-# field or check.  The loop form made 4,752 StateVector and 1,080
-# tensor_state calls (linalg), 1,016 quaternion_correspondence and 1,200
-# random_unit_quaternion calls (dirac), and 4,000 random_unit_quaternion
-# calls (quaternion).
-SPOT_CALLS = {
-    "linalg": {"StateVector": 492, "tensor_state": 96},
-    "dirac": {"quaternion_correspondence": 32},
-    "quaternion": {},
-}
-
-
-@pytest.mark.parametrize("suite", list(SPOT_CALLS))
-def test_verify_calls_the_scalar_functions_on_the_spot_rows_only(suite, monkeypatch,
-                                                                  capsys):
-    calls = dict.fromkeys(SCALAR_ROUTES, 0)
-    for name, (owner, attr) in SCALAR_ROUTES.items():
-        def counting(*args, _name=name, _original=getattr(owner, attr)):
-            calls[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(owner, attr, counting)
-
-    def counted(trials: int) -> dict:
-        calls.update(dict.fromkeys(calls, 0))
-        cli.main(["verify", suite, "--trials", str(trials)])
+@pytest.mark.parametrize("suite", list(verify.SUITE_RUNNERS))
+def test_no_public_call_count_grows_with_the_trials(suite, capsys):
+    # perfbench's tracer spans every public function of the package and its
+    # traced methods; no suite's randomized checks go through any of them
+    # trial by trial
+    def counted(trials: int) -> collections.Counter:
+        spans = tracer.Tracer()
+        spans.instrument()
+        try:
+            cli.main(["verify", suite, "--trials", str(trials)])
+        finally:
+            spans.uninstrument()
         capsys.readouterr()
-        return {k: v for k, v in calls.items() if v}
+        return collections.Counter(s[0] for s in spans.spans if s[0] not in PER_TRIAL)
 
-    # at _SPOT trials every trial is a spot row
-    assert counted(1000) == counted(verify._SPOT) == SPOT_CALLS[suite]
+    assert counted(1000) == counted(1)

@@ -49,12 +49,11 @@ from hqec.linalg import (
     apply_site,
     basis_state,
     complete_orthonormal,
-    inner,
     is_isometry,
 )
 from hqec.sampling import random_coefficients, random_unit_quaternion, rng_for
 
-from conftest import _close
+from conftest import _close, inner
 
 
 def _pauli_singles(n_sites: int) -> ErrorSet:
@@ -520,7 +519,7 @@ def _h3_left_units(unit):
 
 def _h3_both_sides():
     code = build_h3_code("j")
-    right = tuple(ErrorTerm(f"*{u}@0", codes.right_unit_error(u, 0)) for u in "ijk")
+    right = tuple(ErrorTerm(f"*{u}@0", su2_error(quat.UNITS[u].conj(), 0)) for u in "ijk")
     return code, ErrorSet((identity_error(code.field),) + right + _left_units([0]))
 
 
@@ -1587,7 +1586,7 @@ _SIMULATED_DRAWS = {
     "shor9-combined": ("shor9_correction",
                        lambda cmap: combined_draw(cmap.code, _basis(cmap))),
     "r3-so2": ("r3_correction", lambda cmap: verify._so2_draw(cmap.code)),
-    "h3-su2": ("h3_correction", lambda cmap: verify._su2_draw(cmap.code, [])),
+    "h3-su2": ("h3_correction", lambda cmap: verify._su2_draw(cmap.code)),
 }
 
 
@@ -1947,13 +1946,11 @@ class _ShrunkQuaternions:
 def test_su2_drawer_redraws_as_random_unit_quaternion(h3_correction):
     got_rng = _ShrunkQuaternions(rng_for(4, 303), 3)
     want_rng = _ShrunkQuaternions(rng_for(4, 303), 3)
-    gaps = []
-    got = simulate(h3_correction, _site_drawer(h3_correction, gaps), got_rng, 9)
+    got = simulate(h3_correction, _site_drawer(h3_correction), got_rng, 9)
     want = _reference_simulate(h3_correction, _single_site(h3_correction), want_rng, 9)
     _assert_same_runs(got, want)
     assert got_rng.count == want_rng.count == 0
     assert got_rng.rng.standard_normal() == want_rng.rng.standard_normal()
-    assert gaps == [0.0]
 
 
 def _reference_simulate(cmap, draw_error, rng, trials):
@@ -1970,18 +1967,18 @@ def _reference_simulate(cmap, draw_error, rng, trials):
     return fidelities, residuals
 
 
-def _site_drawer(cmap, gaps):
+def _site_drawer(cmap):
     """The block drawer of verify's single-site roundtrip check for the map's
     field: SU(2) errors over H, plane rotations otherwise."""
     if cmap.code.field is ScalarField.QUATERNION_R4:
-        return verify._su2_draw(cmap.code, gaps)
+        return verify._su2_draw(cmap.code)
     return verify._so2_draw(cmap.code)
 
 
 # drawer id: (the block drawer simulate takes, the per-trial error draw of
 # the reference loop)
 _DRAWERS = {
-    "combined": (lambda cmap, gaps: combined_draw(cmap.code, _basis(cmap)), _combined),
+    "combined": (lambda cmap: combined_draw(cmap.code, _basis(cmap)), _combined),
     "site": (_site_drawer, _single_site),
 }
 
@@ -2001,14 +1998,12 @@ def test_simulate_matches_the_per_trial_loop_bit_for_bit(fixture, drawer, seed,
     block_draw, trial_draw = _DRAWERS[drawer]
     b = codes._BLOCK
     for trials in (1, b - 1, b, b + 1, 2 * b + 3):
-        gaps = []
         rng, ref_rng = rng_for(seed, trials), rng_for(seed, trials)
-        got = simulate(cmap, block_draw(cmap, gaps), rng, trials)
+        got = simulate(cmap, block_draw(cmap), rng, trials)
         want = _reference_simulate(cmap, trial_draw(cmap), ref_rng, trials)
         _assert_same_runs(got, want)
         # the same draws were made: the generators stand at the same place
         assert rng.standard_normal() == ref_rng.standard_normal()
-        assert all(gap == 0.0 for gap in gaps)
 
 
 def test_simulate_keeps_the_draw_order_on_a_shared_stream(r3_correction, h3_correction):
@@ -2021,52 +2016,11 @@ def test_simulate_keeps_the_draw_order_on_a_shared_stream(r3_correction, h3_corr
     assert rng.standard_normal() == ref_rng.standard_normal()
 
 
-@pytest.mark.parametrize("block,trials", [(5, 23), (None, 1027)],
-                         ids=["short-blocks", "simulate-blocks"])
-def test_su2_drawer_spot_checks_the_first_trials(h3_correction, monkeypatch,
-                                                 block, trials):
-    # the first verify._SPOT operators are built through su2_error too, across
-    # block boundaries when the blocks are shorter, and agree exactly
-    calls = []
-    original = codes.su2_error
-
-    def counting(u, site):
-        calls.append(site)
-        return original(u, site)
-
-    monkeypatch.setattr(codes, "su2_error", counting)
-    if block is not None:
-        monkeypatch.setattr(codes, "_BLOCK", block)
-    gaps = []
-    rng = rng_for(2, 303)
-    fidelities, _ = simulate(h3_correction, _site_drawer(h3_correction, gaps), rng, trials)
-    assert len(fidelities) == trials
-    assert len(calls) == verify._SPOT
-    assert gaps == [0.0] * -(-trials // codes._BLOCK)
-
-
-def test_su2_drawer_fails_on_a_spot_row_difference(h3_correction, monkeypatch):
-    # the row-wise operators are checked against su2_error on the spot rows
-    original = quat._hamilton
-
-    def drifting(a, b):
-        return np.nextafter(original(a, b), np.inf)
-
-    monkeypatch.setattr(quat, "_hamilton", drifting)
-    gaps = []
-    verify._su2_draw(h3_correction.code, gaps)(rng_for(0, 303), 20)
-    assert gaps and gaps[0] > 0.0
-    # far inside the roundtrip tolerance: only the spot check catches it
-    records = {r.check_id: r for r in verify.codes_suite(0, 20)}
-    assert not records["roundtrip_fidelity_h3"].passed
-    assert records["roundtrip_fidelity_h3"].max_deviation < 1e-14
-
-
 def test_su2_drawer_keeps_the_unit_check(h3_correction, monkeypatch):
     # su2_error's check, row by row: no row passes a negative tolerance
     monkeypatch.setattr(quat, "TOL_UNIT", -1.0)
     with pytest.raises(ValueError, match="unit quaternion"):
-        verify._su2_draw(h3_correction.code, [])(rng_for(0, 303), 3)
+        verify._su2_draw(h3_correction.code)(rng_for(0, 303), 3)
 
 
 @pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction"])
@@ -2075,7 +2029,7 @@ def test_site_drawers_build_the_public_operators_unchecked(fixture, request):
     # so2_error or su2_error builds from the same draws, bit for bit
     cmap = request.getfixturevalue(fixture)
     rng, ref_rng = rng_for(9, 302), rng_for(9, 302)
-    for logical, op in _site_drawer(cmap, [])(rng, 2 * verify._SPOT + 5):
+    for logical, op in _site_drawer(cmap)(rng, 37):
         ref_logical = random_coefficients(cmap.code.field, 2, ref_rng)
         ref = _single_site(cmap)(ref_rng)
         assert np.array_equal(logical, ref_logical)
@@ -2083,6 +2037,8 @@ def test_site_drawers_build_the_public_operators_unchecked(fixture, request):
         assert op.matrix.dtype == ref.matrix.dtype
         assert op.matrix.tobytes() == ref.matrix.tobytes()
         assert not op.matrix.flags.writeable
+        with pytest.raises(AttributeError, match="cannot assign"):
+            op.site = ref.site
     assert rng.standard_normal() == ref_rng.standard_normal()
 
 

@@ -1,4 +1,3 @@
-import functools
 import warnings
 
 import numpy as np
@@ -22,7 +21,7 @@ from hqec.dirac import (
     quaternion_correspondence,
     transform_basis,
 )
-from hqec.linalg import IsometryResult, ScalarField, SiteOperator, is_isometry
+from hqec.linalg import ScalarField, SiteOperator, is_isometry
 from hqec.quaternion import Quaternion
 from hqec.report import CheckRecord
 from hqec.sampling import (
@@ -32,7 +31,7 @@ from hqec.sampling import (
     rng_for,
 )
 
-from conftest import _close, drawn_row, one_ulp_up, tiny_streams, unit_draw
+from conftest import _close, drawn_row, tiny_streams, unit_draw
 
 SX = quat.PAULI_MATRICES["x"]
 SY = quat.PAULI_MATRICES["y"]
@@ -403,10 +402,30 @@ def test_majorana_spinor_roundtrip():
 
 # --- the suite against its loop form ----------------------------------------
 
+def _rotor_matrix(rotor: ErrorRotor, gens) -> np.ndarray:
+    """e0 + e1 E1 + e2 E2 + e3 E3 for one rotor, in scalar coefficients."""
+    e1m, e2m, e3m = gens
+    return (rotor.e0 * np.eye(4, dtype=e1m.dtype)
+            + rotor.e1 * e1m + rotor.e2 * e2m + rotor.e3 * e3m)
+
+
+def _clifford_deviation(g: GammaSet) -> float:
+    """The largest deviation of the relations clifford_check tests, one
+    matrix product at a time."""
+    mats = g.all()
+    devs = [float(np.abs(a @ b + b @ a).max())
+            for k, a in enumerate(mats) for b in mats[k + 1:]]
+    devs += [float(np.abs(m @ m - sign * np.eye(4)).max())
+             for m, sign in zip(mats, (1.0, -1.0, -1.0, -1.0, 1.0))]
+    g0, g1, g2, g3, g5 = mats
+    devs.append(float(np.abs(g5 - (-1j) * g0 @ g1 @ g2 @ g3).max()))
+    return max(devs)
+
+
 def _reference_dirac_suite(seed: int, trials: int) -> list[CheckRecord]:
-    """The scalar loop form of verify.dirac_suite: one trial at a time
-    through the public functions, each trial's draws by the rule of
-    drawn_row."""
+    """The scalar loop form of verify.dirac_suite: one trial at a time, the
+    rotor matrices and Clifford deviations in scalar form, each trial's draws
+    by the rule of drawn_row."""
     records = []
     gs = dirac.build_gammas_standard()
     gm = dirac.majorana_set(gs)
@@ -417,13 +436,13 @@ def _reference_dirac_suite(seed: int, trials: int) -> list[CheckRecord]:
         rep.passed, rep.max_deviation))
 
     rng = rng_for(seed, 401)
-    reps = [dirac.clifford_check(gm)] + [
-        dirac.clifford_check(dirac.transform_basis(gs, random_unitary(4, rng)))
-        for _ in range(100)]
+    dev = max([_clifford_deviation(gm)] + [
+        _clifford_deviation(dirac.transform_basis(gs, random_unitary(4, rng)))
+        for _ in range(100)])
     records.append(CheckRecord(
         "clifford_transformed",
         "the defining relations survive arbitrary unitary basis changes",
-        all(r.passed for r in reps), max(r.max_deviation for r in reps)))
+        dev <= dirac.TOL_IDENTITY, dev))
 
     um = dirac.build_majorana_transform(gs)
     dev_ref = float(np.abs(um - dirac.MAJORANA_TRANSFORM_REFERENCE).max())
@@ -470,8 +489,9 @@ def _reference_dirac_suite(seed: int, trials: int) -> list[CheckRecord]:
         e = Quaternion.from_array(row[:4]).normalized()
         pairs.append((ErrorRotor(e.w, e.x, e.y, e.z), Quaternion.from_array(row[4:])))
     for rotor, q in pairs:
-        rep = quaternion_correspondence(rotor, q, gm)
-        dev = max(dev, rep.max_deviation)
+        lhs = (_rotor_matrix(rotor, gens) @ q.as_array()).real
+        rhs = (q * rotor.as_quaternion().conj()).as_array()
+        dev = max(dev, float(np.abs(lhs - rhs).max()))
     unit_signs = classify_unit_correspondences(gens)
     records.append(CheckRecord(
         "rotor_correspondence",
@@ -484,7 +504,7 @@ def _reference_dirac_suite(seed: int, trials: int) -> list[CheckRecord]:
     for _ in range(min(trials, 200)):
         e = Quaternion.from_array(drawn_row(rng, redraw, 4, unit_draw)).normalized()
         rotor = ErrorRotor(e.w, e.x, e.y, e.z)
-        dev = max(dev, is_isometry(rotor.matrix(gens).real).max_deviation)
+        dev = max(dev, is_isometry(_rotor_matrix(rotor, gens).real).max_deviation)
     records.append(CheckRecord(
         "rotor_isometry", "unit rotors act as isometries of R^4",
         dev <= dirac.TOL_IDENTITY, dev))
@@ -504,9 +524,8 @@ def test_dirac_suite_matches_the_loop_reference(seed, trials):
 
 
 def test_blocked_dirac_suite_matches_the_loop_reference(monkeypatch):
-    # many blocks: each draws its trials in order, the spot rows follow the
-    # trial index across block boundaries, and the records are those of the
-    # default block at every block size
+    # many blocks: each draws its trials in order, and the records are those
+    # of the default block at every block size
     default = verify.dirac_suite(7, 100)
     assert default == _reference_dirac_suite(7, 100)
     for size in (3, 7):
@@ -529,47 +548,18 @@ def test_a_redrawn_rotor_comes_from_the_redraw_stream(monkeypatch):
     assert (drawn[(403,)], drawn[(403, 2)]) == (50 * 4, 4)
 
 
-DIRAC_DRIFT = {
-    "transform_basis": lambda g: GammaSet(*map(one_ulp_up, g.all())),
-    "clifford_check": lambda r: dirac.CliffordReport(
-        r.passed, one_ulp_up(r.max_deviation), r.failures),
-    "is_isometry": lambda r: IsometryResult(r.passed, one_ulp_up(r.max_deviation)),
-    "quaternion_correspondence": lambda r: dirac.CorrespondenceReport(
-        one_ulp_up(r.lhs), r.rhs, r.max_deviation),
-}
-
-
-@pytest.mark.parametrize(("name", "check_id"), [
-    ("transform_basis", "clifford_transformed"),
-    ("clifford_check", "clifford_transformed"),
-    ("is_isometry", "rotor_isometry")])
-def test_a_public_function_one_ulp_off_fails_its_check(name, check_id, monkeypatch):
-    # the spot rows run through the public function, bit for bit, so one ulp
-    # of drift fails the check although it is far inside the tolerance
-    owner = verify if name == "is_isometry" else dirac
-    original = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *args: DIRAC_DRIFT[name](original(*args)))
-    records = {r.check_id: r for r in verify.dirac_suite(0, 20)}
-    assert not records[check_id].passed
-    assert records[check_id].max_deviation < 1e-13
-
-
-def test_a_drifting_correspondence_opens_a_spot_gap(monkeypatch):
-    # rotor_correspondence fails anyway (criterion 6), so the drift shows in
-    # the block's spot gap, which the record folds into its deviation
-    gm = majorana_set()
-    gens = error_generators(gm)
-
-    def gap():
-        check = functools.partial(verify._rotor_correspondence, gm, gens,
-                                  rng_for(0, 402, 2))
-        return verify._over_blocks(check, rng_for(0, 402), 20)[1]
-
-    assert gap() == 0.0
-    original = dirac.quaternion_correspondence
-    monkeypatch.setattr(dirac, "quaternion_correspondence", lambda *args:
-                        DIRAC_DRIFT["quaternion_correspondence"](original(*args)))
-    assert 0.0 < gap() < 1e-14
+@pytest.mark.parametrize("basis", ["standard", "majorana"])
+def test_rotor_matrix_and_clifford_deviation_are_their_scalar_forms(basis):
+    # the one-row cases of the stacked functions verify calls, bit for bit
+    gs = build_gammas_standard()
+    g = gs if basis == "standard" else majorana_set(gs)
+    gens = error_generators(g)
+    rng = rng_for(3, 17)
+    for _ in range(20):
+        rotor = ErrorRotor(*rng.standard_normal(4))
+        assert rotor.matrix(gens).tobytes() == _rotor_matrix(rotor, gens).tobytes()
+        u = transform_basis(g, random_unitary(4, rng))
+        assert clifford_check(u).max_deviation == _clifford_deviation(u)
 
 
 # --- criterion 6 as one convention bit ------------------------------------------

@@ -23,14 +23,13 @@ from hqec.linalg import (
     apply_site,
     basis_state,
     complete_orthonormal,
-    inner,
     is_isometry,
     tensor_state,
 )
 from hqec.report import CheckRecord
 from hqec.sampling import random_orthogonal, random_state, random_unitary, rng_for
 
-from conftest import one_ulp_up
+from conftest import inner
 
 R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION_R4
 
@@ -121,12 +120,21 @@ _NORM_ELEMENTS = st.one_of(
 def _norm_inputs(draw):
     """A real or complex array, 1-D or 2-D, and a view of it as roundtrip
     may pass one: the whole array, a strided or reversed slice, or a
-    transpose."""
+    transpose; or every other entry of 1,000 normals scaled by 10^U(-3, 3),
+    long enough that a dot product of the strided view itself rounds
+    differently from numpy's norm, which copies it first."""
+    view = draw(st.sampled_from(["whole", "strided", "reversed", "transposed",
+                                 "long strided"]))
+    if view == "long strided":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        x = rng.standard_normal(1000)
+        if draw(st.booleans()):
+            x = x + 1j * rng.standard_normal(1000)
+        return (x * 10.0 ** rng.uniform(-3.0, 3.0))[::2]
     shape = draw(array_shapes(min_dims=1, max_dims=2, max_side=6))
     x = draw(arrays(np.float64, shape, elements=_NORM_ELEMENTS))
     if draw(st.booleans()):
         x = x + 1j * draw(arrays(np.float64, shape, elements=_NORM_ELEMENTS))
-    view = draw(st.sampled_from(["whole", "strided", "reversed", "transposed"]))
     return {"whole": x, "strided": x[::2], "reversed": x[::-1], "transposed": x.T}[view]
 
 
@@ -210,16 +218,13 @@ def test_inner_examples():
 
 
 def test_inner_is_conjugate_linear_in_first_argument():
+    # the row-wise product of the isometry check, and the scalar reference
     u = StateVector(C, 1, [1j, 0])
     v = StateVector(C, 1, [1.0, 0])
     assert inner(u, v) == -1j
-
-
-def test_inner_rejects_mismatch():
-    with pytest.raises(ValueError):
-        inner(basis_state(R, 1, 0), basis_state(R, 2, 0))
-    with pytest.raises(FieldMismatchError):
-        inner(basis_state(R, 1, 0), basis_state(C, 1, 0))
+    rows = verify._inner(np.array([u.amplitudes, v.amplitudes]),
+                         np.array([v.amplitudes, u.amplitudes]))
+    assert rows.tolist() == [-1j, 1j]
 
 
 def test_apply_site_rotation_on_repetition_state():
@@ -587,16 +592,12 @@ def _reference_linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
             u2 = _unnormalized_state(field, 1, rng)
             v = _unnormalized_state(field, 1, rng)
             alpha, beta = rng.standard_normal(2)
-            left = tensor_state([u.with_amplitudes(alpha * u.amplitudes
-                                                   + beta * u2.amplitudes), v])
-            right = (alpha * tensor_state([u, v]).amplitudes
-                     + beta * tensor_state([u2, v]).amplitudes)
-            dev = max(dev, float(np.abs(left.amplitudes - right).max()))
-            left = tensor_state([v, u.with_amplitudes(alpha * u.amplitudes
-                                                      + beta * u2.amplitudes)])
-            right = (alpha * tensor_state([v, u]).amplitudes
-                     + beta * tensor_state([v, u2]).amplitudes)
-            dev = max(dev, float(np.abs(left.amplitudes - right).max()))
+            a, a2, b = u.amplitudes, u2.amplitudes, v.amplitudes
+            mixed = alpha * a + beta * a2
+            right = alpha * np.kron(a, b) + beta * np.kron(a2, b)
+            dev = max(dev, float(np.abs(np.kron(mixed, b) - right).max()))
+            right = alpha * np.kron(b, a) + beta * np.kron(b, a2)
+            dev = max(dev, float(np.abs(np.kron(b, mixed) - right).max()))
     records.append(CheckRecord(
         "tensor_bilinearity", "the tensor product is linear in each factor",
         dev <= verify.TOL_KERNEL, dev))
@@ -644,32 +645,10 @@ def test_linalg_suite_matches_the_loop_reference(seed, trials):
 
 
 def test_blocked_linalg_suite_matches_the_loop_reference(monkeypatch):
-    # many blocks per field: each draws its trials in order, the spot rows
-    # follow the trial index across block boundaries, and the records are
-    # those of the default block at every block size
+    # many blocks per field: each draws its trials in order, and the records
+    # are those of the default block at every block size
     default = verify.linalg_suite(7, 100)
     assert default == _reference_linalg_suite(7, 100)
     for size in (3, 7):
         monkeypatch.setattr(verify, "_BLOCK", size)
         assert verify.linalg_suite(7, 100) == default
-
-
-LINALG_DRIFT = [
-    ("isometry_preserves_inner", "inner"),
-    ("isometry_preserves_inner", "LinearMap.apply"),
-    ("site_application_matches_kron", "apply_site"),
-    ("tensor_bilinearity", "tensor_state"),
-]
-
-
-@pytest.mark.parametrize(("check_id", "name"), LINALG_DRIFT)
-def test_a_public_function_one_ulp_off_fails_its_check(check_id, name, monkeypatch):
-    # the spot rows run through the public function, bit for bit, so one ulp
-    # of drift fails the check although it is far inside the tolerance
-    owner, attr = ((LinearMap, "apply") if name == "LinearMap.apply"
-                   else (verify, name))
-    original = getattr(owner, attr)
-    monkeypatch.setattr(owner, attr, lambda *args: one_ulp_up(original(*args)))
-    records = {r.check_id: r for r in verify.linalg_suite(0, 20)}
-    assert [k for k, r in records.items() if not r.passed] == [check_id]
-    assert records[check_id].max_deviation < 1e-13

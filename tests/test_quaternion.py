@@ -87,40 +87,53 @@ def test_conj_gives_norm(q):
 
 
 # --- rotations ----------------------------------------------------------
+# The rotation q * v * conj(q) and the axis of q, as scalar arithmetic: the
+# second route the array kernel and verify's rotation check are held to.
+
+def _rotated(q: Quaternion, v: ImaginaryVector) -> ImaginaryVector:
+    r = q * v.to_quaternion() * q.conj()
+    return ImaginaryVector(r.x, r.y, r.z)
+
+
+def _axis(q: Quaternion) -> ImaginaryVector:
+    """The unit imaginary part of q, the axis its rotation fixes."""
+    length = math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z)
+    return ImaginaryVector(q.x / length, q.y / length, q.z / length)
+
+
+def _rotate(q: Quaternion, v: ImaginaryVector) -> ImaginaryVector:
+    """The row kernel's rotation of one vector."""
+    _, x, y, z = quat._rotate(q.as_array(), v.to_quaternion().as_array()).tolist()
+    return ImaginaryVector(x, y, z)
+
 
 def test_rotate_examples():
     v = ImaginaryVector(1, 0, 0)
-    assert _close(quat.rotate_vector(ONE, v), v)
-    assert _close(quat.rotate_vector(K, v), ImaginaryVector(-1, 0, 0))
+    assert _close(_rotate(ONE, v), v)
+    assert _close(_rotate(K, v), ImaginaryVector(-1, 0, 0))
     half = Quaternion(1, 0, 0, 1).normalized()
-    assert _close(quat.rotate_vector(half, v), ImaginaryVector(0, 1, 0))
-
-
-def test_rotate_rejects_non_unit():
-    with pytest.raises(ValueError):
-        quat.rotate_vector(Quaternion(2, 0, 0, 0), ImaginaryVector(1, 0, 0))
+    assert _close(_rotate(half, v), ImaginaryVector(0, 1, 0))
 
 
 @given(unit_quaternions, st.tuples(finite, finite, finite))
 def test_rotation_preserves_length(q, xyz):
     v = ImaginaryVector(*xyz)
-    assert abs(quat.rotate_vector(q, v).length() - v.length()) \
-        <= 1e-12 * (1 + v.length())
+    assert abs(_rotate(q, v).length() - v.length()) <= 1e-12 * (1 + v.length())
 
 
 @given(unit_quaternions)
 def test_rotation_fixes_axis(q):
     if q.as_array()[1:] @ q.as_array()[1:] < 1e-6:
         return
-    axis = quat.rotation_axis(q)
-    assert _close(quat.rotate_vector(q, axis), axis, tol=1e-10)
+    axis = _axis(q)
+    assert _close(_rotate(q, axis), axis, tol=1e-10)
 
 
 @given(unit_quaternions, unit_quaternions, st.tuples(finite, finite, finite))
 def test_rotation_composition(q1, q2, xyz):
     v = ImaginaryVector(*xyz)
-    twice = quat.rotate_vector(q2, quat.rotate_vector(q1, v))
-    once = quat.rotate_vector((q2 * q1).normalized(), v)
+    twice = _rotate(q2, _rotate(q1, v))
+    once = _rotate((q2 * q1).normalized(), v)
     assert _close(twice, once, tol=1e-10)
 
 
@@ -149,34 +162,40 @@ def test_left_phase_is_complex_phase(parts, phi):
 
 
 # --- SU(2) right action -------------------------------------------------
+# The action of u is right multiplication by conj(u), the operator su2_error
+# builds; on the amplitude pair it is the 2x2 unitary below.
+
+def _su2_matrix(u: Quaternion) -> np.ndarray:
+    """The 2x2 unitary [[c~, d~], [-d, c]] acting on (a, b), where u = c + d*j."""
+    p = quat.extract_qubit(u)
+    return np.array([[np.conj(p.a), np.conj(p.b)], [-p.b, p.a]], dtype=complex)
+
+
+def _su2_action(q: Quaternion, u: Quaternion) -> Quaternion:
+    return Quaternion.from_array(quat.right_mult_matrix(u.conj()) @ q.as_array())
+
 
 def test_su2_examples():
     q = Quaternion(0.3, 0.1, -0.7, 0.2)
-    assert _close(quat.su2_right_action(q, ONE), q)
-    assert _close(quat.su2_right_action(ONE, J), -J)
-    assert np.allclose(quat.su2_matrix(J) @ np.array([1, 0]), [0, -1])
-    assert _close(quat.su2_right_action(J, J), ONE)
-    assert np.allclose(quat.su2_matrix(J) @ np.array([0, 1]), [1, 0])
-
-
-def test_su2_rejects_non_unit():
-    with pytest.raises(ValueError):
-        quat.su2_right_action(ONE, Quaternion(1, 1, 0, 0))
+    assert _close(_su2_action(q, ONE), q)
+    assert _close(_su2_action(ONE, J), -J)
+    assert np.allclose(_su2_matrix(J) @ np.array([1, 0]), [0, -1])
+    assert _close(_su2_action(J, J), ONE)
+    assert np.allclose(_su2_matrix(J) @ np.array([0, 1]), [1, 0])
 
 
 @given(quaternions, unit_quaternions)
 def test_su2_action_matches_matrix(q, u):
-    lhs = quat.su2_right_action(q, u)
+    lhs = _su2_action(q, u)
     pair = quat.extract_qubit(q)
-    vec = quat.su2_matrix(u) @ np.array([pair.a, pair.b])
+    vec = _su2_matrix(u) @ np.array([pair.a, pair.b])
     rhs = quat.embed_qubit(ComplexPair(vec[0], vec[1]))
     assert _close(lhs, rhs)
 
 
 @given(quaternions, unit_quaternions)
 def test_su2_action_preserves_norm(q, u):
-    assert abs(quat.su2_right_action(q, u).norm() - q.norm()) \
-        <= 1e-12 * (1 + q.norm())
+    assert abs(_su2_action(q, u).norm() - q.norm()) <= 1e-12 * (1 + q.norm())
 
 
 # --- Pauli sandwich actions ----------------------------------------------
@@ -260,18 +279,28 @@ def test_hopf_equivariance(q, u):
 
 
 # --- matrix decomposition -------------------------------------------------
+# The row kernel's decomposition and composition, one matrix at a time.
+
+def _decompose(m) -> tuple[Quaternion, Quaternion]:
+    u, w = quat._decompose(np.asarray(m, dtype=complex)[None])
+    return Quaternion.from_array(u[0]), Quaternion.from_array(w[0])
+
+
+def _compose(u: Quaternion, w: Quaternion) -> np.ndarray:
+    return quat._compose(u.as_array()[None], w.as_array()[None])[0]
+
 
 def test_decompose_trivial_cases():
-    u, w = quat.decompose_matrix(np.eye(2))
+    u, w = _decompose(np.eye(2))
     assert _close(u, ONE) and _close(w, Quaternion(0, 0, 0, 0))
-    u, w = quat.decompose_matrix(1j * np.eye(2))
+    u, w = _decompose(1j * np.eye(2))
     assert _close(u, Quaternion(0, 0, 0, 0)) and _close(w, ONE)
 
 
 def test_decompose_sigma_x_roundtrip():
     sx = quat.PAULI_MATRICES["x"]
-    u, w = quat.decompose_matrix(sx)
-    assert np.abs(quat.compose_matrix(u, w) - sx).max() <= 1e-12
+    u, w = _decompose(sx)
+    assert np.abs(_compose(u, w) - sx).max() <= 1e-12
     rng = np.random.default_rng(0)
     for _ in range(100):
         q = Quaternion.from_array(rng.standard_normal(4))
@@ -282,17 +311,12 @@ def test_decompose_sigma_x_roundtrip():
         assert _close(lhs, rhs, tol=1e-10)
 
 
-def test_decompose_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        quat.decompose_matrix(np.eye(3))
-
-
 @settings(max_examples=50)
 @given(st.lists(finite, min_size=8, max_size=8))
 def test_decompose_compose_identity(entries):
     m = np.array(entries[:4]).reshape(2, 2) + 1j * np.array(entries[4:]).reshape(2, 2)
-    u, w = quat.decompose_matrix(m)
-    assert np.abs(quat.compose_matrix(u, w) - m).max() <= 1e-10
+    u, w = _decompose(m)
+    assert np.abs(_compose(u, w) - m).max() <= 1e-10
 
 
 # --- non-finite input -----------------------------------------------------
@@ -303,8 +327,8 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 @pytest.mark.parametrize("bad", NON_FINITE)
 @pytest.mark.parametrize("slot", range(4))
 @pytest.mark.parametrize("call", [
-    Quaternion.normalized, quat.hopf_project, quat.rotation_axis,
-], ids=["normalized", "hopf_project", "rotation_axis"])
+    Quaternion.normalized, quat.hopf_project,
+], ids=["normalized", "hopf_project"])
 def test_non_finite_quaternion_is_rejected(call, slot, bad):
     parts = [0.5, -1.0, 2.0, 0.25]
     parts[slot] = bad
@@ -316,9 +340,8 @@ def test_non_finite_quaternion_is_rejected(call, slot, bad):
 
 @pytest.mark.parametrize("call, q", [
     (Quaternion.normalized, Quaternion(1e300, 1e300, 0, 0)),
-    (quat.rotation_axis, Quaternion(0, 1e300, 1e300, 0)),
     (quat.hopf_project, Quaternion(1e300, 1e300, 0, 0)),
-], ids=["normalized", "rotation_axis", "hopf_project"])
+], ids=["normalized", "hopf_project"])
 def test_norm_overflow_is_rejected(call, q):
     # finite components whose norm overflows used to give zeros or a NaN
     with warnings.catch_warnings():
@@ -366,22 +389,7 @@ def test_complex_pair_isclose_rejects_an_overflow(a, b):
 def test_large_finite_norm_keeps_its_values():
     q = Quaternion(1e150, -3e150, 2e150, 0)
     assert q.normalized() == q.scaled(1.0 / math.sqrt(q.norm_sq()))
-    length = math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z)
-    assert quat.rotation_axis(q) == ImaginaryVector(q.x / length, q.y / length,
-                                                    q.z / length)
     assert quat.hopf_project(q).length() == pytest.approx(1.0)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan),
-                                 complex(-math.inf, 1.0)])
-@pytest.mark.parametrize("entry", [(0, 0), (1, 0), (0, 1), (1, 1)])
-def test_decompose_rejects_non_finite_entries(entry, bad):
-    m = np.array([[1.0, 2.0j], [-0.5, 1.0 + 1.0j]])
-    m[entry] = bad
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="non-finite"):
-            quat.decompose_matrix(m)
 
 
 # --- the row-wise array kernel --------------------------------------------
@@ -398,15 +406,52 @@ def test_array_kernel_matches_the_scalar_methods(pairs):
     b = np.array([q for _, q in pairs])
     product, norm, conj = quat._hamilton(a, b), quat._norm(a), quat._conj(a)
     first = quat._hamilton(a[0], b)      # a single row broadcast over b
+    pure = quat._pure(b)
+    rotated, right = quat._rotate(a, pure), quat._right_mult(a)
     for k in range(len(pairs)):
         qa, qb = Quaternion.from_array(a[k]), Quaternion.from_array(b[k])
         assert np.array_equal(product[k], (qa * qb).as_array())
         assert np.array_equal(first[k], (Quaternion.from_array(a[0]) * qb).as_array())
         assert norm[k] == qa.norm()
         assert np.array_equal(conj[k], qa.conj().as_array())
+        vb = ImaginaryVector(qb.x, qb.y, qb.z)
+        assert np.array_equal(rotated[k], _rotated(qa, vb).to_quaternion().as_array())
+        # column c is the c-th unit times qa, as the scalar product makes it
+        want = np.column_stack([(u * qa).as_array() for u in (ONE, I, J, K)])
+        assert right[k].tobytes() == want.tobytes()
+        assert right[k].tobytes() == quat.right_mult_matrix(qa).tobytes()
+
+
+@given(st.lists(nonzero_quaternions, min_size=1, max_size=8))
+def test_hopf_rows_match_the_scalar_projection(qs):
+    rows = quat._hopf(np.array([q.as_array() for q in qs]))
+    for row, q in zip(rows, qs):
+        assert np.array_equal(row, _projected(q).to_quaternion().as_array())
+        assert quat.hopf_project(q) == _projected(q)
 
 
 # --- the verify suite against its loop reference ---------------------------
+
+
+def _projected(q: Quaternion) -> ImaginaryVector:
+    """The Hopf projection q^-1 * i * q in scalar arithmetic."""
+    r = (q.conj() * I * q).scaled(1.0 / q.norm_sq())
+    return ImaginaryVector(r.x, r.y, r.z)
+
+
+# the 8x8 system of q -> q*u + i*q*w, built from the scalar product
+_DECOMPOSITION = np.block([[quat.left_mult_matrix(ONE), quat.left_mult_matrix(I)],
+                           [quat.left_mult_matrix(J), quat.left_mult_matrix(K)]])
+
+
+def _solved_decomposition(m: np.ndarray) -> tuple[Quaternion, Quaternion]:
+    """(u, w) with M(q) = q*u + i*q*w for one 2x2 matrix, one solve each."""
+    rhs = []
+    for pair in (ComplexPair(1, 0), ComplexPair(0, 1)):
+        image = m @ np.array([pair.a, pair.b])
+        rhs.append(quat.embed_qubit(ComplexPair(image[0], image[1])).as_array())
+    solution = np.linalg.solve(_DECOMPOSITION, np.concatenate(rhs))
+    return Quaternion.from_array(solution[:4]), Quaternion.from_array(solution[4:])
 
 
 def _reference_quaternion_suite(seed: int, trials: int) -> list[CheckRecord]:
@@ -444,15 +489,15 @@ def _reference_quaternion_suite(seed: int, trials: int) -> list[CheckRecord]:
         row = drawn_row(rng, redraw, 11, rotation_draw)
         q = Quaternion.from_array(row[:4]).normalized()
         v = ImaginaryVector(*row[4:7])
-        rotated = quat.rotate_vector(q, v)
+        rotated = _rotated(q, v)
         dev = max(dev, abs(rotated.length() - v.length()) / (1.0 + v.length()))
-        axis = quat.rotation_axis(q)
-        fixed = quat.rotate_vector(q, axis)
+        axis = _axis(q)
+        fixed = _rotated(q, axis)
         dev = max(dev, float(np.abs(np.array([fixed.x - axis.x, fixed.y - axis.y,
                                               fixed.z - axis.z])).max()))
         q2 = Quaternion.from_array(row[7:]).normalized()
-        twice = quat.rotate_vector(q2, rotated)
-        once = quat.rotate_vector((q2 * q).normalized(), v)
+        twice = _rotated(q2, rotated)
+        once = _rotated((q2 * q).normalized(), v)
         dev = max(dev, float(np.abs(np.array([twice.x - once.x, twice.y - once.y,
                                               twice.z - once.z])).max()))
     records.append(CheckRecord(
@@ -466,9 +511,9 @@ def _reference_quaternion_suite(seed: int, trials: int) -> list[CheckRecord]:
         row = drawn_row(rng, redraw, 8, lambda r: unit_draw(r[:4]))
         u = Quaternion.from_array(row[:4]).normalized()
         qs = basis if trial < 4 else (Quaternion.from_array(row[4:]),)
-        m = quat.su2_matrix(u)
+        m = _su2_matrix(u)
         for q in qs:
-            lhs = quat.su2_right_action(q, u)
+            lhs = q * u.conj()
             pair = quat.extract_qubit(q)
             vec = m @ np.array([pair.a, pair.b])
             rhs = quat.embed_qubit(ComplexPair(vec[0], vec[1]))
@@ -487,12 +532,12 @@ def _reference_quaternion_suite(seed: int, trials: int) -> list[CheckRecord]:
         q = Quaternion.from_array(row[:4])
         phi = phases.uniform(0.0, 2.0 * np.pi)
         u = Quaternion.from_array(row[4:]).normalized()
-        v = quat.hopf_project(q)
+        v = _projected(q)
         dev_shape = max(dev_shape, abs(v.length() - 1.0))
-        v_phase = quat.hopf_project(_left_phase(phi) * q)
+        v_phase = _projected(_left_phase(phi) * q)
         dev_phase = max(dev_phase, float(np.abs(np.array(
             [v_phase.x - v.x, v_phase.y - v.y, v_phase.z - v.z])).max()))
-        v_act = quat.hopf_project(q * u.conj())
+        v_act = _projected(q * u.conj())
         rot = u * v.to_quaternion() * u.conj()
         dev_equi = max(dev_equi, float(np.abs(
             v_act.to_quaternion().as_array() - rot.as_array()).max()))
@@ -514,8 +559,12 @@ def _reference_quaternion_suite(seed: int, trials: int) -> list[CheckRecord]:
     mats = canonical + [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                         for _ in range(trials)]
     for m in mats:
-        u, w = quat.decompose_matrix(m)
-        dev = max(dev, float(np.abs(quat.compose_matrix(u, w) - m).max()))
+        u, w = _solved_decomposition(m)
+        composed = []
+        for e in (quat.ONE, quat.J):
+            pair = quat.extract_qubit(e * u + quat.I * (e * w))
+            composed.append([pair.a, pair.b])
+        dev = max(dev, float(np.abs(np.array(composed).T - m).max()))
         q = random_quaternion(rng)
         pair = quat.extract_qubit(q)
         vec = m @ np.array([pair.a, pair.b])
@@ -555,9 +604,9 @@ def test_quaternion_suite_matches_the_loop_reference(seed, trials):
 @pytest.mark.parametrize(("block", "trials"), [(3, 10), (64, 200)])
 def test_blocked_quaternion_suite_matches_the_loop_reference(block, trials,
                                                               monkeypatch):
-    # many blocks: each draws its trials in order, the su2 basis branch and
-    # the spot rows follow the trial index across block boundaries, and the
-    # records are those of the default block at every block size
+    # many blocks: each draws its trials in order, the su2 basis branch
+    # follows the trial index across block boundaries, and the records are
+    # those of the default block at every block size
     default = verify.quaternion_suite(7, trials)
     assert default == _reference_quaternion_suite(7, trials)
     for size in sorted({block, 3, 7}):
@@ -611,8 +660,8 @@ def test_a_redrawn_row_comes_from_the_redraw_stream(block, monkeypatch):
 def test_the_hopf_checks_run_exactly_their_trial_count(monkeypatch):
     made, rows = {}, []
     monkeypatch.setattr(verify, "rng_for", tiny_streams(TINY, made))
-    original = verify._hopf
-    monkeypatch.setattr(verify, "_hopf", lambda q: rows.append(len(q)) or original(q))
+    original = quat._hopf
+    monkeypatch.setattr(quat, "_hopf", lambda q: rows.append(len(q)) or original(q))
     records = {r.check_id: r for r in verify.quaternion_suite(0, 40)}
     # q of trial 3 is redrawn, not skipped: three projections of every trial
     assert sum(rows) == 3 * 40
