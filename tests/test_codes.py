@@ -304,17 +304,23 @@ def test_error_set_holds_its_images_read_only_per_code():
     assert codes._images(other, basis)[0] is not images
 
 
+def _record_calls(monkeypatch, owner, name, record) -> list:
+    """Patch ``owner.name`` to append ``record(*args)`` of each call to the
+    returned list."""
+    calls, original = [], getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(record(*args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
 def _count_error_amplitudes(monkeypatch) -> list:
     """Record every (op, state) that ``codes._error_amplitudes`` applies."""
-    calls = []
-    original = codes._error_amplitudes
-
-    def counted(op, state):
-        calls.append((id(op), id(state)))
-        return original(op, state)
-
-    monkeypatch.setattr(codes, "_error_amplitudes", counted)
-    return calls
+    return _record_calls(monkeypatch, codes, "_error_amplitudes",
+                         lambda op, state: (id(op), id(state)))
 
 
 def _each_term_on_each_codeword_once(calls, code, errors) -> bool:
@@ -983,11 +989,8 @@ def test_held_completion_roundtrip_matches_the_dense_operator(name, seed):
     rng = np.random.default_rng(seed)
     logical = random_coefficients(code.field, 2, rng)
     error = _combined(cmap)(rng)
-    got = roundtrip(cmap, logical, error)
-    expected = roundtrip(dense, logical, error)
-    assert got.residual == expected.residual
-    assert got.fidelity == expected.fidelity
-    assert np.array_equal(got.ancilla.amplitudes, expected.ancilla.amplitudes)
+    _assert_same_roundtrip(roundtrip(cmap, logical, error),
+                           roundtrip(dense, logical, error))
 
 
 @pytest.mark.parametrize("name", _COMPLETED_MAPS)
@@ -1350,13 +1353,20 @@ def _dense_error(cmap):
     return draw
 
 
-def _assert_matches_the_state_reference(cmap, draw_error):
+def _assert_same_roundtrip(got, want):
+    """Two roundtrip results agree bit for bit."""
+    assert (got.residual, got.fidelity) == (want.residual, want.fidelity)
+    assert got.ancilla.amplitudes.dtype == want.ancilla.amplitudes.dtype
+    assert got.ancilla.amplitudes.tobytes() == want.ancilla.amplitudes.tobytes()
+
+
+def _assert_matches_the_state_reference(cmap, draw_error, rng, trials):
     code = cmap.code
-    rng = rng_for(11, 7)
-    for _ in range(20):
+    for _ in range(trials):
         logical = random_coefficients(code.field, 2, rng)
         error = draw_error(rng)
         res = roundtrip(cmap, logical, error)
+        _assert_same_roundtrip(roundtrip(cmap, logical, error), res)
         ancilla, residual, fidelity = _reference_roundtrip(code, cmap, logical, error)
         assert res.ancilla.amplitudes.dtype == ancilla.amplitudes.dtype
         if isinstance(error, CombinedError) or cmap._completion is None:
@@ -1378,9 +1388,20 @@ _DRAWS = pytest.mark.parametrize("draw", [_combined, _single_site, _dense_error]
 
 @_DRAWS
 @pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction", "shor9_correction"])
+def test_roundtrip_matches_the_checked_twice_reference_bit_for_bit(fixture, draw,
+                                                                  request):
+    # each roundtrip is run twice, the two bit for bit equal, and checked
+    # against the dense full-width reference
+    cmap = request.getfixturevalue(fixture)
+    _assert_matches_the_state_reference(cmap, draw(cmap), rng_for(11, 9),
+                                        10 if draw is _dense_error else 40)
+
+
+@pytest.mark.parametrize("draw", [_combined, _single_site], ids=["combined", "site"])
+@pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction", "shor9_correction"])
 def test_roundtrip_matches_the_state_reference(fixture, draw, request):
     cmap = request.getfixturevalue(fixture)
-    _assert_matches_the_state_reference(cmap, draw(cmap))
+    _assert_matches_the_state_reference(cmap, draw(cmap), rng_for(11, 7), 20)
 
 
 @_DRAWS
@@ -1391,7 +1412,7 @@ def test_dense_completed_roundtrip_matches_the_state_reference(fixture, draw, re
     held = request.getfixturevalue(fixture)
     cmap = _with_completion(held, held.operator)
     assert isinstance(cmap._completion, LinearMap)
-    _assert_matches_the_state_reference(cmap, draw(cmap))
+    _assert_matches_the_state_reference(cmap, draw(cmap), rng_for(11, 7), 20)
 
 
 def _raised(call, *args, **kwargs):
@@ -1480,6 +1501,18 @@ def test_roundtrip_rejects_invalid_input(case, request):
     assert _raised(roundtrip, cmap, logical, make_error()) == raised
 
 
+@pytest.mark.parametrize("case", list(_REJECTED_INPUTS))
+def test_roundtrip_rejects_what_the_checked_twice_reference_rejects(case, request):
+    # each rejection is checked twice: a second call raises the same, and the
+    # map's roundtrip of a valid input is bit for bit what it was before
+    fixture, logical, make_error, raised = _REJECTED_INPUTS[case]
+    cmap = request.getfixturevalue(fixture)
+    valid = (0.6, 0.8), SiteOperator(cmap.code.field, 0, [[0.0, 1.0], [1.0, 0.0]])
+    before, error = roundtrip(cmap, *valid), make_error()
+    assert [_raised(roundtrip, cmap, logical, error) for _ in range(2)] == [raised] * 2
+    _assert_same_roundtrip(roundtrip(cmap, *valid), before)
+
+
 @pytest.mark.parametrize("draw", [_combined, _single_site], ids=["combined", "site"])
 @pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction"])
 def test_roundtrip_coerces_complex_typed_logical_coefficients(fixture, draw, request):
@@ -1497,10 +1530,8 @@ def test_roundtrip_coerces_complex_typed_logical_coefficients(fixture, draw, req
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = roundtrip(cmap, logical.astype(complex), error)
-        assert res.residual == expected.residual
-        assert res.fidelity == expected.fidelity
         assert res.ancilla.amplitudes.dtype == code.field.dtype
-        assert res.ancilla.amplitudes.tobytes() == expected.ancilla.amplitudes.tobytes()
+        _assert_same_roundtrip(res, expected)
         for imag in ((1e-3, 0.0), (0.0, -1e-300)):
             with pytest.raises(FieldMismatchError):
                 roundtrip(cmap, logical + 1j * np.array(imag), error)
@@ -1623,14 +1654,7 @@ def test_simulate_applies_each_term_to_the_codewords_once(fixture, request,
     # number of term applications does not grow with the trials
     cmap = request.getfixturevalue(fixture)
     code = cmap.code
-    calls = []
-    original = codes._error_amplitudes
-
-    def counting(op, state):
-        calls.append(op)
-        return original(op, state)
-
-    monkeypatch.setattr(codes, "_error_amplitudes", counting)
+    calls = _count_error_amplitudes(monkeypatch)
     counts = {}
     for trials in (1, 7):
         calls.clear()
@@ -1647,14 +1671,7 @@ def test_simulate_takes_no_numpy_norm_per_trial(fixture, request, monkeypatch):
     # the roundtrip and the draws take their norms through linalg._norm,
     # which skips np.linalg.norm's dispatch
     cmap = request.getfixturevalue(fixture)
-    calls = []
-    original = np.linalg.norm
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", counting)
+    calls = _record_calls(monkeypatch, np.linalg, "norm", lambda *args: args)
     simulate(cmap, combined_draw(cmap.code, _basis(cmap)), rng_for(8, 2), 7)
     assert calls == []
 
@@ -1667,14 +1684,7 @@ def test_simulate_checks_finiteness_once_per_array(fixture, request, monkeypatch
     cmap = request.getfixturevalue(fixture)
     code, basis = cmap.code, _basis(cmap)
     codes._images(code, basis)                  # the set holds its images
-    shapes = []
-    original = np.isfinite
-
-    def counting(x, *args, **kwargs):
-        shapes.append(np.shape(x))
-        return original(x, *args, **kwargs)
-
-    monkeypatch.setattr(np, "isfinite", counting)
+    shapes = _record_calls(monkeypatch, np, "isfinite", lambda x, *args: np.shape(x))
     simulate(cmap, combined_draw(code, basis), rng_for(8, 2), 7)
     assert shapes == [(7, len(basis))]
 
