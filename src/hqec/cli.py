@@ -49,12 +49,7 @@ def cmd_simulate(code_id: str, cfg: RunConfig) -> list[CheckRecord]:
     roundtrips with random logical states and random in-family combinations."""
     fidelity_tol = cfg.tol if cfg.tol is not None else codes.SYNTH_TOL
     family_name, family, build = SIMULATION_SETUPS[code_id]
-    try:
-        cmap = build()
-    except codes.SynthesisError as exc:
-        return [CheckRecord("synthesis", "correction-map synthesis",
-                            False, None, str(exc))]
-
+    cmap = build()
     code = cmap.code
     basis = codes.effective_error_basis(code, family)
     kl = codes.kl_check(code, basis)

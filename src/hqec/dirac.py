@@ -35,7 +35,6 @@ _Z2 = np.zeros((2, 2), dtype=complex)
 TOL_IDENTITY = 1e-12     # the algebraic identities checked below
 TOL_REAL = 1e-10         # imaginary part a real generator triple may carry
 TOL_BASIS_IMAGE = 1e-13  # a conjugated gamma matrix against its reference image
-TOL_SPINOR_REAL = 1e-12  # imaginary part a Majorana spinor's components may carry
 
 
 class GammaSet(_Frozen):
@@ -262,9 +261,7 @@ class MajoranaSpinor(_Frozen):
         if comp.shape != (4,) or not np.isfinite(comp).all():
             raise ValueError("four finite components required")
         if np.iscomplexobj(comp):
-            if np.abs(comp.imag).max(initial=0.0) > TOL_SPINOR_REAL:
-                raise ValueError("components must be real")
-            comp = comp.real
+            raise ValueError("components must be real")
         self._init(comp.astype(float))
 
     @classmethod

@@ -52,9 +52,9 @@ class Quaternion(_Value):
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
 
-    def __mul__(self, other: "Quaternion | float | int") -> "Quaternion":
-        if isinstance(other, (int, float)):
-            return self.scaled(float(other))
+    def __mul__(self, other: "Quaternion") -> "Quaternion":
+        if not isinstance(other, Quaternion):
+            return NotImplemented
         a, b = self, other
         return Quaternion(
             a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
@@ -62,9 +62,6 @@ class Quaternion(_Value):
             a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
             a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
         )
-
-    def __rmul__(self, other: float | int) -> "Quaternion":
-        return self.scaled(float(other))
 
     def scaled(self, s: float) -> "Quaternion":
         return Quaternion(s * self.w, s * self.x, s * self.y, s * self.z)

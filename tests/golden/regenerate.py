@@ -7,7 +7,10 @@ Run from the repository root:
 
 A golden report is the structured report of one command, less its
 ``wall_time_s``, with the command's exit code under ``exit_code``.
-``environment.json`` records the Python, numpy, BLAS and CPU that made them.
+``roundtrips.json`` holds, for each simulation at each seed, the SHA-256 of
+its per-trial fidelities and residuals, so that a last-bit change in any trial
+shows, not only in the printed minimum and maximum.  ``environment.json``
+records the Python, numpy, BLAS and CPU that made them.
 Each field that differs from the file it replaces is printed, under the
 file's name, as ``check_id.field: old -> new``.
 """
@@ -15,6 +18,7 @@ file's name, as ``check_id.field: old -> new``.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import platform
@@ -22,19 +26,23 @@ from pathlib import Path
 
 import numpy as np
 
-from hqec import cli
+from hqec import cli, codes
+from hqec.sampling import rng_for
 
 GOLDEN = Path(__file__).resolve().parent
 ENVIRONMENT = "environment.json"
+ROUNDTRIPS = "roundtrips.json"
+SIMULATIONS = ("r3", "h3", "shor9")
+SEEDS = (0, 7)
 
 # file name: the command line it records
 COMMANDS = {
     f"{command}-{target}-seed{seed}.json": [
         command, target, "--seed", str(seed), "--trials", "1000",
         "--format", "structured"]
-    for command, target in (("verify", "all"), ("simulate", "r3"),
-                            ("simulate", "h3"), ("simulate", "shor9"))
-    for seed in (0, 7)
+    for command, target in (("verify", "all"),
+                            *(("simulate", code) for code in SIMULATIONS))
+    for seed in SEEDS
 }
 
 
@@ -47,6 +55,23 @@ def run(argv: list[str]) -> dict:
     del doc["wall_time_s"]
     doc["exit_code"] = exit_code
     return doc
+
+
+def roundtrip_digests() -> dict:
+    """``code-seedS``: the SHA-256 of ``fidelities.tobytes() +
+    residuals.tobytes()`` of the roundtrips ``hqec simulate code --seed S
+    --trials 1000`` runs, drawn as ``cli.cmd_simulate`` draws them."""
+    digests = {}
+    for code_id in SIMULATIONS:
+        _, family, build = cli.SIMULATION_SETUPS[code_id]
+        cmap = build()
+        draw = codes.combined_draw(cmap.code,
+                                   codes.effective_error_basis(cmap.code, family))
+        for seed in SEEDS:
+            fidelities, residuals = codes.simulate(cmap, draw, rng_for(seed, 501), 1000)
+            digests[f"{code_id}-seed{seed}"] = hashlib.sha256(
+                fidelities.tobytes() + residuals.tobytes()).hexdigest()
+    return digests
 
 
 def _cpu_model() -> str:
@@ -104,6 +129,7 @@ def _write(name: str, doc: dict) -> None:
 def main() -> None:
     for name, argv in COMMANDS.items():
         _write(name, run(argv))
+    _write(ROUNDTRIPS, roundtrip_digests())
     _write(ENVIRONMENT, environment())
 
 

@@ -581,6 +581,19 @@ def test_kl_negative_controls(case):
         assert abs(v.deviation - values) <= WITNESS_TOL
 
 
+
+def test_kl_violations_describe_their_values():
+    code, errors = _r3_rot90_pair()
+    report = kl_check(code, errors)
+    assert [v.describe(report.labels) for v in report.violations[:2]] == [
+        "<w0|rot90@2^ rot90@0,1|w1> = 1.0 (should vanish)",
+        "<w1|rot90@2^ rot90@0,1|w0> = -1.0 (should vanish)"]
+    code, errors = _r3_reflection()
+    report = kl_check(code, errors)
+    assert report.violations[0].describe(report.labels) == \
+        "<w1|I^ refl@0|w1> = -1.0 but <w0|...|w0> = 1.0"
+
+
 # --- correction synthesis ----------------------------------------------------
 
 R3_TABLE = [
@@ -1175,6 +1188,15 @@ def test_mixed_completion_fallback_rebuilds_the_released_basis():
         cmap, combined_draw(code, errors), rng_for(3, 6), 50)
     assert np.abs(fidelities - 1.0).max() <= 1e-10
     assert residuals.max() <= 1e-10
+
+
+
+def test_signed_columns_need_one_unit_entry_per_column():
+    rows, values = codes._signed_columns(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    assert rows.tolist() == [1, 0] and values.tolist() == [1.0, -1.0]
+    for basis in (np.diag([1.0, 0.5]), np.diag([1.0, 1j]),
+                  np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)):
+        assert codes._signed_columns(basis) is None
 
 
 @pytest.mark.parametrize("build,dim", [(codes.build_r3_correction, 32),
@@ -2001,6 +2023,19 @@ def test_unit_logical_coefficients_are_never_rescaled(r3_correction, monkeypatch
     assert len(calls) == 1
 
 
+
+def test_roundtrip_of_an_error_outside_the_map_has_fidelity_zero(shor9_correction):
+    # Y@0 Y@3 flips a bit in two blocks: its images are orthogonal to every
+    # E_p w_l of the single-site basis, so the partial map sends them to zero
+    matrix = functools.reduce(np.kron, [quat.PAULI_MATRICES["y"] if site in (0, 3)
+                                        else np.eye(2) for site in range(9)])
+    result = roundtrip(shor9_correction, (1.0, 0.0),
+                       LinearMap(ScalarField.COMPLEX, matrix))
+    assert result.fidelity == 0.0
+    assert not result.ancilla.amplitudes.any()
+    assert abs(result.residual - 1.0) <= 1e-12
+
+
 def test_roundtrip_checks_zero_weighted_terms(r3_correction):
     errors = ErrorSet((identity_error(ScalarField.REAL),
                        identity_error(ScalarField.COMPLEX)))
@@ -2249,6 +2284,63 @@ def test_h3_table_readings_disagree_in_known_cells():
     # literal reading (j-repetition): the first-row units come out swapped
     assert {(row, col) for row, col, *_ in diffs["j-codeword"]} == {
         ("1", "i"), ("1", "j"), ("j", "i"), ("j", "j")}
+
+
+
+# --- which field decides ------------------------------------------------------
+# Under q = a + b*j (embed_qubit), h3's unit right multiplications are
+# complex-linear site matrices, the same ones complex3 can carry.  h3 composes
+# its sites over R, so its KL table is the product of the real parts of the
+# site inner products; over C the product of the complex values fails.
+
+_SITE_MATRICES = {"i": 1j * _Z, "j": -1j * quat.PAULI_MATRICES["y"], "k": 1j * _X}
+
+
+def _real_form(matrix: np.ndarray) -> np.ndarray:
+    """The real 4x4 matrix of q -> embed(matrix @ extract(q)) on (w, x, y, z)."""
+    columns = []
+    for unit in quat.UNITS.values():
+        pair = quat.extract_qubit(unit)
+        a, b = matrix @ np.array([pair.a, pair.b])
+        columns.append(quat.embed_qubit(quat.ComplexPair(a, b)).as_array())
+    return np.column_stack(columns)
+
+
+def _site_factor_table(real_parts: bool) -> np.ndarray:
+    """[a, l, b, m] = the product over three sites of <M_a w_l|M_b w_m> on
+    the site (or of its real part), w = (1, 0) and (0, 1), M_a the site
+    factor of the 10-term basis {I, *i@k, *j@k, *k@k}."""
+    terms = [{}] + [{site: _SITE_MATRICES[u]} for site in range(3) for u in "ijk"]
+    table = np.ones((len(terms), 2, len(terms), 2))
+    for site in range(3):
+        images = np.array([[term.get(site, np.eye(2))[:, l] for l in range(2)]
+                           for term in terms])
+        inner = np.einsum("ali,bmi->albm", images.conj(), images)
+        table = table * (inner.real if real_parts else inner)
+    return table
+
+
+@pytest.mark.parametrize("unit", list(_SITE_MATRICES))
+def test_h3_unit_errors_are_complex_site_matrices(unit):
+    assert np.array_equal(su2_error(quat.UNITS[unit].conj(), 0).matrix,
+                          _real_form(_SITE_MATRICES[unit]))
+
+
+def test_h3_kl_table_is_the_product_of_real_site_parts():
+    code = build_h3_code("j")
+    report = kl_check(code, effective_error_basis(code, ErrorFamily.SU2))
+    assert report.passed
+    assert np.array_equal(report.table, _site_factor_table(real_parts=True))
+
+
+def test_complex3_with_the_same_site_matrices_fails():
+    code = build_complex3_code()
+    errors = ErrorSet((identity_error(ScalarField.COMPLEX),) + tuple(
+        ErrorTerm(f"{u}@{site}", SiteOperator(ScalarField.COMPLEX, site, _SITE_MATRICES[u]))
+        for site in range(3) for u in "ijk"))
+    report = kl_check(code, errors)
+    assert not report.passed and report.max_deviation == 2.0
+    assert np.array_equal(report.table, _site_factor_table(real_parts=False))
 
 
 # --- KL oracle ----------------------------------------------------------------

@@ -119,6 +119,12 @@ def test_correspondence_that_overflows_raises():
                               Quaternion(big, big, 1.0, 1.0), majorana_set())
 
 
+def test_match_up_to_sign_with_neither_sign():
+    match = match_up_to_sign(np.eye(2), np.diag([1.0, -1.0]), "m")
+    assert (match.sign, match.deviation, match.reference_deviation) == (None, 2.0, 2.0)
+    assert not match.matches_reference
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_sign_checks_reject_non_finite_matrices(bad):
     # match_up_to_sign used to return deviation nan, which reached the
@@ -392,8 +398,10 @@ def test_majorana_spinor_roundtrip():
     q = quat.Quaternion(1, -2, 3, -4)
     m = MajoranaSpinor.from_quaternion(q)
     assert _close(quat.Quaternion.from_array(m.components), q)
-    with pytest.raises(ValueError):
-        MajoranaSpinor(np.array([1j, 0, 0, 0]))
+    # any complex dtype is rejected, a zero imaginary part too
+    for bad in ([1j, 0, 0, 0], [1 + 0j, 0, 0, 0]):
+        with pytest.raises(ValueError, match="components must be real"):
+            MajoranaSpinor(np.array(bad))
     # a NaN imaginary part used to pass the realness test and be dropped
     for bad in (np.nan, np.inf, complex(1.0, np.nan)):
         with pytest.raises(ValueError, match="finite"):

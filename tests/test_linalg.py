@@ -644,6 +644,20 @@ def test_linalg_suite_matches_the_loop_reference(seed, trials):
     assert verify.linalg_suite(seed, trials) == _reference_linalg_suite(seed, trials)
 
 
+
+def test_linalg_suite_fails_a_completion_that_accepts_dependent_input(monkeypatch):
+    def accepting(vectors):
+        try:
+            return complete_orthonormal(vectors)
+        except RankDeficiencyError:
+            return None
+    monkeypatch.setattr(verify, "complete_orthonormal", accepting)
+    record = next(r for r in verify.linalg_suite(0, 5)
+                  if r.check_id == "orthonormal_completion")
+    assert not record.passed
+    assert record.witness == "dependent input was not rejected"
+
+
 def test_blocked_linalg_suite_matches_the_loop_reference(monkeypatch):
     # many blocks per field: each draws its trials in order, and the records
     # are those of the default block at every block size

@@ -66,6 +66,15 @@ def test_associativity(q, u, v):
     assert _close((q * u) * v, q * (u * v))
 
 
+
+@pytest.mark.parametrize("factor", [2, 2.0], ids=["int", "float"])
+def test_only_quaternions_multiply(factor):
+    with pytest.raises(TypeError):
+        I * factor
+    with pytest.raises(TypeError):
+        factor * I
+
+
 # --- conjugation ----------------------------------------------------------
 
 def test_conj_examples():
