@@ -11,6 +11,7 @@ from .linalg import (
     FieldMismatchError,
     IsometryResult,
     LinearMap,
+    OrthonormalBasis,
     RankDeficiencyError,
     ScalarField,
     SiteOperator,

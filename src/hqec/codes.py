@@ -44,6 +44,7 @@ from ._frozen import _Frozen, _set
 from .linalg import (
     FieldMismatchError,
     LinearMap,
+    OrthonormalBasis,
     ScalarField,
     SiteOperator,
     StateVector,
@@ -523,8 +524,10 @@ class CorrectionMap(_Frozen):
     ``_completion`` is None for a partial map.  A completion whose two bases
     are signed canonical (one entry per column, exactly +-1, as for ``r3``
     and ``h3``) is held as two index arrays ``(perm, sign)``: column c of the
-    operator holds ``sign[c]`` in row ``perm[c]``.  Any other completion is
-    held as a dense ``LinearMap``.  ``operator`` is the dense form either
+    operator holds ``sign[c]`` in row ``perm[c]``.  They are read from the
+    bases as :func:`complete_orthonormal` holds them, so building one makes
+    no ``dim x dim`` array.  Any other completion is held as a dense
+    ``LinearMap``.  ``operator`` is the dense form either
     way, built on access.  ``_gather`` holds views of the completion's
     ancilla-|0> columns, every ``ancilla_dim``-th, for :meth:`_correct`."""
 
@@ -715,26 +718,21 @@ def _completed_operator(cmap: CorrectionMap
                         ) -> LinearMap | tuple[np.ndarray, np.ndarray]:
     """The operator image @ domain^H of the completed image and domain bases:
     as ``(perm, sign)`` when both are signed canonical, else as a dense
-    ``LinearMap``.  Column k of each basis then holds one entry, +-1, so the
+    ``LinearMap``.  Vector k of each basis then holds one entry, +-1, so the
     product sends coordinate ``domain`` row k to ``image`` row k, with sign +1
     exactly when the two entries agree: the value the dense product computes.
 
-    A signed canonical image basis is released for its ``(row, value)``
-    arrays before the domain is completed, so one dense basis is alive at a
-    time.  The dense fallback rebuilds it from them exactly: its entries are
-    0 and +-1."""
+    Both are read from the bases as :func:`complete_orthonormal` holds them,
+    so a signed build makes no ``dim x dim`` array; only the dense fallback
+    builds the two basis matrices."""
     image = complete_orthonormal(cmap.image)
     img = _signed_columns(image)
-    if img is not None:
-        image = None
     domain = complete_orthonormal(cmap.domain)
     dom = _signed_columns(domain)
     if img is None or dom is None:
-        if image is None:
-            image = _signed_matrix(*img)
-        return LinearMap(cmap.code.field, image @ domain.conj().T)
+        return LinearMap(cmap.code.field, image.matrix @ domain.matrix.conj().T)
     perm = np.empty(len(domain), dtype=np.intp)
-    sign = np.empty(len(domain), dtype=domain.dtype)
+    sign = np.empty(len(domain), dtype=dom[1].dtype)
     perm[dom[0]] = img[0]
     sign[dom[0]] = np.where(img[1] == dom[1], 1.0, -1.0)
     perm.setflags(write=False)
@@ -742,23 +740,22 @@ def _completed_operator(cmap: CorrectionMap
     return perm, sign
 
 
-def _signed_columns(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The row and the value of each column's one nonzero entry, when every
-    column of the square ``basis`` holds exactly one and it is exactly +-1;
-    None otherwise."""
-    n = len(basis)
-    # zero-tested 64 rows at a time: a mask of the whole basis adds 1 MiB to
-    # the peak of an h3 build, and np.flatnonzero scans floats 6x slower
-    hits = [np.flatnonzero(basis[k:k + 64] != 0) + k * n for k in range(0, n, 64)]
-    rows, cols = np.divmod(np.concatenate(hits), n)
-    if len(cols) != n:
+def _signed_columns(basis: OrthonormalBasis) -> tuple[np.ndarray, np.ndarray] | None:
+    """The row and the value of each basis vector's one nonzero entry, in
+    basis order, when every vector holds exactly one and it is exactly +-1;
+    None otherwise.  Only ``lead`` and ``fill`` are scanned: each canonical
+    vector ``outside`` holds +1 in its own row."""
+    held = np.hstack((basis.lead, basis.fill))
+    nonzero = held != 0
+    if not (np.count_nonzero(nonzero, axis=0) == 1).all():
         return None
-    order = np.argsort(cols)
-    rows, values = rows[order], basis[rows, cols][order]
-    if not (np.array_equal(cols[order], np.arange(n))
-            and np.all((values == 1) | (values == -1))):
+    rows = nonzero.argmax(axis=0)
+    values = held[rows, np.arange(held.shape[1])]
+    if not np.all((values == 1) | (values == -1)):
         return None
-    return rows, values
+    k, outside = basis.lead.shape[1], basis.outside
+    return (np.concatenate((rows[:k], outside, rows[k:])),
+            np.concatenate((values[:k], np.ones(len(outside), values.dtype), values[k:])))
 
 
 def _signed_matrix(rows: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -270,22 +270,51 @@ def _project_coeffs(basis: np.ndarray, v: np.ndarray, hermitian: bool) -> np.nda
     return basis.conj().T @ v if hermitian else basis.T @ v
 
 
-def complete_orthonormal(partial: list[StateVector]) -> np.ndarray:
-    """Extend a linearly independent list to an orthonormal basis, returned
-    as the columns of one dim x dim matrix.
+class OrthonormalBasis(_Frozen):
+    """An orthonormal basis of ``dim`` vectors, held in the form
+    :func:`complete_orthonormal` computes it: ``lead``, the orthonormalized
+    input as the columns of a ``dim x k`` array; then the canonical vector of
+    each coordinate in the index array ``outside``, in its order; then
+    ``fill``, the swept vectors of the support, as columns.  All three are
+    read-only.  ``len()`` is the number of vectors, ``dim``."""
+
+    __slots__ = ("lead", "outside", "fill")
+
+    def __init__(self, lead: np.ndarray, outside: np.ndarray, fill: np.ndarray) -> None:
+        self._init(lead, outside, fill)
+
+    def __len__(self) -> int:
+        return len(self.lead)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The basis as the columns of one ``dim x dim`` matrix, built on access."""
+        lead, outside = self.lead, self.outside
+        k = lead.shape[1]
+        out = np.zeros((len(lead), len(lead)), dtype=lead.dtype)
+        out[:, :k] = lead
+        out[outside, k + np.arange(len(outside))] = 1.0
+        out[:, k + len(outside):] = self.fill
+        return out
+
+
+def complete_orthonormal(partial: list[StateVector]) -> OrthonormalBasis:
+    """Extend a linearly independent list to an orthonormal basis.
 
     Stabilized Gram-Schmidt with a second re-orthogonalization pass; the
-    leading len(partial) columns span exactly span(partial).  Dependent
-    input raises RankDeficiencyError with the offending index.
+    basis's ``lead`` vectors span exactly span(partial).  Dependent input
+    raises RankDeficiencyError with the offending index.
 
     The fill is split by support, the union of the input vectors' nonzero
     coordinates.  A canonical vector outside the support is exactly
     orthogonal to the input and to every other such vector, so those follow
-    the input unchanged, in index order.  Only the canonical vectors inside
-    the support go through the Gram-Schmidt sweep (a conservative acceptance
-    threshold, then a permissive one if short), and they come last.  Signed
+    the input unchanged, in index order, and are held as their indices
+    (``outside``).  Only the canonical vectors inside the support go through
+    the Gram-Schmidt sweep (a conservative acceptance threshold, then a
+    permissive one if short), and they come last (``fill``).  Signed
     canonical input thus completes with exact 0 and +-1 entries, and input
-    dense on every coordinate gets the plain sweep over all of them.
+    dense on every coordinate gets the plain sweep over all of them.  No
+    ``dim x dim`` array is built; :attr:`OrthonormalBasis.matrix` builds one.
     """
     if not partial:
         raise ValueError("need at least one vector")
@@ -335,11 +364,9 @@ def complete_orthonormal(partial: list[StateVector]) -> np.ndarray:
 
     k = len(partial)
     outside = np.flatnonzero(np.bincount(support, minlength=dim) == 0)
-    out = np.zeros((dim, dim), dtype=field.dtype)
-    out[:, :k] = basis[:, :k]
-    out[outside, k + np.arange(len(outside))] = 1.0
-    out[:, k + len(outside):] = basis[:, k:count]
-    return out
+    basis.setflags(write=False)
+    outside.setflags(write=False)
+    return OrthonormalBasis(basis[:, :k], outside, basis[:, k:count])
 
 
 class IsometryResult(_Frozen):

@@ -387,7 +387,7 @@ def linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
         n_sites = 2
         dim = field.site_dim ** n_sites
         partial = [random_state(field, n_sites, rng) for _ in range(3)]
-        mat = complete_orthonormal(partial)
+        mat = complete_orthonormal(partial).matrix
         gram = mat.conj().T @ mat
         dev = max(dev, float(np.abs(gram - np.eye(dim)).max()))
         lead = mat[:, :len(partial)]

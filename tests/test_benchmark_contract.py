@@ -7,7 +7,9 @@ benchmark's set-up gate.  ``perfbench`` also pins the number of
 ``codes.roundtrip`` calls at one per trial and takes a median over them, so a
 simulation loop that batches its trials fails here first.  Its tracer runs
 here too, in a fresh interpreter right after the command line's import: a
-lazy import that leaves a traced module unloaded fails here first as well.
+lazy import that leaves a traced module unloaded fails here first as well,
+and so does a change to what ``simulate h3`` completes, which ``perfbench``
+pins as ``linalg.completion_dim``.
 The benchmark modules are loaded by file path and never edited.
 
 ``perfbench`` also spans every ``Quaternion.__mul__`` call and every public
@@ -89,8 +91,9 @@ def test_simulate_makes_one_roundtrip_call_per_trial(trials, name, request,
 
 
 # A fresh interpreter imports the command line and nothing else, then runs
-# two commands under perfbench's tracer, as its traced child process does,
-# and prints each command's exit code and number of codes.roundtrip spans.
+# commands under perfbench's tracer, as its traced child process does, and
+# prints each command's exit code, number of codes.roundtrip spans and sum of
+# the dim annotations of its linalg.complete_orthonormal spans.
 _TRACED_RUN = """
 import contextlib, importlib.util, io, json, sys
 spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
@@ -104,10 +107,20 @@ for argv in sys.argv[2:]:
     start = len(spans.spans)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv.split())
-    counts[argv] = [code, sum(s[0] == "codes.roundtrip" for s in spans.spans[start:])]
+    new = spans.spans[start:]
+    counts[argv] = [code, sum(s[0] == "codes.roundtrip" for s in new),
+                    sum(s[4]["dim"] for s in new if s[0] == "linalg.complete_orthonormal")]
 spans.uninstrument()
 print(json.dumps(counts))
 """
+
+
+def _traced_run(*commands: str) -> dict[str, list[int]]:
+    """``_TRACED_RUN``'s counts for each command, in one fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")}
+    run = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(PERFBENCH / "tracer.py"),
+                          *commands], env=env, capture_output=True, text=True, check=True)
+    return json.loads(run.stdout)
 
 
 def test_perfbench_traces_the_commands_right_after_the_cli_import():
@@ -116,11 +129,18 @@ def test_perfbench_traces_the_commands_right_after_the_cli_import():
     # codes.roundtrip span: five 1000-trial checks scale with --trials and
     # the determinism check runs 2 x 16 trials
     commands = ["verify codes --trials 7", "simulate shor9 --trials 7"]
-    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")}
-    run = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(PERFBENCH / "tracer.py"),
-                          *commands], env=env, capture_output=True, text=True, check=True)
-    assert json.loads(run.stdout) == {commands[0]: [0, 5 * 7 + 32],
-                                      commands[1]: [0, 7]}
+    counts = _traced_run(*commands)
+    assert {argv: run[:2] for argv, run in counts.items()} == {
+        commands[0]: [0, 5 * 7 + 32], commands[1]: [0, 7]}
+
+
+def test_simulate_h3_completes_the_pinned_dimension():
+    # the annotator reads len() of each complete_orthonormal result, so a
+    # change to the completion's calls or its result moves the pin here first
+    command = "simulate h3 --trials 7"
+    exit_code, roundtrips, dims = _traced_run(command)[command]
+    assert exit_code == 0 and roundtrips == 7
+    assert dims == expected.expected_counts("simulate-h3", 7)["linalg.completion_dim"]
 
 
 def test_verify_quaternion_makes_few_scalar_products(monkeypatch, capsys):

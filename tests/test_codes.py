@@ -42,6 +42,7 @@ from hqec.codes import (
 from hqec.linalg import (
     FieldMismatchError,
     LinearMap,
+    OrthonormalBasis,
     ScalarField,
     SiteOperator,
     StateVector,
@@ -902,8 +903,8 @@ def test_derived_pairs_match_the_reference(name):
 def test_completed_operator_matches_the_reference(name):
     cmap = _BUILT_MAPS[name]()
     ref_domain, ref_image = _reference_pairs(cmap)
-    expected = (complete_orthonormal(ref_image)
-                @ complete_orthonormal(ref_domain).conj().T)
+    expected = (complete_orthonormal(ref_image).matrix
+                @ complete_orthonormal(ref_domain).matrix.conj().T)
     assert cmap.operator.matrix.dtype == expected.dtype
     assert cmap.operator.matrix.tobytes() == expected.tobytes()
 
@@ -1156,8 +1157,8 @@ def test_dense_completion_fallback():
     assert isinstance(cmap._completion, LinearMap)
     assert cmap.operator is cmap._completion
     ref_domain, ref_image = _reference_pairs(cmap)
-    expected = (complete_orthonormal(ref_image)
-                @ complete_orthonormal(ref_domain).conj().T)
+    expected = (complete_orthonormal(ref_image).matrix
+                @ complete_orthonormal(ref_domain).matrix.conj().T)
     assert cmap.operator.matrix.tobytes() == expected.tobytes()
     assert cmap.isometry_deviation() <= 1e-10
     fidelities, residuals = simulate(
@@ -1168,8 +1169,9 @@ def test_dense_completion_fallback():
 
 def test_mixed_completion_fallback_rebuilds_the_released_basis():
     # on r3, E sends |000> to (|001> + |010>)/sqrt(2) and |111> to
-    # (|110> + |101>)/sqrt(2): the image basis is signed canonical, so it is
-    # released before the domain, which is not, is completed
+    # (|110> + |101>)/sqrt(2): the image basis is signed canonical and the
+    # domain basis is not, so the fallback builds both basis matrices from
+    # their held parts, and the product is that of the dense matrices
     code = build_r3_code()
     matrix = np.zeros((8, 8))
     matrix[[1, 2], 0] = matrix[[5, 6], 7] = 1 / math.sqrt(2.0)
@@ -1181,7 +1183,7 @@ def test_mixed_completion_fallback_rebuilds_the_released_basis():
     image, domain = complete_orthonormal(ref_image), complete_orthonormal(ref_domain)
     assert codes._signed_columns(image) is not None
     assert codes._signed_columns(domain) is None
-    expected = image @ domain.conj().T
+    expected = image.matrix @ domain.matrix.conj().T
     assert cmap.operator.matrix.dtype == expected.dtype
     assert cmap.operator.matrix.tobytes() == expected.tobytes()
     fidelities, residuals = simulate(
@@ -1191,12 +1193,24 @@ def test_mixed_completion_fallback_rebuilds_the_released_basis():
 
 
 
+def _held_basis(matrix, outside=()):
+    """A held basis whose lead is the first column of ``matrix`` and whose
+    fill is the rest, with canonical vectors on ``outside`` between them."""
+    return OrthonormalBasis(matrix[:, :1], np.array(outside, dtype=np.intp),
+                            matrix[:, 1:])
+
+
 def test_signed_columns_need_one_unit_entry_per_column():
-    rows, values = codes._signed_columns(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    # lead and fill are scanned; each outside vector is +1 in its own row
+    rows, values = codes._signed_columns(_held_basis(np.array([[0.0, -1.0], [1.0, 0.0]])))
     assert rows.tolist() == [1, 0] and values.tolist() == [1.0, -1.0]
-    for basis in (np.diag([1.0, 0.5]), np.diag([1.0, 1j]),
-                  np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)):
-        assert codes._signed_columns(basis) is None
+    rows, values = codes._signed_columns(
+        _held_basis(np.array([[0.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), outside=[0]))
+    assert rows.tolist() == [2, 0, 1] and values.tolist() == [-1.0, 1.0, 1.0]
+    for matrix in (np.diag([1.0, 0.5]), np.diag([0.5, 1.0]), np.diag([1.0, 1j]),
+                   np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0),
+                   np.array([[1.0, 0.0], [1.0, 1.0]])):
+        assert codes._signed_columns(_held_basis(matrix)) is None
 
 
 @pytest.mark.parametrize("build,dim", [(codes.build_r3_correction, 32),
@@ -1208,24 +1222,39 @@ def test_completed_build_completes_two_bases(build, dim, monkeypatch):
 
     def counting(partial):
         basis = complete_orthonormal(partial)
-        rows.append(basis.shape)
+        rows.append(len(basis))
         return basis
 
     monkeypatch.setattr(codes, "complete_orthonormal", counting)
     build()
-    assert rows == [(dim, dim), (dim, dim)]
+    assert rows == [dim, dim]
 
 
 def test_h3_build_holds_one_dense_basis_at_a_time():
-    # each completed 1024 x 1024 basis is 8 MiB; with both alive at once the
-    # build peaks at about 17 MiB
+    # a completed 1024 x 1024 basis as one matrix is 8 MiB, and the build
+    # peaked at about 8.4 MiB while it made one; the held bases are 20
+    # columns each
     tracemalloc.start()
     try:
         codes.build_h3_correction()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * 2 ** 20
+    assert peak <= 2 ** 20
+
+
+@pytest.mark.parametrize("build", [codes.build_r3_correction,
+                                   lambda: codes.build_h3_correction("i"),
+                                   lambda: codes.build_h3_correction("j")],
+                         ids=["r3", "h3[i]", "h3[j]"])
+def test_signed_builds_build_no_dense_basis(build, monkeypatch):
+    # (perm, sign) is read from the held bases; only the dense fallback
+    # builds a basis matrix
+    def forbidden(self):
+        raise AssertionError("a dense basis must not be built")
+
+    monkeypatch.setattr(OrthonormalBasis, "matrix", property(forbidden))
+    assert type(build()._completion) is tuple
 
 
 # --- roundtrips ---------------------------------------------------------------
@@ -2333,14 +2362,54 @@ def test_h3_kl_table_is_the_product_of_real_site_parts():
     assert np.array_equal(report.table, _site_factor_table(real_parts=True))
 
 
-def test_complex3_with_the_same_site_matrices_fails():
-    code = build_complex3_code()
-    errors = ErrorSet((identity_error(ScalarField.COMPLEX),) + tuple(
+def _complex3_errors(units: str) -> ErrorSet:
+    """{I} and the site matrices of ``units`` on each complex3 site."""
+    return ErrorSet((identity_error(ScalarField.COMPLEX),) + tuple(
         ErrorTerm(f"{u}@{site}", SiteOperator(ScalarField.COMPLEX, site, _SITE_MATRICES[u]))
-        for site in range(3) for u in "ijk"))
-    report = kl_check(code, errors)
+        for site in range(3) for u in units))
+
+
+def test_complex3_with_the_same_site_matrices_fails():
+    report = kl_check(build_complex3_code(), _complex3_errors("ijk"))
     assert not report.passed and report.max_deviation == 2.0
     assert np.array_equal(report.table, _site_factor_table(real_parts=False))
+
+
+def _verdict_rows(complex3: codes.KLReport, real: codes.KLReport) -> list[tuple[bool, float]]:
+    """(verdict, deviation) of complex3 read with complex logical
+    coefficients, of complex3 read with real ones (its table's real part),
+    and of the code over the real composition."""
+    deviations = [_table_deviation(complex3.table), _table_deviation(complex3.table.real),
+                  _table_deviation(real.table)]
+    assert [deviations[0], deviations[2]] == [complex3.max_deviation, real.max_deviation]
+    assert [deviations[0] <= codes.KL_TOL, deviations[2] <= codes.KL_TOL] == [
+        complex3.passed, real.passed]
+    return [(d <= codes.KL_TOL, d) for d in deviations]
+
+
+@pytest.mark.parametrize("units", ["ijk", "i"], ids=["10-term", "I-iZ"])
+def test_the_verdict_table_on_h3_sites(units):
+    # the same site matrices: h3's unit right multiplications, complex3's
+    # iZ, -iY, iX; only complex logical coefficients fail
+    code = build_h3_code("j")
+    h3 = kl_check(code, ErrorSet(tuple(
+        t for t in effective_error_basis(code, ErrorFamily.SU2)
+        if t.label == "I" or t.label[1] in units)))
+    complex3 = kl_check(build_complex3_code(), _complex3_errors(units))
+    assert len(h3.labels) == len(complex3.labels) == 1 + 3 * len(units)
+    assert _verdict_rows(complex3, h3) == [(False, 2.0), (True, 0.0), (True, 0.0)]
+
+
+def test_the_verdict_table_on_r3_sites():
+    # r3's rot90 is -iY on real amplitudes (its diagonal is cos(pi/2), not 0);
+    # with that site matrix complex3 passes too: the phase errors that fail it
+    # are not real matrices, so r3's sites cannot carry them
+    code = build_r3_code()
+    r3 = kl_check(code, effective_error_basis(code, ErrorFamily.SO2))
+    rot90 = so2_error(math.pi / 2.0, 0).matrix
+    assert np.abs(rot90 - _SITE_MATRICES["j"]).max() <= 1e-16
+    complex3 = kl_check(build_complex3_code(), _complex3_errors("j"))
+    assert _verdict_rows(complex3, r3) == [(True, 0.0), (True, 0.0), (True, 0.0)]
 
 
 # --- KL oracle ----------------------------------------------------------------
@@ -2491,10 +2560,9 @@ def test_builtin_kl_tables_match_the_loop_reference():
     assert np.abs(got.table - ref.table).max() <= 1e-15
 
 
-def _table_deviation(report):
+def _table_deviation(table):
     """The largest cross term or diagonal spread, recomputed over the whole
-    table with np.abs."""
-    table = report.table
+    table [a, l, b, m] with np.abs."""
     n_words = table.shape[1]
     cross = np.abs(table) * ~np.eye(n_words, dtype=bool)[:, None, :]
     diag = table[:, range(n_words), :, range(n_words)]      # (L, P, P)
@@ -2517,7 +2585,7 @@ def test_printed_kl_deviations_match_the_whole_table():
              (build_complex3_code(), phase_set, 2.0)]
     for code, errors, printed in cases:
         report = kl_check(code, errors)
-        assert report.max_deviation == _table_deviation(report) == printed
+        assert report.max_deviation == _table_deviation(report.table) == printed
 
 
 # --- determinism ------------------------------------------------------------

@@ -312,12 +312,12 @@ def test_apply_site_matches_full_kron(field, n_sites):
 
 def test_complete_orthonormal_examples():
     e0 = basis_state(R, 1, 0)
-    full = complete_orthonormal([e0])
+    full = complete_orthonormal([e0]).matrix
     assert full.shape == (2, 2) and full.flags.c_contiguous
     assert abs(abs(full[1, 1]) - 1.0) <= 1e-12
 
     diag = StateVector(R, 1, np.array([1.0, 1.0]) / np.sqrt(2))
-    full = complete_orthonormal([diag])
+    full = complete_orthonormal([diag]).matrix
     second = full[:, 1]
     assert abs(abs(second @ np.array([1, -1]) / np.sqrt(2)) - 1.0) <= 1e-10
 
@@ -343,7 +343,7 @@ def test_complete_orthonormal_random_spans(field):
             if field.is_complex:
                 amps = amps + 1j * rng.standard_normal(dim)
             vecs.append(StateVector(field, 2, amps))
-        mat = complete_orthonormal(vecs)
+        mat = complete_orthonormal(vecs).matrix
         assert np.abs(mat.conj().T @ mat - np.eye(dim)).max() <= 1e-10
         lead = mat[:, :k]
         for v in vecs:
@@ -481,8 +481,9 @@ def test_completion_of_signed_canonical_vectors_matches_reference(data, shape):
     partial = [StateVector(field, n_sites,
                            s * basis_state(field, n_sites, i).amplitudes)
                for i, s in zip(indices, signs)]
-    full = complete_orthonormal(partial)
-    assert full.shape == (dim, dim)
+    basis = complete_orthonormal(partial)
+    full = basis.matrix
+    assert len(basis) == dim and full.shape == (dim, dim)
     assert np.array_equal(full, _reference_completion(partial))
 
 
@@ -512,13 +513,79 @@ def test_completion_of_mixed_vectors_is_orthonormal(data, shape, seed):
     order = rng.permutation(len(partial))
     partial = [partial[k] for k in order]
 
-    mat = complete_orthonormal(partial)
-    assert mat.shape == (dim, dim)
+    basis = complete_orthonormal(partial)
+    mat = basis.matrix
+    assert len(basis) == dim and mat.shape == (dim, dim)
     assert np.abs(mat.conj().T @ mat - np.eye(dim)).max() <= 1e-10
     lead = mat[:, :len(partial)]
     for v in partial:
         resid = v.amplitudes - lead @ (lead.conj().T @ v.amplitudes)
         assert np.linalg.norm(resid) <= 1e-10 * max(1.0, v.norm())
+
+
+# --- the held basis -----------------------------------------------------------
+
+def _dense_assembly(basis):
+    """The square matrix complete_orthonormal returned before it held its
+    three parts, assembled as it did: zeros, the lead columns, a 1 in each
+    outside coordinate's row of the next columns, then the fill columns."""
+    lead, outside = basis.lead, basis.outside
+    dim, k = lead.shape
+    out = np.zeros((dim, dim), dtype=lead.dtype)
+    out[:, :k] = lead
+    out[outside, k + np.arange(len(outside))] = 1.0
+    out[:, k + len(outside):] = basis.fill
+    return out
+
+
+def _completion_input(kind, field, rng):
+    """Three-site input vectors, with the sizes (outside, fill) of their
+    completion: signed canonical vectors on half the coordinates; two dense
+    vectors on three coordinates beside two signed canonical ones; or three
+    vectors dense on every coordinate."""
+    dim = field.site_dim ** 3
+    coords = rng.permutation(dim)
+
+    def dense(on):
+        amps = np.zeros(dim, dtype=field.dtype)
+        amps[on] = rng.standard_normal(len(on))
+        if field.is_complex:
+            amps[on] += 1j * rng.standard_normal(len(on))
+        return StateVector(field, 3, amps)
+
+    def signed(i):
+        return StateVector(field, 3, rng.choice([1.0, -1.0])
+                           * basis_state(field, 3, i).amplitudes)
+
+    if kind == "signed":
+        return [signed(i) for i in coords[:dim // 2]], (dim - dim // 2, 0)
+    if kind == "mixed":
+        return [dense(coords[:3]), signed(coords[3]), dense(coords[:3]),
+                signed(coords[4])], (dim - 5, 1)
+    return [dense(coords) for _ in range(3)], (0, dim - 3)
+
+
+@pytest.mark.parametrize("kind", ["signed", "mixed", "dense"])
+@pytest.mark.parametrize("field", [R, C, H])
+def test_held_basis_matrix_is_the_dense_assembly(field, kind):
+    # the basis is held as computed, and its matrix is the one the dense
+    # assembly built, byte for byte (signed zeros of negated inputs too)
+    partial, (n_outside, n_fill) = _completion_input(
+        kind, field, np.random.default_rng(21))
+    dim = partial[0].dim
+    basis = complete_orthonormal(partial)
+    assert len(basis) == dim
+    assert basis.lead.shape == (dim, len(partial))
+    assert basis.outside.shape == (n_outside,) and basis.fill.shape == (dim, n_fill)
+    for held in (basis.lead, basis.outside, basis.fill):
+        assert not held.flags.writeable
+    matrix, expected = basis.matrix, _dense_assembly(basis)
+    assert matrix.dtype == expected.dtype == field.dtype and matrix.flags.c_contiguous
+    assert matrix.tobytes() == expected.tobytes()
+    assert is_isometry(matrix).max_deviation <= 1e-10
+    with pytest.raises(RankDeficiencyError) as err:
+        complete_orthonormal([*partial, partial[1]])
+    assert err.value.index == len(partial)
 
 
 # --- the suite against its loop form ----------------------------------------
@@ -609,7 +676,7 @@ def _reference_linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
         n_sites = 2
         dim = field.site_dim ** n_sites
         partial = [random_state(field, n_sites, rng) for _ in range(3)]
-        mat = complete_orthonormal(partial)
+        mat = complete_orthonormal(partial).matrix
         gram = mat.conj().T @ mat
         dev = max(dev, float(np.abs(gram - np.eye(dim)).max()))
         lead = mat[:, :len(partial)]

@@ -140,7 +140,8 @@ ALLOWLIST = {
     ("codes:CorrectionMap._correct",
      "return slice(None), gather.dot(corrupted).reshape(self.code.dim, self.ancilla_dim)"): (
         "input", "a dense completion (test_codes::test_dense_completion_fallback)"),
-    ("codes:_completed_operator", "if image is None:"): (
+    ("codes:_completed_operator",
+     "return LinearMap(cmap.code.field, image.matrix @ domain.matrix.conj().T)"): (
         "input", "a dense completion (test_codes::test_dense_completion_fallback, "
         "test_mixed_completion_fallback_rebuilds_the_released_basis)"),
     ("codes:_signed_columns", "return None"): (

@@ -47,6 +47,7 @@ def _objects():
         linalg.LinearMap: linalg.LinearMap(R, np.eye(2)),
         linalg.SiteOperator: linalg.SiteOperator(R, 0, np.eye(2)),
         linalg.IsometryResult: linalg.is_isometry(np.eye(2)),
+        linalg.OrthonormalBasis: linalg.complete_orthonormal([linalg.basis_state(R, 2, 1)]),
         quat.Quaternion: q,
         quat.ImaginaryVector: quat.ImaginaryVector(1.0, 0.0, 0.0),
         quat.ComplexPair: quat.ComplexPair(1j, 0j),
@@ -80,6 +81,9 @@ CONTRACT = {
         "(field: 'ScalarField', site: 'int', matrix: 'np.ndarray')"),
     linalg.IsometryResult: (
         ("passed", "max_deviation"), "(passed: 'bool', max_deviation: 'float')"),
+    linalg.OrthonormalBasis: (
+        ("lead", "outside", "fill"),
+        "(lead: 'np.ndarray', outside: 'np.ndarray', fill: 'np.ndarray')"),
     quat.Quaternion: (
         ("w", "x", "y", "z"),
         "(w: 'float', x: 'float', y: 'float', z: 'float')"),
