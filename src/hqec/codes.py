@@ -23,13 +23,13 @@ with the view; the KL table, synthesis's identity check and the effective
 error count scatter the images to full width, exactly.  A correction map
 holds its partial isometry in factored form, the domain adjoint on the
 images' columns; the codewords and the ancilla states define the image.  A
-completion is held as a signed permutation ``(perm, sign)`` when both
-completed bases are signed canonical (always for ``r3`` and ``h3``), else as
-a dense matrix, with views of its ancilla-|0> columns, the only ones
-corrupted x |0_A> reaches.  A roundtrip corrects onto ``Code.support``
-without a completion, every row with one, by ``ndarray.dot`` products (the
-BLAS calls of ``@``, with less dispatch).  It checks its logical coefficients'
-finiteness by their encoded norm alone and scales up those too small for it.
+completion is a signed permutation ``(perm, sign)``, with views of its
+ancilla-|0> columns, the only ones corrupted x |0_A> reaches; a completion
+that is none raises :class:`SynthesisError`.  A roundtrip corrects onto
+``Code.support`` without a completion, by ``ndarray.dot`` products (the BLAS
+calls of ``@``, with less dispatch), and every row by a scatter with one.  It
+checks its logical coefficients' finiteness by their encoded norm alone and
+scales up those too small for it.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .linalg import (
     apply_site,
     basis_state,
     complete_orthonormal,
-    is_isometry,
     tensor_state,
 )
 from .quaternion import Quaternion
@@ -521,15 +520,11 @@ class CorrectionMap(_Frozen):
     access.  It corrects onto the rows of ``code.support`` only (see
     :meth:`_correct`), and :meth:`apply` scatters them into the whole output.
 
-    ``_completion`` is None for a partial map.  A completion whose two bases
-    are signed canonical (one entry per column, exactly +-1, as for ``r3``
-    and ``h3``) is held as two index arrays ``(perm, sign)``: column c of the
-    operator holds ``sign[c]`` in row ``perm[c]``.  They are read from the
-    bases as :func:`complete_orthonormal` holds them, so building one makes
-    no ``dim x dim`` array.  Any other completion is held as a dense
-    ``LinearMap``.  ``operator`` is the dense form either
-    way, built on access.  ``_gather`` holds views of the completion's
-    ancilla-|0> columns, every ``ancilla_dim``-th, for :meth:`_correct`."""
+    ``_completion`` is None for a partial map, else the signed permutation
+    ``(perm, sign)`` of :func:`_completed_operator`: column c of the operator
+    holds ``sign[c]`` in row ``perm[c]``.  ``operator`` is its dense form,
+    built on access.  ``_gather`` holds views of its ancilla-|0> entries,
+    every ``ancilla_dim``-th, for :meth:`_correct`."""
 
     __slots__ = ("code", "errors", "n_ancilla", "ancilla_states", "_domain_adjoint",
                  "_columns", "_completion", "ancilla_dim", "_ancilla_index",
@@ -538,7 +533,7 @@ class CorrectionMap(_Frozen):
     def __init__(self, code: Code, errors: ErrorSet, n_ancilla: int,
                  ancilla_states: tuple[int, ...], _domain_adjoint: np.ndarray,
                  _columns: np.ndarray,
-                 _completion: LinearMap | tuple[np.ndarray, np.ndarray] | None) -> None:
+                 _completion: tuple[np.ndarray, np.ndarray] | None) -> None:
         # the fixed operands of _correct: for a partial map ancilla_states as an
         # index array and the codewords on code.support, read-only, else _gather
         step = code.field.site_dim ** n_ancilla
@@ -546,8 +541,7 @@ class CorrectionMap(_Frozen):
         words = code.words[:, code.support]
         index.setflags(write=False)
         words.setflags(write=False)
-        gather = (_completion.matrix[:, ::step] if isinstance(_completion, LinearMap)
-                  else _completion and tuple(held[::step] for held in _completion))
+        gather = _completion and tuple(held[::step] for held in _completion)
         self._init(code, errors, n_ancilla, ancilla_states, _domain_adjoint, _columns,
                    _completion, step, index, words, gather)
 
@@ -578,10 +572,9 @@ class CorrectionMap(_Frozen):
     def operator(self) -> LinearMap | None:
         """The completed operator as a dense matrix, None without a
         completion."""
-        completion = self._completion
-        if completion is None or isinstance(completion, LinearMap):
-            return completion
-        return LinearMap(self.code.field, _signed_matrix(*completion))
+        if self._completion is None:
+            return None
+        return LinearMap(self.code.field, _signed_matrix(*self._completion))
 
     def isometry_deviation(self) -> float:
         """Largest deviation from length preservation: of the completed
@@ -589,15 +582,12 @@ class CorrectionMap(_Frozen):
         vectors that define the partial isometry.  The image Gram entry of
         pairs (p, l), (q, m) is [a_p = a_q] <w_l|w_m>.
 
-        A held ``(perm, sign)`` operator is checked on its arrays.  Its Gram
+        The ``(perm, sign)`` operator is checked on its arrays.  Its Gram
         entry (c, d) is [perm[c] = perm[d]] conj(sign[c]) sign[d]: the
         identity plus sign[c] conj(sign[c]) - 1 on the diagonal when ``perm``
         is a permutation, else an off-diagonal entry of modulus 1."""
-        completion = self._completion
-        if isinstance(completion, LinearMap):
-            return is_isometry(completion).max_deviation
-        if completion is not None:
-            perm, sign = completion
+        if self._completion is not None:
+            perm, sign = self._completion
             if not np.array_equal(np.sort(perm), np.arange(len(perm))):
                 return 1.0
             return float(np.abs(sign * sign.conj() - 1.0).max())
@@ -618,11 +608,8 @@ class CorrectionMap(_Frozen):
                 f"map over {field.value} applied to {state.field.value} state")
         if state.dim != expected:
             raise ValueError(f"dimension mismatch: {expected} vs {state.dim}")
-        completion = self._completion
-        if isinstance(completion, LinearMap):
-            return state.with_amplitudes(completion.matrix @ state.amplitudes)
-        if completion is not None:
-            perm, sign = completion
+        if self._completion is not None:
+            perm, sign = self._completion
             out = np.empty_like(state.amplitudes)
             out[perm] = sign * state.amplitudes
             return state.with_amplitudes(out)
@@ -637,9 +624,8 @@ class CorrectionMap(_Frozen):
         builds ``corrupted`` over ``self.code``), as ``(rows, block)``: the
         (code row, ancilla) output table on the rows that can be nonzero.
         Without a completion they are ``code.support``, the codewords weighted
-        per ancilla state.  A completion gives every row, ``slice(None)``,
-        from its ancilla-|0> columns ``_gather``: a dense one by a product, a
-        ``(perm, sign)`` one by a scatter of their entries."""
+        per ancilla state.  A completion gives every row, ``slice(None)``, by
+        a scatter of its ancilla-|0> entries ``_gather``."""
         gather = self._gather
         if gather is None:
             words = self._support_words
@@ -647,12 +633,10 @@ class CorrectionMap(_Frozen):
             weights = np.zeros((len(words), self.ancilla_dim), self.code.field.dtype)
             weights[:, self._ancilla_index] = coeffs.reshape(-1, len(words)).T
             return self.code.support, words.T.dot(weights)
-        if type(gather) is tuple:
-            rows, sign = gather
-            out = np.zeros((self.code.dim, self.ancilla_dim), sign.dtype)
-            out.reshape(-1)[rows] = sign * corrupted
-            return slice(None), out
-        return slice(None), gather.dot(corrupted).reshape(self.code.dim, self.ancilla_dim)
+        rows, sign = gather
+        out = np.zeros((self.code.dim, self.ancilla_dim), sign.dtype)
+        out.reshape(-1)[rows] = sign * corrupted
+        return slice(None), out
 
 
 def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
@@ -665,7 +649,9 @@ def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
     ancilla at |0_A>; each remaining error is assigned its own ancilla basis
     state, by default in set order, or explicitly through ``ancilla_states``.
     Signs and coefficients of the resulting map are derived from the defining
-    pairs, never hard-coded.
+    pairs, never hard-coded.  ``complete=True`` completes the map to a signed
+    permutation, as for ``r3`` and ``h3``; a completion that is none raises
+    :class:`SynthesisError`, and ``complete=False`` keeps the partial map.
     """
     if not _is_index(n_ancilla) or n_ancilla < 0:
         raise SynthesisError(
@@ -714,23 +700,17 @@ def synthesize_correction(code: Code, errors: ErrorSet, n_ancilla: int, *,
     return CorrectionMap(*args, _completed_operator(cmap)) if complete else cmap
 
 
-def _completed_operator(cmap: CorrectionMap
-                        ) -> LinearMap | tuple[np.ndarray, np.ndarray]:
-    """The operator image @ domain^H of the completed image and domain bases:
-    as ``(perm, sign)`` when both are signed canonical, else as a dense
-    ``LinearMap``.  Vector k of each basis then holds one entry, +-1, so the
-    product sends coordinate ``domain`` row k to ``image`` row k, with sign +1
-    exactly when the two entries agree: the value the dense product computes.
-
-    Both are read from the bases as :func:`complete_orthonormal` holds them,
-    so a signed build makes no ``dim x dim`` array; only the dense fallback
-    builds the two basis matrices."""
-    image = complete_orthonormal(cmap.image)
-    img = _signed_columns(image)
+def _completed_operator(cmap: CorrectionMap) -> tuple[np.ndarray, np.ndarray]:
+    """The operator image @ domain^H of the completed image and domain bases,
+    as ``(perm, sign)``.  Vector k of each basis holds one entry, +-1 (else
+    :func:`_signed_columns` raises), so the product sends coordinate
+    ``domain`` row k to ``image`` row k, with sign +1 exactly when the two
+    entries agree: the value the dense product computes.  Both are read from
+    the bases as :func:`complete_orthonormal` holds them, so a build makes no
+    ``dim x dim`` array."""
+    img = _signed_columns(complete_orthonormal(cmap.image))
     domain = complete_orthonormal(cmap.domain)
     dom = _signed_columns(domain)
-    if img is None or dom is None:
-        return LinearMap(cmap.code.field, image.matrix @ domain.matrix.conj().T)
     perm = np.empty(len(domain), dtype=np.intp)
     sign = np.empty(len(domain), dtype=dom[1].dtype)
     perm[dom[0]] = img[0]
@@ -740,19 +720,19 @@ def _completed_operator(cmap: CorrectionMap
     return perm, sign
 
 
-def _signed_columns(basis: OrthonormalBasis) -> tuple[np.ndarray, np.ndarray] | None:
+def _signed_columns(basis: OrthonormalBasis) -> tuple[np.ndarray, np.ndarray]:
     """The row and the value of each basis vector's one nonzero entry, in
-    basis order, when every vector holds exactly one and it is exactly +-1;
-    None otherwise.  Only ``lead`` and ``fill`` are scanned: each canonical
+    basis order.  SynthesisError unless every vector holds exactly one and it
+    is exactly +-1.  Only ``lead`` and ``fill`` are scanned: each canonical
     vector ``outside`` holds +1 in its own row."""
     held = np.hstack((basis.lead, basis.fill))
     nonzero = held != 0
-    if not (np.count_nonzero(nonzero, axis=0) == 1).all():
-        return None
     rows = nonzero.argmax(axis=0)
     values = held[rows, np.arange(held.shape[1])]
-    if not np.all((values == 1) | (values == -1)):
-        return None
+    if not ((np.count_nonzero(nonzero, axis=0) == 1).all()
+            and np.all((values == 1) | (values == -1))):
+        raise SynthesisError("the completion is not a signed permutation; "
+                             "synthesize with complete=False for the partial map")
     k, outside = basis.lead.shape[1], basis.outside
     return (np.concatenate((rows[:k], outside, rows[k:])),
             np.concatenate((values[:k], np.ones(len(outside), values.dtype), values[k:])))

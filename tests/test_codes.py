@@ -1,6 +1,8 @@
 import functools
+import itertools
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -992,13 +994,24 @@ def test_held_completion_apply_matches_the_dense_operator(name, seed, log_scale)
                           _dense_operator(name) @ state.amplitudes)
 
 
+class _DenseProduct:
+    """What :func:`roundtrip` reads of a completed map, correcting by the
+    product of its dense operator's ancilla-|0> columns in place of the
+    scatter of ``(perm, sign)``."""
+
+    def __init__(self, cmap):
+        self.code, self.n_ancilla = cmap.code, cmap.n_ancilla
+        self._gather = cmap.operator.matrix[:, ::cmap.ancilla_dim]
+
+    def _correct(self, corrupted):
+        return slice(None), self._gather.dot(corrupted).reshape(self.code.dim, -1)
+
+
 @settings(max_examples=30, deadline=None)
 @given(name=st.sampled_from(_COMPLETED_MAPS), seed=st.integers(0, 2 ** 32 - 1))
 def test_held_completion_roundtrip_matches_the_dense_operator(name, seed):
     cmap = _completed_map(name)
-    # the same map holding its operator dense, as a completion that is not
-    # signed canonical does
-    dense = _with_completion(cmap, cmap.operator)
+    dense = _DenseProduct(cmap)
     code = cmap.code
     rng = np.random.default_rng(seed)
     logical = random_coefficients(code.field, 2, rng)
@@ -1029,24 +1042,160 @@ def test_held_completion_maps_each_pair(name):
         assert np.abs(cmap.apply(dom).amplitudes - img.amplitudes).max() <= tol
 
 
-def test_h3_map_holds_only_its_index_arrays():
-    # the dense 1024 x 1024 operator is 8 MiB; what synthesis adds next to
-    # the code and the image table its error set already holds is the
-    # domain adjoint on its support, 20 x 20 (20 x 64 at full width), and
-    # the two 1024-entry index arrays, 19 KiB
+def _h3_synthesis_bytes():
+    """The h3 map and the bytes its synthesis keeps, by ``tracemalloc``, with
+    any installed ``sys.settrace`` tracer paused over the measured call: a
+    line tracer's own allocations would land in the window."""
     code = build_h3_code()
     errors = effective_error_basis(code, ErrorFamily.SU2)
     kl_check(code, errors)
+    tracer = sys.gettrace()
+    sys.settrace(None)
     tracemalloc.start()
     try:
         cmap = synthesize_correction(code, errors, 2)
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+        sys.settrace(tracer)
+    return cmap, current
+
+
+def test_h3_map_holds_only_its_index_arrays():
+    # the dense 1024 x 1024 operator is 8 MiB; what synthesis adds next to
+    # the code and the image table its error set already holds is the
+    # domain adjoint on its support, 20 x 20 (20 x 64 at full width), and
+    # the two 1024-entry index arrays, 19 KiB
+    cmap, current = _h3_synthesis_bytes()
     perm, sign = cmap._completion
     assert cmap._domain_adjoint.shape == (20, 20)
     assert cmap._domain_adjoint.nbytes + perm.nbytes + sign.nbytes == 19584
     assert current < 32 * 1024
+
+
+def test_h3_map_bytes_hold_under_a_line_tracer():
+    # a tracer that keeps every line event, installed around the measurement
+    # (as a per-test coverage tracer is), is paused over the window and
+    # restored after it
+    events = []
+
+    def trace(frame, event, arg):
+        def local(frame, event, arg):
+            events.append((frame.f_code.co_name, frame.f_lineno))
+            return local
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        _, current = _h3_synthesis_bytes()
+        restored = sys.gettrace()
+    finally:
+        sys.settrace(previous)
+    assert current < 32 * 1024
+    assert restored is trace
+    assert {name for name, _ in events} >= {"_h3_synthesis_bytes", "kl_check"}
+    assert "synthesize_correction" not in {name for name, _ in events}
+
+
+# --- the five-qubit code (Laflamme et al., quant-ph/9602019), test-side --------
+
+_FIVE_STABILIZER = "XZZXI"     # with its cyclic shifts, the code's generators
+
+
+def _pauli_string(word, state):
+    """``state`` with the Pauli ``word[site]`` applied on each site."""
+    for site, axis in enumerate(word):
+        if axis != "I":
+            state = apply_site(pauli_error(axis.lower(), site), state)
+    return state
+
+
+def _five_qubit_code():
+    """|0_L>, |00000> projected onto the +1 space of the four shifts of
+    ``XZZXI`` (16 terms of modulus 1/4), and |1_L>, X on every site of it."""
+    zero = basis_state(ScalarField.COMPLEX, 5, 0)
+    for shift in range(4):
+        word = _FIVE_STABILIZER[5 - shift:] + _FIVE_STABILIZER[:5 - shift]
+        zero = zero.with_amplitudes(zero.amplitudes + _pauli_string(word, zero).amplitudes)
+    zero = zero.with_amplitudes(zero.amplitudes / _norm(zero.amplitudes))
+    return codes.Code("five", ScalarField.COMPLEX, 5, (zero, _pauli_string("XXXXX", zero)))
+
+
+def _five_qubit_basis():
+    """The identity and the 15 single-site Paulis."""
+    return ErrorSet((identity_error(ScalarField.COMPLEX),) + _pauli_singles(5).terms)
+
+
+@functools.cache
+def _five_qubit_map():
+    return synthesize_correction(_five_qubit_code(), _five_qubit_basis(), 4, complete=False)
+
+
+def test_five_qubit_code_is_perfect():
+    # 16 orthonormal images of 2 codewords fill the 2^5 amplitudes exactly:
+    # the KL table, as a 32 x 32 Gram matrix, is the identity
+    code, basis = _five_qubit_code(), _five_qubit_basis()
+    assert [sorted(set(np.abs(w).tolist())) for w in code.words] == [[0.0, 0.25]] * 2
+    assert np.count_nonzero(code.words, axis=1).tolist() == [16, 16]
+    report = kl_check(code, basis)
+    assert report.passed and report.max_deviation == 0.0
+    assert np.array_equal(report.gram, np.eye(16))
+    assert len(basis) * len(code.codewords) == 2 ** code.n_sites == 32
+    assert np.array_equal(report.table.reshape(32, 32), np.eye(32))
+
+
+def test_five_qubit_partial_map_corrects_every_combination():
+    cmap = _five_qubit_map()
+    assert cmap.operator is None and cmap.ancilla_dim == 16
+    fidelities, residuals = simulate(cmap, combined_draw(cmap.code, cmap.errors),
+                                     rng_for(5, 1), 200)
+    assert np.abs(fidelities - 1.0).max() <= 1e-10
+    assert residuals.max() <= 1e-10
+
+
+# --- channel-level known answers ------------------------------------------------
+# The entanglement fidelity of encode, independent flips of each site with
+# probability r, |0_A>, the completed operator and a discarded ancilla:
+# F_e = sum over flip patterns S and ancilla states a of
+# p_S |tr(W^H <a| U (K_S x |0_A>) W) / 2|^2, W the codewords as columns.
+# Every product is exact; the sums round.
+CHANNEL_TOL = 1e-15
+_ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])    # so2_error(pi / 2) without cos(pi / 2)
+
+
+def _entanglement_infidelity(cmap, flip, r):
+    code, n = cmap.code, cmap.code.n_sites
+    blocks = cmap.operator.matrix.reshape(code.dim, cmap.ancilla_dim,
+                                          code.dim, cmap.ancilla_dim)[..., 0]
+    words = code.words.T
+    fidelity = 0.0
+    for pattern in itertools.product((False, True), repeat=n):
+        kraus = _product_map(code.field, n, {site: flip for site, flipped
+                                             in enumerate(pattern) if flipped}).matrix
+        weight = r ** sum(pattern) * (1.0 - r) ** (n - sum(pattern))
+        for a in range(cmap.ancilla_dim):
+            logical = words.conj().T @ blocks[:, a, :] @ kraus @ words
+            fidelity += weight * abs(np.trace(logical) / 2.0) ** 2
+    return 1.0 - fidelity
+
+
+@pytest.mark.parametrize("r", [0.01, 0.1, 0.3])
+def test_r3_under_rot90_flips_fails_with_two_or_three(r):
+    # one flip is corrected; two or three leave a logical map of trace zero
+    got = _entanglement_infidelity(_completed_map("r3"), _ROT90, r)
+    assert abs(got - (3 * r ** 2 - 2 * r ** 3)) <= CHANNEL_TOL
+
+
+@pytest.mark.parametrize("r", [0.01, 0.1, 0.3])
+def test_complex3_bit_flip_map_under_phase_flips_fails_with_an_odd_number(r):
+    # the {I, X@k} map completes to a signed permutation over C; a phase flip
+    # passes it as logical Z, of trace zero, an even number as the identity
+    code = build_complex3_code()
+    cmap = synthesize_correction(code, _bit_flips(code), 2)
+    assert type(cmap._completion) is tuple
+    got = _entanglement_infidelity(cmap, quat.PAULI_MATRICES["z"], r)
+    assert abs(got - (3 * r - 6 * r ** 2 + 4 * r ** 3)) <= CHANNEL_TOL
 
 
 # --- known answers on the basis images ----------------------------------------
@@ -1071,20 +1220,21 @@ def _image_certificate(cmap, errors, states):
 
 _CERTIFIED_MAPS = {
     "r3": lambda: _completed_map("r3"),
-    "r3-dense": lambda: _with_completion(_completed_map("r3"),
-                                         _completed_map("r3").operator),
     "r3-partial": lambda: _partial_map("r3"),
     "h3": lambda: _completed_map("h3[j]"),
     "h3-partial": lambda: _partial_map("h3[j]"),
     "shor9": lambda: _partial_map("shor9"),
+    "five-partial": lambda: _five_qubit_map(),
 }
 
 
 @pytest.mark.parametrize("name", list(_CERTIFIED_MAPS))
 def test_correction_sends_each_held_image_to_its_codeword_and_ancilla(name):
-    # r3 4 errors x 2 codewords, h3 10 x 2, shor9 its 22 representatives x 2
+    # r3 4 errors x 2 codewords, h3 10 x 2, shor9 its 22 representatives x 2,
+    # the five-qubit code 16 x 2
     cmap = _CERTIFIED_MAPS[name]()
-    assert len(cmap.errors) == {"r3": 4, "h3": 10, "shor9": 22}[name.partition("-")[0]]
+    assert len(cmap.errors) == {"r3": 4, "h3": 10, "shor9": 22,
+                                "five": 16}[name.partition("-")[0]]
     assert _image_certificate(cmap, cmap.errors, cmap.ancilla_states) is None
 
 
@@ -1116,9 +1266,7 @@ def test_completed_map_holds_views_of_its_ancilla_zero_columns(name):
     cmap = _completed_map(name)
     step = cmap.ancilla_dim
     (perm, sign), (rows, signs) = cmap._completion, cmap._gather
-    dense = _with_completion(cmap, cmap.operator)
-    for held, full in ((rows, perm[::step]), (signs, sign[::step]),
-                       (dense._gather, dense._completion.matrix[:, ::step])):
+    for held, full in ((rows, perm[::step]), (signs, sign[::step])):
         assert np.array_equal(held, full) and np.shares_memory(held, full)
         assert not held.flags.writeable
     assert _partial_map(name)._gather is None
@@ -1147,50 +1295,49 @@ def test_completed_hot_paths_never_build_the_dense_operator(monkeypatch):
     assert all(rec.passed for rec in verify.codes_suite(0, 5))
 
 
-def test_dense_completion_fallback():
-    # b3 with {I, X@0, X@1, X@2}: its domain vectors (|x> +- |~x>)/sqrt(2)
-    # are not signed canonical, so the completion stays dense
-    code = build_b3_code()
-    errors = ErrorSet((identity_error(code.field),) + tuple(
+def _bit_flips(code):
+    """{I, X@0, X@1, X@2} on a three-qubit complex code."""
+    return ErrorSet((identity_error(code.field),) + tuple(
         ErrorTerm(f"X@{site}", pauli_error("x", site)) for site in range(3)))
-    cmap = synthesize_correction(code, errors, 2)
-    assert isinstance(cmap._completion, LinearMap)
-    assert cmap.operator is cmap._completion
-    ref_domain, ref_image = _reference_pairs(cmap)
-    expected = (complete_orthonormal(ref_image).matrix
-                @ complete_orthonormal(ref_domain).matrix.conj().T)
-    assert cmap.operator.matrix.tobytes() == expected.tobytes()
-    assert cmap.isometry_deviation() <= 1e-10
+
+
+def _b3_bit_flips():
+    # b3's domain vectors (|x> +- |~x>)/sqrt(2) are not signed canonical
+    code = build_b3_code()
+    return code, _bit_flips(code)
+
+
+def _r3_mixed():
+    # E sends |000> to (|001> + |010>)/sqrt(2) and |111> to
+    # (|110> + |101>)/sqrt(2): the image basis is signed canonical and the
+    # domain basis is not
+    code = build_r3_code()
+    matrix = np.zeros((8, 8))
+    matrix[[1, 2], 0] = matrix[[5, 6], 7] = 1 / math.sqrt(2.0)
+    return code, ErrorSet((identity_error(code.field),
+                           ErrorTerm("E", LinearMap(code.field, matrix))))
+
+
+# (code and error set, ancilla sites) whose completion is no signed permutation
+_UNSIGNED_COMPLETIONS = {
+    "b3": (_b3_bit_flips, 2),
+    "r3-mixed": (_r3_mixed, 1),
+    "five": (lambda: (_five_qubit_code(), _five_qubit_basis()), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(_UNSIGNED_COMPLETIONS))
+def test_a_completion_that_is_no_signed_permutation_raises(name):
+    build, n_ancilla = _UNSIGNED_COMPLETIONS[name]
+    code, errors = build()
+    with pytest.raises(SynthesisError, match="not a signed permutation; .*complete=False"):
+        synthesize_correction(code, errors, n_ancilla)
+    cmap = synthesize_correction(code, errors, n_ancilla, complete=False)
+    assert cmap.operator is None
     fidelities, residuals = simulate(
         cmap, combined_draw(code, errors), rng_for(3, 5), 50)
     assert np.abs(fidelities - 1.0).max() <= 1e-10
     assert residuals.max() <= 1e-10
-
-
-def test_mixed_completion_fallback_rebuilds_the_released_basis():
-    # on r3, E sends |000> to (|001> + |010>)/sqrt(2) and |111> to
-    # (|110> + |101>)/sqrt(2): the image basis is signed canonical and the
-    # domain basis is not, so the fallback builds both basis matrices from
-    # their held parts, and the product is that of the dense matrices
-    code = build_r3_code()
-    matrix = np.zeros((8, 8))
-    matrix[[1, 2], 0] = matrix[[5, 6], 7] = 1 / math.sqrt(2.0)
-    errors = ErrorSet((identity_error(code.field),
-                       ErrorTerm("E", LinearMap(code.field, matrix))))
-    cmap = synthesize_correction(code, errors, 1)
-    assert isinstance(cmap._completion, LinearMap)
-    ref_domain, ref_image = _reference_pairs(cmap)
-    image, domain = complete_orthonormal(ref_image), complete_orthonormal(ref_domain)
-    assert codes._signed_columns(image) is not None
-    assert codes._signed_columns(domain) is None
-    expected = image.matrix @ domain.matrix.conj().T
-    assert cmap.operator.matrix.dtype == expected.dtype
-    assert cmap.operator.matrix.tobytes() == expected.tobytes()
-    fidelities, residuals = simulate(
-        cmap, combined_draw(code, errors), rng_for(3, 6), 50)
-    assert np.abs(fidelities - 1.0).max() <= 1e-10
-    assert residuals.max() <= 1e-10
-
 
 
 def _held_basis(matrix, outside=()):
@@ -1210,7 +1357,8 @@ def test_signed_columns_need_one_unit_entry_per_column():
     for matrix in (np.diag([1.0, 0.5]), np.diag([0.5, 1.0]), np.diag([1.0, 1j]),
                    np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0),
                    np.array([[1.0, 0.0], [1.0, 1.0]])):
-        assert codes._signed_columns(_held_basis(matrix)) is None
+        with pytest.raises(SynthesisError, match="complete=False"):
+            codes._signed_columns(_held_basis(matrix))
 
 
 @pytest.mark.parametrize("build,dim", [(codes.build_r3_correction, 32),
@@ -1248,8 +1396,7 @@ def test_h3_build_holds_one_dense_basis_at_a_time():
                                    lambda: codes.build_h3_correction("j")],
                          ids=["r3", "h3[i]", "h3[j]"])
 def test_signed_builds_build_no_dense_basis(build, monkeypatch):
-    # (perm, sign) is read from the held bases; only the dense fallback
-    # builds a basis matrix
+    # (perm, sign) is read from the held bases; no build makes a basis matrix
     def forbidden(self):
         raise AssertionError("a dense basis must not be built")
 
@@ -1452,17 +1599,6 @@ def test_roundtrip_matches_the_checked_twice_reference_bit_for_bit(fixture, draw
 @pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction", "shor9_correction"])
 def test_roundtrip_matches_the_state_reference(fixture, draw, request):
     cmap = request.getfixturevalue(fixture)
-    _assert_matches_the_state_reference(cmap, draw(cmap), rng_for(11, 7), 20)
-
-
-@_DRAWS
-@pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction"])
-def test_dense_completed_roundtrip_matches_the_state_reference(fixture, draw, request):
-    # the same map holding its completion as a dense LinearMap, which
-    # CorrectionMap._correct multiplies by its held ancilla-|0> columns
-    held = request.getfixturevalue(fixture)
-    cmap = _with_completion(held, held.operator)
-    assert isinstance(cmap._completion, LinearMap)
     _assert_matches_the_state_reference(cmap, draw(cmap), rng_for(11, 7), 20)
 
 

@@ -117,7 +117,7 @@ CONTRACT = {
         "(code: 'Code', errors: 'ErrorSet', n_ancilla: 'int', "
         "ancilla_states: 'tuple[int, ...]', _domain_adjoint: 'np.ndarray', "
         "_columns: 'np.ndarray', "
-        "_completion: 'LinearMap | tuple[np.ndarray, np.ndarray] | None')"),
+        "_completion: 'tuple[np.ndarray, np.ndarray] | None')"),
     codes.RoundtripResult: (
         ("ancilla", "residual", "fidelity"),
         "(ancilla: 'StateVector', residual: 'float', fidelity: 'float')"),
