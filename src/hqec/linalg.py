@@ -262,12 +262,16 @@ def _site_amplitudes(op: SiteOperator, field: ScalarField, n_sites: int,
             f"operator over {op.field.value} applied to {field.value} state")
     if op.site >= n_sites:
         raise ValueError(f"site {op.site} out of range for {n_sites} sites")
-    d = field.site_dim
-    return (op.matrix @ amps.reshape(d ** op.site, d, -1)).reshape(-1)
+    return _site_rows(op.matrix, op.site, amps)
 
 
-def _project_coeffs(basis: np.ndarray, v: np.ndarray, hermitian: bool) -> np.ndarray:
-    return basis.conj().T @ v if hermitian else basis.T @ v
+def _site_rows(mats: np.ndarray, site: int, amps: np.ndarray) -> np.ndarray:
+    """Apply the ``d x d`` matrices ``mats`` at ``site`` to the amplitude rows
+    ``amps``, leading axes broadcast, unchecked: :func:`_site_amplitudes`'s kernel."""
+    d, dim = mats.shape[-1], amps.shape[-1]
+    cube = amps.reshape(*amps.shape[:-1], d ** site, d, dim // d ** (site + 1))
+    out = mats[..., None, :, :] @ cube
+    return out.reshape(*out.shape[:-3], dim)
 
 
 class OrthonormalBasis(_Frozen):
@@ -286,17 +290,6 @@ class OrthonormalBasis(_Frozen):
     def __len__(self) -> int:
         return len(self.lead)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The basis as the columns of one ``dim x dim`` matrix, built on access."""
-        lead, outside = self.lead, self.outside
-        k = lead.shape[1]
-        out = np.zeros((len(lead), len(lead)), dtype=lead.dtype)
-        out[:, :k] = lead
-        out[outside, k + np.arange(len(outside))] = 1.0
-        out[:, k + len(outside):] = self.fill
-        return out
-
 
 def complete_orthonormal(partial: list[StateVector]) -> OrthonormalBasis:
     """Extend a linearly independent list to an orthonormal basis.
@@ -314,7 +307,7 @@ def complete_orthonormal(partial: list[StateVector]) -> OrthonormalBasis:
     permissive one if short), and they come last (``fill``).  Signed
     canonical input thus completes with exact 0 and +-1 entries, and input
     dense on every coordinate gets the plain sweep over all of them.  No
-    ``dim x dim`` array is built; :attr:`OrthonormalBasis.matrix` builds one.
+    ``dim x dim`` array is built.
     """
     if not partial:
         raise ValueError("need at least one vector")
@@ -322,7 +315,6 @@ def complete_orthonormal(partial: list[StateVector]) -> OrthonormalBasis:
     dim = partial[0].dim
     if any(v.field is not field or v.dim != dim for v in partial):
         raise FieldMismatchError("all vectors must share field and dimension")
-    hermitian = field.is_complex
     support = np.flatnonzero(np.any(
         np.column_stack([v.amplitudes for v in partial]) != 0, axis=1))
     # The columns hold the orthonormalized input, then the vectors the sweep
@@ -336,7 +328,7 @@ def complete_orthonormal(partial: list[StateVector]) -> OrthonormalBasis:
         head = basis[:, :count]
         for _ in range(2):
             if count:
-                vec = vec - head @ _project_coeffs(head, vec, hermitian)
+                vec = vec - head @ (head.conj().T @ vec)    # a real .conj() is itself
         return vec
 
     for idx, v in enumerate(partial):

@@ -305,8 +305,7 @@ def hopf_project(q: Quaternion) -> ImaginaryVector:
 
 def left_mult_matrix(q: Quaternion) -> np.ndarray:
     """4x4 real matrix of p -> q * p on (w, x, y, z) coordinates."""
-    cols = [(q * u).as_array() for u in (ONE, I, J, K)]
-    return np.column_stack(cols)
+    return _hamilton(q.as_array(), _UNITS).T
 
 
 def right_mult_matrix(q: Quaternion) -> np.ndarray:

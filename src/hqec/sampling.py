@@ -38,10 +38,7 @@ def random_state(field: ScalarField, n_sites: int,
 
 def random_coefficients(field: ScalarField, count: int,
                         rng: np.random.Generator) -> np.ndarray:
-    c = _amplitudes(field, rng.standard_normal(_width(field, count)))
-    if not (norm := _norm(c)):
-        raise ValueError("cannot normalize a draw of zero norm")
-    return c / norm
+    return _unit_rows(field, rng.standard_normal((1, _width(field, count))))[0]
 
 
 def _amplitudes(field: ScalarField, normals: np.ndarray) -> np.ndarray:
@@ -69,11 +66,16 @@ def _unit_rows(field: ScalarField, normals: np.ndarray) -> np.ndarray:
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish unitary from Gram-Schmidt (QR) of a random complex matrix."""
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(m)
+    return _unitary_rows(rng.standard_normal((1, 2, dim, dim)))[0]
+
+
+def _unitary_rows(normals: np.ndarray) -> np.ndarray:
+    """One unitary per row of a block of normals of shape (n, 2, d, d), real
+    parts then imaginary: :func:`random_unitary` is the one-row case."""
+    q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
     # Fix the column phases so the result is independent of QR sign choices.
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -13,13 +13,12 @@ The quaternion, linalg and dirac suites evaluate their randomized checks as
 array expressions over blocks of trials, through the stacked-row functions of
 the modules that own the arithmetic: the row-wise quaternion kernel (product,
 norm, conjugate, rotation, Hopf projection, right-multiplication matrices, the
-2x2 decomposition), ``linalg``'s Kronecker step, and ``dirac``'s rotor matrices
-and Clifford deviations.  Where a public function computes the same thing for
-one object (``hopf_project``, ``right_mult_matrix``, ``tensor_state``,
+2x2 decomposition), ``linalg``'s Kronecker step and site kernel, ``sampling``'s
+unitaries, and ``dirac``'s rotor matrices and Clifford deviations.  Where a
+public function computes the same thing for one object (``hopf_project``,
+``right_mult_matrix``, ``tensor_state``, ``apply_site``, ``random_unitary``,
 ``ErrorRotor.matrix``, ``clifford_check``), it is the one-row case of that
-function, so each identity has one implementation.  The site application
-check repeats ``linalg._site_amplitudes`` over a stack, since a stacked form
-of that kernel would slow every single-site roundtrip.  The draws follow one
+function, so each identity has one implementation.  The draws follow one
 rule: standard normals come in blocks from the check's stream, uniforms and
 integers in blocks from a sub-stream of their own, and a row that breaks a
 rule of the check is drawn again from a redraw sub-stream, so each check runs
@@ -52,6 +51,7 @@ from .sampling import (
     UNIT_FLOOR,
     _amplitudes,
     _unit_rows,
+    _unitary_rows,
     _width,
     random_orthogonal,
     random_state,
@@ -325,9 +325,7 @@ def _site_application(sites_rng, field: ScalarField, rng, start: int,
     dev = 0.0
     for site in range(n_sites):    # one site at a time: the dense matrices are large
         rows = sites == site
-        # linalg._site_amplitudes on each row, as a stack
-        cube = states[rows].reshape(-1, d ** site, d, d ** (n_sites - 1 - site))
-        fast = np.matmul(ops[rows][:, None], cube).reshape(-1, d ** n_sites)
+        fast = linalg._site_rows(ops[rows], site, states[rows])
         full = _matvec(_site_matrices(ops[rows], site, n_sites), states[rows])
         dev = max(dev, _max_abs(fast - full))
     return [dev]
@@ -382,15 +380,19 @@ def linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
 
     rng = rng_for(seed, 204)
     dev = 0.0
-    negative_ok = False
+    negative_ok, parts_ok = False, True
     for field in ScalarField:
         n_sites = 2
         dim = field.site_dim ** n_sites
         partial = [random_state(field, n_sites, rng) for _ in range(3)]
-        mat = complete_orthonormal(partial).matrix
-        gram = mat.conj().T @ mat
-        dev = max(dev, float(np.abs(gram - np.eye(dim)).max()))
-        lead = mat[:, :len(partial)]
+        basis = complete_orthonormal(partial)
+        # as codes._signed_columns reads it: lead and fill, then distinct zero rows
+        lead, outside = basis.lead, basis.outside
+        held = np.hstack((lead, basis.fill))
+        parts_ok = parts_ok and held.shape[1] + len(outside) == dim and (
+            np.bincount(outside, minlength=dim).max() <= 1)
+        gram = held.conj().T @ held
+        dev = max(dev, _max_abs(gram - np.eye(len(gram))), _max_abs(held[outside]))
         for v in partial:
             resid = v.amplitudes - lead @ (lead.conj().T @ v.amplitudes)
             dev = max(dev, float(np.linalg.norm(resid)))
@@ -406,7 +408,7 @@ def linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
     records.append(CheckRecord(
         "orthonormal_completion",
         "completion returns an orthonormal basis extending the input span",
-        negative_ok and dev <= TOL_ISO, dev, witness))
+        negative_ok and parts_ok and dev <= TOL_ISO, dev, witness))
     return records
 
 
@@ -567,17 +569,10 @@ TOL_TRANSFORM_UNITARY = 1e-14    # the Majorana transform's unitarity
 TOL_GENERATORS_REAL = 1e-14      # imaginary part of the transformed bilinears
 
 
-def _unitaries(normals: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`random_unitary` from its draws, shape (n, 2, d, d)."""
-    q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
-
-
 def _transformed_cliffords(gs: dirac.GammaSet, rng, start: int,
                            n: int) -> list[float]:
     """The Clifford relations after a block of random unitary basis changes."""
-    u = _unitaries(rng.standard_normal((n, 2, 4, 4)))
+    u = _unitary_rows(rng.standard_normal((n, 2, 4, 4)))
     uh = u.conj().swapaxes(-1, -2)
     return [_max_abs(np.max(dirac._clifford_deviations([u @ m @ uh for m in gs.all()]),
                             axis=0))]

@@ -104,3 +104,16 @@ def inner(u: StateVector, v: StateVector) -> complex | float:
     if u.field.is_complex:
         return complex(np.vdot(u.amplitudes, v.amplitudes))
     return float(np.dot(u.amplitudes, v.amplitudes))
+
+
+def _dense_assembly(basis):
+    """The square matrix complete_orthonormal returned before it held its
+    three parts, assembled as it did: zeros, the lead columns, a 1 in each
+    outside coordinate's row of the next columns, then the fill columns."""
+    lead, outside = basis.lead, basis.outside
+    dim, k = lead.shape
+    out = np.zeros((dim, dim), dtype=lead.dtype)
+    out[:, :k] = lead
+    out[outside, k + np.arange(len(outside))] = 1.0
+    out[:, k + len(outside):] = basis.fill
+    return out

@@ -56,7 +56,7 @@ from hqec.linalg import (
 )
 from hqec.sampling import random_coefficients, random_unit_quaternion, rng_for
 
-from conftest import _close, inner
+from conftest import _close, _dense_assembly, inner
 
 
 def _pauli_singles(n_sites: int) -> ErrorSet:
@@ -905,8 +905,8 @@ def test_derived_pairs_match_the_reference(name):
 def test_completed_operator_matches_the_reference(name):
     cmap = _BUILT_MAPS[name]()
     ref_domain, ref_image = _reference_pairs(cmap)
-    expected = (complete_orthonormal(ref_image).matrix
-                @ complete_orthonormal(ref_domain).matrix.conj().T)
+    expected = (_dense_assembly(complete_orthonormal(ref_image))
+                @ _dense_assembly(complete_orthonormal(ref_domain)).conj().T)
     assert cmap.operator.matrix.dtype == expected.dtype
     assert cmap.operator.matrix.tobytes() == expected.tobytes()
 
@@ -1395,13 +1395,16 @@ def test_h3_build_holds_one_dense_basis_at_a_time():
                                    lambda: codes.build_h3_correction("i"),
                                    lambda: codes.build_h3_correction("j")],
                          ids=["r3", "h3[i]", "h3[j]"])
-def test_signed_builds_build_no_dense_basis(build, monkeypatch):
-    # (perm, sign) is read from the held bases; no build makes a basis matrix
-    def forbidden(self):
-        raise AssertionError("a dense basis must not be built")
-
-    monkeypatch.setattr(OrthonormalBasis, "matrix", property(forbidden))
-    assert type(build()._completion) is tuple
+def test_signed_builds_build_no_dense_basis(build):
+    # (perm, sign) is read from the held bases, which have no dense form; the
+    # h3 build's tracemalloc bound guards against a dense build of another kind
+    cmap = build()
+    perm, sign = cmap._completion
+    assert np.array_equal(np.sort(perm), np.arange(cmap.domain[0].dim))
+    assert np.isin(sign, (-1.0, 1.0)).all()
+    assert not perm.flags.writeable and not sign.flags.writeable
+    assert not hasattr(OrthonormalBasis, "matrix")
+    assert OrthonormalBasis.__slots__ == ("lead", "outside", "fill")
 
 
 # --- roundtrips ---------------------------------------------------------------
@@ -2546,6 +2549,102 @@ def test_the_verdict_table_on_r3_sites():
     assert np.abs(rot90 - _SITE_MATRICES["j"]).max() <= 1e-16
     complex3 = kl_check(build_complex3_code(), _complex3_errors("j"))
     assert _verdict_rows(complex3, r3) == [(True, 0.0), (True, 0.0), (True, 0.0)]
+
+
+# The four-codeword h3 code, 1x1x1, ixixi, jxjxj and kxkxk: a whole quaternion
+# copied three times.  Under J = L_i x L_i x L_i (left multiplication by i on
+# every site) it is a complex qubit with logical a + b*j, as q = a + b*j embeds
+# one, and it corrects the same ten errors.  So complex logical coefficients
+# alone do not make complex3 fail: each h3 site keeps its own complex unit,
+# and the sites are composed over R, while over C the three sites share one i.
+
+_H = ScalarField.QUATERNION_R4
+
+
+def _h3x4():
+    return codes.Code("h3x4", _H, 3, codes._repetition_codewords(_H, 3, (0, 1, 2, 3)))
+
+
+def _left_i_on_every_site() -> np.ndarray:
+    left = quat.left_mult_matrix(quat.I)
+    return np.kron(left, np.kron(left, left))
+
+
+def _dense_errors(errors: ErrorSet) -> list[np.ndarray]:
+    return [_product_map(_H, 3, {t.op.site: t.op.matrix}).matrix for t in errors]
+
+
+def test_four_codeword_h3_code_is_correctable():
+    code = _h3x4()
+    basis = effective_error_basis(code, ErrorFamily.SU2)
+    report = kl_check(code, basis)
+    assert len(basis) == 10 and report.passed and report.max_deviation == 0.0
+    assert np.array_equal(report.gram, np.eye(10))
+
+
+def test_four_codeword_h3_map_corrects_combined_errors():
+    # measured: largest |F - 1| 4.4e-16, largest residual 4.2e-16
+    code = _h3x4()
+    basis = effective_error_basis(code, ErrorFamily.SU2)
+    cmap = synthesize_correction(code, basis, 2)
+    perm, sign = cmap._completion
+    assert np.array_equal(np.sort(perm), np.arange(4 ** 5))
+    assert np.isin(sign, (-1.0, 1.0)).all()
+    fidelities, residuals = simulate(cmap, combined_draw(code, basis), rng_for(0, 501), 1000)
+    assert np.abs(fidelities - 1.0).max() <= 1e-15 and residuals.max() <= 1e-15
+
+
+def test_four_codeword_h3_code_is_a_complex_qubit_under_left_i():
+    code, j = _h3x4(), _left_i_on_every_site()
+    w = code.words
+    assert np.array_equal(j @ j, -np.eye(64))
+    # 1^3 -> i^3 -> -1^3 and j^3 -> k^3 -> -j^3: J maps the code to itself
+    for a, b in ((w[0], w[1]), (w[1], -w[0]), (w[2], w[3]), (w[3], -w[2])):
+        assert np.array_equal(j @ a, b)
+    errors = _dense_errors(effective_error_basis(code, ErrorFamily.SU2))
+    assert all(np.array_equal(j @ e, e @ j) for e in errors)
+    # the complex KL table <x, y> + i <x, J y> on the logical basis 1^3, j^3
+    images = np.array([[e @ w[l] for l in (0, 2)] for e in errors])
+    table = (np.einsum("ali,bmi->albm", images, images)
+             + 1j * np.einsum("ali,bmi->albm", images, images @ j.T))
+    assert _table_deviation(table) == 0.0
+
+
+def test_each_h3_site_keeps_its_own_complex_unit():
+    # over C, iZ on one site multiplies |000> by the logical i; on h3x4, left
+    # multiplication by i on one site takes 1^3 out of the code, and only J,
+    # on all three sites at once, acts as the logical i
+    c3 = build_complex3_code()
+    word = c3.codewords[0]
+    iz0 = SiteOperator(ScalarField.COMPLEX, 0, 1j * _Z)
+    assert np.array_equal(apply_site(iz0, word).amplitudes, 1j * word.amplitudes)
+    code = _h3x4()
+    left_i0 = SiteOperator(_H, 0, quat.left_mult_matrix(quat.I))
+    moved = apply_site(left_i0, code.codewords[0]).amplitudes
+    assert not (code.words @ moved).any()     # orthogonal to every codeword
+    assert np.array_equal(_left_i_on_every_site() @ code.words[0], code.words[1])
+
+
+def _left_right_products() -> ErrorSet:
+    """The identity and, per site, L_u, R_v and L_u R_v for units u, v: 46 terms."""
+    left = {u: quat.left_mult_matrix(quat.UNITS[u]) for u in "ijk"}
+    right = {v: quat.right_mult_matrix(quat.UNITS[v]) for v in "ijk"}
+    per_site = ([(f"{u}*", left[u]) for u in "ijk"] + [(f"*{v}", right[v]) for v in "ijk"]
+                + [(f"{u}*{v}", left[u] @ right[v]) for u in "ijk" for v in "ijk"])
+    return ErrorSet((identity_error(_H),) + tuple(
+        ErrorTerm(f"{label}@{site}", SiteOperator(_H, site, m))
+        for site in range(3) for label, m in per_site))
+
+
+@pytest.mark.parametrize("build", [lambda: build_h3_code("j"), _h3x4], ids=["h3[j]", "h3x4"])
+def test_left_or_right_units_pass_and_both_fail_on_the_h3_codes(build):
+    # L_i R_i sends 1 to -1 and j to j on a site: a logical phase flip
+    code = build()
+    left = kl_check(code, ErrorSet((identity_error(_H),) + _left_units(range(3))))
+    assert left.passed and left.max_deviation == 0.0
+    both = _left_right_products()
+    report = kl_check(code, both)
+    assert len(both) == 46 and not report.passed and report.max_deviation == 2.0
 
 
 # --- KL oracle ----------------------------------------------------------------

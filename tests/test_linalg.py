@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from hqec import linalg, sampling, verify
 from hqec import quaternion as quat
-from hqec import verify
 from hqec.codes import phase_error_pi
 from hqec.linalg import (
     TOL_ISO,
@@ -24,12 +25,13 @@ from hqec.linalg import (
     basis_state,
     complete_orthonormal,
     is_isometry,
+    OrthonormalBasis,
     tensor_state,
 )
 from hqec.report import CheckRecord
 from hqec.sampling import random_orthogonal, random_state, random_unitary, rng_for
 
-from conftest import inner
+from conftest import _dense_assembly, inner
 
 R, C, H = ScalarField.REAL, ScalarField.COMPLEX, ScalarField.QUATERNION_R4
 
@@ -312,12 +314,12 @@ def test_apply_site_matches_full_kron(field, n_sites):
 
 def test_complete_orthonormal_examples():
     e0 = basis_state(R, 1, 0)
-    full = complete_orthonormal([e0]).matrix
+    full = _dense_assembly(complete_orthonormal([e0]))
     assert full.shape == (2, 2) and full.flags.c_contiguous
     assert abs(abs(full[1, 1]) - 1.0) <= 1e-12
 
     diag = StateVector(R, 1, np.array([1.0, 1.0]) / np.sqrt(2))
-    full = complete_orthonormal([diag]).matrix
+    full = _dense_assembly(complete_orthonormal([diag]))
     second = full[:, 1]
     assert abs(abs(second @ np.array([1, -1]) / np.sqrt(2)) - 1.0) <= 1e-10
 
@@ -343,7 +345,7 @@ def test_complete_orthonormal_random_spans(field):
             if field.is_complex:
                 amps = amps + 1j * rng.standard_normal(dim)
             vecs.append(StateVector(field, 2, amps))
-        mat = complete_orthonormal(vecs).matrix
+        mat = _dense_assembly(complete_orthonormal(vecs))
         assert np.abs(mat.conj().T @ mat - np.eye(dim)).max() <= 1e-10
         lead = mat[:, :k]
         for v in vecs:
@@ -482,7 +484,7 @@ def test_completion_of_signed_canonical_vectors_matches_reference(data, shape):
                            s * basis_state(field, n_sites, i).amplitudes)
                for i, s in zip(indices, signs)]
     basis = complete_orthonormal(partial)
-    full = basis.matrix
+    full = _dense_assembly(basis)
     assert len(basis) == dim and full.shape == (dim, dim)
     assert np.array_equal(full, _reference_completion(partial))
 
@@ -514,7 +516,7 @@ def test_completion_of_mixed_vectors_is_orthonormal(data, shape, seed):
     partial = [partial[k] for k in order]
 
     basis = complete_orthonormal(partial)
-    mat = basis.matrix
+    mat = _dense_assembly(basis)
     assert len(basis) == dim and mat.shape == (dim, dim)
     assert np.abs(mat.conj().T @ mat - np.eye(dim)).max() <= 1e-10
     lead = mat[:, :len(partial)]
@@ -524,19 +526,6 @@ def test_completion_of_mixed_vectors_is_orthonormal(data, shape, seed):
 
 
 # --- the held basis -----------------------------------------------------------
-
-def _dense_assembly(basis):
-    """The square matrix complete_orthonormal returned before it held its
-    three parts, assembled as it did: zeros, the lead columns, a 1 in each
-    outside coordinate's row of the next columns, then the fill columns."""
-    lead, outside = basis.lead, basis.outside
-    dim, k = lead.shape
-    out = np.zeros((dim, dim), dtype=lead.dtype)
-    out[:, :k] = lead
-    out[outside, k + np.arange(len(outside))] = 1.0
-    out[:, k + len(outside):] = basis.fill
-    return out
-
 
 def _completion_input(kind, field, rng):
     """Three-site input vectors, with the sizes (outside, fill) of their
@@ -568,8 +557,8 @@ def _completion_input(kind, field, rng):
 @pytest.mark.parametrize("kind", ["signed", "mixed", "dense"])
 @pytest.mark.parametrize("field", [R, C, H])
 def test_held_basis_matrix_is_the_dense_assembly(field, kind):
-    # the basis is held as computed, and its matrix is the one the dense
-    # assembly built, byte for byte (signed zeros of negated inputs too)
+    # the basis is held as computed, and the dense assembly of its parts is
+    # an orthonormal matrix of the field's dtype
     partial, (n_outside, n_fill) = _completion_input(
         kind, field, np.random.default_rng(21))
     dim = partial[0].dim
@@ -579,9 +568,8 @@ def test_held_basis_matrix_is_the_dense_assembly(field, kind):
     assert basis.outside.shape == (n_outside,) and basis.fill.shape == (dim, n_fill)
     for held in (basis.lead, basis.outside, basis.fill):
         assert not held.flags.writeable
-    matrix, expected = basis.matrix, _dense_assembly(basis)
-    assert matrix.dtype == expected.dtype == field.dtype and matrix.flags.c_contiguous
-    assert matrix.tobytes() == expected.tobytes()
+    matrix = _dense_assembly(basis)
+    assert matrix.dtype == field.dtype and matrix.flags.c_contiguous
     assert is_isometry(matrix).max_deviation <= 1e-10
     with pytest.raises(RankDeficiencyError) as err:
         complete_orthonormal([*partial, partial[1]])
@@ -676,7 +664,7 @@ def _reference_linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
         n_sites = 2
         dim = field.site_dim ** n_sites
         partial = [random_state(field, n_sites, rng) for _ in range(3)]
-        mat = complete_orthonormal(partial).matrix
+        mat = _dense_assembly(complete_orthonormal(partial))
         gram = mat.conj().T @ mat
         dev = max(dev, float(np.abs(gram - np.eye(dim)).max()))
         lead = mat[:, :len(partial)]
@@ -733,3 +721,147 @@ def test_blocked_linalg_suite_matches_the_loop_reference(monkeypatch):
     for size in (3, 7):
         monkeypatch.setattr(verify, "_BLOCK", size)
         assert verify.linalg_suite(7, 100) == default
+
+
+# --- the suite checks the library's own kernel and held completion -----------
+
+def _completion_record(seed=0):
+    return next(r for r in verify.linalg_suite(seed, 5)
+                if r.check_id == "orthonormal_completion")
+
+
+def test_linalg_suite_fails_a_planted_site_kernel(monkeypatch):
+    # the record reads the library's site kernel, not a copy: one output
+    # entry off by 1e-6 fails it
+    kernel = linalg._site_rows
+
+    def planted(mats, site, amps):
+        out = kernel(mats, site, amps)
+        out.reshape(-1)[:1] += 1e-6
+        return out
+
+    monkeypatch.setattr(linalg, "_site_rows", planted)
+    record = next(r for r in verify.linalg_suite(0, 5)
+                  if r.check_id == "site_application_matches_kron")
+    assert not record.passed
+    assert abs(record.max_deviation - 1e-6) <= 1e-12
+
+
+def _canonical_states(monkeypatch):
+    """Make the suite's completion input e0, e1, e2 in every field, whose
+    completion holds the rest as canonical vectors: 1 outside over R and C,
+    13 over H."""
+    count = itertools.count()
+    monkeypatch.setattr(verify, "random_state", lambda field, n_sites, rng: basis_state(
+        field, n_sites, next(count) % 3))
+
+
+def _repeat_outside(basis):
+    # two canonical vectors on one row, none on another: counts still sum to dim
+    outside = basis.outside.copy()
+    if len(outside) > 1:
+        outside[1] = outside[0]
+    return OrthonormalBasis(basis.lead, outside, basis.fill)
+
+
+def _outside_row_taken(basis):
+    # a fill column on a row the outside vectors also claim
+    outside, fill = basis.outside, basis.fill
+    if len(outside) > 1:
+        column = np.zeros((len(basis), 1))
+        column[outside[1]] = 1.0
+        outside, fill = outside[1:], np.hstack((fill, column))
+    return OrthonormalBasis(basis.lead, outside, fill)
+
+
+def _tilt_fill(basis):
+    fill = basis.fill.copy()
+    fill[0, 0] += 1e-6
+    return OrthonormalBasis(basis.lead, basis.outside, fill)
+
+
+def _drop_fill(basis):
+    return OrthonormalBasis(basis.lead, basis.outside, basis.fill[:, 1:])
+
+
+@pytest.mark.parametrize("plant,canonical,deviation", [
+    (_repeat_outside, True, (0.0, 1e-15)), (_outside_row_taken, True, (1.0, 1.0)),
+    (_tilt_fill, False, (1e-7, 1e-5)), (_drop_fill, False, (0.0, 1e-15))],
+    ids=["repeated-outside", "outside-row-taken", "tilted-fill", "dropped-fill"])
+def test_linalg_suite_fails_a_planted_completion(plant, canonical, deviation, monkeypatch):
+    # each planted fault passes the record's other tests (the repeat and the
+    # dropped column the Gram, the taken row the count), and the unplanted
+    # completion of the same input passes
+    if canonical:
+        _canonical_states(monkeypatch)
+    clean = _completion_record()
+    assert clean.passed and clean.max_deviation <= 1e-15
+    monkeypatch.setattr(verify, "complete_orthonormal",
+                        lambda partial: plant(complete_orthonormal(partial)))
+    record = _completion_record()
+    low, high = deviation
+    assert not record.passed and low <= record.max_deviation <= high
+
+
+# --- one-row cases of the row kernels -----------------------------------------
+
+def _site_formula(matrix, site, amps):
+    """The site kernel as one matrix and one state computed it before the
+    kernel took stacks."""
+    d = matrix.shape[-1]
+    return (matrix @ amps.reshape(d ** site, d, -1)).reshape(-1)
+
+
+@pytest.mark.parametrize("field", [R, C, H])
+def test_site_kernel_on_one_row_is_the_single_formula(field):
+    rng = np.random.default_rng(17)
+    d = field.site_dim
+    for n_sites in (1, 2, 3):
+        for site in range(n_sites):
+            block = rng.standard_normal((d, d))
+            if field.is_complex:
+                block = block + 1j * rng.standard_normal((d, d))
+            op = SiteOperator(field, site, block)
+            state = _unnormalized_state(field, n_sites, rng)
+            got = linalg._site_rows(op.matrix, site, state.amplitudes)
+            assert got.shape == state.amplitudes.shape and got.dtype == field.dtype
+            assert got.tobytes() == _site_formula(op.matrix, site, state.amplitudes).tobytes()
+            assert apply_site(op, state).amplitudes.tobytes() == got.tobytes()
+            # and a stack of one row is that row
+            row = linalg._site_rows(op.matrix[None], site, state.amplitudes[None])
+            assert row.shape == (1, d ** n_sites) and row[0].tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("field", [R, C, H])
+def test_site_kernel_on_an_empty_stack_is_empty(field):
+    # a site that drew no trials of a block: a -1 reshape cannot size it
+    d = field.site_dim
+    for site in range(3):
+        out = linalg._site_rows(np.zeros((0, d, d), field.dtype), site,
+                                np.zeros((0, d ** 3), field.dtype))
+        assert out.shape == (0, d ** 3) and out.dtype == field.dtype
+
+
+@pytest.mark.parametrize("field", [R, C, H])
+@pytest.mark.parametrize("count", [1, 2, 16])
+def test_random_coefficients_is_the_one_row_case(field, count):
+    ref_rng, rng = rng_for(3, count), rng_for(3, count)
+    normals = ref_rng.standard_normal(2 * count if field.is_complex else count)
+    expected = (normals[:count] + 1j * normals[count:]) if field.is_complex else normals
+    expected = expected / _norm(expected)
+    got = sampling.random_coefficients(field, count, rng)
+    assert got.shape == (count,) and got.dtype == field.dtype
+    assert got.tobytes() == expected.tobytes()
+    assert rng.standard_normal() == ref_rng.standard_normal()    # the same stream
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 16])
+def test_random_unitary_is_the_one_row_case(dim):
+    ref_rng, rng = rng_for(5, dim), rng_for(5, dim)
+    m = ref_rng.standard_normal((dim, dim)) + 1j * ref_rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(m)
+    d = np.diagonal(r)
+    expected = q * (d / np.abs(d))
+    got = random_unitary(dim, rng)
+    assert got.shape == (dim, dim) and got.tobytes() == expected.tobytes()
+    assert rng.standard_normal() == ref_rng.standard_normal()    # the same stream

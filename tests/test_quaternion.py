@@ -429,6 +429,14 @@ def test_array_kernel_matches_the_scalar_methods(pairs):
         want = np.column_stack([(u * qa).as_array() for u in (ONE, I, J, K)])
         assert right[k].tobytes() == want.tobytes()
         assert right[k].tobytes() == quat.right_mult_matrix(qa).tobytes()
+        # left multiplication is the one-row case of the product: qa times
+        # each unit, the column form the scalar product made
+        assert quat.left_mult_matrix(qa).tobytes() == _scalar_left_mult(qa).tobytes()
+
+
+def _scalar_left_mult(q: Quaternion) -> np.ndarray:
+    """The 4x4 matrix of p -> q * p from the scalar product, column by column."""
+    return np.column_stack([(q * u).as_array() for u in (ONE, I, J, K)])
 
 
 @given(st.lists(nonzero_quaternions, min_size=1, max_size=8))
@@ -449,8 +457,8 @@ def _projected(q: Quaternion) -> ImaginaryVector:
 
 
 # the 8x8 system of q -> q*u + i*q*w, built from the scalar product
-_DECOMPOSITION = np.block([[quat.left_mult_matrix(ONE), quat.left_mult_matrix(I)],
-                           [quat.left_mult_matrix(J), quat.left_mult_matrix(K)]])
+_DECOMPOSITION = np.block([[_scalar_left_mult(ONE), _scalar_left_mult(I)],
+                           [_scalar_left_mult(J), _scalar_left_mult(K)]])
 
 
 def _solved_decomposition(m: np.ndarray) -> tuple[Quaternion, Quaternion]:

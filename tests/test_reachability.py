@@ -32,7 +32,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
-MAX_ENTRIES = 40
+MAX_ENTRIES = 36
 
 # The child: install the tracer, then import and run every command.
 _CHILD = r'''
