@@ -303,33 +303,20 @@ def hopf_project(q: Quaternion) -> ImaginaryVector:
     return ImaginaryVector(x, y, z)
 
 
-def left_mult_matrix(q: Quaternion) -> np.ndarray:
-    """4x4 real matrix of p -> q * p on (w, x, y, z) coordinates."""
-    return _hamilton(q.as_array(), _UNITS).T
-
-
 def right_mult_matrix(q: Quaternion) -> np.ndarray:
     """4x4 real matrix of p -> p * q on (w, x, y, z) coordinates."""
     return _right_mult(q.as_array())
 
 
-# The 8x8 real matrix taking (u, w) to the embedded images of 1 and j under
-# q -> q*u + i*q*w, that is q*u + (i*q)*w: the system _decompose solves.
-_DECOMPOSITION_SYSTEM = np.block([
-    [left_mult_matrix(ONE), left_mult_matrix(I)],
-    [left_mult_matrix(J), left_mult_matrix(K)]])
-_DECOMPOSITION_SYSTEM.setflags(write=False)
-
-
 def _decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows (u, w) with M(q) = q*u + i*q*w under the qubit embedding, one
-    pair per finite 2x2 complex matrix of the stack ``m``, solved in one
-    call.  Both sides are 8-real-dimensional and the correspondence is a
-    linear bijection, so the system is square and always solvable."""
-    # right-hand sides: the embedded columns m @ (1, 0) and m @ (0, 1)
-    rhs = np.ascontiguousarray(m.swapaxes(-1, -2)).reshape(-1, 4).view(float)
-    uw = np.linalg.solve(_DECOMPOSITION_SYSTEM, rhs.T).T
-    return uw[:, :4], uw[:, 4:]
+    pair per 2x2 complex matrix of the stack ``m``.  With u = c + d*j and
+    w = c' + d'*j, M is [[c + i c', i conj(d') - conj(d)],
+    [d + i d', conj(c) + i conj(c')]], which gives each part by formula."""
+    m00, m01, m10, m11 = np.moveaxis(m.reshape(-1, 4), -1, 0)
+    c, c2 = (m00 + m11.conj()) / 2, (m00 - m11.conj()) * -0.5j
+    d, d2 = (m10 - m01.conj()) / 2, (m10 + m01.conj()) * -0.5j
+    return np.stack([c, d], axis=-1).view(float), np.stack([c2, d2], axis=-1).view(float)
 
 
 def _compose(u: np.ndarray, w: np.ndarray) -> np.ndarray:

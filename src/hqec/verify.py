@@ -19,10 +19,11 @@ public function computes the same thing for one object (``hopf_project``,
 ``right_mult_matrix``, ``tensor_state``, ``apply_site``, ``random_unitary``,
 ``ErrorRotor.matrix``, ``clifford_check``), it is the one-row case of that
 function, so each identity has one implementation.  The draws follow one
-rule: standard normals come in blocks from the check's stream, uniforms and
-integers in blocks from a sub-stream of their own, and a row that breaks a
-rule of the check is drawn again from a redraw sub-stream, so each check runs
-exactly its trial count and its draws do not depend on the block size.
+rule, in the codes suite's single-site drawers too: standard normals come in
+blocks from the check's stream, uniforms and integers in blocks from a
+sub-stream of their own, and a row that breaks a rule of the check is drawn
+again from a redraw sub-stream, so each check runs exactly its trial count and
+its draws do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ from .sampling import (
 # The randomized checks of the quaternion, linalg and dirac suites evaluate
 # their identities as array expressions over blocks of at most _BLOCK trials,
 # so memory stays small and flat at any trial count.  Every check draws by one
-# rule.  Its standard normals come in (n, width) blocks from its own stream,
+# rule, and so do the codes suite's drawers, asked for codes._BLOCK trials at a
+# time.  Its standard normals come in (n, width) blocks from its own stream,
 # rng_for(seed, stream); its uniforms or integers come in blocks from the
 # sub-stream rng_for(seed, stream, _VALUES).  A row that breaks a rule of the
 # check (a unit group of norm at most UNIT_FLOOR, a rotation axis of square
@@ -202,12 +204,21 @@ def _hopf_projection(phases, redraw, rng, start: int, n: int) -> list[float]:
     return [max(dev_phase, dev_shape), dev_equi]
 
 
-def _matrix_decomposition(matrices: np.ndarray, rng, start: int,
-                          n: int) -> list[float]:
+# the 16 canonical matrices e_rc, i e_rc, -e_rc, -i e_rc (e_rc row-major)
+# take the place of the first 16 trials' drawn matrices
+_CANONICAL = np.concatenate([(e, 1j * e, -e, -1j * e)
+                             for e in np.eye(4, dtype=complex).reshape(4, 2, 2)])
+
+
+def _matrix_decomposition(rng, start: int, n: int) -> list[float]:
     """Deviation of decompose/compose, and of q -> q*u + i*q*w from a block
-    of the matrices acting on the amplitude pairs of fresh draws q."""
-    m = matrices[start:start + n]
-    q = rng.standard_normal((n, 4))
+    of matrices acting on the amplitude pairs of the q.  Each trial draws one
+    row: its matrix, real parts then imaginary, then its q."""
+    rows = rng.standard_normal((n, 12))
+    m = (rows[:, :4] + 1j * rows[:, 4:8]).reshape(n, 2, 2)
+    head = _CANONICAL[start:start + n]
+    m[:len(head)] = head
+    q = rows[:, 8:]
     mul = quat._hamilton
     u, w = quat._decompose(m)
     lhs = (m @ q.view(complex)[..., None])[..., 0].view(float)
@@ -247,14 +258,7 @@ def quaternion_suite(seed: int, trials: int) -> list[CheckRecord]:
     records.append(_exact(
         "hopf_equivariance", "right action projects to a sphere rotation", dev_equi))
 
-    rng = rng_for(seed, 106)
-    canonical = [m for e in np.eye(4, dtype=complex).reshape(4, 2, 2)    # e_rc, row-major
-                 for m in (e, 1j * e, -e, -1j * e)]
-    # every matrix is drawn before the first q
-    drawn = rng.standard_normal((trials, 2, 2, 2))
-    matrices = np.concatenate([canonical, drawn[:, 0] + 1j * drawn[:, 1]])
-    dev, = _over_blocks(functools.partial(_matrix_decomposition, matrices), rng,
-                        len(matrices))
+    dev, = _over_blocks(_matrix_decomposition, rng_for(seed, 106), trials)
     records.append(CheckRecord(
         "matrix_decompose_roundtrip",
         "2x2 complex matrices act as q -> q*u + i*q*w",
@@ -416,46 +420,43 @@ def linalg_suite(seed: int, trials: int) -> list[CheckRecord]:
 # codes suite
 
 
-def _so2_draw(code: codes.Code):
-    """roundtrip_fidelity_r3's block drawer: per trial the logical normals, an
-    angle (``rng.random() * 2 pi`` is ``rng.uniform(0, 2 pi)`` bit for bit)
-    and a site; the rotations as :func:`codes.so2_error` builds them."""
+def _site_operators(code: codes.Code, sites, mats: np.ndarray):
+    """The single-site operators of a block, on sites drawn from ``sites``."""
+    return map(functools.partial(SiteOperator._checked, code.field),
+               sites.integers(code.n_sites, size=len(mats)).tolist(), mats)
+
+
+def _so2_draw(code: codes.Code, sites):
+    """roundtrip_fidelity_r3's block drawer: per trial one row of the logical
+    normals and a normal pair (x, y), whose angle atan2(y, x) is uniform on
+    the circle, and a site from ``sites``; the rotations as
+    :func:`codes.so2_error` builds them."""
     width = _width(code.field, len(code.codewords))
 
     def draw(rng, n: int):
-        normals, angles, sites = np.empty((n, width)), [], []
-        for k in range(n):
-            normals[k] = rng.standard_normal(width)
-            angles.append(rng.random() * (2.0 * np.pi))
-            sites.append(int(rng.integers(code.n_sites)))
-        cos, sin = (np.array([f(t) for t in angles]) for f in (math.cos, math.sin))
+        rows = rng.standard_normal((n, width + 2))
+        angles = list(map(math.atan2, rows[:, width + 1].tolist(), rows[:, width].tolist()))
+        cos, sin = (np.array(list(map(f, angles))) for f in (math.cos, math.sin))
         mats = np.stack([cos, -sin, sin, cos], -1, dtype=code.field.dtype).reshape(n, 2, 2)
-        return zip(_unit_rows(code.field, normals),
-                   (SiteOperator._checked(code.field, s, m) for s, m in zip(sites, mats)))
+        return zip(_unit_rows(code.field, rows[:, :width]), _site_operators(code, sites, mats))
 
     return draw
 
 
-def _su2_draw(code: codes.Code):
-    """roundtrip_fidelity_h3's block drawer: per trial the logical normals, a
-    unit quaternion as :func:`random_unit_quaternion` draws it, and a site.  It
-    builds the operators row-wise, as :func:`codes.su2_error` does."""
+def _su2_draw(code: codes.Code, sites, redraw):
+    """roundtrip_fidelity_h3's block drawer: per trial one row of the logical
+    normals and a unit group (redrawn from ``redraw`` as the rule says), and
+    a site from ``sites``.  It builds the operators row-wise, as
+    :func:`codes.su2_error` does."""
+    width = _width(code.field, len(code.codewords))
 
     def draw(rng, n: int):
-        normals, q, sites = np.empty((n, len(code.codewords))), np.zeros((n, 4)), []
-        for k in range(n):
-            normals[k] = rng.standard_normal(len(code.codewords))
-            w = x = y = z = 0.0             # Quaternion.norm's arithmetic on the draw
-            while math.sqrt(w * w + x * x + y * y + z * z) <= UNIT_FLOOR:
-                q[k] = rng.standard_normal(4)
-                w, x, y, z = q[k].tolist()
-            sites.append(int(rng.integers(code.n_sites)))
-        u = q * (1.0 / quat._norm(q))[:, None]
+        rows = _normal_rows(rng, redraw, n, width + 4, (width,), None)
+        u = rows[:, width:]
         if not np.all(np.abs(quat._norm(u) - 1.0) <= quat.TOL_UNIT):
             raise ValueError("SU(2) errors require a unit quaternion")
         mats = quat._right_mult(quat._conj(u))
-        return zip(_unit_rows(code.field, normals),
-                   (SiteOperator._checked(code.field, s, m) for s, m in zip(sites, mats)))
+        return zip(_unit_rows(code.field, rows[:, :width]), _site_operators(code, sites, mats))
 
     return draw
 
@@ -521,12 +522,15 @@ def codes_suite(seed: int, trials: int) -> list[CheckRecord]:
         "correction of arbitrary linear combinations of basis errors",
         dev <= codes.SYNTH_TOL, dev))
 
-    dev = roundtrip_dev(r3_map, _so2_draw(r3), rng_for(seed, 302))
+    dev = roundtrip_dev(r3_map, _so2_draw(r3, rng_for(seed, 302, _VALUES)),
+                        rng_for(seed, 302))
     records.append(CheckRecord(
         "roundtrip_fidelity_r3", "plane-rotation roundtrips recover the "
         "logical state", dev <= codes.SYNTH_TOL, dev))
 
-    dev = roundtrip_dev(h3_map, _su2_draw(h3), rng_for(seed, 303))
+    dev = roundtrip_dev(h3_map, _su2_draw(h3, rng_for(seed, 303, _VALUES),
+                                          rng_for(seed, 303, _REDRAW)),
+                        rng_for(seed, 303))
     records.append(CheckRecord(
         "roundtrip_fidelity_h3", "unit right-multiplication roundtrips recover "
         "the logical state", dev <= codes.SYNTH_TOL, dev))

@@ -5,7 +5,7 @@ import pytest
 
 from hqec import codes, sampling
 from hqec import quaternion as quat
-from hqec.linalg import StateVector
+from hqec.linalg import ScalarField, StateVector
 
 
 @pytest.fixture(scope="session")
@@ -96,6 +96,19 @@ def unit_draw(row) -> bool:
     """Whether four normals make a unit quaternion draw: a norm above
     ``sampling.UNIT_FLOOR``."""
     return quat.Quaternion.from_array(row).norm() > 1e-6
+
+
+def left_mult(q: quat.Quaternion) -> np.ndarray:
+    """The 4x4 real matrix of p -> q * p on (w, x, y, z) coordinates, from
+    the scalar product column by column: column c is q times the c-th unit."""
+    return np.column_stack([(q * u).as_array() for u in quat.UNITS.values()])
+
+
+def h3x4_code() -> codes.Code:
+    """The four-codeword h3 code 1x1x1, ixixi, jxjxj, kxkxk: a whole
+    quaternion copied three times, with no constructor in ``hqec``."""
+    field = ScalarField.QUATERNION_R4
+    return codes.Code("h3x4", field, 3, codes._repetition_codewords(field, 3, (0, 1, 2, 3)))
 
 
 def inner(u: StateVector, v: StateVector) -> complex | float:

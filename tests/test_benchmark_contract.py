@@ -18,7 +18,9 @@ randomized checks through stacked-row functions, so they make few scalar
 products; the mutation test below shows that the kernel is still what the
 suite checks, term by term.  No suite makes more calls of a public function
 at 1000 trials than at 1, except the one ``codes.roundtrip`` per simulated
-trial that ``perfbench`` pins.
+trial that ``perfbench`` pins, and no suite whose results do not grow with
+the trials holds more memory at 20,000 trials than at 2,000, which
+``perfbench`` reads as ``peak_rss_mb``.
 """
 
 import collections
@@ -27,6 +29,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -199,3 +202,21 @@ def test_no_public_call_count_grows_with_the_trials(suite, capsys):
         return collections.Counter(s[0] for s in spans.spans if s[0] not in PER_TRIAL)
 
     assert counted(1000) == counted(1)
+
+
+# the codes suite is left out: simulate returns per-trial arrays, as the
+# comment on report.MAX_TRIALS says
+@pytest.mark.parametrize("suite", ["quaternion", "linalg", "dirac"])
+def test_suite_memory_stays_flat_in_the_trials(suite):
+    run = verify.SUITE_RUNNERS[suite]
+    run(0, 1)        # imports and caches are made before the first peak
+
+    def peak(trials: int) -> int:
+        tracemalloc.start()
+        try:
+            run(0, trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20_000) <= peak(2_000) + 2 ** 19

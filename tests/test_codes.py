@@ -56,7 +56,8 @@ from hqec.linalg import (
 )
 from hqec.sampling import random_coefficients, random_unit_quaternion, rng_for
 
-from conftest import _close, _dense_assembly, inner
+from conftest import (FixedDraws, _close, _dense_assembly, drawn_row, h3x4_code, inner,
+                      left_mult, tiny_streams, unit_draw)
 
 
 def _pauli_singles(n_sites: int) -> ErrorSet:
@@ -504,7 +505,7 @@ def _with_terms(code, family, *terms):
 def _left_units(sites):
     field = ScalarField.QUATERNION_R4
     return tuple(ErrorTerm(f"{u}*@{site}", SiteOperator(
-        field, site, quat.left_mult_matrix(quat.UNITS[u])))
+        field, site, left_mult(quat.UNITS[u])))
         for site in sites for u in "ijk")
 
 
@@ -1949,34 +1950,6 @@ def test_a_zero_draw_raises_without_a_warning(fixture, request):
             random_coefficients(code.field, 2, _Zeros())
 
 
-class _ShrunkQuaternions:
-    """A generator whose first ``count`` draws of four normals are shrunk
-    below ``sampling.UNIT_FLOOR``, so that a unit-quaternion draw is redrawn."""
-
-    def __init__(self, rng, count):
-        self.rng, self.count = rng, count
-
-    def standard_normal(self, size=None):
-        out = self.rng.standard_normal(size)
-        if size == 4 and self.count:
-            self.count -= 1
-            out *= 1e-9
-        return out
-
-    def integers(self, *args):
-        return self.rng.integers(*args)
-
-
-def test_su2_drawer_redraws_as_random_unit_quaternion(h3_correction):
-    got_rng = _ShrunkQuaternions(rng_for(4, 303), 3)
-    want_rng = _ShrunkQuaternions(rng_for(4, 303), 3)
-    got = simulate(h3_correction, _site_drawer(h3_correction), got_rng, 9)
-    want = _reference_simulate(h3_correction, _single_site(h3_correction), want_rng, 9)
-    _assert_same_runs(got, want)
-    assert got_rng.count == want_rng.count == 0
-    assert got_rng.rng.standard_normal() == want_rng.rng.standard_normal()
-
-
 def _reference_simulate(cmap, draw_error, rng, trials):
     """The per-trial loop :func:`simulate` ran before it drew in blocks, kept
     verbatim: each trial draws its logical coefficients, then its error as
@@ -1991,20 +1964,50 @@ def _reference_simulate(cmap, draw_error, rng, trials):
     return fidelities, residuals
 
 
-def _site_drawer(cmap):
+def _site_streams(seed, stream):
+    """A single-site run's simulation stream and its sites and redraw
+    sub-streams, as verify's codes suite makes them."""
+    return rng_for(seed, stream), rng_for(seed, stream, 1), rng_for(seed, stream, 2)
+
+
+def _site_drawer(cmap, sites, redraw):
     """The block drawer of verify's single-site roundtrip check for the map's
     field: SU(2) errors over H, plane rotations otherwise."""
     if cmap.code.field is ScalarField.QUATERNION_R4:
-        return verify._su2_draw(cmap.code)
-    return verify._so2_draw(cmap.code)
+        return verify._su2_draw(cmap.code, sites, redraw)
+    return verify._so2_draw(cmap.code, sites)
 
 
-# drawer id: (the block drawer simulate takes, the per-trial error draw of
-# the reference loop)
-_DRAWERS = {
-    "combined": (lambda cmap: combined_draw(cmap.code, _basis(cmap)), _combined),
-    "site": (_site_drawer, _single_site),
-}
+def _site_trial(cmap, rng, sites, redraw):
+    """One trial of verify's single-site roundtrip checks by the draw rule,
+    through the public builders: one row from ``rng``, drawn whole again from
+    ``redraw`` while its unit group has a norm at most UNIT_FLOOR; a site from
+    ``sites``; the logical coefficients as :func:`random_coefficients` makes
+    them from the row's first normals; the error from the rest of the row, a
+    unit quaternion over H, else the angle atan2(y, x) of a normal pair."""
+    code = cmap.code
+    count = len(code.codewords)
+    width = 2 * count if code.field.is_complex else count
+    if code.field is ScalarField.QUATERNION_R4:
+        row = drawn_row(rng, redraw, width + 4, lambda r: unit_draw(r[width:]))
+        error = su2_error(quat.Quaternion.from_array(row[width:]).normalized(),
+                          int(sites.integers(code.n_sites)))
+    else:
+        row = rng.standard_normal(width + 2)
+        error = so2_error(math.atan2(row[width + 1], row[width]),
+                          int(sites.integers(code.n_sites)), code.field)
+    return random_coefficients(code.field, count, FixedDraws(row[:width])), error
+
+
+def _reference_site_simulate(cmap, streams, trials):
+    """The per-trial loop of verify's single-site roundtrip checks: each
+    trial draws as :func:`_site_trial` from ``streams`` and makes one
+    roundtrip."""
+    fidelities, residuals = np.empty(trials), np.empty(trials)
+    for t in range(trials):
+        res = roundtrip(cmap, *_site_trial(cmap, *streams))
+        fidelities[t], residuals[t] = res.fidelity, res.residual
+    return fidelities, residuals
 
 
 def _assert_same_runs(got, want):
@@ -2012,22 +2015,30 @@ def _assert_same_runs(got, want):
         assert np.array_equal(g, w)
 
 
+def _assert_same_places(streams, ref_streams):
+    """The same draws were made: each generator stands at the same place."""
+    assert [g.bit_generator.state for g in streams] \
+        == [w.bit_generator.state for w in ref_streams]
+
+
 @pytest.mark.parametrize("seed", [3, 11])
-@pytest.mark.parametrize("drawer", list(_DRAWERS))
+@pytest.mark.parametrize("drawer", ["combined", "site"])
 @pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction", "shor9_correction"])
 def test_simulate_matches_the_per_trial_loop_bit_for_bit(fixture, drawer, seed,
                                                          request):
     # at and around each block boundary, B = codes._BLOCK trials a block
     cmap = request.getfixturevalue(fixture)
-    block_draw, trial_draw = _DRAWERS[drawer]
     b = codes._BLOCK
     for trials in (1, b - 1, b, b + 1, 2 * b + 3):
-        rng, ref_rng = rng_for(seed, trials), rng_for(seed, trials)
-        got = simulate(cmap, block_draw(cmap), rng, trials)
-        want = _reference_simulate(cmap, trial_draw(cmap), ref_rng, trials)
+        streams, ref_streams = _site_streams(seed, trials), _site_streams(seed, trials)
+        if drawer == "combined":
+            got = simulate(cmap, combined_draw(cmap.code, _basis(cmap)), streams[0], trials)
+            want = _reference_simulate(cmap, _combined(cmap), ref_streams[0], trials)
+        else:
+            got = simulate(cmap, _site_drawer(cmap, *streams[1:]), streams[0], trials)
+            want = _reference_site_simulate(cmap, ref_streams, trials)
         _assert_same_runs(got, want)
-        # the same draws were made: the generators stand at the same place
-        assert rng.standard_normal() == ref_rng.standard_normal()
+        _assert_same_places(streams, ref_streams)
 
 
 def test_simulate_keeps_the_draw_order_on_a_shared_stream(r3_correction, h3_correction):
@@ -2040,11 +2051,52 @@ def test_simulate_keeps_the_draw_order_on_a_shared_stream(r3_correction, h3_corr
     assert rng.standard_normal() == ref_rng.standard_normal()
 
 
+# positions in the h3 single-site draws, rows of two logical normals and a
+# unit group, that make the redraw rule fire: the unit groups of trial 1 and
+# of trial 130 (in the second block), and of the first redraw row, which is
+# redrawn again
+_TINY_SITE = {(303,): [*range(8, 12), *range(6 * 130 + 2, 6 * 130 + 6)],
+              (303, 2): range(2, 6)}
+
+
+def _tiny_site_streams():
+    """Fixed draws of stream 303 and its redraw sub-stream with the unit
+    groups of ``_TINY_SITE`` shrunk, and the real sites sub-stream."""
+    fixed = tiny_streams(_TINY_SITE, {})
+    return fixed(4, 303), rng_for(4, 303, 1), fixed(4, 303, 2)
+
+
+def test_su2_drawer_redraws_a_row_from_the_redraw_stream(h3_correction):
+    trials = codes._BLOCK + 5
+    streams, ref_streams = _tiny_site_streams(), _tiny_site_streams()
+    got = simulate(h3_correction, _site_drawer(h3_correction, *streams[1:]),
+                   streams[0], trials)
+    want = _reference_site_simulate(h3_correction, ref_streams, trials)
+    _assert_same_runs(got, want)
+    # one row of six normals a trial; trial 1 takes the second redraw row,
+    # trial 130 the third
+    drawn = [(s[0].drawn, s[2].drawn) for s in (streams, ref_streams)]
+    assert drawn == [(trials * 6, 3 * 6)] * 2
+    _assert_same_places(streams[1:2], ref_streams[1:2])
+
+
+def test_a_drawer_that_redraws_from_the_simulation_stream_fails(h3_correction,
+                                                                monkeypatch):
+    # the planted fault: the drawer takes its redraws from the simulation's
+    # own stream, so the test above must fail
+    su2_draw = verify._su2_draw
+    monkeypatch.setattr(verify, "_su2_draw", lambda code, sites, redraw: (
+        lambda rng, n: su2_draw(code, sites, rng)(rng, n)))
+    with pytest.raises(AssertionError):
+        test_su2_drawer_redraws_a_row_from_the_redraw_stream(h3_correction)
+
+
 def test_su2_drawer_keeps_the_unit_check(h3_correction, monkeypatch):
     # su2_error's check, row by row: no row passes a negative tolerance
     monkeypatch.setattr(quat, "TOL_UNIT", -1.0)
     with pytest.raises(ValueError, match="unit quaternion"):
-        verify._su2_draw(h3_correction.code)(rng_for(0, 303), 3)
+        verify._su2_draw(h3_correction.code, rng_for(0, 303, 1),
+                         rng_for(0, 303, 2))(rng_for(0, 303), 3)
 
 
 @pytest.mark.parametrize("fixture", ["r3_correction", "h3_correction"])
@@ -2052,10 +2104,9 @@ def test_site_drawers_build_the_public_operators_unchecked(fixture, request):
     # each drawn operator, built by SiteOperator._checked, is the one
     # so2_error or su2_error builds from the same draws, bit for bit
     cmap = request.getfixturevalue(fixture)
-    rng, ref_rng = rng_for(9, 302), rng_for(9, 302)
-    for logical, op in _site_drawer(cmap)(rng, 37):
-        ref_logical = random_coefficients(cmap.code.field, 2, ref_rng)
-        ref = _single_site(cmap)(ref_rng)
+    streams, ref_streams = _site_streams(9, 302), _site_streams(9, 302)
+    for logical, op in _site_drawer(cmap, *streams[1:])(streams[0], 37):
+        ref_logical, ref = _site_trial(cmap, *ref_streams)
         assert np.array_equal(logical, ref_logical)
         assert (op.field, op.site) == (ref.field, ref.site)
         assert op.matrix.dtype == ref.matrix.dtype
@@ -2063,7 +2114,7 @@ def test_site_drawers_build_the_public_operators_unchecked(fixture, request):
         assert not op.matrix.flags.writeable
         with pytest.raises(AttributeError, match="cannot assign"):
             op.site = ref.site
-    assert rng.standard_normal() == ref_rng.standard_normal()
+    _assert_same_places(streams, ref_streams)
 
 
 @pytest.mark.parametrize("name", ["shor9", "h3[j]"])
@@ -2561,12 +2612,8 @@ def test_the_verdict_table_on_r3_sites():
 _H = ScalarField.QUATERNION_R4
 
 
-def _h3x4():
-    return codes.Code("h3x4", _H, 3, codes._repetition_codewords(_H, 3, (0, 1, 2, 3)))
-
-
 def _left_i_on_every_site() -> np.ndarray:
-    left = quat.left_mult_matrix(quat.I)
+    left = left_mult(quat.I)
     return np.kron(left, np.kron(left, left))
 
 
@@ -2575,7 +2622,7 @@ def _dense_errors(errors: ErrorSet) -> list[np.ndarray]:
 
 
 def test_four_codeword_h3_code_is_correctable():
-    code = _h3x4()
+    code = h3x4_code()
     basis = effective_error_basis(code, ErrorFamily.SU2)
     report = kl_check(code, basis)
     assert len(basis) == 10 and report.passed and report.max_deviation == 0.0
@@ -2584,7 +2631,7 @@ def test_four_codeword_h3_code_is_correctable():
 
 def test_four_codeword_h3_map_corrects_combined_errors():
     # measured: largest |F - 1| 4.4e-16, largest residual 4.2e-16
-    code = _h3x4()
+    code = h3x4_code()
     basis = effective_error_basis(code, ErrorFamily.SU2)
     cmap = synthesize_correction(code, basis, 2)
     perm, sign = cmap._completion
@@ -2595,7 +2642,7 @@ def test_four_codeword_h3_map_corrects_combined_errors():
 
 
 def test_four_codeword_h3_code_is_a_complex_qubit_under_left_i():
-    code, j = _h3x4(), _left_i_on_every_site()
+    code, j = h3x4_code(), _left_i_on_every_site()
     w = code.words
     assert np.array_equal(j @ j, -np.eye(64))
     # 1^3 -> i^3 -> -1^3 and j^3 -> k^3 -> -j^3: J maps the code to itself
@@ -2618,8 +2665,8 @@ def test_each_h3_site_keeps_its_own_complex_unit():
     word = c3.codewords[0]
     iz0 = SiteOperator(ScalarField.COMPLEX, 0, 1j * _Z)
     assert np.array_equal(apply_site(iz0, word).amplitudes, 1j * word.amplitudes)
-    code = _h3x4()
-    left_i0 = SiteOperator(_H, 0, quat.left_mult_matrix(quat.I))
+    code = h3x4_code()
+    left_i0 = SiteOperator(_H, 0, left_mult(quat.I))
     moved = apply_site(left_i0, code.codewords[0]).amplitudes
     assert not (code.words @ moved).any()     # orthogonal to every codeword
     assert np.array_equal(_left_i_on_every_site() @ code.words[0], code.words[1])
@@ -2627,7 +2674,7 @@ def test_each_h3_site_keeps_its_own_complex_unit():
 
 def _left_right_products() -> ErrorSet:
     """The identity and, per site, L_u, R_v and L_u R_v for units u, v: 46 terms."""
-    left = {u: quat.left_mult_matrix(quat.UNITS[u]) for u in "ijk"}
+    left = {u: left_mult(quat.UNITS[u]) for u in "ijk"}
     right = {v: quat.right_mult_matrix(quat.UNITS[v]) for v in "ijk"}
     per_site = ([(f"{u}*", left[u]) for u in "ijk"] + [(f"*{v}", right[v]) for v in "ijk"]
                 + [(f"{u}*{v}", left[u] @ right[v]) for u in "ijk" for v in "ijk"])
@@ -2636,7 +2683,7 @@ def _left_right_products() -> ErrorSet:
         for site in range(3) for label, m in per_site))
 
 
-@pytest.mark.parametrize("build", [lambda: build_h3_code("j"), _h3x4], ids=["h3[j]", "h3x4"])
+@pytest.mark.parametrize("build", [lambda: build_h3_code("j"), h3x4_code], ids=["h3[j]", "h3x4"])
 def test_left_or_right_units_pass_and_both_fail_on_the_h3_codes(build):
     # L_i R_i sends 1 to -1 and j to j on a site: a logical phase flip
     code = build()

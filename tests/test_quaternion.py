@@ -20,7 +20,7 @@ from hqec.quaternion import (
 from hqec.report import CheckRecord
 from hqec.sampling import random_quaternion, rng_for
 
-from conftest import FixedDraws, _close, drawn_row, tiny_streams, unit_draw
+from conftest import FixedDraws, _close, drawn_row, left_mult, tiny_streams, unit_draw
 
 finite = st.floats(min_value=-10, max_value=10,
                    allow_nan=False, allow_infinity=False)
@@ -429,14 +429,6 @@ def test_array_kernel_matches_the_scalar_methods(pairs):
         want = np.column_stack([(u * qa).as_array() for u in (ONE, I, J, K)])
         assert right[k].tobytes() == want.tobytes()
         assert right[k].tobytes() == quat.right_mult_matrix(qa).tobytes()
-        # left multiplication is the one-row case of the product: qa times
-        # each unit, the column form the scalar product made
-        assert quat.left_mult_matrix(qa).tobytes() == _scalar_left_mult(qa).tobytes()
-
-
-def _scalar_left_mult(q: Quaternion) -> np.ndarray:
-    """The 4x4 matrix of p -> q * p from the scalar product, column by column."""
-    return np.column_stack([(q * u).as_array() for u in (ONE, I, J, K)])
 
 
 @given(st.lists(nonzero_quaternions, min_size=1, max_size=8))
@@ -456,9 +448,10 @@ def _projected(q: Quaternion) -> ImaginaryVector:
     return ImaginaryVector(r.x, r.y, r.z)
 
 
-# the 8x8 system of q -> q*u + i*q*w, built from the scalar product
-_DECOMPOSITION = np.block([[_scalar_left_mult(ONE), _scalar_left_mult(I)],
-                           [_scalar_left_mult(J), _scalar_left_mult(K)]])
+# the 8x8 system of q -> q*u + i*q*w, built from the scalar product: the
+# system the 2x2 decomposition solved before it used the formula
+_DECOMPOSITION = np.block([[left_mult(ONE), left_mult(I)],
+                           [left_mult(J), left_mult(K)]])
 
 
 def _solved_decomposition(m: np.ndarray) -> tuple[Quaternion, Quaternion]:
@@ -469,6 +462,32 @@ def _solved_decomposition(m: np.ndarray) -> tuple[Quaternion, Quaternion]:
         rhs.append(quat.embed_qubit(ComplexPair(image[0], image[1])).as_array())
     solution = np.linalg.solve(_DECOMPOSITION, np.concatenate(rhs))
     return Quaternion.from_array(solution[:4]), Quaternion.from_array(solution[4:])
+
+
+def _formula_decomposition(m: np.ndarray) -> tuple[Quaternion, Quaternion]:
+    """(u, w) with M(q) = q*u + i*q*w for one 2x2 matrix by the formula for
+    u = c + d*j and w = c' + d'*j, in scalar complex arithmetic."""
+    (m00, m01), (m10, m11) = m.tolist()
+    c, c2 = (m00 + m11.conjugate()) / 2, (m00 - m11.conjugate()) * -0.5j
+    d, d2 = (m10 - m01.conjugate()) / 2, (m10 + m01.conjugate()) * -0.5j
+    return (quat.embed_qubit(ComplexPair(c, d)), quat.embed_qubit(ComplexPair(c2, d2)))
+
+
+def test_the_decomposition_formula_matches_the_solved_system():
+    # measured on these draws: the formula and the solve differ by at most
+    # 4.4e-16 in u and 0.0 in w, and recompose within 4.6e-16 and 5.0e-16
+    rng = rng_for(0, 107)
+    m = (rng.standard_normal((1000, 2, 2)) + 1j * rng.standard_normal((1000, 2, 2)))
+    u, w = quat._decompose(m)
+    solved = [_solved_decomposition(x) for x in m]
+    su, sw = (np.array([p[k].as_array() for p in solved]) for k in (0, 1))
+    assert np.abs(u - su).max() <= 1e-15 and np.abs(w - sw).max() <= 1e-15
+    assert np.abs(quat._compose(u, w) - m).max() <= 1e-15
+    assert np.abs(quat._compose(su, sw) - m).max() <= 1e-15
+    # each row is the scalar formula's, bit for bit
+    for k in range(len(m)):
+        fu, fw = _formula_decomposition(m[k])
+        assert np.array_equal(u[k], fu.as_array()) and np.array_equal(w[k], fw.as_array())
 
 
 def _reference_quaternion_suite(seed: int, trials: int) -> list[CheckRecord]:
@@ -573,16 +592,18 @@ def _reference_quaternion_suite(seed: int, trials: int) -> list[CheckRecord]:
             e = np.zeros((2, 2), dtype=complex)
             e[r, c] = 1.0
             canonical.extend([e, 1j * e, -e, -1j * e])
-    mats = canonical + [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                        for _ in range(trials)]
-    for m in mats:
-        u, w = _solved_decomposition(m)
+    # each trial draws one row: its matrix, real parts then imaginary, then
+    # its q; the first 16 trials take the canonical matrices instead
+    for trial in range(trials):
+        row = rng.standard_normal(12)
+        m = canonical[trial] if trial < 16 else (row[:4] + 1j * row[4:8]).reshape(2, 2)
+        u, w = _formula_decomposition(m)
         composed = []
         for e in (quat.ONE, quat.J):
             pair = quat.extract_qubit(e * u + quat.I * (e * w))
             composed.append([pair.a, pair.b])
         dev = max(dev, float(np.abs(np.array(composed).T - m).max()))
-        q = random_quaternion(rng)
+        q = Quaternion.from_array(row[8:])
         pair = quat.extract_qubit(q)
         vec = m @ np.array([pair.a, pair.b])
         lhs = quat.embed_qubit(ComplexPair(vec[0], vec[1]))
@@ -672,6 +693,7 @@ def test_a_redrawn_row_comes_from_the_redraw_stream(block, monkeypatch):
     assert [drawn[(s,)] for s in (103, 104, 105)] == [40 * 11, 40 * 8, 40 * 8]
     assert [drawn[(s, 2)] for s in (103, 104, 105)] == [3 * 11, 2 * 8, 2 * 8]
     assert drawn[(105, 1)] == 40
+    assert drawn[(106,)] == 40 * 12
 
 
 def test_the_hopf_checks_run_exactly_their_trial_count(monkeypatch):
