@@ -18,9 +18,10 @@ randomized checks through stacked-row functions, so they make few scalar
 products; the mutation test below shows that the kernel is still what the
 suite checks, term by term.  No suite makes more calls of a public function
 at 1000 trials than at 1, except the one ``codes.roundtrip`` per simulated
-trial that ``perfbench`` pins, and no suite whose results do not grow with
-the trials holds more memory at 20,000 trials than at 2,000, which
-``perfbench`` reads as ``peak_rss_mb``.
+trial that ``perfbench`` pins.  Nor does the ``tracemalloc`` peak of a suite
+whose results do not grow with the trials rise by more than 0.5 MiB from
+2,000 trials to 20,000: ``perfbench`` reads the process peak as
+``peak_rss_mb``.
 """
 
 import collections

@@ -2683,7 +2683,8 @@ def _left_right_products() -> ErrorSet:
         for site in range(3) for label, m in per_site))
 
 
-@pytest.mark.parametrize("build", [lambda: build_h3_code("j"), h3x4_code], ids=["h3[j]", "h3x4"])
+@pytest.mark.parametrize("build", [lambda: build_h3_code("j"), h3x4_code],
+                         ids=["h3[j]", "h3x4"])
 def test_left_or_right_units_pass_and_both_fail_on_the_h3_codes(build):
     # L_i R_i sends 1 to -1 and j to j on a site: a logical phase flip
     code = build()
